@@ -21,7 +21,15 @@ from .beamforming import (
     slnr_beamformer,
     slnr_value,
 )
-from .rates import RateBreakdown, rate_bob, rate_eve, secrecy_rate, secrecy_sum_rate
+from .rates import (
+    ProjectedPowers,
+    RateBreakdown,
+    projected_powers,
+    rate_bob,
+    rate_eve,
+    secrecy_rate,
+    secrecy_sum_rate,
+)
 from .power_allocation import (
     CoefficientConsistencyError,
     PaSolution,
@@ -62,7 +70,9 @@ __all__ = [
     "leakage_pair",
     "slnr_beamformer",
     "slnr_value",
+    "ProjectedPowers",
     "RateBreakdown",
+    "projected_powers",
     "rate_bob",
     "rate_eve",
     "secrecy_rate",

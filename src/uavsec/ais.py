@@ -1,22 +1,29 @@
 """Alternating loop between leakage beamforming and Max-SR power allocation.
 
 One sampling point at a time: compute both beamformers for the current power
-split, re-optimize the split in closed form, and repeat until the signed
-secrecy rate stops moving. The beamforming step optimizes leakage ratios, not
-the secrecy rate itself, so the iteration is not guaranteed monotone; the
-stopping rule plus an iteration cap handle that.
+split, re-optimize the split for those vectors, and repeat until the signed
+secrecy rate stops moving. The power-allocation (PA) step is the closed form
+by default; the grid-oracle strategy passes the exhaustive grid search, so
+both run the same loop and stopping rule. The beamforming step optimizes
+leakage ratios, not the secrecy rate itself, so the iteration is not
+guaranteed monotone; the stopping rule plus an iteration cap handle that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .beamforming import BeamformingPair, leakage_pair
 from .geometry import LinkState
-from .power_allocation import PaSolution, f_value, optimal_beta
-from .rates import RateBreakdown, secrecy_rate
+from .power_allocation import optimal_beta
+from .rates import (
+    ProjectedPowers,
+    RateBreakdown,
+    projected_powers,
+    rates_at,
+    secrecy_rate,
+    split_rates,
+)
 
 
 @dataclass(frozen=True)
@@ -28,7 +35,7 @@ class AisConfig:
     def __post_init__(self):
         if not 0.0 < self.beta_init < 1.0:
             raise ValueError("beta_init must lie in (0, 1)")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -43,9 +50,7 @@ class AisIteration:
     """
 
     beta: float
-    v_b: np.ndarray = field(repr=False)
-    v_an: np.ndarray = field(repr=False)
-    f_value: float = 0.0
+    f_value: float
 
 
 @dataclass(frozen=True)
@@ -55,11 +60,20 @@ class AisTrace:
     iterations_used: int
 
 
+def closed_form_step(link: LinkState, powers: ProjectedPowers) -> tuple[float, float]:
+    """The default PA step: the closed-form Max-SR split."""
+    sol = optimal_beta(link, powers)
+    return sol.beta_star, sol.secrecy_rate_at_beta
+
+
 def optimize_point(
-    link: LinkState, cfg: AisConfig = AisConfig()
-) -> tuple[BeamformingPair, PaSolution, AisTrace]:
+    link: LinkState, cfg: AisConfig = AisConfig(), pa_step=closed_form_step
+) -> tuple[BeamformingPair, float, RateBreakdown, AisTrace]:
     """Run the alternating iteration at one sampling point.
 
+    ``pa_step(link, powers)`` returns the best split for the projected powers
+    of the current vectors and the signed secrecy rate there. Returns the
+    final vectors, the final split, the rates at that split and the trace.
     Hitting the iteration cap is a soft failure: the last iterate is
     returned with ``converged=False`` so a flight sweep can keep going.
     """
@@ -68,21 +82,18 @@ def optimize_point(
     converged = False
     for _ in range(cfg.max_iterations):
         bf = leakage_pair(link, beta)
-        pa = optimal_beta(link, bf)
+        powers = projected_powers(link, bf)
         # Convergence compares f at the incoming and re-optimized splits
-        # under the same (current) vectors: once the power-allocation step
-        # stops moving the secrecy rate, the loop is done.
-        f_incoming = f_value(pa.coefficients, beta)
-        beta = pa.beta_star
-        records.append(
-            AisIteration(beta=beta, v_b=bf.v_b, v_an=bf.v_an, f_value=pa.secrecy_rate_at_beta)
-        )
-        if abs(pa.secrecy_rate_at_beta - f_incoming) <= cfg.epsilon:
+        # under the same (current) vectors: once the PA step stops moving
+        # the secrecy rate, the loop is done.
+        r_b, r_e = split_rates(link, powers, beta)
+        beta, f_new = pa_step(link, powers)
+        records.append(AisIteration(beta=beta, f_value=f_new))
+        if abs(f_new - (r_b - r_e)) <= cfg.epsilon:
             converged = True
             break
-    return bf, pa, AisTrace(
-        iterations=tuple(records), converged=converged, iterations_used=len(records)
-    )
+    trace = AisTrace(iterations=tuple(records), converged=converged, iterations_used=len(records))
+    return bf, beta, rates_at(link, powers, beta), trace
 
 
 def run_baseline(link: LinkState, fixed_beta: float) -> tuple[BeamformingPair, RateBreakdown]:

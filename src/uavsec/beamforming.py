@@ -25,11 +25,19 @@ class BeamformingPair:
 
 
 def rank1_inverse_apply(a: float, scale: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Compute (a*I + scale*x x^H)^{-1} y via the Sherman-Morrison identity."""
+    """Compute (a*I + scale*x x^H)^{-1} y via the Sherman-Morrison identity.
+
+    The component of y along x is scaled by 1/(a + scale*|x|^2) and the rest
+    by 1/a. The textbook form (y - x*c)/a cancels to a zero vector when y is
+    parallel to x and c rounds to 1.
+    """
     if a <= 0:
         raise ValueError("diagonal loading must be positive")
-    correction = scale * np.vdot(x, y) / (a + scale * np.vdot(x, x).real)
-    return (y - x * correction) / a
+    xx = np.vdot(x, x).real
+    along = x * (np.vdot(x, y) / xx)
+    # Scaling by reciprocals: a complex array divides several times slower
+    # than it multiplies.
+    return along * (1.0 / (a + scale * xx)) + (y - along) * (1.0 / a)
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:

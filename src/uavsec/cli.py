@@ -7,6 +7,9 @@ import sys
 
 from .geometry import ConfigurationError
 from .harness import (
+    _parse_float,
+    _parse_int,
+    _parse_list,
     parse_config,
     run_experiment,
     summarize,
@@ -23,14 +26,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="number of worker processes (default 1)")
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
-
-
-def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavsec",
@@ -43,12 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     power = sub.add_parser("sweep-power", help="run with an overridden transmit-power sweep")
     _add_common(power)
-    power.add_argument("--powers", type=_float_list, required=True,
+    power.add_argument("--powers", required=True,
                        help="comma-separated transmit powers in dBm")
 
     ant = sub.add_parser("sweep-antennas", help="run with an overridden antenna-count sweep")
     _add_common(ant)
-    ant.add_argument("--antennas", type=_int_list, required=True,
+    ant.add_argument("--antennas", required=True,
                      help="comma-separated antenna counts")
     return parser
 
@@ -58,14 +53,16 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.command == "sweep-power":
-            cfg = with_overrides(cfg, power_sweep_dbm=args.powers)
+            powers = _parse_list("--powers", args.powers, _parse_float)
+            cfg = with_overrides(cfg, power_sweep_dbm=powers)
         elif args.command == "sweep-antennas":
-            cfg = with_overrides(cfg, antenna_sweep=args.antennas)
+            antennas = _parse_list("--antennas", args.antennas, _parse_int)
+            cfg = with_overrides(cfg, antenna_sweep=antennas)
         records = run_experiment(cfg, parallel=max(1, args.parallel))
         out = args.out or cfg.output_path
         fmt = args.format or cfg.output_format
         write_results(records, fmt, out)
-    except (ConfigurationError, OSError, ValueError) as exc:
+    except (ConfigurationError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(records)} records to {out} ({fmt})")

@@ -54,14 +54,14 @@ class ScenarioGeometry:
 
     Default layout: Alice (the transmit array) at the origin with the array
     axis along +x, Eve 200 m away on the ground, and the UAV flying 800 m
-    parallel to the array axis at 20 m altitude.
+    parallel to the array axis at 20 m altitude. The flight is level: both
+    endpoints share one positive z, the altitude.
     """
 
     alice: tuple[float, float, float] = (0.0, 0.0, 0.0)
     eve: tuple[float, float, float] = (200.0, 0.0, 0.0)
     flight_start: tuple[float, float, float] = (0.0, 0.0, 20.0)
     flight_end: tuple[float, float, float] = (800.0, 0.0, 20.0)
-    altitude: float = 20.0
     speed: float = 8.0
     sample_interval: float = 1.0
     path_loss_exponent: float = 2.0
@@ -76,15 +76,13 @@ class ScenarioGeometry:
             raise ConfigurationError("speed must be positive")
         if self.sample_interval <= 0:
             raise ConfigurationError("sample_interval must be positive")
-        if self.altitude <= 0:
-            raise ConfigurationError("altitude must be positive")
         if self.path_loss_exponent <= 0:
             raise ConfigurationError("path_loss_exponent must be positive")
         if self.reference_gain <= 0:
             raise ConfigurationError("reference_gain must be positive")
-        if not (math.isclose(s[2], self.altitude) and math.isclose(d[2], self.altitude)):
+        if not (s[2] > 0 and math.isclose(s[2], d[2])):
             raise ConfigurationError(
-                "flight_start and flight_end must both sit at the configured altitude"
+                "flight_start and flight_end must sit at one positive altitude (z)"
             )
 
     @property

@@ -12,11 +12,11 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .ais import AisConfig, optimize_point, run_baseline
-from .beamforming import leakage_pair
+from .ais import AisConfig, closed_form_step, optimize_point, run_baseline
 from .geometry import (
     ArrayConfig,
     ConfigurationError,
@@ -25,7 +25,7 @@ from .geometry import (
     sample_trajectory,
 )
 from .power_allocation import beta_grid_oracle
-from .rates import secrecy_rate, secrecy_sum_rate
+from .rates import secrecy_sum_rate
 
 CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
 
@@ -45,8 +45,8 @@ class Strategy:
     """One of the sweepable per-point optimizers.
 
     kind: 'ais' (alternating closed-form loop), 'fixed' (leakage beamformers
-    at a fixed split, no iteration), or 'grid_oracle' (alternating loop with
-    exhaustive-search power allocation).
+    at a fixed split, no iteration), or 'grid_oracle' (the same alternating
+    loop with exhaustive-search power allocation).
     """
 
     kind: str
@@ -112,22 +112,21 @@ class ExperimentConfig:
             raise ConfigError(f"output.format: must be one of {_VALID_FORMATS}")
 
 
+def _parse_float(key: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
+
+
 def _parse_point(key: str, raw: str) -> tuple[float, float, float]:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 3:
         raise ConfigError(f"{key}: expected three comma-separated coordinates")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{key}: non-numeric coordinate in {raw!r}") from None
-    return (x, y, z)
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    return tuple(_parse_float(key, p) for p in parts)
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -141,7 +140,10 @@ def _parse_list(key: str, raw: str, conv) -> tuple:
     items = [p.strip() for p in raw.split(",") if p.strip()]
     if not items:
         raise ConfigError(f"{key}: empty list")
-    return tuple(conv(key, item) for item in items)
+    values = tuple(conv(key, item) for item in items)
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{key}: duplicate entries in {raw!r}")
+    return values
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -158,7 +160,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         "geometry.eve": ("eve", _parse_point),
         "geometry.flight_start": ("flight_start", _parse_point),
         "geometry.flight_end": ("flight_end", _parse_point),
-        "geometry.altitude": ("altitude", _parse_float),
         "geometry.speed": ("speed", _parse_float),
         "geometry.sample_interval": ("sample_interval", _parse_float),
         "geometry.path_loss_exponent": ("path_loss_exponent", _parse_float),
@@ -199,9 +200,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         elif key == "sweep.antennas":
             fields["antenna_sweep"] = _parse_list(key, raw, _parse_int)
         elif key == "strategies":
-            fields["strategies"] = tuple(
-                parse_strategy(tok) for tok in raw.split(",") if tok.strip()
-            )
+            fields["strategies"] = _parse_list(key, raw, lambda k, tok: parse_strategy(tok))
         else:
             raise ConfigError(f"unknown config key {key!r}")
     try:
@@ -235,7 +234,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         f"geometry.eve={pt(g.eve)}",
         f"geometry.flight_start={pt(g.flight_start)}",
         f"geometry.flight_end={pt(g.flight_end)}",
-        f"geometry.altitude={g.altitude:g}",
         f"geometry.speed={g.speed:g}",
         f"geometry.sample_interval={g.sample_interval:g}",
         f"geometry.path_loss_exponent={g.path_loss_exponent:g}",
@@ -271,24 +269,6 @@ class ResultRecord:
     converged: Optional[bool] = None
 
 
-def _grid_pa_loop(link, ais_cfg: AisConfig, step: float):
-    """Alternating loop with the exhaustive-search PA step instead of the
-    closed form; used by the grid_oracle strategy."""
-    beta = ais_cfg.beta_init
-    prev_f = 0.0
-    converged = False
-    iterations = 0
-    for _ in range(ais_cfg.max_iterations):
-        bf = leakage_pair(link, beta)
-        beta, f_val = beta_grid_oracle(link, bf, step)
-        iterations += 1
-        if abs(f_val - prev_f) <= ais_cfg.epsilon:
-            converged = True
-            break
-        prev_f = f_val
-    return bf, beta, iterations, converged
-
-
 def _run_combo(
     cfg: ExperimentConfig, strategy: Strategy, m: int, ps_dbm: float
 ) -> list[ResultRecord]:
@@ -296,21 +276,20 @@ def _run_combo(
     sigma2_b = dbm_to_mw(cfg.noise_dbm_bob)
     sigma2_e = dbm_to_mw(cfg.noise_dbm_eve)
     p_s = dbm_to_mw(ps_dbm)
+    if strategy.kind == "grid_oracle":
+        pa_step = partial(beta_grid_oracle, step=cfg.grid_step)
+    else:
+        pa_step = closed_form_step
     records = []
     for point in sample_trajectory(cfg.geometry):
         link = link_state_at(point, cfg.geometry, array, sigma2_b, sigma2_e, p_s)
-        if strategy.kind == "ais":
-            bf, pa, trace = optimize_point(link, cfg.ais)
-            beta = pa.beta_star
-            breakdown = secrecy_rate(link, bf, beta)
-            iterations, converged = trace.iterations_used, trace.converged
-        elif strategy.kind == "grid_oracle":
-            bf, beta, iterations, converged = _grid_pa_loop(link, cfg.ais, cfg.grid_step)
-            breakdown = secrecy_rate(link, bf, beta)
-        else:
+        if strategy.kind == "fixed":
             beta = strategy.fixed_beta
-            bf, breakdown = run_baseline(link, beta)
+            _, breakdown = run_baseline(link, beta)
             iterations, converged = None, None
+        else:
+            _, beta, breakdown, trace = optimize_point(link, cfg.ais, pa_step)
+            iterations, converged = trace.iterations_used, trace.converged
         records.append(
             ResultRecord(
                 strategy=strategy.name,

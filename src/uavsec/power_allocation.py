@@ -23,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .beamforming import BeamformingPair
 from .geometry import LinkState
 from . import rates
+from .rates import ProjectedPowers
 
 # Relative tie width on phi when ranking candidates.
 _TIE_RTOL = Fraction(1, 10**12)
@@ -70,17 +70,8 @@ class PaSolution:
     coefficients: RationalCoefficients
 
 
-def _projected_powers(link: LinkState, bf: BeamformingPair):
-    """|h^H v|^2 for the four steering-vector / beamformer combinations."""
-    u_b = abs(np.vdot(link.h_b, bf.v_b)) ** 2
-    w_b = abs(np.vdot(link.h_b, bf.v_an)) ** 2
-    u_e = abs(np.vdot(link.h_e, bf.v_b)) ** 2
-    w_e = abs(np.vdot(link.h_e, bf.v_an)) ** 2
-    return (Fraction(u_b), Fraction(w_b), Fraction(u_e), Fraction(w_e))
-
-
-def _coefficients_raw(link: LinkState, bf: BeamformingPair) -> RationalCoefficients:
-    u_b, w_b, u_e, w_e = _projected_powers(link, bf)
+def _coefficients_raw(link: LinkState, powers: ProjectedPowers) -> RationalCoefficients:
+    u_b, w_b, u_e, w_e = map(Fraction, powers)
     gab, gae = Fraction(link.g_ab), Fraction(link.g_ae)
     ps = Fraction(link.p_s)
     s2b, s2e = Fraction(link.sigma2_b), Fraction(link.sigma2_e)
@@ -111,15 +102,17 @@ def f_value(coeffs: RationalCoefficients, beta) -> float:
     return math.log2(value.numerator) - math.log2(value.denominator)
 
 
-def rational_coefficients(link: LinkState, bf: BeamformingPair) -> RationalCoefficients:
+def rational_coefficients(link: LinkState, powers: ProjectedPowers) -> RationalCoefficients:
     """Coefficients A..F with a built-in cross-check against the rate layer.
 
-    log2 phi(beta) must reproduce rate_bob - rate_eve to 1e-9 at five probe
+    The exact expanded ratio log2 phi(beta) must reproduce the float factored
+    rates R_b - R_e of the same projected powers to 1e-9 at five probe
     points; a violation means a coefficient bug, not bad input.
     """
-    coeffs = _coefficients_raw(link, bf)
+    coeffs = _coefficients_raw(link, powers)
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        direct = rates.rate_bob(link, bf, beta) - rates.rate_eve(link, bf, beta)
+        r_b, r_e = rates.split_rates(link, powers, beta)
+        direct = r_b - r_e
         if abs(f_value(coeffs, beta) - direct) > 1e-9:
             raise CoefficientConsistencyError(
                 f"coefficient identity broken at beta={beta}: "
@@ -151,11 +144,7 @@ def stationary_points(coeffs: RationalCoefficients) -> StationaryPoints:
     return StationaryPoints(delta=float(delta), beta1=float(beta1), beta2=float(beta2))
 
 
-def _in_open_unit_interval(beta: float) -> bool:
-    return 0.0 < beta < 1.0
-
-
-def optimal_beta(link: LinkState, bf: BeamformingPair) -> PaSolution:
+def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
     """Closed-form Max-SR power split for fixed beamforming vectors.
 
     Candidates are the stationary points of phi inside (0,1) plus the
@@ -164,7 +153,7 @@ def optimal_beta(link: LinkState, bf: BeamformingPair) -> PaSolution:
     f(1) <= 0, and the rate layer's clamp makes the achieved secrecy zero,
     matching what beta=0 would have given.
     """
-    coeffs = rational_coefficients(link, bf)
+    coeffs = rational_coefficients(link, powers)
     sp = stationary_points(coeffs)
 
     if coeffs.a == coeffs.d and coeffs.b == coeffs.e:
@@ -173,7 +162,7 @@ def optimal_beta(link: LinkState, bf: BeamformingPair) -> PaSolution:
 
     candidates: list[tuple[float, str]] = []
     for beta, label in ((sp.beta1, "root1"), (sp.beta2, "root2"), (sp.beta3, "degenerate_root")):
-        if beta is not None and _in_open_unit_interval(beta):
+        if beta is not None and 0.0 < beta < 1.0:
             candidates.append((beta, label))
     # With no interior stationary point (including Delta < 0, where phi is
     # monotone with the sign of AE-BD) the endpoint is the sole survivor.
@@ -205,31 +194,19 @@ def _solution(
 
 
 def beta_grid_oracle(
-    link: LinkState, bf: BeamformingPair, step: float = 1e-4
+    link: LinkState, powers: ProjectedPowers, step: float = 1e-4
 ) -> tuple[float, float]:
     """Exhaustive search over a uniform beta grid, straight from the rates.
 
-    Independent of the quadratic-coefficient path: evaluates R_b - R_e
-    term by term on the grid {0, step, ..., 1}.
+    Independent of the quadratic-coefficient path: evaluates the factored
+    R_b - R_e on the grid {0, step, ..., 1}. When no split beats beta=0,
+    where the secrecy rate vanishes, it returns beta=1 as optimal_beta does.
     """
     if not 0.0 < step <= 1e-2:
         raise ValueError("step must lie in (0, 1e-2]")
     n = int(round(1.0 / step))
     grid = np.linspace(0.0, 1.0, n + 1)
-    u_b = abs(np.vdot(link.h_b, bf.v_b)) ** 2
-    w_b = abs(np.vdot(link.h_b, bf.v_an)) ** 2
-    u_e = abs(np.vdot(link.h_e, bf.v_b)) ** 2
-    w_e = abs(np.vdot(link.h_e, bf.v_an)) ** 2
-    r_b = np.log2(
-        1.0
-        + (link.g_ab * grid * link.p_s * u_b)
-        / (link.g_ab * (1.0 - grid) * link.p_s * w_b + link.sigma2_b)
-    )
-    r_e = np.log2(
-        1.0
-        + (link.g_ae * grid * link.p_s * u_e)
-        / (link.g_ae * (1.0 - grid) * link.p_s * w_e + link.sigma2_e)
-    )
+    r_b, r_e = rates.split_rates(link, powers, grid)
     diff = r_b - r_e
-    best = int(np.argmax(diff))
+    best = int(np.argmax(diff)) or n
     return float(grid[best]), float(diff[best])

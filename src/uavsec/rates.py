@@ -1,13 +1,15 @@
 """Achievable rates, per-point secrecy rate, and the flight-level sum rate.
 
-All rates are in bits/s/Hz (log base 2); all powers are linear mW.
+All rates are in bits/s/Hz (log base 2); all powers are linear mW. The rates,
+the power allocation and the alternating loop see the beamformers only
+through the four projected powers of ``ProjectedPowers``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .beamforming import BeamformingPair
 from .geometry import LinkState
@@ -15,56 +17,70 @@ from .geometry import LinkState
 import numpy as np
 
 
+class ProjectedPowers(NamedTuple):
+    """|h^H v|^2 for the four steering-vector / beamformer pairs."""
+
+    u_b: float  # confidential stream at Bob, |h_b^H v_b|^2
+    w_b: float  # artificial noise at Bob, |h_b^H v_an|^2
+    u_e: float  # confidential stream at Eve, |h_e^H v_b|^2
+    w_e: float  # artificial noise at Eve, |h_e^H v_an|^2
+
+
+def projected_powers(link: LinkState, bf: BeamformingPair) -> ProjectedPowers:
+    """Project both beamformers onto both steering vectors."""
+    return ProjectedPowers(
+        *(abs(np.vdot(h, v)) ** 2 for h in (link.h_b, link.h_e) for v in (bf.v_b, bf.v_an))
+    )
+
+
 @dataclass(frozen=True)
 class RateBreakdown:
     rate_bob: float
     rate_eve: float
     secrecy_rate: float
-    signal_power_bob: float
-    an_power_bob: float
-    signal_power_eve: float
-    an_power_eve: float
 
 
-def _check_beta(beta: float):
+def split_rates(link: LinkState, powers: ProjectedPowers, beta):
+    """(R_b, R_e) at power split ``beta``, a float or a numpy array of splits.
+
+    Each receiver sees the confidential share beta*Ps through u and the
+    artificial-noise share (1-beta)*Ps through w, on top of its noise floor.
+    """
+    # A single split takes math.log2: numpy's scalar path is slower and can
+    # differ from it in the last bit. A grid of splits takes np.log2.
+    log2 = np.log2 if isinstance(beta, np.ndarray) else math.log2
+
+    def rate(gain, u, w, sigma2):
+        signal = gain * beta * link.p_s * u
+        return log2(1.0 + signal / (gain * (1.0 - beta) * link.p_s * w + sigma2))
+
+    return (
+        rate(link.g_ab, powers.u_b, powers.w_b, link.sigma2_b),
+        rate(link.g_ae, powers.u_e, powers.w_e, link.sigma2_e),
+    )
+
+
+def rates_at(link: LinkState, powers: ProjectedPowers, beta: float) -> RateBreakdown:
+    """Bob's and Eve's rates and the secrecy rate max{0, R_b - R_e}."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
+    r_b, r_e = split_rates(link, powers, beta)
+    return RateBreakdown(rate_bob=r_b, rate_eve=r_e, secrecy_rate=max(0.0, r_b - r_e))
+
+
+def secrecy_rate(link: LinkState, bf: BeamformingPair, beta: float) -> RateBreakdown:
+    """Per-point secrecy rate max{0, R_b - R_e} with both link rates."""
+    return rates_at(link, projected_powers(link, bf), beta)
 
 
 def rate_bob(link: LinkState, bf: BeamformingPair, beta: float) -> float:
     """Rate of the legitimate UAV link for a given power split."""
-    _check_beta(beta)
-    signal = link.g_ab * beta * link.p_s * abs(np.vdot(link.h_b, bf.v_b)) ** 2
-    interference = link.g_ab * (1.0 - beta) * link.p_s * abs(np.vdot(link.h_b, bf.v_an)) ** 2
-    return math.log2(1.0 + signal / (interference + link.sigma2_b))
+    return secrecy_rate(link, bf, beta).rate_bob
 
 
 def rate_eve(link: LinkState, bf: BeamformingPair, beta: float) -> float:
     """Rate of the eavesdropper link for the same transmit signal."""
-    _check_beta(beta)
-    signal = link.g_ae * beta * link.p_s * abs(np.vdot(link.h_e, bf.v_b)) ** 2
-    interference = link.g_ae * (1.0 - beta) * link.p_s * abs(np.vdot(link.h_e, bf.v_an)) ** 2
-    return math.log2(1.0 + signal / (interference + link.sigma2_e))
-
-
-def secrecy_rate(link: LinkState, bf: BeamformingPair, beta: float) -> RateBreakdown:
-    """Per-point secrecy rate max{0, R_b - R_e} with its power breakdown."""
-    _check_beta(beta)
-    sig_b = link.g_ab * beta * link.p_s * abs(np.vdot(link.h_b, bf.v_b)) ** 2
-    an_b = link.g_ab * (1.0 - beta) * link.p_s * abs(np.vdot(link.h_b, bf.v_an)) ** 2
-    sig_e = link.g_ae * beta * link.p_s * abs(np.vdot(link.h_e, bf.v_b)) ** 2
-    an_e = link.g_ae * (1.0 - beta) * link.p_s * abs(np.vdot(link.h_e, bf.v_an)) ** 2
-    r_b = math.log2(1.0 + sig_b / (an_b + link.sigma2_b))
-    r_e = math.log2(1.0 + sig_e / (an_e + link.sigma2_e))
-    return RateBreakdown(
-        rate_bob=r_b,
-        rate_eve=r_e,
-        secrecy_rate=max(0.0, r_b - r_e),
-        signal_power_bob=sig_b,
-        an_power_bob=an_b,
-        signal_power_eve=sig_e,
-        an_power_eve=an_e,
-    )
+    return secrecy_rate(link, bf, beta).rate_eve
 
 
 def secrecy_sum_rate(rate_differences: Iterable[float]) -> float:

@@ -26,7 +26,7 @@ from uavsec import (
 )
 from uavsec.harness import dbm_to_mw, parse_config_text, run_experiment, write_results
 from uavsec.power_allocation import f_value, rational_coefficients
-from uavsec.rates import rate_bob, rate_eve
+from uavsec.rates import projected_powers, rate_bob, rate_eve
 
 from helpers import random_instance, random_link, symmetric_link
 
@@ -67,8 +67,8 @@ def _mean_sr(m, ps_dbm, strategy):
         values = []
         for link in _default_links(m, ps_dbm):
             if strategy == "ais":
-                bf, pa, _ = optimize_point(link)
-                values.append(max(0.0, pa.secrecy_rate_at_beta))
+                _, _, _, trace = optimize_point(link)
+                values.append(max(0.0, trace.iterations[-1].f_value))
             else:
                 _, breakdown = run_baseline(link, strategy)
                 values.append(breakdown.secrecy_rate)
@@ -111,8 +111,9 @@ def test_acceptance_2_closed_form_matches_fine_grid():
         for ps_dbm in (10.0, 20.0, 30.0):
             for i in range(112):
                 link, bf = random_instance(rng, i, m, ps_dbm)
-                sol = optimal_beta(link, bf)
-                _, f_grid = beta_grid_oracle(link, bf, 1e-4)
+                powers = projected_powers(link, bf)
+                sol = optimal_beta(link, powers)
+                _, f_grid = beta_grid_oracle(link, powers, 1e-4)
                 worst = max(
                     worst,
                     abs(max(0.0, sol.secrecy_rate_at_beta) - max(0.0, f_grid)),
@@ -131,7 +132,7 @@ def test_acceptance_3_coefficient_identity():
     for i in range(200):
         m = (4, 8, 16)[i % 3]
         link, bf = random_instance(rng, i, m, (10.0, 20.0, 30.0)[i % 3])
-        coeffs = rational_coefficients(link, bf)
+        coeffs = rational_coefficients(link, projected_powers(link, bf))
         for beta in grid:
             direct = rate_bob(link, bf, float(beta)) - rate_eve(link, bf, float(beta))
             worst = max(worst, abs(f_value(coeffs, float(beta)) - direct))
@@ -146,7 +147,7 @@ def test_acceptance_4_fast_convergence_on_default_flight():
     all_converged = True
     for ps_dbm in (10.0, 20.0, 30.0):
         for link in _default_links(8, ps_dbm):
-            _, _, trace = optimize_point(link, cfg)
+            _, _, _, trace = optimize_point(link, cfg)
             counts.append(trace.iterations_used)
             all_converged &= trace.converged
     ok = all_converged and max(counts) <= 5 and statistics.median(counts) <= 2
@@ -187,13 +188,13 @@ def test_acceptance_6_power_and_antenna_trends():
 def test_acceptance_7_identical_channels_leak_nothing():
     link = symmetric_link()
     worst = 0.0
-    _, pa, _ = optimize_point(link)
-    worst = max(worst, max(0.0, pa.secrecy_rate_at_beta))
+    _, _, _, trace = optimize_point(link)
+    worst = max(worst, max(0.0, trace.iterations[-1].f_value))
     for beta in (0.5, 0.9):
         _, breakdown = run_baseline(link, beta)
         worst = max(worst, breakdown.secrecy_rate)
     bf = leakage_pair(link, 0.5)
-    _, f_grid = beta_grid_oracle(link, bf, 1e-3)
+    _, f_grid = beta_grid_oracle(link, projected_powers(link, bf), 1e-3)
     worst = max(worst, max(0.0, f_grid))
     ok = worst <= 1e-12
     _report(7, "identical Bob/Eve channels give zero secrecy",

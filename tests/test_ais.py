@@ -10,8 +10,9 @@ from uavsec import (
     run_baseline,
     sample_trajectory,
 )
-from uavsec.power_allocation import f_value, phi, stationary_points
-from uavsec.rates import rate_bob, rate_eve
+from uavsec.beamforming import leakage_pair
+from uavsec.power_allocation import f_value, optimal_beta, stationary_points
+from uavsec.rates import projected_powers, rate_bob, rate_eve
 
 from helpers import eve_silent_link, random_link, symmetric_link
 
@@ -27,15 +28,15 @@ def default_scenario_links(p_s=100.0, m=8, noise=1e-11):
 
 def test_symmetric_links_converge_immediately():
     link = symmetric_link()
-    bf, pa, trace = optimize_point(link)
+    _, _, _, trace = optimize_point(link)
     assert trace.converged
     assert trace.iterations_used == 1
-    assert pa.secrecy_rate_at_beta == 0.0
+    assert trace.iterations[-1].f_value == 0.0
 
 
 def test_default_scenario_converges_fast():
     for link in default_scenario_links()[::10]:
-        _, _, trace = optimize_point(link)
+        _, _, _, trace = optimize_point(link)
         assert trace.converged
         assert trace.iterations_used <= 3
 
@@ -44,22 +45,26 @@ def test_trace_values_match_rate_layer():
     rng = np.random.default_rng(0)
     for _ in range(10):
         link = random_link(rng, 8)
-        _, _, trace = optimize_point(link)
+        _, _, _, trace = optimize_point(link)
+        # Each cycle's vectors come from the split the previous cycle chose.
+        previous = AisConfig().beta_init
         for it in trace.iterations:
-            from uavsec.beamforming import BeamformingPair
-
-            bf = BeamformingPair(v_b=it.v_b, v_an=it.v_an)
+            bf = leakage_pair(link, previous)
             direct = rate_bob(link, bf, it.beta) - rate_eve(link, bf, it.beta)
             assert abs(it.f_value - direct) <= 1e-9
+            previous = it.beta
 
 
 def test_final_split_optimal_for_final_vectors():
     rng = np.random.default_rng(1)
     for _ in range(10):
         link = random_link(rng, 8)
-        _, pa, trace = optimize_point(link)
+        bf, beta, _, trace = optimize_point(link)
         assert trace.converged
+        pa = optimal_beta(link, projected_powers(link, bf))
+        assert pa.beta_star == beta
         f_star = pa.secrecy_rate_at_beta
+        assert f_star == trace.iterations[-1].f_value
         assert f_star >= f_value(pa.coefficients, 1.0) - 1e-9
         sp = stationary_points(pa.coefficients)
         for beta in (sp.beta1, sp.beta2, sp.beta3):
@@ -72,17 +77,17 @@ def test_terminates_within_cap():
     cfg = AisConfig(max_iterations=10)
     for _ in range(20):
         link = random_link(rng, 8)
-        _, _, trace = optimize_point(link, cfg)
+        _, _, _, trace = optimize_point(link, cfg)
         assert trace.iterations_used <= 10
 
 
 def test_deterministic():
     rng = np.random.default_rng(3)
     link = random_link(rng, 8)
-    bf1, pa1, t1 = optimize_point(link)
-    bf2, pa2, t2 = optimize_point(link)
-    assert pa1.beta_star == pa2.beta_star
-    assert pa1.secrecy_rate_at_beta == pa2.secrecy_rate_at_beta
+    bf1, beta1, rates1, t1 = optimize_point(link)
+    bf2, beta2, rates2, t2 = optimize_point(link)
+    assert beta1 == beta2
+    assert rates1 == rates2
     assert np.array_equal(bf1.v_b, bf2.v_b)
     assert np.array_equal(bf1.v_an, bf2.v_an)
     assert t1.iterations_used == t2.iterations_used
@@ -93,10 +98,10 @@ def test_soft_nonconvergence_with_tight_cap():
     # epsilon far below anything the first cycle can satisfy on a generic link
     cfg = AisConfig(beta_init=0.1, epsilon=1e-300, max_iterations=1)
     link = random_link(rng, 8)
-    _, pa, trace = optimize_point(link, cfg)
+    _, beta, _, trace = optimize_point(link, cfg)
     assert not trace.converged
     assert trace.iterations_used == 1
-    assert 0.0 < pa.beta_star <= 1.0
+    assert 0.0 < beta <= 1.0
 
 
 def test_config_validation():
@@ -126,7 +131,7 @@ class TestBaseline:
         link = random_link(rng, 8)
         bf_base, _ = run_baseline(link, 0.4)
         cfg = AisConfig(beta_init=0.4, epsilon=1e-300, max_iterations=1)
-        bf_ais, _, _ = optimize_point(link, cfg)
+        bf_ais, _, _, _ = optimize_point(link, cfg)
         assert np.allclose(bf_base.v_b, bf_ais.v_b, atol=1e-15)
         assert np.allclose(bf_base.v_an, bf_ais.v_an, atol=1e-15)
 

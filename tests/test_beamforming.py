@@ -12,6 +12,7 @@ from uavsec import (
     steering_vector,
 )
 from uavsec.beamforming import leakage_pair, rank1_inverse_apply
+from uavsec.rates import secrecy_rate
 
 from helpers import random_link, random_unit
 
@@ -181,3 +182,19 @@ def test_rank1_identity_matches_dense_solve():
         # the dense reference itself loses digits with the conditioning
         tol = 1e-14 * max(1.0, np.linalg.cond(matrix))
         assert np.linalg.norm(fast - dense) <= tol * np.linalg.norm(dense)
+
+
+def test_parallel_channels_at_high_power_stay_finite():
+    # h_b == h_e at 50 dBm over a -110 dBm noise floor: the whitening term
+    # dwarfs the loading, so the Sherman-Morrison correction rounds to
+    # exactly 1 along the channel.
+    h = steering_vector(1.0, ArrayConfig(8))
+    link = LinkState(h_b=h, h_e=h.copy(), g_ab=1e-4, g_ae=1e-4,
+                     sigma2_b=1e-11, sigma2_e=1e-11, p_s=1e5)
+    for beta in (0.1, 0.5, 0.9):
+        bf = leakage_pair(link, beta)
+        assert abs(np.linalg.norm(bf.v_b) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(bf.v_an) - 1.0) < 1e-12
+        rates = secrecy_rate(link, bf, beta)
+        assert all(math.isfinite(r) for r in (rates.rate_bob, rates.rate_eve))
+        assert rates.secrecy_rate == 0.0

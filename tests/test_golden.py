@@ -1,0 +1,43 @@
+"""Golden outputs: today's sweeps must reproduce the stored result files.
+
+``golden/default.csv.gz`` is the empty config (900 rows). ``golden/stress.csv.gz``
+runs every strategy at M 4/64/256 and Ps -10/20/50 dBm with the eavesdropper
+next to a short flight line (675 rows). Row order and the iteration columns
+must match exactly; beta and the three rates within 1e-9 absolute.
+"""
+
+import gzip
+from pathlib import Path
+
+import pytest
+
+from uavsec.harness import parse_config_text, read_results_csv, run_experiment
+
+GOLDEN = Path(__file__).parent / "golden"
+TOL = 1e-9
+
+CONFIGS = {
+    "default": "",
+    "stress": (
+        "strategies=ais,grid_oracle,fixed:0.5\n"
+        "sweep.antennas=4,64,256\n"
+        "sweep.power_dbm=-10,20,50\n"
+        "geometry.flight_end=200,0,20\n"
+        "geometry.eve=203,1.5,0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_sweep_matches_golden_file(name, tmp_path):
+    stored = tmp_path / f"{name}.csv"
+    stored.write_bytes(gzip.decompress((GOLDEN / f"{name}.csv.gz").read_bytes()))
+    want = read_results_csv(stored)
+    got = run_experiment(parse_config_text(CONFIGS[name]))
+    assert [(r.strategy, r.m, r.ps_dbm, r.n) for r in got] == [
+        (r.strategy, r.m, r.ps_dbm, r.n) for r in want
+    ]
+    for g, w in zip(got, want):
+        for field in ("beta", "rate_bob", "rate_eve", "secrecy"):
+            assert abs(getattr(g, field) - getattr(w, field)) <= TOL, (g, w)
+        assert (g.iterations, g.converged) == (w.iterations, w.converged), (g, w)

@@ -100,6 +100,19 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         assert len(records) == 2 * 2 * 2 * 10
 
+    def test_eve_on_a_sample_bearing_gives_finite_rows(self):
+        # Eve at (100, 50, 0) sees the array on the same bearing as the UAV
+        # at sample 5, (40, 0, 20); at 50 dBm the two channels coincide.
+        cfg = parse_config_text(
+            "geometry.eve=100,50,0\nsweep.power_dbm=50\nsweep.antennas=8\n"
+            "strategies=ais,fixed:0.5\n"
+        )
+        records = run_experiment(cfg)
+        assert len(records) == 200
+        for r in records:
+            assert all(math.isfinite(v) for v in (r.beta, r.rate_bob, r.rate_eve, r.secrecy))
+            assert 0.0 < r.beta <= 1.0
+
     def test_eve_on_trajectory_kills_secrecy(self):
         # Eve placed exactly where Bob passes at n=50: identical channels
         cfg = parse_config_text(
@@ -233,3 +246,36 @@ class TestCli:
         rows = json.loads(out.read_text())
         assert sorted({row["M"] for row in rows}) == [2, 4]
         assert len(rows) == 20
+
+
+@pytest.mark.parametrize(
+    "config, command, message",
+    [
+        ("noise.bob_dbm=nan", ["run"], "noise.bob_dbm: expected a finite number"),
+        ("geometry.reference_gain=inf", ["run"], "geometry.reference_gain: expected a finite"),
+        ("ais.epsilon=nan", ["run"], "ais.epsilon: expected a finite number"),
+        ("geometry.eve=200,nan,0", ["run"], "geometry.eve: expected a finite number"),
+        ("strategies=ais,ais", ["run"], "strategies: duplicate entries"),
+        ("sweep.power_dbm=10,10", ["run"], "sweep.power_dbm: duplicate entries"),
+        ("geometry.flight_start=0,0,0\ngeometry.flight_end=800,0,0", ["run"], "positive altitude"),
+        ("geometry.flight_end=800,0,30", ["run"], "positive altitude"),
+        ("", ["sweep-power", "--powers", "nan"], "--powers: expected a finite number"),
+        ("", ["sweep-power", "--powers", "abc"], "--powers: expected a number"),
+        ("", ["sweep-power", "--powers", "10,10"], "--powers: duplicate entries"),
+        ("", ["sweep-antennas", "--antennas", "8,8"], "--antennas: duplicate entries"),
+        ("", ["sweep-antennas", "--antennas", "four"], "--antennas: expected an integer"),
+        # Finite but out of range: overflow while the sweep runs.
+        ("noise.bob_dbm=4000", ["run"], "error: "),
+        ("geometry.speed=1e-320", ["run"], "error: "),
+    ],
+)
+def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(config + "\n")
+    out = tmp_path / "r.csv"
+    argv = [command[0], "--config", str(cfg_path), "--out", str(out), *command[1:]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()

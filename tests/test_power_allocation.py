@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uavsec import beta_grid_oracle, optimal_beta
+from uavsec import ArrayConfig, LinkState, beta_grid_oracle, optimal_beta, steering_vector
 from uavsec.beamforming import leakage_pair
 from uavsec.power_allocation import (
     RationalCoefficients,
@@ -12,7 +12,7 @@ from uavsec.power_allocation import (
     rational_coefficients,
     stationary_points,
 )
-from uavsec.rates import rate_bob, rate_eve
+from uavsec.rates import projected_powers, rate_bob, rate_eve
 
 from helpers import random_instance, random_link, random_pair, symmetric_link
 
@@ -20,7 +20,7 @@ from helpers import random_instance, random_link, random_pair, symmetric_link
 def test_symmetric_links_give_constant_ratio():
     link = symmetric_link()
     bf = leakage_pair(link, 0.5)
-    sol = optimal_beta(link, bf)
+    sol = optimal_beta(link, projected_powers(link, bf))
     assert sol.winning_candidate == "constant_function"
     assert sol.beta_star == 1.0
     assert sol.secrecy_rate_at_beta == 0.0
@@ -31,7 +31,7 @@ def test_ratio_is_one_at_beta_zero():
     for _ in range(10):
         link = random_link(rng, 8)
         bf = random_pair(rng, 8)
-        coeffs = rational_coefficients(link, bf)
+        coeffs = rational_coefficients(link, projected_powers(link, bf))
         assert phi(coeffs, 0) == 1
         assert f_value(coeffs, 0) == 0.0
         assert coeffs.f == coeffs.c
@@ -42,7 +42,7 @@ def test_coefficient_identity_on_dense_grid():
     grid = np.linspace(0.0, 1.0, 100)
     for i in range(10):
         link, bf = random_instance(rng, i, 8, 20.0)
-        coeffs = rational_coefficients(link, bf)
+        coeffs = rational_coefficients(link, projected_powers(link, bf))
         for beta in grid:
             direct = rate_bob(link, bf, float(beta)) - rate_eve(link, bf, float(beta))
             assert abs(f_value(coeffs, float(beta)) - direct) <= 1e-9
@@ -52,7 +52,7 @@ def test_denominator_positive_on_unit_interval():
     rng = np.random.default_rng(2)
     for i in range(20):
         link, bf = random_instance(rng, i, 8, 20.0)
-        coeffs = rational_coefficients(link, bf)
+        coeffs = rational_coefficients(link, projected_powers(link, bf))
         for beta in np.linspace(0.0, 1.0, 50):
             b = Fraction(float(beta))
             assert (coeffs.d * b + coeffs.e) * b + coeffs.f > 0
@@ -63,7 +63,7 @@ def test_stationary_points_are_derivative_roots():
     checked = 0
     for i in range(40):
         link, bf = random_instance(rng, i, 8, 20.0)
-        coeffs = rational_coefficients(link, bf)
+        coeffs = rational_coefficients(link, projected_powers(link, bf))
         sp = stationary_points(coeffs)
         q = coeffs.a * coeffs.e - coeffs.b * coeffs.d
         lin = 2 * coeffs.c * (coeffs.a - coeffs.d)
@@ -93,8 +93,9 @@ def test_closed_form_matches_grid_search():
     step = 1e-4
     for i in range(60):
         link, bf = random_instance(rng, i, 8, 20.0)
-        sol = optimal_beta(link, bf)
-        beta_g, f_g = beta_grid_oracle(link, bf, step)
+        powers = projected_powers(link, bf)
+        sol = optimal_beta(link, powers)
+        beta_g, f_g = beta_grid_oracle(link, powers, step)
         assert abs(max(0.0, sol.secrecy_rate_at_beta) - max(0.0, f_g)) <= 1e-6
         if sol.secrecy_rate_at_beta > 1e-6:
             assert abs(sol.beta_star - beta_g) <= step + 1e-12
@@ -104,7 +105,7 @@ def test_solution_rate_matches_rate_layer():
     rng = np.random.default_rng(5)
     for i in range(20):
         link, bf = random_instance(rng, i, 8, 10.0)
-        sol = optimal_beta(link, bf)
+        sol = optimal_beta(link, projected_powers(link, bf))
         direct = rate_bob(link, bf, sol.beta_star) - rate_eve(link, bf, sol.beta_star)
         assert abs(sol.secrecy_rate_at_beta - direct) <= 1e-9
         assert 0.0 < sol.beta_star <= 1.0
@@ -115,7 +116,7 @@ def test_winning_candidate_labels_are_known():
     labels = set()
     for i in range(60):
         link, bf = random_instance(rng, i, 8, 20.0)
-        labels.add(optimal_beta(link, bf).winning_candidate)
+        labels.add(optimal_beta(link, projected_powers(link, bf)).winning_candidate)
     assert labels <= {"root1", "root2", "degenerate_root", "endpoint_1", "constant_function"}
     assert labels & {"root1", "root2"}  # interior optima do occur
 
@@ -124,7 +125,7 @@ class TestGridOracle:
     def test_grid_beats_every_grid_point(self):
         rng = np.random.default_rng(7)
         link, bf = random_instance(rng, 0, 8, 20.0)
-        beta_g, f_g = beta_grid_oracle(link, bf, 1e-2)
+        beta_g, f_g = beta_grid_oracle(link, projected_powers(link, bf), 1e-2)
         for beta in np.linspace(0.0, 1.0, 101):
             assert f_g >= rate_bob(link, bf, float(beta)) - rate_eve(link, bf, float(beta)) - 1e-12
 
@@ -132,20 +133,34 @@ class TestGridOracle:
         rng = np.random.default_rng(8)
         for i in range(5):
             link, bf = random_instance(rng, i, 8, 20.0)
-            _, coarse = beta_grid_oracle(link, bf, 1e-2)
-            _, fine = beta_grid_oracle(link, bf, 1e-4)
+            powers = projected_powers(link, bf)
+            _, coarse = beta_grid_oracle(link, powers, 1e-2)
+            _, fine = beta_grid_oracle(link, powers, 1e-4)
             assert fine >= coarse - 1e-12
 
     def test_step_validated(self):
         rng = np.random.default_rng(9)
         link, bf = random_instance(rng, 0, 4, 10.0)
         with pytest.raises(ValueError):
-            beta_grid_oracle(link, bf, 0.0)
+            beta_grid_oracle(link, projected_powers(link, bf), 0.0)
         with pytest.raises(ValueError):
-            beta_grid_oracle(link, bf, 0.5)
+            beta_grid_oracle(link, projected_powers(link, bf), 0.5)
 
     def test_symmetric_links_zero_everywhere(self):
         link = symmetric_link()
         bf = leakage_pair(link, 0.3)
-        _, f_g = beta_grid_oracle(link, bf, 1e-3)
+        _, f_g = beta_grid_oracle(link, projected_powers(link, bf), 1e-3)
         assert abs(f_g) < 1e-12
+
+    def test_no_positive_split_gives_beta_one(self):
+        # Same direction, weaker Bob: every split in (0, 1] leaks more than
+        # it delivers, so both searches fall back to beta=1.
+        h = steering_vector(1.0, ArrayConfig(8))
+        link = LinkState(h_b=h, h_e=h.copy(), g_ab=1e-5, g_ae=1e-4,
+                         sigma2_b=1e-9, sigma2_e=1e-9, p_s=10.0)
+        powers = projected_powers(link, leakage_pair(link, 0.5))
+        beta_g, f_g = beta_grid_oracle(link, powers, 1e-3)
+        sol = optimal_beta(link, powers)
+        assert beta_g == sol.beta_star == 1.0
+        assert f_g < 0.0
+        assert abs(f_g - sol.secrecy_rate_at_beta) <= 1e-9

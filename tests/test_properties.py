@@ -1,0 +1,73 @@
+"""Property tests of the alternating loop on drawn links, with both PA steps.
+
+Links are drawn the way ``helpers.random_link`` draws them: any pair of
+directions, log-uniform path gains, and noise floors putting the full-array
+SNR between ~10 and ~30 dB. The runs are derandomized so the suite stays
+reproducible.
+"""
+
+import math
+from functools import partial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uavsec import ArrayConfig, LinkState, steering_vector
+from uavsec.ais import AisConfig, closed_form_step, optimize_point
+from uavsec.power_allocation import beta_grid_oracle, optimal_beta
+from uavsec.rates import projected_powers, rates_at
+
+CFG = AisConfig()
+GRID_STEP = 1e-3
+PA_STEPS = {"closed_form": closed_form_step, "grid": partial(beta_grid_oracle, step=GRID_STEP)}
+
+
+@st.composite
+def links(draw):
+    m = draw(st.sampled_from((4, 8, 16)))
+    p_s = 10.0 ** (draw(st.floats(0.0, 30.0)) / 10.0)
+    theta_b, theta_e = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, math.pi))
+    g_ab, g_ae = (10.0 ** draw(st.floats(-5.0, -3.0)) for _ in range(2))
+    inv_snr_b, inv_snr_e = (10.0 ** draw(st.floats(-3.0, -1.0)) for _ in range(2))
+    arr = ArrayConfig(m)
+    return LinkState(
+        h_b=steering_vector(theta_b, arr),
+        h_e=steering_vector(theta_e, arr),
+        g_ab=g_ab,
+        g_ae=g_ae,
+        sigma2_b=g_ab * p_s * m * inv_snr_b,
+        sigma2_e=g_ae * p_s * m * inv_snr_e,
+        p_s=p_s,
+    )
+
+
+property_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@property_settings
+@given(link=links(), step=st.sampled_from(sorted(PA_STEPS)))
+def test_loop_output_is_a_valid_point(link, step):
+    _, beta, rates, trace = optimize_point(link, CFG, PA_STEPS[step])
+    assert rates.secrecy_rate >= 0.0
+    assert all(math.isfinite(r) for r in (rates.rate_bob, rates.rate_eve))
+    assert 0.0 < beta <= 1.0
+    assert 1 <= trace.iterations_used <= CFG.max_iterations
+
+
+@property_settings
+@given(link=links(), step=st.sampled_from(sorted(PA_STEPS)))
+def test_closed_form_at_least_grid_at_same_vectors(link, step):
+    bf, _, _, _ = optimize_point(link, CFG, PA_STEPS[step])
+    powers = projected_powers(link, bf)
+    closed = optimal_beta(link, powers).secrecy_rate_at_beta
+    _, grid = beta_grid_oracle(link, powers, GRID_STEP)
+    assert closed >= grid - 1e-9
+
+
+@property_settings
+@given(link=links())
+def test_ais_beats_fixed_splits_at_its_final_vectors(link):
+    bf, _, rates, _ = optimize_point(link, CFG)
+    powers = projected_powers(link, bf)
+    for fixed in (0.5, 0.9):
+        assert rates.secrecy_rate >= rates_at(link, powers, fixed).secrecy_rate - 1e-9
