@@ -30,16 +30,7 @@ from .rates import (
     secrecy_rate,
     secrecy_sum_rate,
 )
-from .power_allocation import (
-    CoefficientConsistencyError,
-    PaSolution,
-    RationalCoefficients,
-    StationaryPoints,
-    beta_grid_oracle,
-    optimal_beta,
-    rational_coefficients,
-    stationary_points,
-)
+from .power_allocation import PaSolution, beta_grid_oracle, optimal_beta
 from .ais import AisConfig, AisTrace, optimize_point, run_baseline
 from .harness import (
     ConfigError,
@@ -77,14 +68,9 @@ __all__ = [
     "rate_eve",
     "secrecy_rate",
     "secrecy_sum_rate",
-    "CoefficientConsistencyError",
     "PaSolution",
-    "RationalCoefficients",
-    "StationaryPoints",
     "beta_grid_oracle",
     "optimal_beta",
-    "rational_coefficients",
-    "stationary_points",
     "AisConfig",
     "AisTrace",
     "optimize_point",

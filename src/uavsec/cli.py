@@ -7,7 +7,7 @@ import sys
 
 from .geometry import ConfigurationError
 from .harness import (
-    _parse_float,
+    _parse_dbm,
     _parse_int,
     _parse_list,
     parse_config,
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.command == "sweep-power":
-            powers = _parse_list("--powers", args.powers, _parse_float)
+            powers = _parse_list("--powers", args.powers, _parse_dbm)
             cfg = with_overrides(cfg, power_sweep_dbm=powers)
         elif args.command == "sweep-antennas":
             antennas = _parse_list("--antennas", args.antennas, _parse_int)
@@ -66,7 +66,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(records)} records to {out} ({fmt})")
-    for row in summarize(records):
+    summary = summarize(records)
+    for row in summary:
+        if row["nonconverged"]:
+            print(
+                f"warning: strategy={row['strategy']} M={row['M']} Ps={row['Ps_dbm']:g}dBm: "
+                f"{row['nonconverged']} of {row['points']} points hit the iteration cap "
+                f"(ais.max_iterations={cfg.ais.max_iterations}) without converging",
+                file=sys.stderr,
+            )
+    for row in summary:
         print(
             f"strategy={row['strategy']} M={row['M']} Ps={row['Ps_dbm']:g}dBm "
             f"mean_SR={row['mean_secrecy_rate']:.6f} "

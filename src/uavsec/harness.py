@@ -31,6 +31,14 @@ CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
 
 _VALID_FORMATS = ("csv", "json")
 
+# Transmit powers and noise floors, in dBm, must lie within this magnitude:
+# 300 dBm is about the Sun's total output, and the linear mW values of the
+# whole range stay well inside float64.
+MAX_ABS_DBM = 300.0
+
+# Upper bound on the trajectory samples one sweep combination may evaluate.
+MAX_SAMPLES = 1_000_000
+
 
 class ConfigError(ConfigurationError):
     """A config file key is missing, malformed, or violates an invariant."""
@@ -122,6 +130,13 @@ def _parse_float(key: str, raw: str) -> float:
     return value
 
 
+def _parse_dbm(key: str, raw: str) -> float:
+    value = _parse_float(key, raw)
+    if abs(value) > MAX_ABS_DBM:
+        raise ConfigError(f"{key}: {raw} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
+    return value
+
+
 def _parse_point(key: str, raw: str) -> tuple[float, float, float]:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 3:
@@ -167,8 +182,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     }
     simple_keys = {
         "array.spacing": ("array_spacing", _parse_float),
-        "noise.bob_dbm": ("noise_dbm_bob", _parse_float),
-        "noise.eve_dbm": ("noise_dbm_eve", _parse_float),
+        "noise.bob_dbm": ("noise_dbm_bob", _parse_dbm),
+        "noise.eve_dbm": ("noise_dbm_eve", _parse_dbm),
         "grid.step": ("grid_step", _parse_float),
         "output.path": ("output_path", lambda k, v: v),
         "output.format": ("output_format", lambda k, v: v),
@@ -196,7 +211,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             name, conv = ais_keys[key]
             ais_kwargs[name] = conv(key, raw)
         elif key == "sweep.power_dbm":
-            fields["power_sweep_dbm"] = _parse_list(key, raw, _parse_float)
+            fields["power_sweep_dbm"] = _parse_list(key, raw, _parse_dbm)
         elif key == "sweep.antennas":
             fields["antenna_sweep"] = _parse_list(key, raw, _parse_int)
         elif key == "strategies":
@@ -207,6 +222,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         geometry = ScenarioGeometry(**geometry_kwargs)
     except ConfigurationError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
+    samples = geometry.flight_length / geometry.speed / geometry.sample_interval
+    if not samples <= MAX_SAMPLES:
+        raise ConfigError(
+            f"geometry.speed, geometry.sample_interval: the {geometry.flight_length:g} m "
+            f"flight gives {samples:.3g} samples, more than {MAX_SAMPLES}"
+        )
     try:
         ais_cfg = AisConfig(**ais_kwargs)
     except ValueError as exc:
@@ -332,7 +353,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[ResultRecor
 
 def summarize(records: Iterable[ResultRecord]) -> list[dict]:
     """Per-(strategy, M, Ps) aggregates: mean per-point secrecy rate, the
-    per-point-clamped sum, and the whole-flight clamped sum."""
+    per-point-clamped sum, the whole-flight clamped sum, and the number of
+    points that hit the iteration cap without converging."""
     groups: dict[tuple, list[ResultRecord]] = {}
     for rec in records:
         groups.setdefault((rec.strategy, rec.m, rec.ps_dbm), []).append(rec)
@@ -348,6 +370,7 @@ def summarize(records: Iterable[ResultRecord]) -> list[dict]:
                 "mean_secrecy_rate": math.fsum(r.secrecy for r in recs) / len(recs),
                 "ssr_per_point_clamped": math.fsum(r.secrecy for r in recs),
                 "ssr_sum_clamped": secrecy_sum_rate(diffs),
+                "nonconverged": sum(r.converged is False for r in recs),
             }
         )
     return out

@@ -1,25 +1,33 @@
 """Closed-form Max-SR power allocation for fixed beamforming vectors.
 
-The signed secrecy rate as a function of the power split beta is log2 of a
-ratio of two quadratics. The optimizer finds the stationary points of that
-rational function analytically and picks the best candidate in (0,1) against
-the beta=1 endpoint; beta=0 always gives zero secrecy and is excluded from
-the candidate set.
+Each receiver's 1 + SINR at power split beta is a ratio of two linear
+factors, so the signed secrecy rate is f(beta) = log2 phi(beta) with
 
-Coefficients and every phi evaluation use exact rational arithmetic
-(fractions.Fraction over the float inputs): when the leakage beamformers
-drive both interference terms down to the noise floor, the expanded
-quadratics cancel by 12+ orders of magnitude and no hardware float format
-holds the 1e-9 consistency tolerance. Exactness also makes the degeneracy
-tests (AE-BD = 0, A = D) true sign tests instead of epsilon guesses.
+    phi(beta) = (1 + r1 b)(1 + r4 b) / ((1 + r2 b)(1 + r3 b)).
+
+For Bob, with k = g_ab Ps and den0 = k w_b + sigma2_b (his interference plus
+noise at beta=0), a_b = k u_b / den0, r2 = -k w_b / den0 and r1 = a_b + r2;
+Eve's side gives a_e, r4 and r3 = a_e + r4 the same way. phi is stationary
+where a_b (1 + r3 b)(1 + r4 b) = a_e (1 + r1 b)(1 + r2 b).
+
+Multiplying phi out into a ratio of two quadratics is what cancels: when the
+leakage beamformers leave k w far above sigma2, 1 + r2 = sigma2 / den0 is
+tiny, and near beta = 1 the quadratics are small differences of coefficients
+12+ orders of magnitude larger. The factored form never builds those
+coefficients. The stationary quadratic's roots come from the
+cancellation-free formula, and each candidate is scored with the rate
+layer's ``split_rates``, which forms a denominator as (1 - beta) k w + sigma2
+rather than as den0 (1 + r2 beta). All of it runs in float64; the
+exact-rational expansion is kept as the test oracle (``tests/oracle.py``).
+
+Candidates are the stationary points inside (0,1) and beta=1; beta=0 always
+gives zero secrecy and is excluded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -27,38 +35,9 @@ from .geometry import LinkState
 from . import rates
 from .rates import ProjectedPowers
 
-# Relative tie width on phi when ranking candidates.
-_TIE_RTOL = Fraction(1, 10**12)
-
-
-class CoefficientConsistencyError(RuntimeError):
-    """The quadratic-ratio coefficients disagree with the rate formulas."""
-
-
-@dataclass(frozen=True)
-class RationalCoefficients:
-    """Coefficients of phi(beta) = (A b^2 + B b + C) / (D b^2 + E b + F).
-
-    F equals C by construction, so phi(0) = 1 and the secrecy rate vanishes
-    at beta = 0. Stored as exact rationals.
-    """
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-    f: Fraction
-
-
-@dataclass(frozen=True)
-class StationaryPoints:
-    """Real stationary points of phi, wherever they exist on the real line."""
-
-    delta: float
-    beta1: Optional[float] = None
-    beta2: Optional[float] = None
-    beta3: Optional[float] = None
+# Candidates whose phi values agree to a relative 1e-12 tie; the larger beta
+# wins. On f = log2(phi) that width is log2(1 + 1e-12).
+_TIE_BITS = math.log2(1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -66,82 +45,43 @@ class PaSolution:
     beta_star: float
     secrecy_rate_at_beta: float
     winning_candidate: str
-    delta: float
-    coefficients: RationalCoefficients
 
 
-def _coefficients_raw(link: LinkState, powers: ProjectedPowers) -> RationalCoefficients:
-    u_b, w_b, u_e, w_e = map(Fraction, powers)
-    gab, gae = Fraction(link.g_ab), Fraction(link.g_ae)
-    ps = Fraction(link.p_s)
-    s2b, s2e = Fraction(link.sigma2_b), Fraction(link.sigma2_e)
-
-    den_b0 = gab * ps * w_b + s2b  # Bob's interference-plus-noise at beta=0
-    den_e0 = gae * ps * w_e + s2e
-    a = gab * gae * ps * ps * w_e * (w_b - u_b)
-    b = den_e0 * gab * ps * (u_b - w_b) - gae * ps * w_e * den_b0
-    c = den_b0 * den_e0
-    d = gab * gae * ps * ps * w_b * (w_e - u_e)
-    e = den_b0 * gae * ps * (u_e - w_e) - gab * ps * w_b * den_e0
-    return RationalCoefficients(a=a, b=b, c=c, d=d, e=e, f=c)
+def _factors(gain: float, p_s: float, u: float, w: float, sigma2: float) -> tuple[float, float, float]:
+    """(a, r_num, r_den) with 1 + SINR(beta) = (1 + r_num b) / (1 + r_den b)."""
+    k = gain * p_s
+    den0 = k * w + sigma2
+    a = k * u / den0
+    r_den = -k * w / den0
+    return a, a + r_den, r_den
 
 
-def phi(coeffs: RationalCoefficients, beta) -> Fraction:
-    """Rate-ratio rational function, evaluated exactly."""
-    b = Fraction(beta)
-    num = (coeffs.a * b + coeffs.b) * b + coeffs.c
-    den = (coeffs.d * b + coeffs.e) * b + coeffs.f
-    return num / den
+def _stationary_candidates(link: LinkState, powers: ProjectedPowers) -> list[tuple[float, str]] | None:
+    """Stationary points of phi as (beta, label), on the whole real line.
 
-
-def f_value(coeffs: RationalCoefficients, beta) -> float:
-    """Signed secrecy rate f(beta) = log2 phi(beta) in bits/s/Hz."""
-    value = phi(coeffs, beta)
-    # math.log2(float(.)) would lose the exponent if the ratio were extreme;
-    # split into numerator and denominator logs instead.
-    return math.log2(value.numerator) - math.log2(value.denominator)
-
-
-def rational_coefficients(link: LinkState, powers: ProjectedPowers) -> RationalCoefficients:
-    """Coefficients A..F with a built-in cross-check against the rate layer.
-
-    The exact expanded ratio log2 phi(beta) must reproduce the float factored
-    rates R_b - R_e of the same projected powers to 1e-9 at five probe
-    points; a violation means a coefficient bug, not bad input.
+    Returns None when phi is constant. The stationary condition expands to
+    q b^2 + 2h b + c = 0; ``root1`` is (-h + sqrt(h^2 - qc)) / q, the sign
+    convention of the expanded rational form, whose derivative numerator is
+    this quadratic times a positive constant.
     """
-    coeffs = _coefficients_raw(link, powers)
-    for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        r_b, r_e = rates.split_rates(link, powers, beta)
-        direct = r_b - r_e
-        if abs(f_value(coeffs, beta) - direct) > 1e-9:
-            raise CoefficientConsistencyError(
-                f"coefficient identity broken at beta={beta}: "
-                f"{f_value(coeffs, beta)} vs {direct}"
-            )
-    return coeffs
-
-
-def stationary_points(coeffs: RationalCoefficients) -> StationaryPoints:
-    """Real roots of the derivative numerator of phi.
-
-    The numerator is (AE-BD) beta^2 + 2C(A-D) beta + C(B-E). Quadratic-case
-    roots are returned whether or not they lie in (0,1); the degenerate case
-    (AE-BD = 0, A != D) has the single root beta3. Absent roots are None.
-    """
-    a, b, c, d, e = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e
-    q = a * e - b * d
-    delta = c * c * (a - d) ** 2 - c * q * (b - e)
-    if q == 0:
-        if a == d:
-            return StationaryPoints(delta=float(delta))
-        beta3 = (e - b) / (2 * (a - d))
-        return StationaryPoints(delta=float(delta), beta3=float(beta3))
-    if delta < 0:
-        return StationaryPoints(delta=float(delta))
-    root = Fraction(math.sqrt(delta))
-    beta1 = (-c * (a - d) + root) / q
-    beta2 = (-c * (a - d) - root) / q
-    return StationaryPoints(delta=float(delta), beta1=float(beta1), beta2=float(beta2))
+    a_b, r1, r2 = _factors(link.g_ab, link.p_s, powers.u_b, powers.w_b, link.sigma2_b)
+    a_e, r3, r4 = _factors(link.g_ae, link.p_s, powers.u_e, powers.w_e, link.sigma2_e)
+    q = a_b * r3 * r4 - a_e * r1 * r2
+    h = 0.5 * (a_b * (r3 + r4) - a_e * (r1 + r2))
+    c = a_b - a_e
+    if h == 0.0 and c == 0.0:
+        return None
+    if q == 0.0:
+        return [(-c / (2.0 * h), "degenerate_root")] if h != 0.0 else []
+    disc = h * h - q * c
+    if disc < 0.0:
+        return []
+    # Form the larger-magnitude root from -h and -sign(h) sqrt(disc), which
+    # add without cancelling, and the other from the product of roots c/q.
+    t = -(h + math.sqrt(disc)) if h >= 0.0 else math.sqrt(disc) - h
+    far, near = t / q, c / t
+    root1, root2 = (near, far) if h >= 0.0 else (far, near)
+    return [(root1, "root1"), (root2, "root2")]
 
 
 def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
@@ -153,44 +93,31 @@ def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
     f(1) <= 0, and the rate layer's clamp makes the achieved secrecy zero,
     matching what beta=0 would have given.
     """
-    coeffs = rational_coefficients(link, powers)
-    sp = stationary_points(coeffs)
-
-    if coeffs.a == coeffs.d and coeffs.b == coeffs.e:
-        # phi is identically 1 (F=C): any beta is optimal, 1 by convention.
-        return _solution(coeffs, sp, 1.0, "constant_function")
-
-    candidates: list[tuple[float, str]] = []
-    for beta, label in ((sp.beta1, "root1"), (sp.beta2, "root2"), (sp.beta3, "degenerate_root")):
-        if beta is not None and 0.0 < beta < 1.0:
-            candidates.append((beta, label))
-    # With no interior stationary point (including Delta < 0, where phi is
-    # monotone with the sign of AE-BD) the endpoint is the sole survivor.
+    stationary = _stationary_candidates(link, powers)
+    if stationary is None:
+        # phi is identically 1: any beta is optimal, 1 by convention.
+        return PaSolution(1.0, _signed_rate(link, powers, 1.0), "constant_function")
+    candidates = [(beta, label) for beta, label in stationary if 0.0 < beta < 1.0]
+    # With no interior stationary point (including a negative discriminant,
+    # where phi is monotone) the endpoint is the sole survivor.
     candidates.append((1.0, "endpoint_1"))
 
     best_beta, best_label = candidates[0]
-    best_phi = phi(coeffs, best_beta)
+    best_f = _signed_rate(link, powers, best_beta)
     for beta, label in candidates[1:]:
-        value = phi(coeffs, beta)
-        if abs(value - best_phi) <= _TIE_RTOL * best_phi:
+        value = _signed_rate(link, powers, beta)
+        if abs(value - best_f) <= _TIE_BITS:
             # Tie: prefer the larger beta (more confidential power).
             if beta > best_beta:
-                best_beta, best_label, best_phi = beta, label, value
-        elif value > best_phi:
-            best_beta, best_label, best_phi = beta, label, value
-    return _solution(coeffs, sp, best_beta, best_label)
+                best_beta, best_label, best_f = beta, label, value
+        elif value > best_f:
+            best_beta, best_label, best_f = beta, label, value
+    return PaSolution(best_beta, best_f, best_label)
 
 
-def _solution(
-    coeffs: RationalCoefficients, sp: StationaryPoints, beta: float, label: str
-) -> PaSolution:
-    return PaSolution(
-        beta_star=float(beta),
-        secrecy_rate_at_beta=f_value(coeffs, beta),
-        winning_candidate=label,
-        delta=sp.delta,
-        coefficients=coeffs,
-    )
+def _signed_rate(link: LinkState, powers: ProjectedPowers, beta: float) -> float:
+    r_b, r_e = rates.split_rates(link, powers, beta)
+    return r_b - r_e
 
 
 def beta_grid_oracle(
@@ -198,7 +125,7 @@ def beta_grid_oracle(
 ) -> tuple[float, float]:
     """Exhaustive search over a uniform beta grid, straight from the rates.
 
-    Independent of the quadratic-coefficient path: evaluates the factored
+    Independent of the stationary-point solve: evaluates the factored
     R_b - R_e on the grid {0, step, ..., 1}. When no split beats beta=0,
     where the secrecy rate vanishes, it returns beta=1 as optimal_beta does.
     """

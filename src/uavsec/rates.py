@@ -27,9 +27,14 @@ class ProjectedPowers(NamedTuple):
 
 
 def projected_powers(link: LinkState, bf: BeamformingPair) -> ProjectedPowers:
-    """Project both beamformers onto both steering vectors."""
+    """Project both beamformers onto both steering vectors.
+
+    The powers are returned as Python floats: the scalar arithmetic of the
+    power allocation and the loop runs faster on them than on numpy scalars,
+    with the same IEEE results.
+    """
     return ProjectedPowers(
-        *(abs(np.vdot(h, v)) ** 2 for h in (link.h_b, link.h_e) for v in (bf.v_b, bf.v_an))
+        *(float(abs(np.vdot(h, v)) ** 2) for h in (link.h_b, link.h_e) for v in (bf.v_b, bf.v_an))
     )
 
 

@@ -1,0 +1,189 @@
+"""Exact-rational Max-SR power allocation: the test oracle for the float path.
+
+The signed secrecy rate as a function of the power split beta is log2 of a
+ratio of two quadratics. This module expands that ratio into its quadratic
+coefficients in exact rational arithmetic (fractions.Fraction over the float
+inputs), finds the stationary points of the rational function analytically
+and picks the best candidate in (0,1) against the beta=1 endpoint. Expanded
+in floats, the quadratics cancel by 12+ orders of magnitude when the leakage
+beamformers drive both interference terms down to the noise floor; exactness
+sidesteps that and makes the degeneracy tests (AE-BD = 0, A = D) true sign
+tests. ``uavsec.power_allocation.optimal_beta`` solves the same problem in
+float64 from the factored form and is checked against ``optimal_beta`` here.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+from uavsec import rates
+from uavsec.geometry import LinkState
+from uavsec.rates import ProjectedPowers
+
+# Relative tie width on phi when ranking candidates.
+_TIE_RTOL = Fraction(1, 10**12)
+
+
+class CoefficientConsistencyError(RuntimeError):
+    """The quadratic-ratio coefficients disagree with the rate formulas."""
+
+
+@dataclass(frozen=True)
+class RationalCoefficients:
+    """Coefficients of phi(beta) = (A b^2 + B b + C) / (D b^2 + E b + F).
+
+    F equals C by construction, so phi(0) = 1 and the secrecy rate vanishes
+    at beta = 0. Stored as exact rationals.
+    """
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+    e: Fraction
+    f: Fraction
+
+
+@dataclass(frozen=True)
+class StationaryPoints:
+    """Real stationary points of phi, wherever they exist on the real line."""
+
+    delta: float
+    beta1: Optional[float] = None
+    beta2: Optional[float] = None
+    beta3: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class PaSolution:
+    beta_star: float
+    secrecy_rate_at_beta: float
+    winning_candidate: str
+    delta: float
+    coefficients: RationalCoefficients
+
+
+def _coefficients_raw(link: LinkState, powers: ProjectedPowers) -> RationalCoefficients:
+    u_b, w_b, u_e, w_e = map(Fraction, powers)
+    gab, gae = Fraction(link.g_ab), Fraction(link.g_ae)
+    ps = Fraction(link.p_s)
+    s2b, s2e = Fraction(link.sigma2_b), Fraction(link.sigma2_e)
+
+    den_b0 = gab * ps * w_b + s2b  # Bob's interference-plus-noise at beta=0
+    den_e0 = gae * ps * w_e + s2e
+    a = gab * gae * ps * ps * w_e * (w_b - u_b)
+    b = den_e0 * gab * ps * (u_b - w_b) - gae * ps * w_e * den_b0
+    c = den_b0 * den_e0
+    d = gab * gae * ps * ps * w_b * (w_e - u_e)
+    e = den_b0 * gae * ps * (u_e - w_e) - gab * ps * w_b * den_e0
+    return RationalCoefficients(a=a, b=b, c=c, d=d, e=e, f=c)
+
+
+def phi(coeffs: RationalCoefficients, beta) -> Fraction:
+    """Rate-ratio rational function, evaluated exactly."""
+    b = Fraction(beta)
+    num = (coeffs.a * b + coeffs.b) * b + coeffs.c
+    den = (coeffs.d * b + coeffs.e) * b + coeffs.f
+    return num / den
+
+
+def f_value(coeffs: RationalCoefficients, beta) -> float:
+    """Signed secrecy rate f(beta) = log2 phi(beta) in bits/s/Hz."""
+    value = phi(coeffs, beta)
+    # math.log2(float(.)) would lose the exponent if the ratio were extreme;
+    # split into numerator and denominator logs instead.
+    return math.log2(value.numerator) - math.log2(value.denominator)
+
+
+def rational_coefficients(link: LinkState, powers: ProjectedPowers) -> RationalCoefficients:
+    """Coefficients A..F with a built-in cross-check against the rate layer.
+
+    The exact expanded ratio log2 phi(beta) must reproduce the float factored
+    rates R_b - R_e of the same projected powers to 1e-9 at five probe
+    points; a violation means a coefficient bug, not bad input.
+    """
+    coeffs = _coefficients_raw(link, powers)
+    for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
+        r_b, r_e = rates.split_rates(link, powers, beta)
+        direct = r_b - r_e
+        if abs(f_value(coeffs, beta) - direct) > 1e-9:
+            raise CoefficientConsistencyError(
+                f"coefficient identity broken at beta={beta}: "
+                f"{f_value(coeffs, beta)} vs {direct}"
+            )
+    return coeffs
+
+
+def stationary_points(coeffs: RationalCoefficients) -> StationaryPoints:
+    """Real roots of the derivative numerator of phi.
+
+    The numerator is (AE-BD) beta^2 + 2C(A-D) beta + C(B-E). Quadratic-case
+    roots are returned whether or not they lie in (0,1); the degenerate case
+    (AE-BD = 0, A != D) has the single root beta3. Absent roots are None.
+    """
+    a, b, c, d, e = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e
+    q = a * e - b * d
+    delta = c * c * (a - d) ** 2 - c * q * (b - e)
+    if q == 0:
+        if a == d:
+            return StationaryPoints(delta=float(delta))
+        beta3 = (e - b) / (2 * (a - d))
+        return StationaryPoints(delta=float(delta), beta3=float(beta3))
+    if delta < 0:
+        return StationaryPoints(delta=float(delta))
+    root = Fraction(math.sqrt(delta))
+    beta1 = (-c * (a - d) + root) / q
+    beta2 = (-c * (a - d) - root) / q
+    return StationaryPoints(delta=float(delta), beta1=float(beta1), beta2=float(beta2))
+
+
+def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
+    """Closed-form Max-SR power split for fixed beamforming vectors.
+
+    Candidates are the stationary points of phi inside (0,1) plus the
+    endpoint 1; beta=0 is excluded since f(0)=0 identically. When phi is
+    monotonically decreasing the best remaining candidate is beta=1 with
+    f(1) <= 0, and the rate layer's clamp makes the achieved secrecy zero,
+    matching what beta=0 would have given.
+    """
+    coeffs = rational_coefficients(link, powers)
+    sp = stationary_points(coeffs)
+
+    if coeffs.a == coeffs.d and coeffs.b == coeffs.e:
+        # phi is identically 1 (F=C): any beta is optimal, 1 by convention.
+        return _solution(coeffs, sp, 1.0, "constant_function")
+
+    candidates: list[tuple[float, str]] = []
+    for beta, label in ((sp.beta1, "root1"), (sp.beta2, "root2"), (sp.beta3, "degenerate_root")):
+        if beta is not None and 0.0 < beta < 1.0:
+            candidates.append((beta, label))
+    # With no interior stationary point (including Delta < 0, where phi is
+    # monotone with the sign of AE-BD) the endpoint is the sole survivor.
+    candidates.append((1.0, "endpoint_1"))
+
+    best_beta, best_label = candidates[0]
+    best_phi = phi(coeffs, best_beta)
+    for beta, label in candidates[1:]:
+        value = phi(coeffs, beta)
+        if abs(value - best_phi) <= _TIE_RTOL * best_phi:
+            # Tie: prefer the larger beta (more confidential power).
+            if beta > best_beta:
+                best_beta, best_label, best_phi = beta, label, value
+        elif value > best_phi:
+            best_beta, best_label, best_phi = beta, label, value
+    return _solution(coeffs, sp, best_beta, best_label)
+
+
+def _solution(
+    coeffs: RationalCoefficients, sp: StationaryPoints, beta: float, label: str
+) -> PaSolution:
+    return PaSolution(
+        beta_star=float(beta),
+        secrecy_rate_at_beta=f_value(coeffs, beta),
+        winning_candidate=label,
+        delta=sp.delta,
+        coefficients=coeffs,
+    )

@@ -25,7 +25,7 @@ from uavsec import (
     slnr_beamformer,
 )
 from uavsec.harness import dbm_to_mw, parse_config_text, run_experiment, write_results
-from uavsec.power_allocation import f_value, rational_coefficients
+from oracle import f_value, rational_coefficients
 from uavsec.rates import projected_powers, rate_bob, rate_eve
 
 from helpers import random_instance, random_link, symmetric_link

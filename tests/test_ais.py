@@ -11,10 +11,11 @@ from uavsec import (
     sample_trajectory,
 )
 from uavsec.beamforming import leakage_pair
-from uavsec.power_allocation import f_value, optimal_beta, stationary_points
+from uavsec.power_allocation import optimal_beta
 from uavsec.rates import projected_powers, rate_bob, rate_eve
 
 from helpers import eve_silent_link, random_link, symmetric_link
+from oracle import f_value, rational_coefficients, stationary_points
 
 
 def default_scenario_links(p_s=100.0, m=8, noise=1e-11):
@@ -61,15 +62,17 @@ def test_final_split_optimal_for_final_vectors():
         link = random_link(rng, 8)
         bf, beta, _, trace = optimize_point(link)
         assert trace.converged
-        pa = optimal_beta(link, projected_powers(link, bf))
+        powers = projected_powers(link, bf)
+        pa = optimal_beta(link, powers)
         assert pa.beta_star == beta
         f_star = pa.secrecy_rate_at_beta
         assert f_star == trace.iterations[-1].f_value
-        assert f_star >= f_value(pa.coefficients, 1.0) - 1e-9
-        sp = stationary_points(pa.coefficients)
+        coeffs = rational_coefficients(link, powers)
+        assert f_star >= f_value(coeffs, 1.0) - 1e-9
+        sp = stationary_points(coeffs)
         for beta in (sp.beta1, sp.beta2, sp.beta3):
             if beta is not None and 0.0 < beta < 1.0:
-                assert f_star >= f_value(pa.coefficients, beta) - 1e-9
+                assert f_star >= f_value(coeffs, beta) - 1e-9
 
 
 def test_terminates_within_cap():

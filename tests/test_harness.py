@@ -223,6 +223,21 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_iteration_cap_warns_on_stderr_only(self, tmp_path, capsys):
+        text = SHORT_CONFIG + "strategies=ais,fixed:0.5\nsweep.power_dbm=10,20\nais.max_iterations=1\n"
+        out = tmp_path / "capped.csv"
+        assert main(["run", "--config", str(self._write_config(tmp_path, text)), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: strategy=ais M=4 Ps={ps}dBm: 10 of 10 points hit the iteration cap "
+            "(ais.max_iterations=1) without converging"
+            for ps in (10, 20)
+        ]
+        assert "warning" not in captured.out
+        reference = tmp_path / "reference.csv"
+        write_results(run_experiment(parse_config_text(text)), "csv", reference)
+        assert out.read_bytes() == reference.read_bytes()
+
     def test_sweep_power_override(self, tmp_path):
         cfg_path = self._write_config(tmp_path)
         out = tmp_path / "p.csv"
@@ -264,9 +279,13 @@ class TestCli:
         ("", ["sweep-power", "--powers", "10,10"], "--powers: duplicate entries"),
         ("", ["sweep-antennas", "--antennas", "8,8"], "--antennas: duplicate entries"),
         ("", ["sweep-antennas", "--antennas", "four"], "--antennas: expected an integer"),
-        # Finite but out of range: overflow while the sweep runs.
-        ("noise.bob_dbm=4000", ["run"], "error: "),
-        ("geometry.speed=1e-320", ["run"], "error: "),
+        # Finite but out of range: rejected while parsing, naming the key.
+        ("noise.bob_dbm=4000", ["run"], "noise.bob_dbm: "),
+        ("geometry.speed=1e-320", ["run"], "geometry.speed"),
+        ("noise.eve_dbm=-4000", ["run"], "noise.eve_dbm: -4000 dBm is outside"),
+        ("sweep.power_dbm=10,301", ["run"], "sweep.power_dbm: 301 dBm is outside"),
+        ("", ["sweep-power", "--powers", "-400"], "--powers: -400 dBm is outside"),
+        ("geometry.sample_interval=1e-9", ["run"], "geometry.sample_interval: the 800 m"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):

@@ -3,18 +3,64 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uavsec import ArrayConfig, LinkState, beta_grid_oracle, optimal_beta, steering_vector
-from uavsec.beamforming import leakage_pair
-from uavsec.power_allocation import (
-    RationalCoefficients,
-    f_value,
-    phi,
-    rational_coefficients,
-    stationary_points,
+from uavsec import (
+    ArrayConfig,
+    LinkState,
+    ScenarioGeometry,
+    beta_grid_oracle,
+    link_state_at,
+    optimal_beta,
+    sample_trajectory,
+    steering_vector,
 )
+from uavsec.beamforming import leakage_pair
+from uavsec.harness import dbm_to_mw
 from uavsec.rates import projected_powers, rate_bob, rate_eve
 
+import oracle
 from helpers import random_instance, random_link, random_pair, symmetric_link
+from oracle import RationalCoefficients, f_value, phi, rational_coefficients, stationary_points
+
+
+def _oracle_instances():
+    """The default flight across M, Ps and the incoming split, then random
+    links with leakage-optimal or random vectors. With an incoming split of
+    1, which the loop feeds back after an endpoint win, the AN vector's
+    leakage into Bob dwarfs Bob's noise floor."""
+    geom = ScenarioGeometry()
+    noise = dbm_to_mw(-110.0)
+    points = sample_trajectory(geom)[::10]
+    for m in (4, 8, 16, 32, 64, 128):
+        arr = ArrayConfig(m)
+        for ps_dbm in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
+            for point in points:
+                link = link_state_at(point, geom, arr, noise, noise, dbm_to_mw(ps_dbm))
+                for beta in (0.1, 0.5, 1.0):
+                    yield link, projected_powers(link, leakage_pair(link, beta))
+    rng = np.random.default_rng(10)
+    for i in range(300):
+        link, bf = random_instance(rng, i, (4, 8, 16)[i % 3], (0.0, 10.0, 20.0, 30.0)[i % 4])
+        yield link, projected_powers(link, bf)
+
+
+def test_float_solution_matches_exact_oracle():
+    count = 0
+    smallest_factor = 1.0
+    for link, powers in _oracle_instances():
+        sol = optimal_beta(link, powers)
+        exact = oracle.optimal_beta(link, powers)
+        assert abs(sol.beta_star - exact.beta_star) <= 1e-12
+        assert abs(sol.secrecy_rate_at_beta - exact.secrecy_rate_at_beta) <= 1e-10
+        assert sol.winning_candidate == exact.winning_candidate
+        # 1 + r2 = sigma2_b / den_b0 and 1 + r4 = sigma2_e / den_e0, the
+        # interference-plus-noise factors that cancel as beta -> 1.
+        for gain, w, sigma2 in ((link.g_ab, powers.w_b, link.sigma2_b),
+                                (link.g_ae, powers.w_e, link.sigma2_e)):
+            smallest_factor = min(smallest_factor, sigma2 / (gain * link.p_s * w + sigma2))
+        count += 1
+    assert count >= 1000
+    # The default flight reaches the cancelling case.
+    assert smallest_factor < 1e-8
 
 
 def test_symmetric_links_give_constant_ratio():

@@ -2,11 +2,13 @@
 
 Links are drawn the way ``helpers.random_link`` draws them: any pair of
 directions, log-uniform path gains, and noise floors putting the full-array
-SNR between ~10 and ~30 dB. The runs are derandomized so the suite stays
-reproducible.
+SNR between ~10 and ~30 dB; ``extreme_links`` adds an absolute noise floor
+and extreme powers and directions. The runs are derandomized so the suite
+stays reproducible.
 """
 
 import math
+from dataclasses import replace
 from functools import partial
 
 from hypothesis import given, settings
@@ -71,3 +73,50 @@ def test_ais_beats_fixed_splits_at_its_final_vectors(link):
     powers = projected_powers(link, bf)
     for fixed in (0.5, 0.9):
         assert rates.secrecy_rate >= rates_at(link, powers, fixed).secrecy_rate - 1e-9
+
+
+@property_settings
+@given(link=links(), exponent=st.integers(-40, 40))
+def test_joint_noise_and_power_scaling_leaves_the_point_unchanged(link, exponent):
+    # The loop should see P_s and the noise only through their ratios. A
+    # power-of-two factor rescales every float exactly, so only code that is
+    # not scale-free can move the result. (A decimal factor also rounds, and
+    # channels 1e-10 rad apart amplify that rounding: beta moved by 3e-4.)
+    c = 2.0 ** exponent
+    scaled = replace(link, sigma2_b=c * link.sigma2_b, sigma2_e=c * link.sigma2_e, p_s=c * link.p_s)
+    _, beta, rates, _ = optimize_point(link, CFG)
+    _, beta_c, rates_c, _ = optimize_point(scaled, CFG)
+    assert abs(beta_c - beta) <= 1e-12
+    assert abs(rates_c.secrecy_rate - rates.secrecy_rate) <= 1e-9
+
+
+@st.composite
+def extreme_links(draw):
+    """Absolute -110 dBm noise with Ps from -30 to 80 dBm, path gains of a
+    20-1000 m link, and Eve either endfire or within 1e-6 rad of Bob."""
+    m = draw(st.sampled_from((4, 8, 64)))
+    p_s = 10.0 ** (draw(st.floats(-30.0, 80.0)) / 10.0)
+    theta_b = draw(st.floats(0.0, math.pi))
+    offset = st.floats(-1e-6, 1e-6).map(lambda d: min(max(theta_b + d, 0.0), math.pi))
+    theta_e = draw(st.one_of(st.sampled_from((0.0, math.pi)), offset))
+    g_ab, g_ae = (draw(st.floats(20.0, 1000.0)) ** -2.0 for _ in range(2))
+    arr = ArrayConfig(m)
+    return LinkState(
+        h_b=steering_vector(theta_b, arr),
+        h_e=steering_vector(theta_e, arr),
+        g_ab=g_ab,
+        g_ae=g_ae,
+        sigma2_b=1e-11,
+        sigma2_e=1e-11,
+        p_s=p_s,
+    )
+
+
+@property_settings
+@given(link=extreme_links(), step=st.sampled_from(sorted(PA_STEPS)))
+def test_extreme_inputs_give_a_valid_point(link, step):
+    _, beta, rates, trace = optimize_point(link, CFG, PA_STEPS[step])
+    assert all(math.isfinite(r) for r in (rates.rate_bob, rates.rate_eve, rates.secrecy_rate))
+    assert rates.secrecy_rate >= 0.0
+    assert 0.0 < beta <= 1.0
+    assert 1 <= trace.iterations_used <= CFG.max_iterations
