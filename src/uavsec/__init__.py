@@ -8,28 +8,13 @@ from .geometry import (
     LinkState,
     ScenarioGeometry,
     TrajectoryPoint,
+    array_separation,
     link_state_at,
     path_loss,
     sample_trajectory,
-    steering_vector,
 )
-from .beamforming import (
-    BeamformingPair,
-    anlnr_beamformer,
-    anlnr_value,
-    leakage_pair,
-    slnr_beamformer,
-    slnr_value,
-)
-from .rates import (
-    ProjectedPowers,
-    RateBreakdown,
-    projected_powers,
-    rate_bob,
-    rate_eve,
-    secrecy_rate,
-    secrecy_sum_rate,
-)
+from .beamforming import leakage_pair
+from .rates import ProjectedPowers, RateBreakdown, rates_at, secrecy_sum_rate
 from .power_allocation import PaSolution, beta_grid_oracle, optimal_beta
 from .ais import AisConfig, AisTrace, optimize_point, run_baseline
 from .harness import (
@@ -51,22 +36,14 @@ __all__ = [
     "LinkState",
     "ScenarioGeometry",
     "TrajectoryPoint",
+    "array_separation",
     "link_state_at",
     "path_loss",
     "sample_trajectory",
-    "steering_vector",
-    "BeamformingPair",
-    "anlnr_beamformer",
-    "anlnr_value",
     "leakage_pair",
-    "slnr_beamformer",
-    "slnr_value",
     "ProjectedPowers",
     "RateBreakdown",
-    "projected_powers",
-    "rate_bob",
-    "rate_eve",
-    "secrecy_rate",
+    "rates_at",
     "secrecy_sum_rate",
     "PaSolution",
     "beta_grid_oracle",

@@ -13,17 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .beamforming import BeamformingPair, leakage_pair
+from .beamforming import leakage_pair
 from .geometry import LinkState
 from .power_allocation import optimal_beta
-from .rates import (
-    ProjectedPowers,
-    RateBreakdown,
-    projected_powers,
-    rates_at,
-    secrecy_rate,
-    split_rates,
-)
+from .rates import ProjectedPowers, RateBreakdown, rates_at, split_rates
 
 
 @dataclass(frozen=True)
@@ -68,12 +61,13 @@ def closed_form_step(link: LinkState, powers: ProjectedPowers) -> tuple[float, f
 
 def optimize_point(
     link: LinkState, cfg: AisConfig = AisConfig(), pa_step=closed_form_step
-) -> tuple[BeamformingPair, float, RateBreakdown, AisTrace]:
+) -> tuple[ProjectedPowers, float, RateBreakdown, AisTrace]:
     """Run the alternating iteration at one sampling point.
 
     ``pa_step(link, powers)`` returns the best split for the projected powers
     of the current vectors and the signed secrecy rate there. Returns the
-    final vectors, the final split, the rates at that split and the trace.
+    final vectors' projected powers, the final split, the rates at that split
+    and the trace.
     Hitting the iteration cap is a soft failure: the last iterate is
     returned with ``converged=False`` so a flight sweep can keep going.
     """
@@ -81,8 +75,7 @@ def optimize_point(
     records: list[AisIteration] = []
     converged = False
     for _ in range(cfg.max_iterations):
-        bf = leakage_pair(link, beta)
-        powers = projected_powers(link, bf)
+        powers = leakage_pair(link, beta)
         # Convergence compares f at the incoming and re-optimized splits
         # under the same (current) vectors: once the PA step stops moving
         # the secrecy rate, the loop is done.
@@ -93,12 +86,12 @@ def optimize_point(
             converged = True
             break
     trace = AisTrace(iterations=tuple(records), converged=converged, iterations_used=len(records))
-    return bf, beta, rates_at(link, powers, beta), trace
+    return powers, beta, rates_at(link, powers, beta), trace
 
 
-def run_baseline(link: LinkState, fixed_beta: float) -> tuple[BeamformingPair, RateBreakdown]:
+def run_baseline(link: LinkState, fixed_beta: float) -> tuple[ProjectedPowers, RateBreakdown]:
     """One-shot leakage beamformers and rates at a fixed power split."""
     if not 0.0 < fixed_beta < 1.0:
         raise ValueError("fixed_beta must lie in (0, 1)")
-    bf = leakage_pair(link, fixed_beta)
-    return bf, secrecy_rate(link, bf, fixed_beta)
+    powers = leakage_pair(link, fixed_beta)
+    return powers, rates_at(link, powers, fixed_beta)

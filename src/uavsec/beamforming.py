@@ -1,99 +1,60 @@
-"""Leakage-based transmit beamformers.
+"""Leakage-based transmit beamformers, reduced to their four projected powers.
 
-The confidential-message vector maximizes the signal-to-leakage-and-noise
-ratio (SLNR) toward the UAV; the artificial-noise vector maximizes the
-AN-and-leakage-to-noise ratio (ANLNR) toward the eavesdropper. Both have
-closed forms: the whitening matrix is identity plus a rank-one term, so its
-inverse is applied in O(M) without a general solve.
+The confidential-message vector v_b maximizes the signal-to-leakage-and-noise
+ratio (SLNR) toward the UAV: it is (beta Ps h_e h_e^H + sigma_b^2 I)^{-1} h_b,
+normalized. The artificial-noise vector v_an maximizes the
+AN-and-leakage-to-noise ratio (ANLNR) toward the eavesdropper:
+((1-beta) Ps h_b h_b^H + sigma_e^2 I)^{-1} h_e, normalized. Everything
+downstream sees them only through |h^H v|^2, and with a rank-one whitening
+term those four numbers are closed forms in M and the array separation
+D = M^2 - |h_e^H h_b|^2 (the leakage precoder of Sadek, Tarighat and Sayed,
+IEEE TWC 2007). With rho^2 = M^2 - D and the noise shares
+
+    t_b = sigma_b^2 / (sigma_b^2 + beta Ps M),
+    t_e = sigma_e^2 / (sigma_e^2 + (1-beta) Ps M),
+
+    u_b = (D + t_b rho^2)^2 / (M (D + t_b^2 rho^2)),   u_e = M t_b^2 rho^2 / (D + t_b^2 rho^2),
+    w_e = (D + t_e rho^2)^2 / (M (D + t_e^2 rho^2)),   w_b = M t_e^2 rho^2 / (D + t_e^2 rho^2).
+
+D is never subtracted from a nearly equal number, so near-parallel
+directions (D -> 0) keep full relative precision; rho^2 cancels only for
+near-orthogonal ones, where it leaves u_e and w_b an absolute error of order
+eps * M. The steering vectors, the Sherman-Morrison solve and both
+beamformers are kept in the tests as the reference (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from .geometry import LinkState
+from .rates import ProjectedPowers
 
 
-@dataclass(frozen=True)
-class BeamformingPair:
-    """Unit-norm confidential-message vector and artificial-noise vector."""
+def _toward_and_away(m: int, d: float, rho2: float, t: float) -> tuple[float, float]:
+    """(|h^H v|^2 toward the intended direction, toward the other one) for
+    the leakage vector whose noise share is t.
 
-    v_b: np.ndarray = field(repr=False)
-    v_an: np.ndarray = field(repr=False)
-
-
-def rank1_inverse_apply(a: float, scale: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Compute (a*I + scale*x x^H)^{-1} y via the Sherman-Morrison identity.
-
-    The component of y along x is scaled by 1/(a + scale*|x|^2) and the rest
-    by 1/a. The textbook form (y - x*c)/a cancels to a zero vector when y is
-    parallel to x and c rounds to 1.
+    (D + t rho^2)^2 / (M den) is evaluated as away + D (D + t (2-t) rho^2) /
+    (M den), the same value as a sum of nonnegative terms, which is exactly
+    M, like away, when D = 0.
     """
-    if a <= 0:
-        raise ValueError("diagonal loading must be positive")
-    xx = np.vdot(x, x).real
-    along = x * (np.vdot(x, y) / xx)
-    # Scaling by reciprocals: a complex array divides several times slower
-    # than it multiplies.
-    return along * (1.0 / (a + scale * xx)) + (y - along) * (1.0 / a)
+    leak = t * t * rho2
+    den = d + leak
+    away = m * (leak / den)
+    return away + d * (d + t * (2.0 - t) * rho2) / (m * den), away
 
 
-def _normalize(v: np.ndarray) -> np.ndarray:
-    # Global phase fixed so the first entry is real nonnegative; rates only
-    # see |h^H v|^2, so this is purely for reproducibility.
-    v = v / np.linalg.norm(v)
-    lead = v[0]
-    if abs(lead) > 0:
-        v = v * (lead.conjugate() / abs(lead))
-    return v
+def leakage_pair(link: LinkState, beta: float) -> ProjectedPowers:
+    """Projected powers of the Max-SLNR and Max-ANLNR vectors at split beta.
 
-
-def slnr_value(v: np.ndarray, link: LinkState, beta: float) -> float:
-    """SLNR of a unit-norm candidate vector at the given power split."""
-    signal = beta * link.p_s * abs(np.vdot(link.h_b, v)) ** 2
-    leak = beta * link.p_s * abs(np.vdot(link.h_e, v)) ** 2
-    noise = link.sigma2_b * np.vdot(v, v).real
-    return signal / (leak + noise)
-
-
-def slnr_beamformer(link: LinkState, beta: float) -> np.ndarray:
-    """Max-SLNR confidential-message vector.
-
-    Closed form: normalized (beta*Ps*h_e h_e^H + sigma_b^2 I)^{-1} h_b. At
-    beta=0 the whitening matrix degenerates to sigma_b^2*I and the result is
-    the matched filter h_b/sqrt(M); that input is allowed.
+    beta=0 gives the matched filter v_b = h_b/sqrt(M), beta=1 gives
+    v_an = h_e/sqrt(M); both ends are allowed.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    raw = rank1_inverse_apply(link.sigma2_b, beta * link.p_s, link.h_e, link.h_b)
-    return _normalize(raw)
-
-
-def anlnr_value(v: np.ndarray, link: LinkState, beta: float) -> float:
-    """ANLNR of a unit-norm candidate vector at the given power split."""
-    signal = (1.0 - beta) * link.p_s * abs(np.vdot(link.h_e, v)) ** 2
-    leak = (1.0 - beta) * link.p_s * abs(np.vdot(link.h_b, v)) ** 2
-    noise = link.sigma2_e * np.vdot(v, v).real
-    return signal / (leak + noise)
-
-
-def anlnr_beamformer(link: LinkState, beta: float) -> np.ndarray:
-    """Max-ANLNR artificial-noise vector.
-
-    Closed form: normalized ((1-beta)*Ps*h_b h_b^H + sigma_e^2 I)^{-1} h_e;
-    beta=1 degenerates gracefully to h_e/sqrt(M).
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    raw = rank1_inverse_apply(link.sigma2_e, (1.0 - beta) * link.p_s, link.h_b, link.h_e)
-    return _normalize(raw)
-
-
-def leakage_pair(link: LinkState, beta: float) -> BeamformingPair:
-    """Both leakage-optimal vectors for one power split."""
-    return BeamformingPair(
-        v_b=slnr_beamformer(link, beta),
-        v_an=anlnr_beamformer(link, beta),
-    )
+    m, d = link.num_antennas, link.separation
+    rho2 = m * m - d
+    t_b = link.sigma2_b / (link.sigma2_b + beta * link.p_s * m)
+    t_e = link.sigma2_e / (link.sigma2_e + (1.0 - beta) * link.p_s * m)
+    u_b, u_e = _toward_and_away(m, d, rho2, t_b)
+    w_e, w_b = _toward_and_away(m, d, rho2, t_e)
+    return ProjectedPowers(u_b=u_b, w_b=w_b, u_e=u_e, w_e=w_e)

@@ -7,8 +7,8 @@ import sys
 
 from .geometry import ConfigurationError
 from .harness import (
+    _parse_antennas,
     _parse_dbm,
-    _parse_int,
     _parse_list,
     parse_config,
     run_experiment,
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
             powers = _parse_list("--powers", args.powers, _parse_dbm)
             cfg = with_overrides(cfg, power_sweep_dbm=powers)
         elif args.command == "sweep-antennas":
-            antennas = _parse_list("--antennas", args.antennas, _parse_int)
+            antennas = _parse_list("--antennas", args.antennas, _parse_antennas)
             cfg = with_overrides(cfg, antenna_sweep=antennas)
         records = run_experiment(cfg, parallel=max(1, args.parallel))
         out = args.out or cfg.output_path

@@ -1,13 +1,19 @@
-"""Array geometry, steering vectors, flight trajectory sampling, and path loss.
+"""Array geometry, flight trajectory sampling, path loss and the one array term.
 
 Everything here is deterministic and unit-agnostic: distances in meters,
 powers in linear mW, angles in radians measured from the +x array axis.
+
+The uniform linear array enters the model only through
+D = M^2 - |h_e^H h_b|^2, where h is the steering vector with entries
+exp(-j 2 pi (m - (M+1)/2) (d/lambda) cos(theta)): how far apart the array sees
+the UAV and the eavesdropper. ``array_separation`` computes D without forming
+either vector; the vectors themselves are kept only as a test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,18 +40,22 @@ class ArrayConfig:
             raise ConfigurationError("spacing (d/lambda) must be positive")
 
 
-def steering_vector(theta: float, array: ArrayConfig) -> np.ndarray:
-    """Unit-modulus array response toward direction ``theta``.
+def array_separation(theta_b: float, theta_e: float, array: ArrayConfig) -> float:
+    """D = M^2 - |h_e^H h_b|^2 for the steering vectors toward two directions.
 
-    Entry m (1-based) is exp(-j*2*pi*(m-(M+1)/2)*(d/lambda)*cos(theta)), so
-    the phase profile is antisymmetric about the array center and the vector
-    has Euclidean norm sqrt(M).
+    The squared magnitude of the ULA's Dirichlet kernel expands to
+    M^2 - 4 sum_{k=1}^{M-1} (M-k) sin^2(k y), y = pi (d/lambda)(cos theta_b -
+    cos theta_e), so D is that sum of nonnegative terms. The cosine difference
+    is formed as a product of sines, which does not cancel for near-parallel
+    directions, and D is exactly 0 for identical ones. 0 <= D <= M^2.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    m = np.arange(1, array.num_antennas + 1)
-    phase = -(m - (array.num_antennas + 1) / 2.0) * array.spacing * math.cos(theta)
-    return np.exp(2j * math.pi * phase)
+    m = array.num_antennas
+    y = -2.0 * math.pi * array.spacing * math.sin(0.5 * (theta_b + theta_e)) * math.sin(
+        0.5 * (theta_b - theta_e)
+    )
+    k = np.arange(1, m)
+    # Rounding can carry the sum past M^2 for orthogonal directions.
+    return min(4.0 * float(np.dot(m - k, np.sin(k * y) ** 2)), float(m * m))
 
 
 @dataclass(frozen=True)
@@ -151,12 +161,13 @@ def path_loss(distance: float, geom: ScenarioGeometry) -> float:
 class LinkState:
     """Everything needed to evaluate one sampling point.
 
-    ``h_b``/``h_e`` are the steering vectors toward the UAV and the
-    eavesdropper; gains are linear, powers and noise variances in mW.
+    ``separation`` is ``array_separation`` for the UAV and eavesdropper
+    directions on a ``num_antennas``-element array; gains are linear, powers
+    and noise variances in mW.
     """
 
-    h_b: np.ndarray = field(repr=False)
-    h_e: np.ndarray = field(repr=False)
+    num_antennas: int
+    separation: float
     g_ab: float
     g_ae: float
     sigma2_b: float
@@ -168,12 +179,6 @@ class LinkState:
         for name in ("g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.h_b.shape != self.h_e.shape:
-            raise ValueError("steering vectors must have equal length")
-
-    @property
-    def num_antennas(self) -> int:
-        return self.h_b.shape[0]
 
 
 def link_state_at(
@@ -186,8 +191,8 @@ def link_state_at(
 ) -> LinkState:
     """Assemble the per-point link state from geometry and array config."""
     return LinkState(
-        h_b=steering_vector(point.theta_b, array),
-        h_e=steering_vector(point.theta_e, array),
+        num_antennas=array.num_antennas,
+        separation=array_separation(point.theta_b, point.theta_e, array),
         g_ab=path_loss(point.d_ab, geom),
         g_ae=path_loss(point.d_ae, geom),
         sigma2_b=sigma2_b,

@@ -39,6 +39,9 @@ MAX_ABS_DBM = 300.0
 # Upper bound on the trajectory samples one sweep combination may evaluate.
 MAX_SAMPLES = 1_000_000
 
+# Upper bound on the array size; each link state sums M - 1 terms.
+MAX_ANTENNAS = 1_000_000
+
 
 class ConfigError(ConfigurationError):
     """A config file key is missing, malformed, or violates an invariant."""
@@ -151,6 +154,13 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
 
+def _parse_antennas(key: str, raw: str) -> int:
+    value = _parse_int(key, raw)
+    if not 2 <= value <= MAX_ANTENNAS:
+        raise ConfigError(f"{key}: {value} is outside [2, {MAX_ANTENNAS}] antennas")
+    return value
+
+
 def _parse_list(key: str, raw: str, conv) -> tuple:
     items = [p.strip() for p in raw.split(",") if p.strip()]
     if not items:
@@ -213,7 +223,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         elif key == "sweep.power_dbm":
             fields["power_sweep_dbm"] = _parse_list(key, raw, _parse_dbm)
         elif key == "sweep.antennas":
-            fields["antenna_sweep"] = _parse_list(key, raw, _parse_int)
+            fields["antenna_sweep"] = _parse_list(key, raw, _parse_antennas)
         elif key == "strategies":
             fields["strategies"] = _parse_list(key, raw, lambda k, tok: parse_strategy(tok))
         else:

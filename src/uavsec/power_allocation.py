@@ -21,7 +21,8 @@ rather than as den0 (1 + r2 beta). All of it runs in float64; the
 exact-rational expansion is kept as the test oracle (``tests/oracle.py``).
 
 Candidates are the stationary points inside (0,1) and beta=1; beta=0 always
-gives zero secrecy and is excluded.
+gives zero secrecy and is excluded. A stationary point that rounds to 1 is
+scored at the largest float below 1.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .rates import ProjectedPowers
 # Candidates whose phi values agree to a relative 1e-12 tie; the larger beta
 # wins. On f = log2(phi) that width is log2(1 + 1e-12).
 _TIE_BITS = math.log2(1.0 + 1e-12)
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,12 @@ def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
     if stationary is None:
         # phi is identically 1: any beta is optimal, 1 by convention.
         return PaSolution(1.0, _signed_rate(link, powers, 1.0), "constant_function")
-    candidates = [(beta, label) for beta, label in stationary if 0.0 < beta < 1.0]
+    # A root that rounded to 1.0 may be an interior optimum within one ulp of
+    # the endpoint, where (1-beta) Ps w still dwarfs the noise floor: it is
+    # scored one ulp below 1, and the tie rule still lets the endpoint win.
+    candidates = [
+        (min(beta, _BELOW_ONE), label) for beta, label in stationary if 0.0 < beta <= 1.0
+    ]
     # With no interior stationary point (including a negative discriminant,
     # where phi is monotone) the endpoint is the sole survivor.
     candidates.append((1.0, "endpoint_1"))

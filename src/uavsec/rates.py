@@ -2,7 +2,9 @@
 
 All rates are in bits/s/Hz (log base 2); all powers are linear mW. The rates,
 the power allocation and the alternating loop see the beamformers only
-through the four projected powers of ``ProjectedPowers``.
+through the four projected powers of ``ProjectedPowers``, which
+``beamforming.leakage_pair`` gives in closed form; no steering or beamforming
+vector is ever formed (projecting actual vectors is the tests' reference).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .beamforming import BeamformingPair
 from .geometry import LinkState
 
 import numpy as np
@@ -24,18 +25,6 @@ class ProjectedPowers(NamedTuple):
     w_b: float  # artificial noise at Bob, |h_b^H v_an|^2
     u_e: float  # confidential stream at Eve, |h_e^H v_b|^2
     w_e: float  # artificial noise at Eve, |h_e^H v_an|^2
-
-
-def projected_powers(link: LinkState, bf: BeamformingPair) -> ProjectedPowers:
-    """Project both beamformers onto both steering vectors.
-
-    The powers are returned as Python floats: the scalar arithmetic of the
-    power allocation and the loop runs faster on them than on numpy scalars,
-    with the same IEEE results.
-    """
-    return ProjectedPowers(
-        *(float(abs(np.vdot(h, v)) ** 2) for h in (link.h_b, link.h_e) for v in (bf.v_b, bf.v_an))
-    )
 
 
 @dataclass(frozen=True)
@@ -71,21 +60,6 @@ def rates_at(link: LinkState, powers: ProjectedPowers, beta: float) -> RateBreak
         raise ValueError("beta must lie in [0, 1]")
     r_b, r_e = split_rates(link, powers, beta)
     return RateBreakdown(rate_bob=r_b, rate_eve=r_e, secrecy_rate=max(0.0, r_b - r_e))
-
-
-def secrecy_rate(link: LinkState, bf: BeamformingPair, beta: float) -> RateBreakdown:
-    """Per-point secrecy rate max{0, R_b - R_e} with both link rates."""
-    return rates_at(link, projected_powers(link, bf), beta)
-
-
-def rate_bob(link: LinkState, bf: BeamformingPair, beta: float) -> float:
-    """Rate of the legitimate UAV link for a given power split."""
-    return secrecy_rate(link, bf, beta).rate_bob
-
-
-def rate_eve(link: LinkState, bf: BeamformingPair, beta: float) -> float:
-    """Rate of the eavesdropper link for the same transmit signal."""
-    return secrecy_rate(link, bf, beta).rate_eve
 
 
 def secrecy_sum_rate(rate_differences: Iterable[float]) -> float:

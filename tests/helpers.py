@@ -1,27 +1,30 @@
 """Shared random-instance builders for the test suite.
 
 All randomness flows through explicitly seeded numpy generators so every
-test run is reproducible; seeds are given at the call sites.
+test run is reproducible; seeds are given at the call sites. Links are
+``oracle.SteeredLink``s, so the vector reference can run on them too.
 """
 
 import numpy as np
 
-from uavsec import ArrayConfig, LinkState, steering_vector
-from uavsec.beamforming import BeamformingPair, leakage_pair
+from uavsec import ArrayConfig
+from uavsec.beamforming import leakage_pair
+
+from oracle import BeamformingPair, projected_powers, steered_link
 
 
 def random_link(rng, m=8, p_s_dbm=10.0):
     """Random physically-plausible link: random directions, log-uniform path
     gains, and noise floors placing the full-array SNR between ~10 and ~30 dB
     (keeps the secrecy-rate peak wide enough for a 1e-4 grid to resolve)."""
-    arr = ArrayConfig(m)
     theta_b, theta_e = rng.uniform(0.0, np.pi, size=2)
     ps = 10.0 ** (p_s_dbm / 10.0)
     g_ab = 10.0 ** rng.uniform(-5, -3)
     g_ae = 10.0 ** rng.uniform(-5, -3)
-    return LinkState(
-        h_b=steering_vector(theta_b, arr),
-        h_e=steering_vector(theta_e, arr),
+    return steered_link(
+        theta_b,
+        theta_e,
+        ArrayConfig(m),
         g_ab=g_ab,
         g_ae=g_ae,
         sigma2_b=g_ab * ps * m * 10.0 ** rng.uniform(-3, -1),
@@ -40,32 +43,29 @@ def random_pair(rng, m):
 
 
 def random_instance(rng, i, m, p_s_dbm):
-    """Link plus beamforming pair; alternates leakage-optimal vectors (what
-    the alternating loop produces) with fully random unit vectors."""
+    """Link plus projected powers; alternates the leakage-optimal powers
+    (what the alternating loop produces) with those of fully random unit
+    vectors."""
     link = random_link(rng, m, p_s_dbm)
     if i % 2 == 0:
-        bf = leakage_pair(link, rng.uniform(0.05, 0.95))
+        powers = leakage_pair(link, rng.uniform(0.05, 0.95))
     else:
-        bf = random_pair(rng, m)
-    return link, bf
+        powers = projected_powers(link, random_pair(rng, m))
+    return link, powers
 
 
 def symmetric_link(m=8, p_s=10.0):
     """Bob and Eve see identical channels: secrecy must be exactly zero."""
-    arr = ArrayConfig(m)
-    h = steering_vector(1.0, arr)
-    return LinkState(
-        h_b=h, h_e=h.copy(), g_ab=1e-4, g_ae=1e-4,
+    return steered_link(
+        1.0, 1.0, ArrayConfig(m), g_ab=1e-4, g_ae=1e-4,
         sigma2_b=1e-7, sigma2_e=1e-7, p_s=p_s,
     )
 
 
 def eve_silent_link(m=8, p_s=10.0):
     """Eve's path gain is negligibly small; secrecy reduces to Bob's rate."""
-    arr = ArrayConfig(m)
-    return LinkState(
-        h_b=steering_vector(1.2, arr),
-        h_e=steering_vector(2.1, arr),
+    return steered_link(
+        1.2, 2.1, ArrayConfig(m),
         g_ab=1e-4, g_ae=1e-30,
         sigma2_b=1e-7, sigma2_e=1e-7, p_s=p_s,
     )

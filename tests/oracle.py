@@ -1,10 +1,19 @@
-"""Exact-rational Max-SR power allocation: the test oracle for the float path.
+"""Test oracles: the steering-vector beamformers and the exact-rational PA.
 
-The signed secrecy rate as a function of the power split beta is log2 of a
-ratio of two quadratics. This module expands that ratio into its quadratic
-coefficients in exact rational arithmetic (fractions.Fraction over the float
-inputs), finds the stationary points of the rational function analytically
-and picks the best candidate in (0,1) against the beta=1 endpoint. Expanded
+Beamforming. The library reduces the Max-SLNR and Max-ANLNR beamformers to
+their four projected powers in closed form over the array separation
+(``uavsec.beamforming.leakage_pair``). The vector path it replaced lives here
+unchanged: steering vectors, the Sherman-Morrison solve of the rank-one
+whitening matrix, both normalized beamformers with their SLNR/ANLNR values,
+and the projection ``projected_powers``. ``SteeredLink`` is a ``LinkState``
+that also carries the two steering vectors it was built from.
+
+Power allocation. The signed secrecy rate as a function of the power split
+beta is log2 of a ratio of two quadratics. This module expands that ratio
+into its quadratic coefficients in exact rational arithmetic
+(fractions.Fraction over the float inputs), finds the stationary points of
+the rational function analytically and picks the best candidate in (0,1)
+against the beta=1 endpoint. Expanded
 in floats, the quadratics cancel by 12+ orders of magnitude when the leakage
 beamformers drive both interference terms down to the noise floor; exactness
 sidesteps that and makes the degeneracy tests (AE-BD = 0, A = D) true sign
@@ -15,12 +24,14 @@ float64 from the factored form and is checked against ``optimal_beta`` here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from uavsec import rates
-from uavsec.geometry import LinkState
+from uavsec.geometry import ArrayConfig, LinkState, array_separation
 from uavsec.rates import ProjectedPowers
 
 # Relative tie width on phi when ranking candidates.
@@ -186,4 +197,135 @@ def _solution(
         winning_candidate=label,
         delta=sp.delta,
         coefficients=coeffs,
+    )
+
+
+# ------------------------------------------------------------- beamforming
+
+
+def steering_vector(theta: float, array: ArrayConfig) -> np.ndarray:
+    """Unit-modulus array response toward direction ``theta``.
+
+    Entry m (1-based) is exp(-j*2*pi*(m-(M+1)/2)*(d/lambda)*cos(theta)), so
+    the phase profile is antisymmetric about the array center and the vector
+    has Euclidean norm sqrt(M).
+    """
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    m = np.arange(1, array.num_antennas + 1)
+    phase = -(m - (array.num_antennas + 1) / 2.0) * array.spacing * math.cos(theta)
+    return np.exp(2j * math.pi * phase)
+
+
+@dataclass(frozen=True)
+class SteeredLink(LinkState):
+    """A link state plus the steering vectors toward the UAV and Eve."""
+
+    h_b: np.ndarray = field(default=None, repr=False)
+    h_e: np.ndarray = field(default=None, repr=False)
+
+
+def steered_link(theta_b: float, theta_e: float, array: ArrayConfig, **fields) -> SteeredLink:
+    """Link state toward two directions, with its separation and vectors."""
+    return SteeredLink(
+        num_antennas=array.num_antennas,
+        separation=array_separation(theta_b, theta_e, array),
+        h_b=steering_vector(theta_b, array),
+        h_e=steering_vector(theta_e, array),
+        **fields,
+    )
+
+
+@dataclass(frozen=True)
+class BeamformingPair:
+    """Unit-norm confidential-message vector and artificial-noise vector."""
+
+    v_b: np.ndarray = field(repr=False)
+    v_an: np.ndarray = field(repr=False)
+
+
+def rank1_inverse_apply(a: float, scale: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Compute (a*I + scale*x x^H)^{-1} y via the Sherman-Morrison identity.
+
+    The component of y along x is scaled by 1/(a + scale*|x|^2) and the rest
+    by 1/a. The textbook form (y - x*c)/a cancels to a zero vector when y is
+    parallel to x and c rounds to 1.
+    """
+    if a <= 0:
+        raise ValueError("diagonal loading must be positive")
+    xx = np.vdot(x, x).real
+    along = x * (np.vdot(x, y) / xx)
+    # Scaling by reciprocals: a complex array divides several times slower
+    # than it multiplies.
+    return along * (1.0 / (a + scale * xx)) + (y - along) * (1.0 / a)
+
+
+def _normalize(v: np.ndarray) -> np.ndarray:
+    # Global phase fixed so the first entry is real nonnegative; rates only
+    # see |h^H v|^2, so this is purely for reproducibility.
+    v = v / np.linalg.norm(v)
+    lead = v[0]
+    if abs(lead) > 0:
+        v = v * (lead.conjugate() / abs(lead))
+    return v
+
+
+def slnr_value(v: np.ndarray, link: SteeredLink, beta: float) -> float:
+    """SLNR of a unit-norm candidate vector at the given power split."""
+    signal = beta * link.p_s * abs(np.vdot(link.h_b, v)) ** 2
+    leak = beta * link.p_s * abs(np.vdot(link.h_e, v)) ** 2
+    noise = link.sigma2_b * np.vdot(v, v).real
+    return signal / (leak + noise)
+
+
+def slnr_beamformer(link: SteeredLink, beta: float) -> np.ndarray:
+    """Max-SLNR confidential-message vector.
+
+    Closed form: normalized (beta*Ps*h_e h_e^H + sigma_b^2 I)^{-1} h_b. At
+    beta=0 the whitening matrix degenerates to sigma_b^2*I and the result is
+    the matched filter h_b/sqrt(M); that input is allowed.
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    raw = rank1_inverse_apply(link.sigma2_b, beta * link.p_s, link.h_e, link.h_b)
+    return _normalize(raw)
+
+
+def anlnr_value(v: np.ndarray, link: SteeredLink, beta: float) -> float:
+    """ANLNR of a unit-norm candidate vector at the given power split."""
+    signal = (1.0 - beta) * link.p_s * abs(np.vdot(link.h_e, v)) ** 2
+    leak = (1.0 - beta) * link.p_s * abs(np.vdot(link.h_b, v)) ** 2
+    noise = link.sigma2_e * np.vdot(v, v).real
+    return signal / (leak + noise)
+
+
+def anlnr_beamformer(link: SteeredLink, beta: float) -> np.ndarray:
+    """Max-ANLNR artificial-noise vector.
+
+    Closed form: normalized ((1-beta)*Ps*h_b h_b^H + sigma_e^2 I)^{-1} h_e;
+    beta=1 degenerates gracefully to h_e/sqrt(M).
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    raw = rank1_inverse_apply(link.sigma2_e, (1.0 - beta) * link.p_s, link.h_b, link.h_e)
+    return _normalize(raw)
+
+
+def leakage_pair(link: SteeredLink, beta: float) -> BeamformingPair:
+    """Both leakage-optimal vectors for one power split."""
+    return BeamformingPair(
+        v_b=slnr_beamformer(link, beta),
+        v_an=anlnr_beamformer(link, beta),
+    )
+
+
+def projected_powers(link: SteeredLink, bf: BeamformingPair) -> ProjectedPowers:
+    """Project both beamformers onto both steering vectors.
+
+    The powers are returned as Python floats: the scalar arithmetic of the
+    power allocation and the loop runs faster on them than on numpy scalars,
+    with the same IEEE results.
+    """
+    return ProjectedPowers(
+        *(float(abs(np.vdot(h, v)) ** 2) for h in (link.h_b, link.h_e) for v in (bf.v_b, bf.v_an))
     )

@@ -14,7 +14,6 @@ from uavsec import (
     AisConfig,
     ArrayConfig,
     ScenarioGeometry,
-    anlnr_beamformer,
     beta_grid_oracle,
     leakage_pair,
     link_state_at,
@@ -22,11 +21,10 @@ from uavsec import (
     optimize_point,
     run_baseline,
     sample_trajectory,
-    slnr_beamformer,
 )
 from uavsec.harness import dbm_to_mw, parse_config_text, run_experiment, write_results
-from oracle import f_value, rational_coefficients
-from uavsec.rates import projected_powers, rate_bob, rate_eve
+from oracle import anlnr_beamformer, f_value, rational_coefficients, slnr_beamformer
+from uavsec.rates import split_rates
 
 from helpers import random_instance, random_link, symmetric_link
 
@@ -110,8 +108,7 @@ def test_acceptance_2_closed_form_matches_fine_grid():
     for m in (4, 8, 16):
         for ps_dbm in (10.0, 20.0, 30.0):
             for i in range(112):
-                link, bf = random_instance(rng, i, m, ps_dbm)
-                powers = projected_powers(link, bf)
+                link, powers = random_instance(rng, i, m, ps_dbm)
                 sol = optimal_beta(link, powers)
                 _, f_grid = beta_grid_oracle(link, powers, 1e-4)
                 worst = max(
@@ -131,11 +128,11 @@ def test_acceptance_3_coefficient_identity():
     worst = 0.0
     for i in range(200):
         m = (4, 8, 16)[i % 3]
-        link, bf = random_instance(rng, i, m, (10.0, 20.0, 30.0)[i % 3])
-        coeffs = rational_coefficients(link, projected_powers(link, bf))
+        link, powers = random_instance(rng, i, m, (10.0, 20.0, 30.0)[i % 3])
+        coeffs = rational_coefficients(link, powers)
         for beta in grid:
-            direct = rate_bob(link, bf, float(beta)) - rate_eve(link, bf, float(beta))
-            worst = max(worst, abs(f_value(coeffs, float(beta)) - direct))
+            r_b, r_e = split_rates(link, powers, float(beta))
+            worst = max(worst, abs(f_value(coeffs, float(beta)) - (r_b - r_e)))
     ok = worst <= 1e-9
     _report(3, "quadratic-ratio coefficients reproduce the rate difference",
             ok, f"worst gap {worst:.3e}")
@@ -193,8 +190,7 @@ def test_acceptance_7_identical_channels_leak_nothing():
     for beta in (0.5, 0.9):
         _, breakdown = run_baseline(link, beta)
         worst = max(worst, breakdown.secrecy_rate)
-    bf = leakage_pair(link, 0.5)
-    _, f_grid = beta_grid_oracle(link, projected_powers(link, bf), 1e-3)
+    _, f_grid = beta_grid_oracle(link, leakage_pair(link, 0.5), 1e-3)
     worst = max(worst, max(0.0, f_grid))
     ok = worst <= 1e-12
     _report(7, "identical Bob/Eve channels give zero secrecy",

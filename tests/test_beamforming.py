@@ -1,30 +1,34 @@
+"""The closed-form projected powers against the vector reference, and the
+vector reference (``oracle``) against first principles."""
+
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from uavsec import (
-    ArrayConfig,
-    LinkState,
+from uavsec import ArrayConfig, leakage_pair
+from uavsec.rates import rates_at
+
+from helpers import random_link, random_unit, symmetric_link
+from oracle import (
     anlnr_beamformer,
     anlnr_value,
+    projected_powers,
+    rank1_inverse_apply,
     slnr_beamformer,
     slnr_value,
-    steering_vector,
+    steered_link,
 )
-from uavsec.beamforming import leakage_pair, rank1_inverse_apply
-from uavsec.rates import secrecy_rate
-
-from helpers import random_link, random_unit
+import oracle
 
 
 def orthogonal_steering_link(p_s=10.0):
     """M=4 half-wavelength ULA: broadside and arccos(1/2) are orthogonal."""
-    arr = ArrayConfig(4)
-    h_b = steering_vector(math.pi / 2, arr)
-    h_e = steering_vector(math.acos(0.5), arr)
-    assert abs(np.vdot(h_b, h_e)) < 1e-12
-    return LinkState(h_b=h_b, h_e=h_e, g_ab=1e-4, g_ae=1e-4,
-                     sigma2_b=1e-5, sigma2_e=1e-5, p_s=p_s)
+    link = steered_link(math.pi / 2, math.acos(0.5), ArrayConfig(4), g_ab=1e-4, g_ae=1e-4,
+                        sigma2_b=1e-5, sigma2_e=1e-5, p_s=p_s)
+    assert abs(np.vdot(link.h_b, link.h_e)) < 1e-12
+    return link
 
 
 def cosine_similarity(u, v):
@@ -95,11 +99,7 @@ class TestSlnr:
         rng = np.random.default_rng(5)
         link = random_link(rng, 8)
         # beta1 * Ps / sigma2 kept fixed while each factor changes
-        scaled = LinkState(
-            h_b=link.h_b, h_e=link.h_e, g_ab=link.g_ab, g_ae=link.g_ae,
-            sigma2_b=link.sigma2_b * 4.0, sigma2_e=link.sigma2_e,
-            p_s=link.p_s * 8.0,
-        )
+        scaled = replace(link, sigma2_b=link.sigma2_b * 4.0, p_s=link.p_s * 8.0)
         v1 = slnr_beamformer(link, 0.5)
         v2 = slnr_beamformer(scaled, 0.25)
         assert np.allclose(v1, v2, atol=1e-12)
@@ -161,7 +161,7 @@ def test_outputs_unit_norm_and_deterministic_phase():
     for _ in range(20):
         link = random_link(rng, 16)
         beta = rng.uniform(0, 1)
-        bf = leakage_pair(link, beta)
+        bf = oracle.leakage_pair(link, beta)
         assert abs(np.linalg.norm(bf.v_b) - 1.0) < 1e-12
         assert abs(np.linalg.norm(bf.v_an) - 1.0) < 1e-12
         assert bf.v_b[0].real >= 0 and abs(bf.v_b[0].imag) < 1e-12
@@ -185,16 +185,34 @@ def test_rank1_identity_matches_dense_solve():
 
 
 def test_parallel_channels_at_high_power_stay_finite():
-    # h_b == h_e at 50 dBm over a -110 dBm noise floor: the whitening term
-    # dwarfs the loading, so the Sherman-Morrison correction rounds to
-    # exactly 1 along the channel.
-    h = steering_vector(1.0, ArrayConfig(8))
-    link = LinkState(h_b=h, h_e=h.copy(), g_ab=1e-4, g_ae=1e-4,
-                     sigma2_b=1e-11, sigma2_e=1e-11, p_s=1e5)
-    for beta in (0.1, 0.5, 0.9):
-        bf = leakage_pair(link, beta)
-        assert abs(np.linalg.norm(bf.v_b) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(bf.v_an) - 1.0) < 1e-12
-        rates = secrecy_rate(link, bf, beta)
-        assert all(math.isfinite(r) for r in (rates.rate_bob, rates.rate_eve))
-        assert rates.secrecy_rate == 0.0
+    # h_b == h_e at 50 dBm over a -110 dBm noise floor: D = 0, so both
+    # vectors are the matched filter whatever the split, and each projected
+    # power is the full array gain M.
+    for m in (3, 8, 1024):
+        link = replace(symmetric_link(m, p_s=1e5), sigma2_b=1e-11, sigma2_e=1e-11)
+        assert link.separation == 0.0
+        for beta in (0.1, 0.5, 0.9):
+            powers = leakage_pair(link, beta)
+            assert powers.u_b == powers.w_e == powers.u_e == powers.w_b == m
+            rates = rates_at(link, powers, beta)
+            assert all(math.isfinite(r) for r in (rates.rate_bob, rates.rate_eve))
+            assert rates.secrecy_rate == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 64, 256, 1024])
+def test_closed_form_matches_vector_projections(m):
+    rng = np.random.default_rng(m)
+    arr = ArrayConfig(m)
+    worst = 0.0
+    for _ in range(60):
+        theta_b, theta_e = rng.uniform(0.0, math.pi, size=2)
+        if abs(theta_b - theta_e) < 0.05:
+            continue
+        p_s, sigma2_e = 10.0 ** rng.uniform(-4, 19), 10.0 ** rng.uniform(-1, 1)
+        link = steered_link(theta_b, theta_e, arr, g_ab=1.0, g_ae=1.0, sigma2_b=1.0,
+                            sigma2_e=sigma2_e, p_s=p_s)
+        for beta in (0.0, rng.uniform(0.0, 1.0), 1.0):
+            closed = leakage_pair(link, beta)
+            vector = projected_powers(link, oracle.leakage_pair(link, beta))
+            worst = max(worst, max(abs(c - v) for c, v in zip(closed, vector)))
+    assert worst <= 1e-12 * m

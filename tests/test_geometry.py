@@ -8,10 +8,12 @@ from uavsec import (
     ConfigurationError,
     LinkState,
     ScenarioGeometry,
+    array_separation,
     path_loss,
     sample_trajectory,
-    steering_vector,
 )
+
+from oracle import steering_vector
 
 
 class TestSteeringVector:
@@ -51,6 +53,37 @@ class TestSteeringVector:
             ArrayConfig(1)
         with pytest.raises(ConfigurationError):
             ArrayConfig(4, spacing=0.0)
+
+
+class TestArraySeparation:
+    def test_matches_steering_vectors(self):
+        rng = np.random.default_rng(3)
+        for m in (2, 3, 8, 64, 1024):
+            arr = ArrayConfig(m, spacing=rng.uniform(0.1, 1.0))
+            for theta_b, theta_e in rng.uniform(0, math.pi, size=(20, 2)):
+                h_b, h_e = steering_vector(theta_b, arr), steering_vector(theta_e, arr)
+                d = m * m - abs(np.vdot(h_e, h_b)) ** 2
+                assert abs(array_separation(theta_b, theta_e, arr) - d) <= 1e-12 * m * m
+
+    def test_near_parallel_limit(self):
+        # D -> M^2 (M^2 - 1) y^2 / 3 as y -> 0, where M^2 - |h_e^H h_b|^2
+        # from the vectors is all rounding error.
+        rng = np.random.default_rng(4)
+        for m in (2, 4, 64, 1024):
+            arr = ArrayConfig(m)
+            for theta_b in rng.uniform(0.1, math.pi - 0.1, size=10):
+                theta_e = theta_b + 10.0 ** rng.uniform(-14, -9)
+                y = 2.0 * math.pi * arr.spacing * math.sin(0.5 * (theta_b + theta_e)) \
+                    * math.sin(0.5 * (theta_e - theta_b))
+                assert (m * y) ** 2 <= 1e-13
+                limit = m * m * (m * m - 1) * y * y / 3.0
+                d = array_separation(theta_b, theta_e, arr)
+                assert abs(d - limit) <= 1e-12 * limit
+
+    def test_identical_and_orthogonal_directions(self):
+        assert array_separation(1.0, 1.0, ArrayConfig(8)) == 0.0
+        # Broadside and arccos(1/2) are orthogonal on a half-wavelength M=4 ULA.
+        assert array_separation(math.pi / 2, math.acos(0.5), ArrayConfig(4)) == pytest.approx(16.0)
 
 
 class TestTrajectory:
@@ -118,10 +151,9 @@ class TestPathLoss:
 
 class TestLinkState:
     def test_positivity_enforced(self):
-        h = steering_vector(1.0, ArrayConfig(4))
         with pytest.raises(ValueError):
-            LinkState(h_b=h, h_e=h, g_ab=0.0, g_ae=1e-4,
+            LinkState(num_antennas=4, separation=0.0, g_ab=0.0, g_ae=1e-4,
                       sigma2_b=1e-7, sigma2_e=1e-7, p_s=10.0)
         with pytest.raises(ValueError):
-            LinkState(h_b=h, h_e=h, g_ab=1e-4, g_ae=1e-4,
+            LinkState(num_antennas=4, separation=0.0, g_ab=1e-4, g_ae=1e-4,
                       sigma2_b=1e-7, sigma2_e=-1e-7, p_s=10.0)

@@ -286,6 +286,10 @@ class TestCli:
         ("sweep.power_dbm=10,301", ["run"], "sweep.power_dbm: 301 dBm is outside"),
         ("", ["sweep-power", "--powers", "-400"], "--powers: -400 dBm is outside"),
         ("geometry.sample_interval=1e-9", ["run"], "geometry.sample_interval: the 800 m"),
+        ("sweep.antennas=1", ["run"], "sweep.antennas: 1 is outside [2, 1000000]"),
+        ("sweep.antennas=1000000000000", ["run"], "sweep.antennas: 1000000000000 is outside"),
+        ("", ["sweep-antennas", "--antennas", "0"], "--antennas: 0 is outside [2, 1000000]"),
+        ("", ["sweep-antennas", "--antennas", "8,1000001"], "--antennas: 1000001 is outside"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):

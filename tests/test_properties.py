@@ -14,10 +14,10 @@ from functools import partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavsec import ArrayConfig, LinkState, steering_vector
+from uavsec import ArrayConfig, LinkState, array_separation
 from uavsec.ais import AisConfig, closed_form_step, optimize_point
 from uavsec.power_allocation import beta_grid_oracle, optimal_beta
-from uavsec.rates import projected_powers, rates_at
+from uavsec.rates import rates_at
 
 CFG = AisConfig()
 GRID_STEP = 1e-3
@@ -31,10 +31,9 @@ def links(draw):
     theta_b, theta_e = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, math.pi))
     g_ab, g_ae = (10.0 ** draw(st.floats(-5.0, -3.0)) for _ in range(2))
     inv_snr_b, inv_snr_e = (10.0 ** draw(st.floats(-3.0, -1.0)) for _ in range(2))
-    arr = ArrayConfig(m)
     return LinkState(
-        h_b=steering_vector(theta_b, arr),
-        h_e=steering_vector(theta_e, arr),
+        num_antennas=m,
+        separation=array_separation(theta_b, theta_e, ArrayConfig(m)),
         g_ab=g_ab,
         g_ae=g_ae,
         sigma2_b=g_ab * p_s * m * inv_snr_b,
@@ -59,8 +58,7 @@ def test_loop_output_is_a_valid_point(link, step):
 @property_settings
 @given(link=links(), step=st.sampled_from(sorted(PA_STEPS)))
 def test_closed_form_at_least_grid_at_same_vectors(link, step):
-    bf, _, _, _ = optimize_point(link, CFG, PA_STEPS[step])
-    powers = projected_powers(link, bf)
+    powers, _, _, _ = optimize_point(link, CFG, PA_STEPS[step])
     closed = optimal_beta(link, powers).secrecy_rate_at_beta
     _, grid = beta_grid_oracle(link, powers, GRID_STEP)
     assert closed >= grid - 1e-9
@@ -69,8 +67,7 @@ def test_closed_form_at_least_grid_at_same_vectors(link, step):
 @property_settings
 @given(link=links())
 def test_ais_beats_fixed_splits_at_its_final_vectors(link):
-    bf, _, rates, _ = optimize_point(link, CFG)
-    powers = projected_powers(link, bf)
+    powers, _, rates, _ = optimize_point(link, CFG)
     for fixed in (0.5, 0.9):
         assert rates.secrecy_rate >= rates_at(link, powers, fixed).secrecy_rate - 1e-9
 
@@ -100,10 +97,9 @@ def extreme_links(draw):
     offset = st.floats(-1e-6, 1e-6).map(lambda d: min(max(theta_b + d, 0.0), math.pi))
     theta_e = draw(st.one_of(st.sampled_from((0.0, math.pi)), offset))
     g_ab, g_ae = (draw(st.floats(20.0, 1000.0)) ** -2.0 for _ in range(2))
-    arr = ArrayConfig(m)
     return LinkState(
-        h_b=steering_vector(theta_b, arr),
-        h_e=steering_vector(theta_e, arr),
+        num_antennas=m,
+        separation=array_separation(theta_b, theta_e, ArrayConfig(m)),
         g_ab=g_ab,
         g_ae=g_ae,
         sigma2_b=1e-11,

@@ -1,12 +1,29 @@
+"""The rate layer on the projected powers of arbitrary unit vectors, which
+the vector reference (``oracle.projected_powers``) supplies."""
+
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uavsec import rate_bob, rate_eve, secrecy_rate, secrecy_sum_rate
-from uavsec.beamforming import BeamformingPair
+from uavsec import secrecy_sum_rate
+from uavsec.rates import rates_at
 
 from helpers import random_link, random_pair, random_unit, symmetric_link
+from oracle import BeamformingPair, projected_powers
+
+
+def secrecy_rate(link, bf, beta):
+    return rates_at(link, projected_powers(link, bf), beta)
+
+
+def rate_bob(link, bf, beta):
+    return secrecy_rate(link, bf, beta).rate_bob
+
+
+def rate_eve(link, bf, beta):
+    return secrecy_rate(link, bf, beta).rate_eve
 
 
 def manual_rate(g, beta, p_s, h, v_b, v_an, sigma2):
@@ -64,10 +81,7 @@ def test_rate_eve_term_by_term():
 def test_rate_eve_vanishes_without_path_gain():
     rng = np.random.default_rng(4)
     link = random_link(rng, 8)
-    weak = type(link)(
-        h_b=link.h_b, h_e=link.h_e, g_ab=link.g_ab, g_ae=1e-30,
-        sigma2_b=link.sigma2_b, sigma2_e=link.sigma2_e, p_s=link.p_s,
-    )
+    weak = replace(link, g_ae=1e-30)
     bf = random_pair(rng, 8)
     for beta in (0.1, 0.5, 0.9, 1.0):
         assert rate_eve(weak, bf, beta) < 1e-15
@@ -128,10 +142,8 @@ def test_global_phase_invariance():
 def test_joint_noise_power_scaling_invariance():
     rng = np.random.default_rng(9)
     link = random_link(rng, 8)
-    scaled = type(link)(
-        h_b=link.h_b, h_e=link.h_e, g_ab=link.g_ab, g_ae=link.g_ae,
-        sigma2_b=link.sigma2_b * 37.0, sigma2_e=link.sigma2_e * 37.0,
-        p_s=link.p_s * 37.0,
+    scaled = replace(
+        link, sigma2_b=link.sigma2_b * 37.0, sigma2_e=link.sigma2_e * 37.0, p_s=link.p_s * 37.0
     )
     bf = random_pair(rng, 8)
     for beta in (0.3, 0.8):
