@@ -7,6 +7,7 @@ from .geometry import (
     ConfigurationError,
     LinkState,
     ScenarioGeometry,
+    Trajectory,
     TrajectoryPoint,
     array_separation,
     link_state_at,
@@ -35,6 +36,7 @@ __all__ = [
     "ConfigurationError",
     "LinkState",
     "ScenarioGeometry",
+    "Trajectory",
     "TrajectoryPoint",
     "array_separation",
     "link_state_at",

@@ -1,21 +1,28 @@
 """Alternating loop between leakage beamforming and Max-SR power allocation.
 
-One sampling point at a time: compute both beamformers for the current power
-split, re-optimize the split for those vectors, and repeat until the signed
-secrecy rate stops moving. The power-allocation (PA) step is the closed form
-by default; the grid-oracle strategy passes the exhaustive grid search, so
-both run the same loop and stopping rule. The beamforming step optimizes
-leakage ratios, not the secrecy rate itself, so the iteration is not
-guaranteed monotone; the stopping rule plus an iteration cap handle that.
+Per sampling point: compute both beamformers for the current power split,
+re-optimize the split for those vectors, and repeat until the signed secrecy
+rate stops moving. The power-allocation (PA) step is the closed form by
+default; the grid-oracle strategy passes the exhaustive grid search, so both
+run the same loop and stopping rule. The beamforming step optimizes leakage
+ratios, not the secrecy rate itself, so the iteration is not guaranteed
+monotone; the stopping rule plus an iteration cap handle that.
+
+A batched link runs all its lanes through the loop together. Each lane
+retires on its own stopping test (a per-lane mask) and keeps its own
+iteration count and result, exactly as if it ran alone; the loop ends when
+the last lane stops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import power_allocation
 from .beamforming import leakage_pair
 from .geometry import LinkState
-from .power_allocation import optimal_beta
 from .rates import ProjectedPowers, RateBreakdown, rates_at, split_rates
 
 
@@ -39,7 +46,8 @@ class AisIteration:
     """State after one beamform-then-reallocate cycle.
 
     ``beta`` is the freshly optimized split; ``f_value`` is the signed
-    secrecy rate at that split with the vectors computed this cycle.
+    secrecy rate at that split with the vectors computed this cycle. Lanes
+    that already stopped keep their final values.
     """
 
     beta: float
@@ -53,45 +61,55 @@ class AisTrace:
     iterations_used: int
 
 
-def closed_form_step(link: LinkState, powers: ProjectedPowers) -> tuple[float, float]:
+def closed_form_step(link: LinkState, powers: ProjectedPowers):
     """The default PA step: the closed-form Max-SR split."""
-    sol = optimal_beta(link, powers)
+    sol = power_allocation.optimal_beta(link, powers)
     return sol.beta_star, sol.secrecy_rate_at_beta
 
 
 def optimize_point(
     link: LinkState, cfg: AisConfig = AisConfig(), pa_step=closed_form_step
 ) -> tuple[ProjectedPowers, float, RateBreakdown, AisTrace]:
-    """Run the alternating iteration at one sampling point.
+    """Run the alternating iteration at one sampling point, or at every lane
+    of a batched link.
 
     ``pa_step(link, powers)`` returns the best split for the projected powers
     of the current vectors and the signed secrecy rate there. Returns the
     final vectors' projected powers, the final split, the rates at that split
-    and the trace.
-    Hitting the iteration cap is a soft failure: the last iterate is
+    and the trace, each per lane. A lane stops once its PA step moves f by at
+    most ``cfg.epsilon``. Hitting the iteration cap is a soft failure: the last iterate is
     returned with ``converged=False`` so a flight sweep can keep going.
     """
-    beta = cfg.beta_init
+    beta = np.full(link.shape, cfg.beta_init)
+    f = np.zeros(link.shape)
+    powers = ProjectedPowers(f, f, f, f)
+    active = np.ones(link.shape, dtype=bool)
+    used = np.zeros(link.shape, dtype=int)
     records: list[AisIteration] = []
-    converged = False
     for _ in range(cfg.max_iterations):
-        powers = leakage_pair(link, beta)
+        new_powers = leakage_pair(link, beta)
         # Convergence compares f at the incoming and re-optimized splits
         # under the same (current) vectors: once the PA step stops moving
-        # the secrecy rate, the loop is done.
-        r_b, r_e = split_rates(link, powers, beta)
-        beta, f_new = pa_step(link, powers)
-        records.append(AisIteration(beta=beta, f_value=f_new))
-        if abs(f_new - (r_b - r_e)) <= cfg.epsilon:
-            converged = True
+        # the secrecy rate, the lane is done.
+        r_b, r_e = split_rates(link, new_powers, beta)
+        new_beta, new_f = pa_step(link, new_powers)
+        done = abs(new_f - (r_b - r_e)) <= cfg.epsilon
+        powers = ProjectedPowers(*np.where(active, new_powers, powers))
+        beta = np.where(active, new_beta, beta)
+        f = np.where(active, new_f, f)
+        used += active
+        active &= ~done
+        records.append(AisIteration(beta=beta[()], f_value=f[()]))
+        if not active.any():
             break
-    trace = AisTrace(iterations=tuple(records), converged=converged, iterations_used=len(records))
-    return powers, beta, rates_at(link, powers, beta), trace
+    powers = ProjectedPowers(*(p[()] for p in powers))
+    trace = AisTrace(iterations=tuple(records), converged=(~active)[()], iterations_used=used[()])
+    return powers, beta[()], rates_at(link, powers, beta[()]), trace
 
 
 def run_baseline(link: LinkState, fixed_beta: float) -> tuple[ProjectedPowers, RateBreakdown]:
     """One-shot leakage beamformers and rates at a fixed power split."""
-    if not 0.0 < fixed_beta < 1.0:
+    if not np.all((0.0 < fixed_beta) & (fixed_beta < 1.0)):
         raise ValueError("fixed_beta must lie in (0, 1)")
     powers = leakage_pair(link, fixed_beta)
     return powers, rates_at(link, powers, fixed_beta)

@@ -21,15 +21,19 @@ directions (D -> 0) keep full relative precision; rho^2 cancels only for
 near-orthogonal ones, where it leaves u_e and w_b an absolute error of order
 eps * M. The steering vectors, the Sherman-Morrison solve and both
 beamformers are kept in the tests as the reference (``tests/oracle.py``).
+All of it is arithmetic, so it runs elementwise over the lanes of a batched
+link and split.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .geometry import LinkState
 from .rates import ProjectedPowers
 
 
-def _toward_and_away(m: int, d: float, rho2: float, t: float) -> tuple[float, float]:
+def _toward_and_away(m: int, d, rho2, t):
     """(|h^H v|^2 toward the intended direction, toward the other one) for
     the leakage vector whose noise share is t.
 
@@ -43,13 +47,13 @@ def _toward_and_away(m: int, d: float, rho2: float, t: float) -> tuple[float, fl
     return away + d * (d + t * (2.0 - t) * rho2) / (m * den), away
 
 
-def leakage_pair(link: LinkState, beta: float) -> ProjectedPowers:
+def leakage_pair(link: LinkState, beta) -> ProjectedPowers:
     """Projected powers of the Max-SLNR and Max-ANLNR vectors at split beta.
 
     beta=0 gives the matched filter v_b = h_b/sqrt(M), beta=1 gives
     v_an = h_e/sqrt(M); both ends are allowed.
     """
-    if not 0.0 <= beta <= 1.0:
+    if not np.all((0.0 <= beta) & (beta <= 1.0)):
         raise ValueError("beta must lie in [0, 1]")
     m, d = link.num_antennas, link.separation
     rho2 = m * m - d

@@ -22,8 +22,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--out", help="output file (default: config output.path)")
     parser.add_argument("--format", choices=("csv", "json"), help="output format override")
-    parser.add_argument("--parallel", type=int, default=1, metavar="K",
-                        help="number of worker processes (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +56,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep-antennas":
             antennas = _parse_list("--antennas", args.antennas, _parse_antennas)
             cfg = with_overrides(cfg, antenna_sweep=antennas)
-        records = run_experiment(cfg, parallel=max(1, args.parallel))
+        records = run_experiment(cfg)
         out = args.out or cfg.output_path
         fmt = args.format or cfg.output_format
         write_results(records, fmt, out)

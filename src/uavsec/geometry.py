@@ -8,6 +8,11 @@ D = M^2 - |h_e^H h_b|^2, where h is the steering vector with entries
 exp(-j 2 pi (m - (M+1)/2) (d/lambda) cos(theta)): how far apart the array sees
 the UAV and the eavesdropper. ``array_separation`` computes D without forming
 either vector; the vectors themselves are kept only as a test oracle.
+
+The sweep works on lanes: ``sample_trajectory`` returns the whole flight as
+arrays, and ``link_state_at`` and everything downstream take arrays (or
+scalars) elementwise, so one call covers every sample point and transmit
+power of a sweep. A single point is the same call on scalars.
 """
 
 from __future__ import annotations
@@ -40,7 +45,22 @@ class ArrayConfig:
             raise ConfigurationError("spacing (d/lambda) must be positive")
 
 
-def array_separation(theta_b: float, theta_e: float, array: ArrayConfig) -> float:
+# Elements per intermediate array where a computation over many lanes forms
+# a (lanes x row) array: the array separation (M - 1 terms per point) and the
+# grid search (one grid per lane) take their lanes in chunks of this size, or
+# one lane at a time when a row is longer. 2^14 doubles stay in cache; on the
+# grid search, larger chunks ran slower.
+CHUNK_ELEMENTS = 1 << 14
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each rounded exactly as ``np.dot``
+    rounds one pair of vectors (a matrix-vector product can sum in another
+    order, which also differs with the number of rows)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def array_separation(theta_b, theta_e, array: ArrayConfig):
     """D = M^2 - |h_e^H h_b|^2 for the steering vectors toward two directions.
 
     The squared magnitude of the ULA's Dirichlet kernel expands to
@@ -48,14 +68,25 @@ def array_separation(theta_b: float, theta_e: float, array: ArrayConfig) -> floa
     cos theta_e), so D is that sum of nonnegative terms. The cosine difference
     is formed as a product of sines, which does not cancel for near-parallel
     directions, and D is exactly 0 for identical ones. 0 <= D <= M^2.
+
+    The angles may be arrays (one D per element of their broadcast shape);
+    the points are summed in chunks of ``CHUNK_ELEMENTS`` elements (or one
+    point, when M - 1 is larger), and a point's D does not depend on the
+    chunk it falls in.
     """
     m = array.num_antennas
-    y = -2.0 * math.pi * array.spacing * math.sin(0.5 * (theta_b + theta_e)) * math.sin(
+    y = -2.0 * math.pi * array.spacing * np.sin(0.5 * (theta_b + theta_e)) * np.sin(
         0.5 * (theta_b - theta_e)
     )
-    k = np.arange(1, m)
+    flat = np.reshape(y, -1)
+    k = np.arange(1.0, m)
+    weights = m - k
+    rows = max(1, CHUNK_ELEMENTS // (m - 1))
+    total = np.concatenate(
+        [_rowdot(np.sin(flat[lo : lo + rows, None] * k) ** 2, weights) for lo in range(0, flat.size, rows)]
+    )
     # Rounding can carry the sum past M^2 for orthogonal directions.
-    return min(4.0 * float(np.dot(m - k, np.sin(k * y) ** 2)), float(m * m))
+    return np.minimum(4.0 * total, float(m * m)).reshape(np.shape(y))[()]
 
 
 @dataclass(frozen=True)
@@ -111,23 +142,45 @@ class TrajectoryPoint(NamedTuple):
     d_ae: float
 
 
-def _direction_angle(origin: np.ndarray, target: np.ndarray) -> tuple[float, float]:
-    """Angle from the +x array axis to the origin->target line, and distance."""
+@dataclass(frozen=True)
+class Trajectory:
+    """The sampled flight as arrays over its N points (``bob_position`` is
+    N x 3); the eavesdropper's angle and distance are scalars. Indexing gives
+    one ``TrajectoryPoint``, slicing a list of them."""
+
+    sample_index: np.ndarray
+    bob_position: np.ndarray
+    theta_b: np.ndarray
+    theta_e: float
+    d_ab: np.ndarray
+    d_ae: float
+
+    def __len__(self) -> int:
+        return len(self.sample_index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return TrajectoryPoint(int(self.sample_index[i]), tuple(self.bob_position[i].tolist()),
+                               float(self.theta_b[i]), self.theta_e, float(self.d_ab[i]), self.d_ae)
+
+
+def _direction_angle(origin: np.ndarray, target: np.ndarray):
+    """Angle from the +x array axis to each origin->target line, and distance."""
     delta = target - origin
-    dist = float(np.linalg.norm(delta))
-    if dist == 0:
+    dist = np.sqrt(_rowdot(delta, delta))
+    if np.any(dist == 0):
         raise ValueError("coincident points have no direction angle")
-    return float(np.arccos(np.clip(delta[0] / dist, -1.0, 1.0))), dist
+    return np.arccos(np.clip(delta[..., 0] / dist, -1.0, 1.0)), dist
 
 
-def sample_trajectory(geom: ScenarioGeometry) -> list[TrajectoryPoint]:
+def sample_trajectory(geom: ScenarioGeometry) -> Trajectory:
     """Equally spaced UAV positions with per-point angles and distances.
 
     N = floor((L/V)/dt) points, indexed 1..N; the eavesdropper angle and
     distance are constant across the flight.
     """
     alice = np.asarray(geom.alice, dtype=float)
-    eve = np.asarray(geom.eve, dtype=float)
     s = np.asarray(geom.flight_start, dtype=float)
     d = np.asarray(geom.flight_end, dtype=float)
     length = geom.flight_length
@@ -137,33 +190,29 @@ def sample_trajectory(geom: ScenarioGeometry) -> list[TrajectoryPoint]:
             "trajectory shorter than one sample interval; no points to evaluate"
         )
     unit = (d - s) / length
-    theta_e, d_ae = _direction_angle(alice, eve)
-    points = []
-    for n in range(1, n_points + 1):
-        pos = s + (n * geom.sample_interval * geom.speed) * unit
-        theta_b, d_ab = _direction_angle(alice, pos)
-        points.append(
-            TrajectoryPoint(
-                n, (float(pos[0]), float(pos[1]), float(pos[2])), theta_b, theta_e, d_ab, d_ae
-            )
-        )
-    return points
+    n = np.arange(1, n_points + 1)
+    pos = s + (n * geom.sample_interval * geom.speed)[:, None] * unit
+    theta_b, d_ab = _direction_angle(alice, pos)
+    theta_e, d_ae = _direction_angle(alice, np.asarray(geom.eve, dtype=float))
+    return Trajectory(n, pos, theta_b, float(theta_e), d_ab, float(d_ae))
 
 
-def path_loss(distance: float, geom: ScenarioGeometry) -> float:
-    """Linear power gain alpha/d^c at the given distance in meters."""
-    if distance <= 0:
+def path_loss(distance, geom: ScenarioGeometry):
+    """Linear power gain alpha/d^c at the given distance(s) in meters."""
+    if np.any(distance <= 0):
         raise ValueError("path loss undefined at zero distance")
     return geom.reference_gain / distance**geom.path_loss_exponent
 
 
 @dataclass(frozen=True)
 class LinkState:
-    """Everything needed to evaluate one sampling point.
+    """Everything needed to evaluate one sampling point, or a batch of them.
 
     ``separation`` is ``array_separation`` for the UAV and eavesdropper
     directions on a ``num_antennas``-element array; gains are linear, powers
-    and noise variances in mW.
+    and noise variances in mW. Each field after ``num_antennas`` is a scalar
+    or an array; their broadcast shape, ``shape``, is the lane shape of the
+    batch, and every computation on the link is elementwise over it.
     """
 
     num_antennas: int
@@ -177,19 +226,26 @@ class LinkState:
 
     def __post_init__(self):
         for name in ("g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s"):
-            if getattr(self, name) <= 0:
+            if not np.greater(getattr(self, name), 0).all():
                 raise ValueError(f"{name} must be strictly positive")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return np.broadcast_shapes(*(np.shape(v) for v in (
+            self.separation, self.g_ab, self.g_ae, self.sigma2_b, self.sigma2_e, self.p_s)))
 
 
 def link_state_at(
-    point: TrajectoryPoint,
+    point: TrajectoryPoint | Trajectory,
     geom: ScenarioGeometry,
     array: ArrayConfig,
-    sigma2_b: float,
-    sigma2_e: float,
-    p_s: float,
+    sigma2_b,
+    sigma2_e,
+    p_s,
 ) -> LinkState:
-    """Assemble the per-point link state from geometry and array config."""
+    """Assemble the link state of one point, or of a whole trajectory, from
+    geometry and array config; the powers and noise floors broadcast against
+    the points (``p_s`` of shape (P, 1) gives P x N lanes)."""
     return LinkState(
         num_antennas=array.num_antennas,
         separation=array_separation(point.theta_b, point.theta_e, array),

@@ -4,22 +4,30 @@ Configs are flat ``section.key=value`` text; defaults reproduce the baseline
 scenario (half-wavelength spacing, free-space-like exponent 2, 800 m flight
 at 20 m altitude and 8 m/s, eavesdropper 200 m from the array). dBm to mW
 conversion happens only here; everything below works in linear power.
+
+A run samples the trajectory once and builds one batched link state per
+antenna count M, with P x N lanes over the P transmit powers and N sample
+points; each strategy then evaluates all lanes of an M in one call.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .ais import AisConfig, closed_form_step, optimize_point, run_baseline
 from .geometry import (
     ArrayConfig,
     ConfigurationError,
+    LinkState,
     ScenarioGeometry,
     link_state_at,
     sample_trajectory,
@@ -39,7 +47,8 @@ MAX_ABS_DBM = 300.0
 # Upper bound on the trajectory samples one sweep combination may evaluate.
 MAX_SAMPLES = 1_000_000
 
-# Upper bound on the array size; each link state sums M - 1 terms.
+# Upper bound on the array size; the array separation of each sample point
+# sums M - 1 terms.
 MAX_ANTENNAS = 1_000_000
 
 
@@ -285,8 +294,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     strategy: str
     m: int
     ps_dbm: float
@@ -300,64 +308,52 @@ class ResultRecord:
     converged: Optional[bool] = None
 
 
-def _run_combo(
-    cfg: ExperimentConfig, strategy: Strategy, m: int, ps_dbm: float
-) -> list[ResultRecord]:
-    array = ArrayConfig(num_antennas=m, spacing=cfg.array_spacing)
-    sigma2_b = dbm_to_mw(cfg.noise_dbm_bob)
-    sigma2_e = dbm_to_mw(cfg.noise_dbm_eve)
-    p_s = dbm_to_mw(ps_dbm)
+def _run_strategy(cfg: ExperimentConfig, strategy: Strategy, link: LinkState):
+    """(beta, rates, iterations, converged) of one strategy on every lane of
+    ``link``; the last two are None for a fixed split."""
+    if strategy.kind == "fixed":
+        _, breakdown = run_baseline(link, strategy.fixed_beta)
+        return strategy.fixed_beta, breakdown, None, None
     if strategy.kind == "grid_oracle":
         pa_step = partial(beta_grid_oracle, step=cfg.grid_step)
     else:
         pa_step = closed_form_step
-    records = []
-    for point in sample_trajectory(cfg.geometry):
-        link = link_state_at(point, cfg.geometry, array, sigma2_b, sigma2_e, p_s)
-        if strategy.kind == "fixed":
-            beta = strategy.fixed_beta
-            _, breakdown = run_baseline(link, beta)
-            iterations, converged = None, None
-        else:
-            _, beta, breakdown, trace = optimize_point(link, cfg.ais, pa_step)
-            iterations, converged = trace.iterations_used, trace.converged
-        records.append(
-            ResultRecord(
-                strategy=strategy.name,
-                m=m,
-                ps_dbm=ps_dbm,
-                n=point.sample_index,
-                theta_b=point.theta_b,
-                beta=beta,
-                rate_bob=breakdown.rate_bob,
-                rate_eve=breakdown.rate_eve,
-                secrecy=breakdown.secrecy_rate,
-                iterations=iterations,
-                converged=converged,
-            )
-        )
-    return records
+    _, beta, breakdown, trace = optimize_point(link, cfg.ais, pa_step)
+    return beta, breakdown, trace.iterations_used, trace.converged
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[ResultRecord]:
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Evaluate every (strategy, M, Ps) combination along the trajectory.
 
-    Output order is deterministic (sorted by strategy name, M, Ps, n)
-    regardless of worker scheduling.
+    Output order is deterministic: sorted by strategy name, M, Ps, n.
     """
-    combos = [
-        (strategy, m, ps)
-        for strategy in cfg.strategies
+    traj = sample_trajectory(cfg.geometry)
+    powers = cfg.power_sweep_dbm
+    p_s = np.array([dbm_to_mw(ps) for ps in powers])[:, None]
+    sigma2_b = dbm_to_mw(cfg.noise_dbm_bob)
+    sigma2_e = dbm_to_mw(cfg.noise_dbm_eve)
+    links = [
+        (m, link_state_at(traj, cfg.geometry, ArrayConfig(m, cfg.array_spacing), sigma2_b, sigma2_e, p_s))
         for m in cfg.antenna_sweep
-        for ps in cfg.power_sweep_dbm
     ]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(pool.map(_run_combo, *zip(*[(cfg, s, m, p) for s, m, p in combos])))
-    else:
-        chunks = [_run_combo(cfg, s, m, p) for s, m, p in combos]
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.strategy, r.m, r.ps_dbm, r.n))
+    shape = (len(powers), len(traj))
+    lanes = (
+        np.repeat(powers, len(traj)).tolist(),
+        np.tile(traj.sample_index, len(powers)).tolist(),
+        np.tile(traj.theta_b, len(powers)).tolist(),
+    )
+    records = []
+    for strategy in cfg.strategies:
+        for m, link in links:
+            beta, breakdown, iterations, converged = _run_strategy(cfg, strategy, link)
+            columns = [
+                repeat(None) if v is None else np.broadcast_to(v, shape).ravel().tolist()
+                for v in (beta, breakdown.rate_bob, breakdown.rate_eve, breakdown.secrecy_rate,
+                          iterations, converged)
+            ]
+            records.extend(map(ResultRecord, repeat(strategy.name), repeat(m), *lanes, *columns))
+    # By (strategy, M, Ps, n), the first four fields.
+    records.sort(key=itemgetter(0, 1, 2, 3))
     return records
 
 
@@ -386,29 +382,41 @@ def summarize(records: Iterable[ResultRecord]) -> list[dict]:
     return out
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+# The record fields, in CSV header order, that hold floats.
+_FLOAT_COLUMNS = (2, 4, 5, 6, 7, 8)
+
+# One record as a CSV line, and as an element of ``json.dumps(rows, indent=2)``.
+_CSV_RECORD = ",".join(["{}"] * len(CSV_HEADER.split(",")))
+_JSON_RECORD = "  {{\n" + ",\n".join(f'    "{key}": {{}}' for key in CSV_HEADER.split(",")) + "\n  }}"
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _record_row(rec: ResultRecord) -> list[str]:
-    return [
-        rec.strategy,
-        str(rec.m),
-        _fmt(rec.ps_dbm),
-        str(rec.n),
-        _fmt(rec.theta_b),
-        _fmt(rec.beta),
-        _fmt(rec.rate_bob),
-        _fmt(rec.rate_eve),
-        _fmt(rec.secrecy),
-        "" if rec.iterations is None else str(rec.iterations),
-        "" if rec.converged is None else str(rec.converged).lower(),
-    ]
+def _text_columns(records: list[ResultRecord], null: str) -> list:
+    """The records' fields as columns: floats as 12-digit text, the absent
+    iteration fields as ``null``. Each column is one C-level ``map`` pass."""
+    columns = list(zip(*records))
+    for i in _FLOAT_COLUMNS:
+        columns[i] = map("{:.12g}".format, columns[i])
+    columns[9] = map({None: null}.get, columns[9], columns[9])
+    columns[10] = map({None: null, True: "true", False: "false"}.get, columns[10])
+    return columns
+
+
+def _json_floats(texts) -> list[str]:
+    """Each 12-digit value as ``json.dumps`` writes the float it parses to."""
+    texts = list(map(repr, map(float, texts)))
+    return list(map(_JSON_NONFINITE.get, texts, texts))
 
 
 def write_results(records: list[ResultRecord], fmt: str, path: str | Path):
     """Write records as CSV (fixed header) or a JSON array, 12 significant
-    digits for floats in both."""
+    digits for floats in both.
+
+    The JSON bytes are those of ``json.dumps(rows, indent=2)`` over one dict
+    per record, written from a per-record template: with ``indent`` set,
+    ``json`` falls back to its pure-Python encoder.
+    """
     if not records:
         raise ValueError("no records to write")
     if fmt not in _VALID_FORMATS:
@@ -416,30 +424,14 @@ def write_results(records: list[ResultRecord], fmt: str, path: str | Path):
     path = Path(path)
     try:
         if fmt == "csv":
-            lines = [CSV_HEADER]
-            lines.extend(",".join(_record_row(rec)) for rec in records)
+            lines = [CSV_HEADER, *map(_CSV_RECORD.format, *_text_columns(records, ""))]
             path.write_text("\n".join(lines) + "\n")
         else:
-            fields = CSV_HEADER.split(",")
-            rows = []
-            for rec in records:
-                row = dict(zip(fields, _record_row(rec)))
-                rows.append(
-                    {
-                        "strategy": row["strategy"],
-                        "M": rec.m,
-                        "Ps_dbm": float(row["Ps_dbm"]),
-                        "n": rec.n,
-                        "theta_b": float(row["theta_b"]),
-                        "beta": float(row["beta"]),
-                        "Rb": float(row["Rb"]),
-                        "Re": float(row["Re"]),
-                        "Rs": float(row["Rs"]),
-                        "iterations": rec.iterations,
-                        "converged": rec.converged,
-                    }
-                )
-            path.write_text(json.dumps(rows, indent=2) + "\n")
+            columns = _text_columns(records, "null")
+            columns[0] = map({name: json.dumps(name) for name in set(columns[0])}.get, columns[0])
+            for i in _FLOAT_COLUMNS:
+                columns[i] = _json_floats(columns[i])
+            path.write_text("[\n" + ",\n".join(map(_JSON_RECORD.format, *columns)) + "\n]\n")
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 

@@ -5,6 +5,7 @@ the power allocation and the alternating loop see the beamformers only
 through the four projected powers of ``ProjectedPowers``, which
 ``beamforming.leakage_pair`` gives in closed form; no steering or beamforming
 vector is ever formed (projecting actual vectors is the tests' reference).
+Every function is elementwise over the lanes of a batched ``LinkState``.
 """
 
 from __future__ import annotations
@@ -35,18 +36,16 @@ class RateBreakdown:
 
 
 def split_rates(link: LinkState, powers: ProjectedPowers, beta):
-    """(R_b, R_e) at power split ``beta``, a float or a numpy array of splits.
+    """(R_b, R_e) at power split ``beta``, broadcast against the lanes.
 
     Each receiver sees the confidential share beta*Ps through u and the
     artificial-noise share (1-beta)*Ps through w, on top of its noise floor.
+    Of ``link`` only g_ab, g_ae, sigma2_b, sigma2_e and p_s are read.
     """
-    # A single split takes math.log2: numpy's scalar path is slower and can
-    # differ from it in the last bit. A grid of splits takes np.log2.
-    log2 = np.log2 if isinstance(beta, np.ndarray) else math.log2
 
     def rate(gain, u, w, sigma2):
         signal = gain * beta * link.p_s * u
-        return log2(1.0 + signal / (gain * (1.0 - beta) * link.p_s * w + sigma2))
+        return np.log2(1.0 + signal / (gain * (1.0 - beta) * link.p_s * w + sigma2))
 
     return (
         rate(link.g_ab, powers.u_b, powers.w_b, link.sigma2_b),
@@ -56,10 +55,12 @@ def split_rates(link: LinkState, powers: ProjectedPowers, beta):
 
 def rates_at(link: LinkState, powers: ProjectedPowers, beta: float) -> RateBreakdown:
     """Bob's and Eve's rates and the secrecy rate max{0, R_b - R_e}."""
-    if not 0.0 <= beta <= 1.0:
+    if not np.all((0.0 <= beta) & (beta <= 1.0)):
         raise ValueError("beta must lie in [0, 1]")
     r_b, r_e = split_rates(link, powers, beta)
-    return RateBreakdown(rate_bob=r_b, rate_eve=r_e, secrecy_rate=max(0.0, r_b - r_e))
+    diff = r_b - r_e
+    # max{0, diff} as Python's max(0.0, diff) gives it: 0 for a NaN difference.
+    return RateBreakdown(rate_bob=r_b, rate_eve=r_e, secrecy_rate=np.where(diff > 0.0, diff, 0.0)[()])
 
 
 def secrecy_sum_rate(rate_differences: Iterable[float]) -> float:

