@@ -21,8 +21,9 @@ from .ais import AisConfig, AisTrace, optimize_point, run_baseline
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    ResultRecord,
+    ResultBlock,
     Strategy,
+    SweepResult,
     parse_config,
     parse_config_text,
     run_experiment,
@@ -56,8 +57,9 @@ __all__ = [
     "run_baseline",
     "ConfigError",
     "ExperimentConfig",
-    "ResultRecord",
+    "ResultBlock",
     "Strategy",
+    "SweepResult",
     "parse_config",
     "parse_config_text",
     "run_experiment",

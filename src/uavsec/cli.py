@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .geometry import ConfigurationError
 from .harness import (
@@ -13,7 +14,6 @@ from .harness import (
     parse_config,
     run_experiment,
     summarize,
-    with_overrides,
     write_results,
 )
 
@@ -52,19 +52,19 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.command == "sweep-power":
             powers = _parse_list("--powers", args.powers, _parse_dbm)
-            cfg = with_overrides(cfg, power_sweep_dbm=powers)
+            cfg = replace(cfg, power_sweep_dbm=powers)
         elif args.command == "sweep-antennas":
             antennas = _parse_list("--antennas", args.antennas, _parse_antennas)
-            cfg = with_overrides(cfg, antenna_sweep=antennas)
-        records = run_experiment(cfg)
+            cfg = replace(cfg, antenna_sweep=antennas)
+        result = run_experiment(cfg)
         out = args.out or cfg.output_path
         fmt = args.format or cfg.output_format
-        write_results(records, fmt, out)
+        write_results(result, fmt, out)
     except (ConfigurationError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(records)} records to {out} ({fmt})")
-    summary = summarize(records)
+    print(f"wrote {len(result)} records to {out} ({fmt})")
+    summary = summarize(result)
     for row in summary:
         if row["nonconverged"]:
             print(

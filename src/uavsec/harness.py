@@ -7,19 +7,21 @@ conversion happens only here; everything below works in linear power.
 
 A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
-points; each strategy then evaluates all lanes of an M in one call.
+points; each strategy then evaluates all lanes of an M in one call. The
+results stay in those lane arrays, one block per (strategy, M), which
+``summarize`` and the writers read row by row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .power_allocation import beta_grid_oracle
 from .rates import secrecy_sum_rate
 
 CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
+_FIELDS = CSV_HEADER.split(",")
 
 _VALID_FORMATS = ("csv", "json")
 
@@ -180,6 +183,20 @@ def _parse_list(key: str, raw: str, conv) -> tuple:
     return values
 
 
+def _parse_strategies(key: str, raw: str) -> tuple[Strategy, ...]:
+    """The strategies, which must also differ in name: rows are grouped and
+    sorted by it."""
+    strategies = _parse_list(key, raw, lambda k, tok: parse_strategy(tok))
+    tokens = {}
+    for token, strategy in zip((p.strip() for p in raw.split(",") if p.strip()), strategies):
+        if strategy.name in tokens:
+            raise ConfigError(
+                f"{key}: {tokens[strategy.name]!r} and {token!r} are both named {strategy.name!r}"
+            )
+        tokens[strategy.name] = token
+    return strategies
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Build a validated config from flat key=value text.
 
@@ -234,7 +251,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         elif key == "sweep.antennas":
             fields["antenna_sweep"] = _parse_list(key, raw, _parse_antennas)
         elif key == "strategies":
-            fields["strategies"] = _parse_list(key, raw, lambda k, tok: parse_strategy(tok))
+            fields["strategies"] = _parse_strategies(key, raw)
         else:
             raise ConfigError(f"unknown config key {key!r}")
     try:
@@ -294,18 +311,42 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-class ResultRecord(NamedTuple):
+@dataclass(frozen=True)
+class ResultBlock:
+    """One (strategy, M) run over every (Ps, n) lane.
+
+    ``beta`` and the rates are (P x N) arrays, rows in the order of
+    ``SweepResult.powers_dbm``, or one scalar for the whole block (a fixed
+    split). ``iterations`` and ``converged`` are None for a strategy that
+    does not iterate.
+    """
+
     strategy: str
     m: int
-    ps_dbm: float
-    n: int
-    theta_b: float
-    beta: float
-    rate_bob: float
-    rate_eve: float
-    secrecy: float
-    iterations: Optional[int] = None
-    converged: Optional[bool] = None
+    beta: np.ndarray | float
+    rate_bob: np.ndarray
+    rate_eve: np.ndarray
+    secrecy: np.ndarray
+    iterations: Optional[np.ndarray] = None
+    converged: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """A sweep's results as columns, one row per (strategy, M, Ps, n).
+
+    Rows run over ``blocks`` in order, then over ``powers_dbm``, then over
+    the trajectory points ``n`` (whose bearings are ``theta_b``).
+    """
+
+    powers_dbm: tuple[float, ...]
+    n: np.ndarray
+    theta_b: np.ndarray
+    blocks: tuple[ResultBlock, ...]
+
+    def __len__(self) -> int:
+        """The number of result rows."""
+        return len(self.blocks) * len(self.powers_dbm) * len(self.n)
 
 
 def _run_strategy(cfg: ExperimentConfig, strategy: Strategy, link: LinkState):
@@ -322,157 +363,191 @@ def _run_strategy(cfg: ExperimentConfig, strategy: Strategy, link: LinkState):
     return beta, breakdown, trace.iterations_used, trace.converged
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
+def _check_finite(block: ResultBlock, powers: tuple[float, ...]):
+    """Raise ConfigError naming the first power whose lanes hold a
+    non-finite split or rate (finite rates give a finite secrecy rate)."""
+    finite = np.isfinite(block.beta) & np.isfinite(block.rate_bob) & np.isfinite(block.rate_eve)
+    if not finite.all():
+        row = int(np.argwhere(~finite)[0][0])
+        raise ConfigError(
+            f"strategy={block.strategy} M={block.m} Ps={powers[row]:g}dBm: non-finite rates; "
+            "the received powers leave float64 range (check geometry.reference_gain, "
+            "sweep.power_dbm and noise.*_dbm)"
+        )
+
+
+def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every (strategy, M, Ps) combination along the trajectory.
 
-    Output order is deterministic: sorted by strategy name, M, Ps, n.
+    Output order is deterministic: sorted by strategy name, M, Ps, n. Raises
+    ConfigError naming the first (strategy, M, Ps) whose rates are not all
+    finite.
     """
     traj = sample_trajectory(cfg.geometry)
-    powers = cfg.power_sweep_dbm
+    powers = tuple(sorted(cfg.power_sweep_dbm))
     p_s = np.array([dbm_to_mw(ps) for ps in powers])[:, None]
     sigma2_b = dbm_to_mw(cfg.noise_dbm_bob)
     sigma2_e = dbm_to_mw(cfg.noise_dbm_eve)
     links = [
         (m, link_state_at(traj, cfg.geometry, ArrayConfig(m, cfg.array_spacing), sigma2_b, sigma2_e, p_s))
-        for m in cfg.antenna_sweep
+        for m in sorted(cfg.antenna_sweep)
     ]
-    shape = (len(powers), len(traj))
-    lanes = (
-        np.repeat(powers, len(traj)).tolist(),
-        np.tile(traj.sample_index, len(powers)).tolist(),
-        np.tile(traj.theta_b, len(powers)).tolist(),
-    )
-    records = []
-    for strategy in cfg.strategies:
+    blocks = []
+    for strategy in sorted(cfg.strategies, key=attrgetter("name")):
         for m, link in links:
-            beta, breakdown, iterations, converged = _run_strategy(cfg, strategy, link)
-            columns = [
-                repeat(None) if v is None else np.broadcast_to(v, shape).ravel().tolist()
-                for v in (beta, breakdown.rate_bob, breakdown.rate_eve, breakdown.secrecy_rate,
-                          iterations, converged)
-            ]
-            records.extend(map(ResultRecord, repeat(strategy.name), repeat(m), *lanes, *columns))
-    # By (strategy, M, Ps, n), the first four fields.
-    records.sort(key=itemgetter(0, 1, 2, 3))
-    return records
+            # An overflowing config shows as non-finite rates, checked below.
+            with np.errstate(all="ignore"):
+                beta, breakdown, iterations, converged = _run_strategy(cfg, strategy, link)
+            rates = (np.broadcast_to(v, link.shape) for v in
+                     (breakdown.rate_bob, breakdown.rate_eve, breakdown.secrecy_rate))
+            block = ResultBlock(strategy.name, m, beta, *rates, iterations, converged)
+            _check_finite(block, powers)
+            blocks.append(block)
+    return SweepResult(powers, traj.sample_index, traj.theta_b, tuple(blocks))
 
 
-def summarize(records: Iterable[ResultRecord]) -> list[dict]:
+def summarize(result: SweepResult) -> list[dict]:
     """Per-(strategy, M, Ps) aggregates: mean per-point secrecy rate, the
     per-point-clamped sum, the whole-flight clamped sum, and the number of
     points that hit the iteration cap without converging."""
-    groups: dict[tuple, list[ResultRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.strategy, rec.m, rec.ps_dbm), []).append(rec)
+    points = len(result.n)
     out = []
-    for (strategy, m, ps), recs in sorted(groups.items()):
-        diffs = [r.rate_bob - r.rate_eve for r in recs]
-        out.append(
-            {
-                "strategy": strategy,
-                "M": m,
-                "Ps_dbm": ps,
-                "points": len(recs),
-                "mean_secrecy_rate": math.fsum(r.secrecy for r in recs) / len(recs),
-                "ssr_per_point_clamped": math.fsum(r.secrecy for r in recs),
-                "ssr_sum_clamped": secrecy_sum_rate(diffs),
-                "nonconverged": sum(r.converged is False for r in recs),
-            }
-        )
+    for block in result.blocks:
+        if block.converged is None:
+            nonconverged = repeat(0)
+        else:
+            nonconverged = np.count_nonzero(~block.converged, axis=1).tolist()
+        rows = zip(result.powers_dbm, block.secrecy.tolist(),
+                   (block.rate_bob - block.rate_eve).tolist(), nonconverged)
+        for ps, secrecy, diffs, capped in rows:
+            total = math.fsum(secrecy)
+            out.append(
+                {
+                    "strategy": block.strategy,
+                    "M": block.m,
+                    "Ps_dbm": ps,
+                    "points": points,
+                    "mean_secrecy_rate": total / points,
+                    "ssr_per_point_clamped": total,
+                    "ssr_sum_clamped": secrecy_sum_rate(diffs),
+                    "nonconverged": capped,
+                }
+            )
     return out
 
 
-# The record fields, in CSV header order, that hold floats.
-_FLOAT_COLUMNS = (2, 4, 5, 6, 7, 8)
-
-# One record as a CSV line, and as an element of ``json.dumps(rows, indent=2)``.
-_CSV_RECORD = ",".join(["{}"] * len(CSV_HEADER.split(",")))
-_JSON_RECORD = "  {{\n" + ",\n".join(f'    "{key}": {{}}' for key in CSV_HEADER.split(",")) + "\n  }}"
-
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-
-def _text_columns(records: list[ResultRecord], null: str) -> list:
-    """The records' fields as columns: floats as 12-digit text, the absent
-    iteration fields as ``null``. Each column is one C-level ``map`` pass."""
-    columns = list(zip(*records))
-    for i in _FLOAT_COLUMNS:
-        columns[i] = map("{:.12g}".format, columns[i])
-    columns[9] = map({None: null}.get, columns[9], columns[9])
-    columns[10] = map({None: null, True: "true", False: "false"}.get, columns[10])
-    return columns
+# The text before each field of a row, and after its last field: a row is a
+# CSV line, or one element of ``json.dumps(rows, indent=2)``.
+_CSV_LAYOUT = ([""] + [","] * (len(_FIELDS) - 1), "")
+_JSON_LAYOUT = (["  {\n" + f'    "{_FIELDS[0]}": '] + [f',\n    "{key}": ' for key in _FIELDS[1:]], "\n  }")
 
 
-def _json_floats(texts) -> list[str]:
-    """Each 12-digit value as ``json.dumps`` writes the float it parses to."""
-    texts = list(map(repr, map(float, texts)))
-    return list(map(_JSON_NONFINITE.get, texts, texts))
+def _json_number(text: str) -> str:
+    """``json.dumps`` of the float a 12-digit text parses to, for a text
+    without a point or with an exponent.
+
+    The float's shortest repr spells the same digits the same way when the
+    text has a point and no exponent (such texts never get here), or an
+    exponent e with -308 < e < 12. It differs for integral text ("100"
+    against "100.0"), for e from 12 to 15 (repr stays positional below
+    1e16) and for subnormals (fewer digits round-trip).
+    """
+    _, e, exponent = text.partition("e")
+    if e and -308 < int(exponent) < 12:
+        return text
+    return _JSON_NONFINITE.get(text) or repr(float(text))
 
 
-def write_results(records: list[ResultRecord], fmt: str, path: str | Path):
-    """Write records as CSV (fixed header) or a JSON array, 12 significant
+def _float_texts(values: list[float], json_numbers: bool) -> list[str]:
+    """Each value at 12 significant digits; for JSON, as ``json.dumps``
+    writes the float that text parses to."""
+    # One %-format call for the whole column; no text contains a newline.
+    texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
+    if json_numbers:
+        fixes = {t: _json_number(t) for t in set(texts) if "." not in t or "e" in t}
+        if fixes:
+            texts = list(map(fixes.get, texts, texts))
+    return texts
+
+
+def _join_rows(pieces: list) -> Iterator[str]:
+    """Concatenate each row's pieces: a str piece is the same in every row,
+    a list piece holds one str per row."""
+    columns, shared = [], ""
+    for piece in pieces:
+        if isinstance(piece, str):
+            shared += piece
+        else:
+            columns += [repeat(shared), piece]
+            shared = ""
+    return map("".join, zip(*columns, repeat(shared)))
+
+
+def _format_rows(result: SweepResult, is_json: bool) -> list[str]:
+    """The rows as text, straight from the columns.
+
+    Every distinct value is formatted once where the layout repeats it:
+    theta_b per point, Ps per power, a block-wide scalar per block.
+    """
+    null = "null" if is_json else ""
+    separators, end = _JSON_LAYOUT if is_json else _CSV_LAYOUT
+
+    def floats(values):
+        return _float_texts(values, is_json)
+
+    def ints(values):
+        return list(map(str, values))
+
+    def bools(values):
+        return list(map({True: "true", False: "false"}.get, values))
+
+    def cells(value, to_texts):
+        """One str for a scalar or absent value, else one per lane."""
+        if value is None:
+            return null
+        texts = to_texts(np.ravel(value).tolist())
+        return texts[0] if np.ndim(value) == 0 else texts
+
+    points = len(result.n)
+    n_texts, theta_texts = ints(result.n.tolist()), floats(result.theta_b.tolist())
+    ps_texts = floats(list(result.powers_dbm))
+    lines = []
+    for block in result.blocks:
+        name = json.dumps(block.strategy) if is_json else block.strategy
+        lanes = [cells(block.beta, floats), cells(block.rate_bob, floats),
+                 cells(block.rate_eve, floats), cells(block.secrecy, floats),
+                 cells(block.iterations, ints), cells(block.converged, bools)]
+        for row, ps_text in enumerate(ps_texts):
+            span = slice(row * points, (row + 1) * points)
+            row_cells = [name, str(block.m), ps_text, n_texts, theta_texts,
+                         *(c if isinstance(c, str) else c[span] for c in lanes)]
+            pieces = [x for pair in zip(separators, row_cells) for x in pair]
+            lines.extend(_join_rows([*pieces, end]))
+    return lines
+
+
+def write_results(result: SweepResult, fmt: str, path: str | Path):
+    """Write the rows as CSV (fixed header) or a JSON array, 12 significant
     digits for floats in both.
 
     The JSON bytes are those of ``json.dumps(rows, indent=2)`` over one dict
-    per record, written from a per-record template: with ``indent`` set,
-    ``json`` falls back to its pure-Python encoder.
+    per row, with each float the 12-digit value. They are formatted from the
+    columns, because with ``indent`` set ``json`` falls back to its
+    pure-Python encoder.
     """
-    if not records:
+    if not len(result):
         raise ValueError("no records to write")
     if fmt not in _VALID_FORMATS:
         raise ValueError(f"format must be one of {_VALID_FORMATS}")
     path = Path(path)
+    lines = _format_rows(result, fmt == "json")
+    if fmt == "csv":
+        text = "\n".join([CSV_HEADER, *lines]) + "\n"
+    else:
+        text = "[\n" + ",\n".join(lines) + "\n]\n"
     try:
-        if fmt == "csv":
-            lines = [CSV_HEADER, *map(_CSV_RECORD.format, *_text_columns(records, ""))]
-            path.write_text("\n".join(lines) + "\n")
-        else:
-            columns = _text_columns(records, "null")
-            columns[0] = map({name: json.dumps(name) for name in set(columns[0])}.get, columns[0])
-            for i in _FLOAT_COLUMNS:
-                columns[i] = _json_floats(columns[i])
-            path.write_text("[\n" + ",\n".join(map(_JSON_RECORD.format, *columns)) + "\n]\n")
+        path.write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
-
-
-def read_results_csv(path: str | Path) -> list[ResultRecord]:
-    """Parse a results CSV written by write_results back into records."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: missing or unexpected header")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        records.append(
-            ResultRecord(
-                strategy=parts[0],
-                m=int(parts[1]),
-                ps_dbm=float(parts[2]),
-                n=int(parts[3]),
-                theta_b=float(parts[4]),
-                beta=float(parts[5]),
-                rate_bob=float(parts[6]),
-                rate_eve=float(parts[7]),
-                secrecy=float(parts[8]),
-                iterations=None if parts[9] == "" else int(parts[9]),
-                converged=None if parts[10] == "" else parts[10] == "true",
-            )
-        )
-    return records
-
-
-def with_overrides(
-    cfg: ExperimentConfig,
-    power_sweep_dbm: Optional[Iterable[float]] = None,
-    antenna_sweep: Optional[Iterable[int]] = None,
-) -> ExperimentConfig:
-    """Copy of cfg with sweep lists replaced (CLI convenience subcommands)."""
-    updates = {}
-    if power_sweep_dbm is not None:
-        updates["power_sweep_dbm"] = tuple(power_sweep_dbm)
-    if antenna_sweep is not None:
-        updates["antenna_sweep"] = tuple(antenna_sweep)
-    return replace(cfg, **updates) if updates else cfg

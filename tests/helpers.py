@@ -5,11 +5,16 @@ test run is reproducible; seeds are given at the call sites. Links are
 ``oracle.SteeredLink``s, so the vector reference can run on them too.
 """
 
+import math
+from pathlib import Path
+from typing import NamedTuple, Optional
+
 import numpy as np
 
 from uavsec import ArrayConfig, LinkState
+from uavsec.harness import CSV_HEADER, ResultBlock, SweepResult
 from uavsec.beamforming import leakage_pair
-from uavsec.rates import ProjectedPowers
+from uavsec.rates import ProjectedPowers, secrecy_sum_rate
 
 from oracle import BeamformingPair, projected_powers, steered_link
 
@@ -81,3 +86,104 @@ def stack_links(links):
 
 def stack_powers(powers):
     return ProjectedPowers(*np.array(powers, dtype=float).T)
+
+
+class Record(NamedTuple):
+    """One result row, as the CSV header lists its fields."""
+
+    strategy: str
+    m: int
+    ps_dbm: float
+    n: int
+    theta_b: float
+    beta: float
+    rate_bob: float
+    rate_eve: float
+    secrecy: float
+    iterations: Optional[int] = None
+    converged: Optional[bool] = None
+
+
+def records_of(result):
+    """A sweep's columns as one ``Record`` per row, in row order."""
+    records = []
+    for block in result.blocks:
+        shape = (len(result.powers_dbm), len(result.n))
+        lanes = [None if v is None else np.broadcast_to(v, shape).tolist()
+                 for v in (block.beta, block.rate_bob, block.rate_eve, block.secrecy,
+                           block.iterations, block.converged)]
+        for i, ps in enumerate(result.powers_dbm):
+            for j, (n, theta) in enumerate(zip(result.n.tolist(), result.theta_b.tolist())):
+                records.append(Record(block.strategy, block.m, ps, n, theta,
+                                      *(None if v is None else v[i][j] for v in lanes)))
+    return records
+
+
+def result_of(records):
+    """The columns of rows sorted by (strategy, M, Ps, n) that cover every
+    (Ps, n) pair in each (strategy, M) block; the inverse of ``records_of``."""
+    powers = tuple(sorted({r.ps_dbm for r in records}))
+    points = sorted({(r.n, r.theta_b) for r in records})
+    shape = (len(powers), len(points))
+    blocks = []
+    for strategy, m in sorted({(r.strategy, r.m) for r in records}):
+        rows = [r for r in records if (r.strategy, r.m) == (strategy, m)]
+        lanes = [np.array([getattr(r, name) for r in rows]).reshape(shape)
+                 for name in ("beta", "rate_bob", "rate_eve", "secrecy")]
+        extra = [None if getattr(rows[0], name) is None
+                 else np.array([getattr(r, name) for r in rows]).reshape(shape)
+                 for name in ("iterations", "converged")]
+        blocks.append(ResultBlock(strategy, m, *lanes, *extra))
+    n, theta = (np.array(column) for column in zip(*points))
+    return SweepResult(powers, n, theta, tuple(blocks))
+
+
+def read_results_csv(path):
+    """Parse a results CSV written by ``write_results`` back into records."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"{path}: missing or unexpected header")
+    records = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != 11:
+            raise ValueError(f"{path}: malformed row {line!r}")
+        records.append(
+            Record(
+                strategy=parts[0],
+                m=int(parts[1]),
+                ps_dbm=float(parts[2]),
+                n=int(parts[3]),
+                theta_b=float(parts[4]),
+                beta=float(parts[5]),
+                rate_bob=float(parts[6]),
+                rate_eve=float(parts[7]),
+                secrecy=float(parts[8]),
+                iterations=None if parts[9] == "" else int(parts[9]),
+                converged=None if parts[10] == "" else parts[10] == "true",
+            )
+        )
+    return records
+
+
+def reference_summary(records):
+    """``harness.summarize`` computed record by record: group the rows by
+    (strategy, M, Ps), then sum each group with ``math.fsum``."""
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.strategy, rec.m, rec.ps_dbm), []).append(rec)
+    out = []
+    for (strategy, m, ps), recs in sorted(groups.items()):
+        out.append(
+            {
+                "strategy": strategy,
+                "M": m,
+                "Ps_dbm": ps,
+                "points": len(recs),
+                "mean_secrecy_rate": math.fsum(r.secrecy for r in recs) / len(recs),
+                "ssr_per_point_clamped": math.fsum(r.secrecy for r in recs),
+                "ssr_sum_clamped": secrecy_sum_rate([r.rate_bob - r.rate_eve for r in recs]),
+                "nonconverged": sum(r.converged is False for r in recs),
+            }
+        )
+    return out

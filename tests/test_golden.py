@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from uavsec.harness import parse_config_text, read_results_csv, run_experiment
+from uavsec.harness import parse_config_text, run_experiment
+
+from helpers import read_results_csv, records_of
 
 GOLDEN = Path(__file__).parent / "golden"
 TOL = 1e-9
@@ -33,7 +35,7 @@ def test_sweep_matches_golden_file(name, tmp_path):
     stored = tmp_path / f"{name}.csv"
     stored.write_bytes(gzip.decompress((GOLDEN / f"{name}.csv.gz").read_bytes()))
     want = read_results_csv(stored)
-    got = run_experiment(parse_config_text(CONFIGS[name]))
+    got = records_of(run_experiment(parse_config_text(CONFIGS[name])))
     assert [(r.strategy, r.m, r.ps_dbm, r.n) for r in got] == [
         (r.strategy, r.m, r.ps_dbm, r.n) for r in want
     ]

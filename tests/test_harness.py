@@ -1,26 +1,32 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavsec import ScenarioGeometry
 from uavsec.harness import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
-    ResultRecord,
+    ResultBlock,
     Strategy,
+    SweepResult,
+    _float_texts,
     dbm_to_mw,
     parse_config_text,
     parse_strategy,
-    read_results_csv,
     run_experiment,
     serialize_config,
     summarize,
-    with_overrides,
     write_results,
 )
 from uavsec.cli import main
+
+from helpers import read_results_csv, records_of, reference_summary, result_of
 
 
 SHORT_CONFIG = """
@@ -75,11 +81,15 @@ class TestConfigParsing:
         assert abs(dbm_to_mw(-110.0) - 1e-11) < 1e-22
 
     def test_overrides(self):
+        # The CLI's sweep overrides go through dataclasses.replace, which
+        # validates the new config again.
         cfg = ExperimentConfig()
-        out = with_overrides(cfg, power_sweep_dbm=[5.0], antenna_sweep=[4, 8])
+        out = replace(cfg, power_sweep_dbm=(5.0,), antenna_sweep=(4, 8))
         assert out.power_sweep_dbm == (5.0,)
         assert out.antenna_sweep == (4, 8)
-        assert with_overrides(cfg) == cfg
+        assert replace(cfg) == cfg
+        with pytest.raises(ConfigError, match="sweep.power_dbm"):
+            replace(cfg, power_sweep_dbm=())
 
 
 class TestRunExperiment:
@@ -87,7 +97,7 @@ class TestRunExperiment:
         cfg = parse_config_text(
             "sweep.power_dbm=20\nsweep.antennas=8\nstrategies=fixed:0.5\n"
         )
-        records = run_experiment(cfg)
+        records = records_of(run_experiment(cfg))
         assert len(records) == 100
         assert [r.n for r in records] == list(range(1, 101))
         assert all(r.strategy == "fixed:0.5" and r.m == 8 for r in records)
@@ -98,7 +108,7 @@ class TestRunExperiment:
             "sweep.power_dbm=10,20\nsweep.antennas=4,8\n"
             "strategies=fixed:0.5,fixed:0.9\n"
         )
-        records = run_experiment(cfg)
+        records = records_of(run_experiment(cfg))
         assert len(records) == 2 * 2 * 2 * 10
 
     def test_eve_on_a_sample_bearing_gives_finite_rows(self):
@@ -108,7 +118,7 @@ class TestRunExperiment:
             "geometry.eve=100,50,0\nsweep.power_dbm=50\nsweep.antennas=8\n"
             "strategies=ais,fixed:0.5\n"
         )
-        records = run_experiment(cfg)
+        records = records_of(run_experiment(cfg))
         assert len(records) == 200
         for r in records:
             assert all(math.isfinite(v) for v in (r.beta, r.rate_bob, r.rate_eve, r.secrecy))
@@ -120,7 +130,7 @@ class TestRunExperiment:
             "geometry.eve=400,0,20\nsweep.power_dbm=20\nsweep.antennas=8\n"
             "strategies=fixed:0.5\n"
         )
-        records = run_experiment(cfg)
+        records = records_of(run_experiment(cfg))
         at_eve = [r for r in records if r.n == 50]
         assert len(at_eve) == 1
         assert at_eve[0].secrecy <= 1e-9
@@ -130,7 +140,7 @@ class TestRunExperiment:
             "geometry.flight_end=80,0,20\nsweep.power_dbm=20\nsweep.antennas=8\n"
             "strategies=ais,grid_oracle\ngrid.step=1e-4\n"
         )
-        records = run_experiment(cfg)
+        records = records_of(run_experiment(cfg))
         ais = {r.n: r for r in records if r.strategy == "ais"}
         grid = {r.n: r for r in records if r.strategy == "grid_oracle"}
         assert set(ais) == set(grid) and len(ais) == 10
@@ -140,27 +150,37 @@ class TestRunExperiment:
 
     def test_deterministic_and_parallel_consistent(self):
         cfg = parse_config_text(SHORT_CONFIG)
-        serial_a = run_experiment(cfg)
-        serial_b = run_experiment(cfg)
+        serial_a = records_of(run_experiment(cfg))
+        serial_b = records_of(run_experiment(cfg))
         assert serial_a == serial_b
 
     def test_summary_mean_matches_records(self):
         cfg = parse_config_text(SHORT_CONFIG)
-        records = run_experiment(cfg)
-        (row,) = summarize(records)
+        result = run_experiment(cfg)
+        records = records_of(result)
+        (row,) = summarize(result)
         assert row["points"] == 10
         assert abs(
             row["mean_secrecy_rate"] - math.fsum(r.secrecy for r in records) / 10
         ) < 1e-12
         assert row["ssr_sum_clamped"] <= row["ssr_per_point_clamped"] + 1e-12
 
+    @pytest.mark.parametrize("config", [
+        "",
+        "geometry.flight_end=200,0,20\ngeometry.eve=203,1.5,0\nsweep.power_dbm=50,-10,20\n"
+        "sweep.antennas=64,4\nstrategies=grid_oracle,fixed:0.5,ais\nais.max_iterations=2\n",
+    ])
+    def test_summary_equals_record_reference(self, config):
+        result = run_experiment(parse_config_text(config))
+        assert summarize(result) == reference_summary(records_of(result))
+
 
 class TestResultFiles:
     def test_csv_shape(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
-        records = run_experiment(cfg)[:1]
+        one_row = result_of(records_of(run_experiment(cfg))[:1])
         out = tmp_path / "r.csv"
-        write_results(records, "csv", out)
+        write_results(one_row, "csv", out)
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == CSV_HEADER
@@ -168,37 +188,48 @@ class TestResultFiles:
 
     def test_csv_round_trip_byte_identical(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
-        records = run_experiment(cfg)
+        result = run_experiment(cfg)
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        write_results(records, "csv", first)
-        write_results(read_results_csv(first), "csv", second)
+        write_results(result, "csv", first)
+        write_results(result_of(read_results_csv(first)), "csv", second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_json_fields_match_header(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
-        records = run_experiment(cfg)
+        result = run_experiment(cfg)
         out = tmp_path / "r.json"
-        write_results(records, "json", out)
+        write_results(result, "json", out)
         rows = json.loads(out.read_text())
-        assert len(rows) == len(records)
+        assert len(rows) == len(result) == 10
         assert list(rows[0].keys()) == CSV_HEADER.split(",")
 
     def test_writers_match_reference_encoders(self, tmp_path):
-        # Every strategy name; negative, exponent-form, integral and
-        # non-finite floats (12g and repr disagree on the form of 1.5e13
-        # and 100); iteration fields absent, true and false.
-        names = [parse_strategy(t).name for t in ("ais", "grid_oracle", "fixed:0.5", "fixed(0.25)")]
-        floats = [(-10.0, 1.2, 0.999999999999, 12.5, 1.0 / 3.0, 100.0),
-                  (50.0, 1e-300, 1.0, 1e-7, -3.25e-5, 0.0),
-                  (20.0, 3.14159265358979, 0.5, -2.5e-12, 1.5e13, 7e20),
-                  (0.0, 2.0, 0.9, math.nan, math.inf, -math.inf)]
-        iteration_fields = [(2, True), (50, False), (None, None), (1, True)]
-        records = [
-            ResultRecord(name, 8 << i, ps, i + 1, theta, beta, rb, re_, rs, it, cv)
-            for i, (name, (ps, theta, beta, rb, re_, rs), (it, cv))
-            in enumerate(zip(names, floats, iteration_fields))
-        ]
+        # Every strategy name; negative, exponent-form, integral, subnormal
+        # and non-finite floats (12g and repr disagree on the form of 1.5e13,
+        # 123456789012345.0, 100 and 5e-324); a block-wide and a per-lane
+        # beta; iteration fields absent, true and false.
+        names = [parse_strategy(t).name for t in ("ais", "fixed(0.25)", "fixed:0.5", "grid_oracle")]
+        pool = np.array([0.999999999999, 1.0, 0.5, 0.9, 12.5, 1.0 / 3.0, 100.0, 1e-7, -3.25e-5, 0.0,
+                         -2.5e-12, 1.5e13, 7e20, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                         123456789012345.0])
+        shape = (4, 4)
+
+        def lanes(k):
+            return np.resize(np.roll(pool, 5 * k), shape)
+
+        iterations = np.resize([2, 50, 1], shape)
+        converged = iterations < 50
+        blocks = (
+            ResultBlock(names[0], 8, lanes(0), lanes(1), lanes(2), lanes(3), iterations, converged),
+            ResultBlock(names[1], 16, 0.25, lanes(4), lanes(5), lanes(6)),
+            ResultBlock(names[2], 32, 0.5, lanes(7), lanes(8), lanes(9)),
+            ResultBlock(names[3], 64, lanes(10), lanes(11), lanes(12), lanes(13), iterations, ~converged),
+        )
+        result = SweepResult((-10.0, 0.0, 20.0, 50.0), np.arange(1, 5),
+                             np.array([1.2, 1e-300, 3.14159265358979, 2.0]), blocks)
+        records = records_of(result)
+        assert len(records) == len(result) == 64
 
         def twelve_digits(v):
             return float(f"{v:.12g}")
@@ -208,7 +239,7 @@ class TestResultFiles:
                                              *map(twelve_digits, r[4:9]), r.iterations, r.converged)))
             for r in records
         ]
-        write_results(records, "json", tmp_path / "r.json")
+        write_results(result, "json", tmp_path / "r.json")
         assert (tmp_path / "r.json").read_text() == json.dumps(rows, indent=2) + "\n"
         lines = [CSV_HEADER] + [
             ",".join([r.strategy, str(r.m), f"{r.ps_dbm:.12g}", str(r.n),
@@ -217,16 +248,23 @@ class TestResultFiles:
                       "" if r.converged is None else str(r.converged).lower()])
             for r in records
         ]
-        write_results(records, "csv", tmp_path / "r.csv")
+        write_results(result, "csv", tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_text() == "\n".join(lines) + "\n"
 
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(), max_size=8))
+    def test_float_texts_match_json_dumps(self, values):
+        # Any double, subnormals, signed zeros and non-finite values included.
+        assert _float_texts(values, json_numbers=True) == [json.dumps(float(f"{v:.12g}")) for v in values]
+        assert _float_texts(values, json_numbers=False) == [f"{v:.12g}" for v in values]
+
     def test_empty_and_bad_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_results([], "csv", tmp_path / "x.csv")
         cfg = parse_config_text(SHORT_CONFIG)
-        records = run_experiment(cfg)[:1]
+        result = run_experiment(cfg)
         with pytest.raises(ValueError):
-            write_results(records, "yaml", tmp_path / "x.yaml")
+            write_results(replace(result, blocks=()), "csv", tmp_path / "x.csv")
+        with pytest.raises(ValueError):
+            write_results(result, "yaml", tmp_path / "x.yaml")
 
     def test_reader_rejects_foreign_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -326,6 +364,13 @@ class TestCli:
         ("sweep.antennas=1000000000000", ["run"], "sweep.antennas: 1000000000000 is outside"),
         ("", ["sweep-antennas", "--antennas", "0"], "--antennas: 0 is outside [2, 1000000]"),
         ("", ["sweep-antennas", "--antennas", "8,1000001"], "--antennas: 1000001 is outside"),
+        # Distinct splits that print alike would merge into one strategy's rows.
+        ("strategies=fixed:0.5,fixed:0.5000001", ["run"],
+         "strategies: 'fixed:0.5' and 'fixed:0.5000001' are both named 'fixed:0.5'"),
+        # Parses, but the received powers overflow float64.
+        ("geometry.reference_gain=1e300\nsweep.power_dbm=300\nnoise.bob_dbm=-300\n"
+         "noise.eve_dbm=-300\nstrategies=ais,fixed:0.5,grid_oracle", ["run"],
+         "strategy=ais M=8 Ps=300dBm: non-finite rates"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):
