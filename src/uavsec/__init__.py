@@ -8,7 +8,6 @@ from .geometry import (
     LinkState,
     ScenarioGeometry,
     Trajectory,
-    TrajectoryPoint,
     array_separation,
     link_state_at,
     path_loss,
@@ -38,7 +37,6 @@ __all__ = [
     "LinkState",
     "ScenarioGeometry",
     "Trajectory",
-    "TrajectoryPoint",
     "array_separation",
     "link_state_at",
     "path_loss",

@@ -7,15 +7,7 @@ import sys
 from dataclasses import replace
 
 from .geometry import ConfigurationError
-from .harness import (
-    _parse_antennas,
-    _parse_dbm,
-    _parse_list,
-    parse_config,
-    run_experiment,
-    summarize,
-    write_results,
-)
+from .harness import parse_config, parse_value, run_experiment, summarize, write_results
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -51,10 +43,10 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.command == "sweep-power":
-            powers = _parse_list("--powers", args.powers, _parse_dbm)
+            powers = parse_value("sweep.power_dbm", args.powers, "--powers")
             cfg = replace(cfg, power_sweep_dbm=powers)
         elif args.command == "sweep-antennas":
-            antennas = _parse_list("--antennas", args.antennas, _parse_antennas)
+            antennas = parse_value("sweep.antennas", args.antennas, "--antennas")
             cfg = replace(cfg, antenna_sweep=antennas)
         result = run_experiment(cfg)
         out = args.out or cfg.output_path

@@ -10,16 +10,15 @@ the UAV and the eavesdropper. ``array_separation`` computes D without forming
 either vector; the vectors themselves are kept only as a test oracle.
 
 The sweep works on lanes: ``sample_trajectory`` returns the whole flight as
-arrays, and ``link_state_at`` and everything downstream take arrays (or
-scalars) elementwise, so one call covers every sample point and transmit
-power of a sweep. A single point is the same call on scalars.
+arrays, ``link_state_at`` builds the link of every point at once, and
+everything downstream takes arrays (or scalars) elementwise, so one call
+covers every sample point and transmit power of a sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,20 +132,10 @@ class ScenarioGeometry:
         return float(np.linalg.norm(d - s))
 
 
-class TrajectoryPoint(NamedTuple):
-    sample_index: int
-    bob_position: tuple[float, float, float]
-    theta_b: float
-    theta_e: float
-    d_ab: float
-    d_ae: float
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """The sampled flight as arrays over its N points (``bob_position`` is
-    N x 3); the eavesdropper's angle and distance are scalars. Indexing gives
-    one ``TrajectoryPoint``, slicing a list of them."""
+    N x 3); the eavesdropper's angle and distance are scalars."""
 
     sample_index: np.ndarray
     bob_position: np.ndarray
@@ -157,12 +146,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.sample_index)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return TrajectoryPoint(int(self.sample_index[i]), tuple(self.bob_position[i].tolist()),
-                               float(self.theta_b[i]), self.theta_e, float(self.d_ab[i]), self.d_ae)
 
 
 def _direction_angle(origin: np.ndarray, target: np.ndarray):
@@ -222,7 +205,6 @@ class LinkState:
     sigma2_b: float
     sigma2_e: float
     p_s: float
-    sample_index: int = 0
 
     def __post_init__(self):
         for name in ("g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s"):
@@ -236,23 +218,22 @@ class LinkState:
 
 
 def link_state_at(
-    point: TrajectoryPoint | Trajectory,
+    traj: Trajectory,
     geom: ScenarioGeometry,
     array: ArrayConfig,
     sigma2_b,
     sigma2_e,
     p_s,
 ) -> LinkState:
-    """Assemble the link state of one point, or of a whole trajectory, from
-    geometry and array config; the powers and noise floors broadcast against
-    the points (``p_s`` of shape (P, 1) gives P x N lanes)."""
+    """Assemble the link state of every trajectory point from geometry and
+    array config; the powers and noise floors broadcast against the points
+    (``p_s`` of shape (P, 1) gives P x N lanes)."""
     return LinkState(
         num_antennas=array.num_antennas,
-        separation=array_separation(point.theta_b, point.theta_e, array),
-        g_ab=path_loss(point.d_ab, geom),
-        g_ae=path_loss(point.d_ae, geom),
+        separation=array_separation(traj.theta_b, traj.theta_e, array),
+        g_ab=path_loss(traj.d_ab, geom),
+        g_ae=path_loss(traj.d_ae, geom),
         sigma2_b=sigma2_b,
         sigma2_e=sigma2_e,
         p_s=p_s,
-        sample_index=point.sample_index,
     )

@@ -77,8 +77,10 @@ class Strategy:
 
     @property
     def name(self) -> str:
+        """The kind, with the exact split for 'fixed': rows are grouped and
+        sorted by name, and two distinct strategies never share one."""
         if self.kind == "fixed":
-            return f"fixed:{self.fixed_beta:g}"
+            return f"fixed:{self.fixed_beta!r}"
         return self.kind
 
 
@@ -152,13 +154,6 @@ def _parse_dbm(key: str, raw: str) -> float:
     return value
 
 
-def _parse_point(key: str, raw: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected three comma-separated coordinates")
-    return tuple(_parse_float(key, p) for p in parts)
-
-
 def _parse_int(key: str, raw: str) -> int:
     try:
         return int(raw)
@@ -173,62 +168,73 @@ def _parse_antennas(key: str, raw: str) -> int:
     return value
 
 
-def _parse_list(key: str, raw: str, conv) -> tuple:
-    items = [p.strip() for p in raw.split(",") if p.strip()]
-    if not items:
-        raise ConfigError(f"{key}: empty list")
-    values = tuple(conv(key, item) for item in items)
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{key}: duplicate entries in {raw!r}")
-    return values
+def _parse_list(conv, count: Optional[int] = None):
+    """A parser of comma-separated ``conv`` values: exactly ``count`` of them
+    (a point), or else a nonempty sweep without duplicates (empty items are
+    skipped)."""
+
+    def parse(key: str, raw: str) -> tuple:
+        items = [p.strip() for p in raw.split(",")]
+        if count is None:
+            items = [p for p in items if p]
+            if not items:
+                raise ConfigError(f"{key}: empty list")
+        elif len(items) != count:
+            raise ConfigError(f"{key}: expected {count} comma-separated coordinates")
+        values = tuple(conv(key, item) for item in items)
+        if count is None and len(set(values)) != len(values):
+            raise ConfigError(f"{key}: duplicate entries in {raw!r}")
+        return values
+
+    return parse
 
 
-def _parse_strategies(key: str, raw: str) -> tuple[Strategy, ...]:
-    """The strategies, which must also differ in name: rows are grouped and
-    sorted by it."""
-    strategies = _parse_list(key, raw, lambda k, tok: parse_strategy(tok))
-    tokens = {}
-    for token, strategy in zip((p.strip() for p in raw.split(",") if p.strip()), strategies):
-        if strategy.name in tokens:
-            raise ConfigError(
-                f"{key}: {tokens[strategy.name]!r} and {token!r} are both named {strategy.name!r}"
-            )
-        tokens[strategy.name] = token
-    return strategies
+def _join(values) -> str:
+    return ",".join(map(repr, values))
+
+
+# Every config key: key -> (section, field, parse, format). The value is
+# ``cfg.<section>.<field>``, or ``cfg.<field>`` when section is None; ``format``
+# writes text that ``parse(key, text)`` reads back exactly (as repr does floats).
+_KEYS = {
+    "geometry.alice": ("geometry", "alice", _parse_list(_parse_float, 3), _join),
+    "geometry.eve": ("geometry", "eve", _parse_list(_parse_float, 3), _join),
+    "geometry.flight_start": ("geometry", "flight_start", _parse_list(_parse_float, 3), _join),
+    "geometry.flight_end": ("geometry", "flight_end", _parse_list(_parse_float, 3), _join),
+    "geometry.speed": ("geometry", "speed", _parse_float, repr),
+    "geometry.sample_interval": ("geometry", "sample_interval", _parse_float, repr),
+    "geometry.path_loss_exponent": ("geometry", "path_loss_exponent", _parse_float, repr),
+    "geometry.reference_gain": ("geometry", "reference_gain", _parse_float, repr),
+    "array.spacing": (None, "array_spacing", _parse_float, repr),
+    "noise.bob_dbm": (None, "noise_dbm_bob", _parse_dbm, repr),
+    "noise.eve_dbm": (None, "noise_dbm_eve", _parse_dbm, repr),
+    "sweep.power_dbm": (None, "power_sweep_dbm", _parse_list(_parse_dbm), _join),
+    "sweep.antennas": (None, "antenna_sweep", _parse_list(_parse_antennas), _join),
+    "strategies": (None, "strategies", _parse_list(lambda key, token: parse_strategy(token)),
+                   lambda strategies: ",".join(s.name for s in strategies)),
+    "ais.beta_init": ("ais", "beta_init", _parse_float, repr),
+    "ais.epsilon": ("ais", "epsilon", _parse_float, repr),
+    "ais.max_iterations": ("ais", "max_iterations", _parse_int, repr),
+    "grid.step": (None, "grid_step", _parse_float, repr),
+    "output.path": (None, "output_path", lambda key, raw: raw, str),
+    "output.format": (None, "output_format", lambda key, raw: raw, str),
+}
+
+
+def parse_value(key: str, raw: str, label: str):
+    """The value of config key ``key`` written as ``raw``, parsed as in a
+    config file; a ConfigError names ``label`` in place of the key."""
+    return _KEYS[key][2](label, raw)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Build a validated config from flat key=value text.
 
-    Unknown keys and malformed values raise ConfigError naming the key;
-    an empty document yields the all-defaults config.
+    Unknown keys and malformed values raise ConfigError naming the key; a
+    key given twice keeps its last value; an empty document yields the
+    all-defaults config.
     """
-    geometry_kwargs: dict = {}
-    fields: dict = {}
-    ais_kwargs: dict = {}
-    geometry_keys = {
-        "geometry.alice": ("alice", _parse_point),
-        "geometry.eve": ("eve", _parse_point),
-        "geometry.flight_start": ("flight_start", _parse_point),
-        "geometry.flight_end": ("flight_end", _parse_point),
-        "geometry.speed": ("speed", _parse_float),
-        "geometry.sample_interval": ("sample_interval", _parse_float),
-        "geometry.path_loss_exponent": ("path_loss_exponent", _parse_float),
-        "geometry.reference_gain": ("reference_gain", _parse_float),
-    }
-    simple_keys = {
-        "array.spacing": ("array_spacing", _parse_float),
-        "noise.bob_dbm": ("noise_dbm_bob", _parse_dbm),
-        "noise.eve_dbm": ("noise_dbm_eve", _parse_dbm),
-        "grid.step": ("grid_step", _parse_float),
-        "output.path": ("output_path", lambda k, v: v),
-        "output.format": ("output_format", lambda k, v: v),
-    }
-    ais_keys = {
-        "ais.beta_init": ("beta_init", _parse_float),
-        "ais.epsilon": ("epsilon", _parse_float),
-        "ais.max_iterations": ("max_iterations", _parse_int),
-    }
+    kwargs: dict = {"geometry": {}, "ais": {}, None: {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -237,25 +243,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in geometry_keys:
-            name, conv = geometry_keys[key]
-            geometry_kwargs[name] = conv(key, raw)
-        elif key in simple_keys:
-            name, conv = simple_keys[key]
-            fields[name] = conv(key, raw)
-        elif key in ais_keys:
-            name, conv = ais_keys[key]
-            ais_kwargs[name] = conv(key, raw)
-        elif key == "sweep.power_dbm":
-            fields["power_sweep_dbm"] = _parse_list(key, raw, _parse_dbm)
-        elif key == "sweep.antennas":
-            fields["antenna_sweep"] = _parse_list(key, raw, _parse_antennas)
-        elif key == "strategies":
-            fields["strategies"] = _parse_strategies(key, raw)
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        section, field, parse, _ = _KEYS[key]
+        kwargs[section][field] = parse(key, raw)
     try:
-        geometry = ScenarioGeometry(**geometry_kwargs)
+        geometry = ScenarioGeometry(**kwargs["geometry"])
     except ConfigurationError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
     samples = geometry.flight_length / geometry.speed / geometry.sample_interval
@@ -265,10 +258,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"flight gives {samples:.3g} samples, more than {MAX_SAMPLES}"
         )
     try:
-        ais_cfg = AisConfig(**ais_kwargs)
+        ais_cfg = AisConfig(**kwargs["ais"])
     except ValueError as exc:
         raise ConfigError(f"ais: {exc}") from exc
-    return ExperimentConfig(geometry=geometry, ais=ais_cfg, **fields)
+    return ExperimentConfig(geometry=geometry, ais=ais_cfg, **kwargs[None])
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -280,33 +273,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Emit the config in the same flat format parse_config_text accepts."""
-    g = cfg.geometry
-
-    def pt(p):
-        return ",".join(f"{v:g}" for v in p)
-
+    """Emit every key in the flat format parse_config_text accepts; the text
+    parses back to an equal config."""
     lines = [
-        f"geometry.alice={pt(g.alice)}",
-        f"geometry.eve={pt(g.eve)}",
-        f"geometry.flight_start={pt(g.flight_start)}",
-        f"geometry.flight_end={pt(g.flight_end)}",
-        f"geometry.speed={g.speed:g}",
-        f"geometry.sample_interval={g.sample_interval:g}",
-        f"geometry.path_loss_exponent={g.path_loss_exponent:g}",
-        f"geometry.reference_gain={g.reference_gain:g}",
-        f"array.spacing={cfg.array_spacing:g}",
-        f"noise.bob_dbm={cfg.noise_dbm_bob:g}",
-        f"noise.eve_dbm={cfg.noise_dbm_eve:g}",
-        "sweep.power_dbm=" + ",".join(f"{p:g}" for p in cfg.power_sweep_dbm),
-        "sweep.antennas=" + ",".join(str(m) for m in cfg.antenna_sweep),
-        "strategies=" + ",".join(s.name for s in cfg.strategies),
-        f"ais.beta_init={cfg.ais.beta_init:g}",
-        f"ais.epsilon={cfg.ais.epsilon:g}",
-        f"ais.max_iterations={cfg.ais.max_iterations}",
-        f"grid.step={cfg.grid_step:g}",
-        f"output.path={cfg.output_path}",
-        f"output.format={cfg.output_format}",
+        f"{key}={fmt(getattr(cfg if section is None else getattr(cfg, section), field))}"
+        for key, (section, field, _, fmt) in _KEYS.items()
     ]
     return "\n".join(lines) + "\n"
 

@@ -6,12 +6,13 @@ test run is reproducible; seeds are given at the call sites. Links are
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from uavsec import ArrayConfig, LinkState
+from uavsec import ArrayConfig, LinkState, link_state_at, sample_trajectory
 from uavsec.harness import CSV_HEADER, ResultBlock, SweepResult
 from uavsec.beamforming import leakage_pair
 from uavsec.rates import ProjectedPowers, secrecy_sum_rate
@@ -75,6 +76,14 @@ def eve_silent_link(m=8, p_s=10.0):
         g_ab=1e-4, g_ae=1e-30,
         sigma2_b=1e-7, sigma2_e=1e-7, p_s=p_s,
     )
+
+
+def flight_links(geom, array, sigma2_b, sigma2_e, p_s):
+    """One scalar ``LinkState`` (not a steered link) per sample point of the
+    flight: the lanes of the batched link ``link_state_at`` builds for it."""
+    link = link_state_at(sample_trajectory(geom), geom, array, sigma2_b, sigma2_e, p_s)
+    return [replace(link, separation=float(d), g_ab=float(g))
+            for d, g in zip(link.separation, link.g_ab)]
 
 
 def stack_links(links):

@@ -16,17 +16,15 @@ from uavsec import (
     ScenarioGeometry,
     beta_grid_oracle,
     leakage_pair,
-    link_state_at,
     optimal_beta,
     optimize_point,
     run_baseline,
-    sample_trajectory,
 )
 from uavsec.harness import dbm_to_mw, parse_config_text, run_experiment, write_results
 from oracle import anlnr_beamformer, f_value, rational_coefficients, slnr_beamformer
 from uavsec.rates import split_rates
 
-from helpers import random_instance, random_link, symmetric_link
+from helpers import flight_links, random_instance, random_link, symmetric_link
 
 
 def _report(number, label, ok, detail):
@@ -49,10 +47,7 @@ def _default_links(m, ps_dbm):
     arr = ArrayConfig(m)
     noise = dbm_to_mw(-110.0)
     ps = dbm_to_mw(ps_dbm)
-    return [
-        link_state_at(p, geom, arr, sigma2_b=noise, sigma2_e=noise, p_s=ps)
-        for p in sample_trajectory(geom)
-    ]
+    return flight_links(geom, arr, sigma2_b=noise, sigma2_e=noise, p_s=ps)
 
 
 _MEAN_SR_CACHE: dict = {}

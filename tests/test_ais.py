@@ -5,26 +5,21 @@ from uavsec import (
     AisConfig,
     ArrayConfig,
     ScenarioGeometry,
-    link_state_at,
     optimize_point,
     run_baseline,
-    sample_trajectory,
 )
 from uavsec.power_allocation import optimal_beta
 from uavsec.rates import rates_at, split_rates
 
 import oracle
-from helpers import eve_silent_link, random_link, symmetric_link
+from helpers import eve_silent_link, flight_links, random_link, symmetric_link
 from oracle import f_value, rational_coefficients, stationary_points
 
 
 def default_scenario_links(p_s=100.0, m=8, noise=1e-11):
     geom = ScenarioGeometry()
     arr = ArrayConfig(m)
-    return [
-        link_state_at(p, geom, arr, sigma2_b=noise, sigma2_e=noise, p_s=p_s)
-        for p in sample_trajectory(geom)
-    ]
+    return flight_links(geom, arr, sigma2_b=noise, sigma2_e=noise, p_s=p_s)
 
 
 def test_symmetric_links_converge_immediately():

@@ -88,34 +88,33 @@ class TestArraySeparation:
 
 class TestTrajectory:
     def test_default_scenario_has_100_points(self):
-        points = sample_trajectory(ScenarioGeometry())
-        assert len(points) == 100
-        assert [p.sample_index for p in points] == list(range(1, 101))
+        traj = sample_trajectory(ScenarioGeometry())
+        assert len(traj) == 100
+        assert traj.sample_index.tolist() == list(range(1, 101))
 
     def test_points_equally_spaced(self):
         geom = ScenarioGeometry()
-        points = sample_trajectory(geom)
-        positions = np.array([p.bob_position for p in points])
+        positions = sample_trajectory(geom).bob_position
         steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
         assert np.allclose(steps, geom.speed * geom.sample_interval, atol=1e-9)
 
     def test_eve_angle_constant(self):
-        points = sample_trajectory(ScenarioGeometry())
-        assert len({p.theta_e for p in points}) == 1
+        # One angle for the whole flight: a scalar, not a per-point array.
+        assert np.shape(sample_trajectory(ScenarioGeometry()).theta_e) == ()
 
     def test_distance_recomputed_independently(self):
         geom = ScenarioGeometry()
-        p = sample_trajectory(geom)[49]
-        d = np.linalg.norm(np.asarray(p.bob_position) - np.asarray(geom.alice))
-        assert abs(p.d_ab - d) < 1e-9
+        traj = sample_trajectory(geom)
+        d = np.linalg.norm(traj.bob_position[49] - np.asarray(geom.alice))
+        assert abs(traj.d_ab[49] - d) < 1e-9
 
     def test_overhead_point_is_perpendicular(self):
         geom = ScenarioGeometry(
             flight_start=(0.0, -8.0, 20.0), flight_end=(0.0, 8.0, 20.0)
         )
-        p = sample_trajectory(geom)[0]
-        assert p.bob_position == (0.0, 0.0, 20.0)
-        assert abs(p.theta_b - math.pi / 2) < 1e-12
+        traj = sample_trajectory(geom)
+        assert tuple(traj.bob_position[0].tolist()) == (0.0, 0.0, 20.0)
+        assert abs(traj.theta_b[0] - math.pi / 2) < 1e-12
 
     def test_too_short_flight_rejected(self):
         geom = ScenarioGeometry(flight_end=(4.0, 0.0, 20.0))

@@ -4,12 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavsec import ScenarioGeometry
+from uavsec import AisConfig, ConfigurationError, ScenarioGeometry
 from uavsec.harness import (
     CSV_HEADER,
+    MAX_ABS_DBM,
+    MAX_ANTENNAS,
+    MAX_SAMPLES,
     ConfigError,
     ExperimentConfig,
     ResultBlock,
@@ -38,6 +41,50 @@ strategies=fixed:0.5
 """
 
 
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+_POSITIVE = _finite(min_value=0.0, exclude_min=True)
+_DBM = _finite(min_value=-MAX_ABS_DBM, max_value=MAX_ABS_DBM)
+_SPLIT = _finite(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def configs(draw):
+    """Any config the parser accepts, every key drawn over its valid range
+    (subnormals and signed zeros included where valid)."""
+    point = st.tuples(_finite(), _finite(), _finite())
+    start = draw(st.tuples(_finite(), _finite(), _POSITIVE))
+    try:
+        geometry = ScenarioGeometry(
+            alice=draw(point), eve=draw(point), flight_start=start,
+            flight_end=(draw(_finite()), draw(_finite()), start[2]),
+            speed=draw(_POSITIVE), sample_interval=draw(_POSITIVE),
+            path_loss_exponent=draw(_POSITIVE), reference_gain=draw(_POSITIVE),
+        )
+    except ConfigurationError:
+        assume(False)
+    assume(geometry.flight_length / geometry.speed / geometry.sample_interval <= MAX_SAMPLES)
+    strategy = st.one_of(st.just(Strategy("ais")), st.just(Strategy("grid_oracle")),
+                         _SPLIT.map(lambda beta: Strategy("fixed", beta)))
+    path = st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) <= 1)
+    return ExperimentConfig(
+        geometry=geometry,
+        array_spacing=draw(_finite()),
+        noise_dbm_bob=draw(_DBM),
+        noise_dbm_eve=draw(_DBM),
+        power_sweep_dbm=tuple(draw(st.lists(_DBM, min_size=1, max_size=4, unique=True))),
+        antenna_sweep=tuple(draw(st.lists(st.integers(2, MAX_ANTENNAS), min_size=1, max_size=4,
+                                          unique=True))),
+        strategies=tuple(draw(st.lists(strategy, min_size=1, max_size=4, unique=True))),
+        ais=AisConfig(draw(_SPLIT), draw(_POSITIVE), draw(st.integers(min_value=1))),
+        grid_step=draw(_finite(min_value=0.0, max_value=1e-2, exclude_min=True)),
+        output_path=draw(path),
+        output_format=draw(st.sampled_from(("csv", "json"))),
+    )
+
+
 class TestConfigParsing:
     def test_empty_text_gives_defaults(self):
         cfg = parse_config_text("")
@@ -63,6 +110,20 @@ class TestConfigParsing:
         assert parse_config_text(serialize_config(cfg)) == cfg
         default = ExperimentConfig()
         assert parse_config_text(serialize_config(default)) == default
+        # More digits than a 6-digit float format keeps.
+        for text in ("geometry.speed=8.1234567", "noise.bob_dbm=-110.123456",
+                     "strategies=ais,fixed:0.1234567"):
+            cfg = parse_config_text(text)
+            assert parse_config_text(serialize_config(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(configs())
+    @example(ExperimentConfig(
+        geometry=ScenarioGeometry(eve=(5e-324, -0.0, 1e308), speed=8.1234567),
+        strategies=(Strategy("fixed", 0.1234567), Strategy("fixed", 0.5000001)),
+    ))
+    def test_every_config_round_trips(self, cfg):
+        assert parse_config_text(serialize_config(cfg)) == cfg
 
     def test_strategy_tokens(self):
         assert parse_strategy("ais") == Strategy("ais")
@@ -74,6 +135,9 @@ class TestConfigParsing:
             parse_strategy("fixed:1.5")
         with pytest.raises(ConfigError):
             parse_strategy("annealing")
+        # Equal splits are one strategy however they are spelled.
+        with pytest.raises(ConfigError, match="duplicate entries"):
+            parse_config_text("strategies=fixed:0.5,fixed(0.50)")
 
     def test_dbm_conversion(self):
         assert dbm_to_mw(0.0) == 1.0
@@ -312,6 +376,15 @@ class TestCli:
         write_results(run_experiment(parse_config_text(text)), "csv", reference)
         assert out.read_bytes() == reference.read_bytes()
 
+    def test_close_splits_keep_their_own_rows(self, tmp_path):
+        # Strategy names are the exact split, so near-equal splits stay apart.
+        text = SHORT_CONFIG + "strategies=fixed:0.5,fixed:0.5000001\n"
+        out = tmp_path / "close.csv"
+        assert main(["run", "--config", str(self._write_config(tmp_path, text)), "--out", str(out)]) == 0
+        records = read_results_csv(out)
+        assert [r.strategy for r in records] == ["fixed:0.5"] * 10 + ["fixed:0.5000001"] * 10
+        assert {r.beta for r in records} == {0.5, 0.5000001}
+
     def test_sweep_power_override(self, tmp_path):
         cfg_path = self._write_config(tmp_path)
         out = tmp_path / "p.csv"
@@ -364,9 +437,7 @@ class TestCli:
         ("sweep.antennas=1000000000000", ["run"], "sweep.antennas: 1000000000000 is outside"),
         ("", ["sweep-antennas", "--antennas", "0"], "--antennas: 0 is outside [2, 1000000]"),
         ("", ["sweep-antennas", "--antennas", "8,1000001"], "--antennas: 1000001 is outside"),
-        # Distinct splits that print alike would merge into one strategy's rows.
-        ("strategies=fixed:0.5,fixed:0.5000001", ["run"],
-         "strategies: 'fixed:0.5' and 'fixed:0.5000001' are both named 'fixed:0.5'"),
+        ("strategies=ais,fixed:1", ["run"], "strategies: fixed beta must lie in (0, 1)"),
         # Parses, but the received powers overflow float64.
         ("geometry.reference_gain=1e300\nsweep.power_dbm=300\nnoise.bob_dbm=-300\n"
          "noise.eve_dbm=-300\nstrategies=ais,fixed:0.5,grid_oracle", ["run"],

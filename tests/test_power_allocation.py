@@ -10,15 +10,13 @@ from uavsec import (
     ScenarioGeometry,
     beta_grid_oracle,
     leakage_pair,
-    link_state_at,
     optimal_beta,
-    sample_trajectory,
 )
 from uavsec.harness import dbm_to_mw
 from uavsec.rates import split_rates
 
 import oracle
-from helpers import random_instance, random_link, random_pair, symmetric_link
+from helpers import flight_links, random_instance, random_link, random_pair, symmetric_link
 from oracle import RationalCoefficients, f_value, phi, rational_coefficients, stationary_points
 
 
@@ -29,12 +27,10 @@ def _oracle_instances():
     leakage into Bob dwarfs Bob's noise floor."""
     geom = ScenarioGeometry()
     noise = dbm_to_mw(-110.0)
-    points = sample_trajectory(geom)[::10]
     for m in (4, 8, 16, 32, 64, 128):
         arr = ArrayConfig(m)
         for ps_dbm in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
-            for point in points:
-                link = link_state_at(point, geom, arr, noise, noise, dbm_to_mw(ps_dbm))
+            for link in flight_links(geom, arr, noise, noise, dbm_to_mw(ps_dbm))[::10]:
                 for beta in (0.1, 0.5, 1.0):
                     yield link, leakage_pair(link, beta)
     rng = np.random.default_rng(10)
