@@ -108,9 +108,7 @@ class ScenarioGeometry:
     reference_gain: float = 1.0
 
     def __post_init__(self):
-        s = np.asarray(self.flight_start, dtype=float)
-        d = np.asarray(self.flight_end, dtype=float)
-        if np.linalg.norm(d - s) <= 0:
+        if self.flight_length <= 0:
             raise ConfigurationError("flight_start and flight_end must differ")
         if self.speed <= 0:
             raise ConfigurationError("speed must be positive")
@@ -120,16 +118,16 @@ class ScenarioGeometry:
             raise ConfigurationError("path_loss_exponent must be positive")
         if self.reference_gain <= 0:
             raise ConfigurationError("reference_gain must be positive")
-        if not (s[2] > 0 and math.isclose(s[2], d[2])):
+        z_start, z_end = self.flight_start[2], self.flight_end[2]
+        if not (z_start > 0 and math.isclose(z_start, z_end)):
             raise ConfigurationError(
                 "flight_start and flight_end must sit at one positive altitude (z)"
             )
 
     @property
     def flight_length(self) -> float:
-        s = np.asarray(self.flight_start, dtype=float)
-        d = np.asarray(self.flight_end, dtype=float)
-        return float(np.linalg.norm(d - s))
+        # hypot of Python floats: no overflowing square for a huge flight.
+        return math.hypot(*(float(e) - float(s) for s, e in zip(self.flight_start, self.flight_end)))
 
 
 @dataclass(frozen=True)

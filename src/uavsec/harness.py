@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Optional
@@ -135,6 +135,10 @@ class ExperimentConfig:
             raise ConfigError("grid.step: must lie in (0, 1e-2]")
         if self.output_format not in _VALID_FORMATS:
             raise ConfigError(f"output.format: must be one of {_VALID_FORMATS}")
+        if not self.array_spacing > 0:
+            raise ConfigError("array.spacing: must be positive")
+        if math.dist(self.geometry.eve, self.geometry.alice) == 0:
+            raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -431,16 +435,17 @@ def _json_number(text: str) -> str:
     return _JSON_NONFINITE.get(text) or repr(float(text))
 
 
-def _float_texts(values: list[float], json_numbers: bool) -> list[str]:
-    """Each value at 12 significant digits; for JSON, as ``json.dumps``
-    writes the float that text parses to."""
-    # One %-format call for the whole column; no text contains a newline.
-    texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
+def _float_texts(values, json_numbers: bool) -> list[str]:
+    """Each of the 1-D ``values`` at 12 significant digits; for JSON, as
+    ``json.dumps`` writes the float that text parses to. Each distinct double
+    (by bit pattern, so -0.0 stays apart from 0.0) is formatted once."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    # One %-format call for every distinct value; no text contains a newline.
+    texts = ("%.12g\n" * len(distinct) % tuple(distinct.view(float).tolist())).split("\n")[:-1]
     if json_numbers:
-        fixes = {t: _json_number(t) for t in set(texts) if "." not in t or "e" in t}
-        if fixes:
-            texts = list(map(fixes.get, texts, texts))
-    return texts
+        texts = [_json_number(t) if "." not in t or "e" in t else t for t in texts]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _join_rows(pieces: list) -> Iterator[str]:
@@ -456,47 +461,40 @@ def _join_rows(pieces: list) -> Iterator[str]:
     return map("".join, zip(*columns, repeat(shared)))
 
 
-def _format_rows(result: SweepResult, is_json: bool) -> list[str]:
-    """The rows as text, straight from the columns.
+def _format_rows(result: SweepResult, is_json: bool) -> list[Iterator[str]]:
+    """One iterator of row texts per block, straight from the columns: every
+    float of the result (theta_b, Ps, each block's split and rates) goes
+    through one ``_float_texts`` call, and a column with one text, such as a
+    fixed split, is the same in every row of its block."""
+    (separators, end), null = (_JSON_LAYOUT, "null") if is_json else (_CSV_LAYOUT, "")
+    floats = [np.ravel(c) for c in (result.theta_b, result.powers_dbm, *chain.from_iterable(
+        (b.beta, b.rate_bob, b.rate_eve, b.secrecy) for b in result.blocks))]
+    float_texts = iter(_float_texts(np.concatenate(floats), is_json))
+    theta_texts, ps_texts, *columns = [list(islice(float_texts, len(c))) for c in floats]
+    n_texts = list(map(str, result.n.tolist()))
+    points = len(n_texts)
 
-    Every distinct value is formatted once where the layout repeats it:
-    theta_b per point, Ps per power, a block-wide scalar per block.
-    """
-    null = "null" if is_json else ""
-    separators, end = _JSON_LAYOUT if is_json else _CSV_LAYOUT
-
-    def floats(values):
-        return _float_texts(values, is_json)
-
-    def ints(values):
-        return list(map(str, values))
-
-    def bools(values):
-        return list(map({True: "true", False: "false"}.get, values))
-
-    def cells(value, to_texts):
-        """One str for a scalar or absent value, else one per lane."""
-        if value is None:
+    def cells(values, to_text=None):
+        """One str for an absent column or a column of one value, else the list."""
+        if values is None:
             return null
-        texts = to_texts(np.ravel(value).tolist())
-        return texts[0] if np.ndim(value) == 0 else texts
+        texts = values if to_text is None else list(map(to_text, values.ravel().tolist()))
+        return texts[0] if len(texts) == 1 else texts
 
-    points = len(result.n)
-    n_texts, theta_texts = ints(result.n.tolist()), floats(result.theta_b.tolist())
-    ps_texts = floats(list(result.powers_dbm))
-    lines = []
-    for block in result.blocks:
+    blocks = []
+    for k, block in enumerate(result.blocks):
         name = json.dumps(block.strategy) if is_json else block.strategy
-        lanes = [cells(block.beta, floats), cells(block.rate_bob, floats),
-                 cells(block.rate_eve, floats), cells(block.secrecy, floats),
-                 cells(block.iterations, ints), cells(block.converged, bools)]
+        lanes = [*map(cells, columns[4 * k : 4 * k + 4]), cells(block.iterations, str),
+                 cells(block.converged, {True: "true", False: "false"}.get)]
+        rows = []
         for row, ps_text in enumerate(ps_texts):
             span = slice(row * points, (row + 1) * points)
             row_cells = [name, str(block.m), ps_text, n_texts, theta_texts,
                          *(c if isinstance(c, str) else c[span] for c in lanes)]
             pieces = [x for pair in zip(separators, row_cells) for x in pair]
-            lines.extend(_join_rows([*pieces, end]))
-    return lines
+            rows.append(_join_rows([*pieces, end]))
+        blocks.append(chain.from_iterable(rows))
+    return blocks
 
 
 def write_results(result: SweepResult, fmt: str, path: str | Path):
@@ -513,12 +511,13 @@ def write_results(result: SweepResult, fmt: str, path: str | Path):
     if fmt not in _VALID_FORMATS:
         raise ValueError(f"format must be one of {_VALID_FORMATS}")
     path = Path(path)
-    lines = _format_rows(result, fmt == "json")
-    if fmt == "csv":
-        text = "\n".join([CSV_HEADER, *lines]) + "\n"
-    else:
-        text = "[\n" + ",\n".join(lines) + "\n]\n"
+    blocks = _format_rows(result, fmt == "json")
+    head, sep, tail = (CSV_HEADER + "\n", "\n", "\n") if fmt == "csv" else ("[\n", ",\n", "\n]\n")
     try:
-        path.write_text(text)
+        with path.open("w") as fh:
+            fh.write(head)
+            for i, rows in enumerate(blocks):
+                fh.write(sep + sep.join(rows) if i else sep.join(rows))
+            fh.write(tail)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -66,12 +67,13 @@ def configs(draw):
     except ConfigurationError:
         assume(False)
     assume(geometry.flight_length / geometry.speed / geometry.sample_interval <= MAX_SAMPLES)
+    assume(math.dist(geometry.eve, geometry.alice) > 0)
     strategy = st.one_of(st.just(Strategy("ais")), st.just(Strategy("grid_oracle")),
                          _SPLIT.map(lambda beta: Strategy("fixed", beta)))
     path = st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) <= 1)
     return ExperimentConfig(
         geometry=geometry,
-        array_spacing=draw(_finite()),
+        array_spacing=draw(_POSITIVE),
         noise_dbm_bob=draw(_DBM),
         noise_dbm_eve=draw(_DBM),
         power_sweep_dbm=tuple(draw(st.lists(_DBM, min_size=1, max_size=4, unique=True))),
@@ -239,6 +241,46 @@ class TestRunExperiment:
         assert summarize(result) == reference_summary(records_of(result))
 
 
+def _reference_files(result):
+    """The JSON and CSV texts of a result from the standard encoders:
+    ``json.dumps(rows, indent=2)`` and ``f"{v:.12g}"``."""
+    def twelve_digits(v):
+        return float(f"{v:.12g}")
+
+    records = records_of(result)
+    rows = [
+        dict(zip(CSV_HEADER.split(","), (r.strategy, r.m, twelve_digits(r.ps_dbm), r.n,
+                                         *map(twelve_digits, r[4:9]), r.iterations, r.converged)))
+        for r in records
+    ]
+    lines = [CSV_HEADER] + [
+        ",".join([r.strategy, str(r.m), f"{r.ps_dbm:.12g}", str(r.n), *(f"{v:.12g}" for v in r[4:9]),
+                  "" if r.iterations is None else str(r.iterations),
+                  "" if r.converged is None else str(r.converged).lower()])
+        for r in records
+    ]
+    return json.dumps(rows, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+def _repeated_values_result():
+    """Columns that repeat doubles within and across blocks: 0.0 next to
+    -0.0, NaNs with different payloads and signs, one value in every column."""
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF4000000000000],
+                    dtype=np.uint64).view(float)
+    pool = np.concatenate([[0.0, -0.0, 0.25, 1e-300, -0.0, 0.25, 100.0, 0.0], nans])
+
+    def lanes(k):
+        return np.resize(np.roll(pool, k), (2, 3))
+
+    iterations = np.array([[2, 2, 50], [2, 1, 2]])
+    blocks = (
+        ResultBlock("ais", 4, lanes(0), lanes(1), lanes(2), lanes(3), iterations, iterations < 50),
+        ResultBlock("fixed:0.25", 4, 0.25, lanes(4), lanes(5), lanes(6)),
+        ResultBlock("fixed:0.25", 8, 0.25, lanes(7), -lanes(8), lanes(9)),
+    )
+    return SweepResult((-0.0, 0.25), np.arange(1, 4), np.array([0.25, -0.0, 0.0]), blocks)
+
+
 class TestResultFiles:
     def test_csv_shape(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
@@ -315,8 +357,28 @@ class TestResultFiles:
         write_results(result, "csv", tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_text() == "\n".join(lines) + "\n"
 
+    def test_repeated_values_match_reference_encoders(self, tmp_path):
+        # The empty config repeats many doubles: ais splits of exactly 1 and
+        # Eve rates of exactly 0 (with Rs == Rb there); the fixed splits at
+        # M=64 null Eve on every lane.
+        default = run_experiment(parse_config_text(""))
+        ais = default.blocks[0]
+        assert ais.strategy == "ais" and (ais.beta == 1.0).all()
+        zero_eve = [(block.rate_eve == 0) & (block.secrecy == block.rate_bob) for block in default.blocks]
+        assert all(lanes.any() for lanes in zero_eve)
+        nulled = run_experiment(parse_config_text("strategies=fixed:0.1,fixed:0.9\nsweep.antennas=64"))
+        assert all((block.rate_eve == 0).all() and (block.secrecy == block.rate_bob).all()
+                   for block in nulled.blocks)
+        for result in (default, nulled, _repeated_values_result()):
+            want_json, want_csv = _reference_files(result)
+            write_results(result, "json", tmp_path / "r.json")
+            write_results(result, "csv", tmp_path / "r.csv")
+            assert (tmp_path / "r.json").read_text() == want_json
+            assert (tmp_path / "r.csv").read_text() == want_csv
+
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.floats(), max_size=8))
+    @example([0.0, -0.0, 0.0])
     def test_float_texts_match_json_dumps(self, values):
         # Any double, subnormals, signed zeros and non-finite values included.
         assert _float_texts(values, json_numbers=True) == [json.dumps(float(f"{v:.12g}")) for v in values]
@@ -385,6 +447,12 @@ class TestCli:
         assert [r.strategy for r in records] == ["fixed:0.5"] * 10 + ["fixed:0.5000001"] * 10
         assert {r.beta for r in records} == {0.5, 0.5000001}
 
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write results to {tmp_path}: ") and err.count("\n") == 1
+
     def test_sweep_power_override(self, tmp_path):
         cfg_path = self._write_config(tmp_path)
         out = tmp_path / "p.csv"
@@ -442,6 +510,10 @@ class TestCli:
         ("geometry.reference_gain=1e300\nsweep.power_dbm=300\nnoise.bob_dbm=-300\n"
          "noise.eve_dbm=-300\nstrategies=ais,fixed:0.5,grid_oracle", ["run"],
          "strategy=ais M=8 Ps=300dBm: non-finite rates"),
+        # The flight's length does not overflow: no numpy warning, a finite length.
+        ("geometry.flight_end=1e200,0,20", ["run"], "the 1e+200 m flight gives 1.25e+199 samples"),
+        ("array.spacing=0", ["run"], "array.spacing: must be positive"),
+        ("geometry.eve=0,0,0", ["run"], "geometry.eve, geometry.alice: "),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):
@@ -449,7 +521,10 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message)
     cfg_path.write_text(config + "\n")
     out = tmp_path / "r.csv"
     argv = [command[0], "--config", str(cfg_path), "--out", str(out), *command[1:]]
-    assert main(argv) == 1
+    # A warning would print to stderr next to the error line.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
