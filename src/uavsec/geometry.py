@@ -6,8 +6,9 @@ powers in linear mW, angles in radians measured from the +x array axis.
 The uniform linear array enters the model only through
 D = M^2 - |h_e^H h_b|^2, where h is the steering vector with entries
 exp(-j 2 pi (m - (M+1)/2) (d/lambda) cos(theta)): how far apart the array sees
-the UAV and the eavesdropper. ``array_separation`` computes D without forming
-either vector; the vectors themselves are kept only as a test oracle.
+the UAV and the eavesdropper. ``array_separation`` computes D in closed form
+from the Dirichlet kernel, in O(1) per point, without forming either vector;
+the vectors and the sum of M - 1 terms it replaced are kept as test oracles.
 
 The sweep works on lanes: ``sample_trajectory`` returns the whole flight as
 arrays, ``link_state_at`` builds the link of every point at once, and
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -45,12 +47,15 @@ class ArrayConfig:
 
 
 # Elements per intermediate array where a computation over many lanes forms
-# a (lanes x row) array: the array separation (M - 1 terms per point) and the
-# grid search (one grid per lane) take their lanes in chunks of this size, or
-# one lane at a time when a row is longer. 2^14 doubles stay in cache; on the
-# grid search, larger chunks ran slower.
+# a (lanes x row) array: the grid search (one grid per lane) takes its lanes
+# in chunks of this size, or one lane at a time when a row is longer. 2^14
+# doubles stay in cache; larger chunks ran slower.
 CHUNK_ELEMENTS = 1 << 14
 
+# (-1)^(j+1) / (2j+1)!, j = 1..8: times 1 - M^-2j, the Taylor coefficients of
+# (M sin e - sin Me) / (Me)^3 in (Me)^2. Where |Me| < 1, term j is at most
+# 8/(2j+1)! of the sum, so the first term left out (j = 9) is below 2^-53 of it.
+_TAYLOR = [(-1) ** (j + 1) / math.factorial(2 * j + 1) for j in range(1, 9)]
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis, each rounded exactly as ``np.dot``
@@ -62,31 +67,40 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def array_separation(theta_b, theta_e, array: ArrayConfig):
     """D = M^2 - |h_e^H h_b|^2 for the steering vectors toward two directions.
 
-    The squared magnitude of the ULA's Dirichlet kernel expands to
-    M^2 - 4 sum_{k=1}^{M-1} (M-k) sin^2(k y), y = pi (d/lambda)(cos theta_b -
-    cos theta_e), so D is that sum of nonnegative terms. The cosine difference
-    is formed as a product of sines, which does not cancel for near-parallel
-    directions, and D is exactly 0 for identical ones. 0 <= D <= M^2.
+    The ULA's Dirichlet kernel gives |h_e^H h_b| = |r|, r = sin(My)/sin(y),
+    y = pi z, z = (d/lambda)(cos theta_b - cos theta_e), so D = (M - r)(M + r)
+    in O(1) per point. z is formed as a product of sines, which does not
+    cancel for near-parallel directions. D depends on y modulo pi, so
+    e = pi (z - k), k the integer nearest z (nonzero near a grating lobe,
+    which d/lambda >= 1/2 can reach), stands in for y. Where |Me| < 1,
+    M - r = (M sin e - sin Me)/sin e cancels, so its numerator comes from its
+    Taylor series, whose terms shrink by 16x or more; each factor is divided
+    by sin e on its own, so no tiny sin e is squared. D is then correct to a
+    few ulp of itself. Near a grating lobe, z's own rounding (a few ulp of
+    |z|) limits that to about |z| / |z - k| ulp, as it would any formula.
+    D = 0 where sin e = 0 (identical directions), and 0 <= D <= M^2.
 
-    The angles may be arrays (one D per element of their broadcast shape);
-    the points are summed in chunks of ``CHUNK_ELEMENTS`` elements (or one
-    point, when M - 1 is larger), and a point's D does not depend on the
-    chunk it falls in.
+    The angles may be arrays (one D per element of their broadcast shape),
+    and each point's D depends on that point alone.
     """
     m = array.num_antennas
-    y = -2.0 * math.pi * array.spacing * np.sin(0.5 * (theta_b + theta_e)) * np.sin(
-        0.5 * (theta_b - theta_e)
-    )
-    flat = np.reshape(y, -1)
-    k = np.arange(1.0, m)
-    weights = m - k
-    rows = max(1, CHUNK_ELEMENTS // (m - 1))
-    total = np.concatenate(
-        [_rowdot(np.sin(flat[lo : lo + rows, None] * k) ** 2, weights) for lo in range(0, flat.size, rows)]
-    )
-    # Rounding can carry the sum past M^2 for orthogonal directions.
-    return np.minimum(4.0 * total, float(m * m)).reshape(np.shape(y))[()]
-
+    z = -2.0 * array.spacing * np.sin(0.5 * (theta_b + theta_e)) * np.sin(0.5 * (theta_b - theta_e))
+    flat = z.reshape(-1)
+    e = math.pi * (flat - np.rint(flat))
+    u = m * e
+    # sin e = 0 only at e = 0, where u = 0 makes both numerators, and D, 0.
+    s = np.sin(e)
+    s[s == 0] = 1.0
+    gap = m - np.sin(u) / s
+    near = np.abs(u) < 1.0
+    un = u[near]
+    if un.size:
+        # The series over (Me)^3, in t = (Me)^2 by Horner's scheme.
+        t = un * un
+        coefficients = [c * (1.0 - float(m) ** (-2 * j)) for j, c in enumerate(_TAYLOR, start=1)]
+        gap[near] = un / s[near] * t * reduce(lambda p, c: p * t + c, reversed(coefficients))
+    # M + r = 2M - (M - r); both factors are positive, so D >= 0.
+    return np.minimum(gap * (2 * m - gap), float(m * m)).reshape(z.shape)[()]
 
 @dataclass(frozen=True)
 class ScenarioGeometry:
@@ -108,8 +122,11 @@ class ScenarioGeometry:
     reference_gain: float = 1.0
 
     def __post_init__(self):
-        if self.flight_length <= 0:
+        length = self.flight_length
+        if length <= 0:
             raise ConfigurationError("flight_start and flight_end must differ")
+        if length == math.inf:
+            raise ConfigurationError("flight_start and flight_end: the flight's length overflows float64")
         if self.speed <= 0:
             raise ConfigurationError("speed must be positive")
         if self.sample_interval <= 0:
@@ -149,7 +166,12 @@ class Trajectory:
 def _direction_angle(origin: np.ndarray, target: np.ndarray):
     """Angle from the +x array axis to each origin->target line, and distance."""
     delta = target - origin
-    dist = np.sqrt(_rowdot(delta, delta))
+    # Each delta over a power of two near its largest component: the squares
+    # neither underflow nor overflow, and every other distance keeps its bits.
+    size = np.abs(delta)
+    _, exponent = np.frexp(np.maximum(np.maximum(size[..., 0], size[..., 1]), size[..., 2]))
+    scaled = np.ldexp(delta, -exponent[..., None])
+    dist = np.ldexp(np.sqrt(_rowdot(scaled, scaled)), exponent)
     if np.any(dist == 0):
         raise ValueError("coincident points have no direction angle")
     return np.arccos(np.clip(delta[..., 0] / dist, -1.0, 1.0)), dist

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Optional
@@ -32,6 +32,7 @@ from .geometry import (
     LinkState,
     ScenarioGeometry,
     link_state_at,
+    path_loss,
     sample_trajectory,
 )
 from .power_allocation import beta_grid_oracle
@@ -50,8 +51,8 @@ MAX_ABS_DBM = 300.0
 # Upper bound on the trajectory samples one sweep combination may evaluate.
 MAX_SAMPLES = 1_000_000
 
-# Upper bound on the array size; the array separation of each sample point
-# sums M - 1 terms.
+# Upper bound on the array size. No cost grows with M (the array separation
+# is a closed form), so this only bounds the input to a sane range.
 MAX_ANTENNAS = 1_000_000
 
 
@@ -137,8 +138,16 @@ class ExperimentConfig:
             raise ConfigError(f"output.format: must be one of {_VALID_FORMATS}")
         if not self.array_spacing > 0:
             raise ConfigError("array.spacing: must be positive")
-        if math.dist(self.geometry.eve, self.geometry.alice) == 0:
+        d_ae = math.dist(self.geometry.eve, self.geometry.alice)
+        if d_ae == 0:
             raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")
+        with np.errstate(over="ignore", divide="ignore"):
+            gain = path_loss(np.float64(d_ae), self.geometry)
+        if not np.isfinite(gain):
+            raise ConfigError(
+                f"geometry.eve: at d = {d_ae:g} m from the array, the eavesdropper's path gain "
+                "geometry.reference_gain / d**geometry.path_loss_exponent overflows float64"
+            )
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -413,10 +422,12 @@ def summarize(result: SweepResult) -> list[dict]:
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# The text before each field of a row, and after its last field: a row is a
-# CSV line, or one element of ``json.dumps(rows, indent=2)``.
-_CSV_LAYOUT = ([""] + [","] * (len(_FIELDS) - 1), "")
-_JSON_LAYOUT = (["  {\n" + f'    "{_FIELDS[0]}": '] + [f',\n    "{key}": ' for key in _FIELDS[1:]], "\n  }")
+# The separator before a row, the text before each of its fields, and the
+# text after its last field: a row is a CSV line, or one element of
+# ``json.dumps(rows, indent=2)``.
+_CSV_LAYOUT = ("\n", [""] + [","] * (len(_FIELDS) - 1), "")
+_JSON_LAYOUT = (",\n", ["  {\n" + f'    "{_FIELDS[0]}": '] + [f',\n    "{key}": ' for key in _FIELDS[1:]],
+                "\n  }")
 
 
 def _json_number(text: str) -> str:
@@ -448,53 +459,49 @@ def _float_texts(values, json_numbers: bool) -> list[str]:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _join_rows(pieces: list) -> Iterator[str]:
-    """Concatenate each row's pieces: a str piece is the same in every row,
-    a list piece holds one str per row."""
-    columns, shared = [], ""
-    for piece in pieces:
-        if isinstance(piece, str):
-            shared += piece
-        else:
-            columns += [repeat(shared), piece]
-            shared = ""
-    return map("".join, zip(*columns, repeat(shared)))
+def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
+    """The text of each block's rows, straight from the columns. Every row
+    starts with the row separator, except the file's first row.
 
-
-def _format_rows(result: SweepResult, is_json: bool) -> list[Iterator[str]]:
-    """One iterator of row texts per block, straight from the columns: every
-    float of the result (theta_b, Ps, each block's split and rates) goes
-    through one ``_float_texts`` call, and a column with one text, such as a
-    fixed split, is the same in every row of its block."""
-    (separators, end), null = (_JSON_LAYOUT, "null") if is_json else (_CSV_LAYOUT, "")
-    floats = [np.ravel(c) for c in (result.theta_b, result.powers_dbm, *chain.from_iterable(
+    Every float of the result (Ps, theta_b, each block's split and rates)
+    goes through one ``_float_texts`` call. A block's rows are one
+    (powers x points x pieces) array of texts: a piece is a str shared by
+    every row (runs of them merged, such as a fixed split's), the Ps texts
+    as a column, the ``n`` and ``theta_b`` texts as a row, or a lane
+    column; the block is one join over it.
+    """
+    (row_sep, separators, end), null = (_JSON_LAYOUT, "null") if is_json else (_CSV_LAYOUT, "")
+    shape = (len(result.powers_dbm), len(result.n))
+    floats = [np.ravel(c) for c in (result.powers_dbm, result.theta_b, *chain.from_iterable(
         (b.beta, b.rate_bob, b.rate_eve, b.secrecy) for b in result.blocks))]
-    float_texts = iter(_float_texts(np.concatenate(floats), is_json))
-    theta_texts, ps_texts, *columns = [list(islice(float_texts, len(c))) for c in floats]
-    n_texts = list(map(str, result.n.tolist()))
-    points = len(n_texts)
+    texts = np.fromiter(_float_texts(np.concatenate(floats), is_json), object, sum(c.size for c in floats))
+    ps_texts, theta_texts, *columns = (texts[end - c.size : end]
+                                        for c, end in zip(floats, accumulate(c.size for c in floats)))
+    n_texts = np.fromiter(map(str, result.n.tolist()), object, len(result.n))
 
     def cells(values, to_text=None):
-        """One str for an absent column or a column of one value, else the list."""
+        """One str for an absent column or a column of one value, else the
+        (P x N) lanes of texts."""
         if values is None:
             return null
-        texts = values if to_text is None else list(map(to_text, values.ravel().tolist()))
-        return texts[0] if len(texts) == 1 else texts
+        texts = values if to_text is None else np.fromiter(map(to_text, values.ravel().tolist()), object, values.size)
+        return texts[0] if texts.size == 1 else texts.reshape(shape)
 
-    blocks = []
     for k, block in enumerate(result.blocks):
         name = json.dumps(block.strategy) if is_json else block.strategy
-        lanes = [*map(cells, columns[4 * k : 4 * k + 4]), cells(block.iterations, str),
-                 cells(block.converged, {True: "true", False: "false"}.get)]
-        rows = []
-        for row, ps_text in enumerate(ps_texts):
-            span = slice(row * points, (row + 1) * points)
-            row_cells = [name, str(block.m), ps_text, n_texts, theta_texts,
-                         *(c if isinstance(c, str) else c[span] for c in lanes)]
-            pieces = [x for pair in zip(separators, row_cells) for x in pair]
-            rows.append(_join_rows([*pieces, end]))
-        blocks.append(chain.from_iterable(rows))
-    return blocks
+        row = [name, str(block.m), ps_texts[:, None], n_texts, theta_texts, *map(cells, columns[4 * k : 4 * k + 4]),
+               cells(block.iterations, str), cells(block.converged, {True: "true", False: "false"}.get)]
+        pieces = [row_sep]
+        for piece in (*chain.from_iterable(zip(separators, row)), end):
+            if isinstance(piece, str) and isinstance(pieces[-1], str):
+                pieces[-1] += piece
+            else:
+                pieces.append(piece)
+        grid = np.empty((*shape, len(pieces)), dtype=object)
+        for i, piece in enumerate(pieces):
+            grid[..., i] = piece
+        text = "".join(grid.ravel().tolist())
+        yield text[len(row_sep):] if k == 0 else text
 
 
 def write_results(result: SweepResult, fmt: str, path: str | Path):
@@ -511,13 +518,12 @@ def write_results(result: SweepResult, fmt: str, path: str | Path):
     if fmt not in _VALID_FORMATS:
         raise ValueError(f"format must be one of {_VALID_FORMATS}")
     path = Path(path)
-    blocks = _format_rows(result, fmt == "json")
-    head, sep, tail = (CSV_HEADER + "\n", "\n", "\n") if fmt == "csv" else ("[\n", ",\n", "\n]\n")
+    is_json = fmt == "json"
+    head, tail = ("[\n", "\n]\n") if is_json else (CSV_HEADER + "\n", "\n")
     try:
         with path.open("w") as fh:
             fh.write(head)
-            for i, rows in enumerate(blocks):
-                fh.write(sep + sep.join(rows) if i else sep.join(rows))
+            fh.writelines(_format_blocks(result, is_json))
             fh.write(tail)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc

@@ -6,7 +6,10 @@ their four projected powers in closed form over the array separation
 unchanged: steering vectors, the Sherman-Morrison solve of the rank-one
 whitening matrix, both normalized beamformers with their SLNR/ANLNR values,
 and the projection ``projected_powers``. ``SteeredLink`` is a ``LinkState``
-that also carries the two steering vectors it was built from.
+that also carries the two steering vectors it was built from. The array
+separation the library takes from the Dirichlet kernel in closed form
+(``uavsec.geometry.array_separation``) is also kept here as the sum of
+M - 1 nonnegative terms it replaced, ``summed_separation``.
 
 Power allocation. The signed secrecy rate as a function of the power split
 beta is log2 of a ratio of two quadratics. This module expands that ratio
@@ -31,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from uavsec import rates
-from uavsec.geometry import ArrayConfig, LinkState, array_separation
+from uavsec.geometry import ArrayConfig, LinkState, _rowdot, array_separation
 from uavsec.rates import ProjectedPowers
 
 # Relative tie width on phi when ranking candidates.
@@ -201,6 +204,19 @@ def _solution(
 
 
 # ------------------------------------------------------------- beamforming
+
+
+def summed_separation(theta_b, theta_e, array: ArrayConfig):
+    """D = M^2 - |h_e^H h_b|^2 as the sum 4 sum_{k=1}^{M-1} (M-k) sin^2(k y)
+    of nonnegative terms, y = pi (d/lambda)(cos theta_b - cos theta_e) formed
+    as a product of sines; capped at M^2 like the closed form."""
+    m = array.num_antennas
+    y = -2.0 * math.pi * array.spacing * np.sin(0.5 * (theta_b + theta_e)) * np.sin(
+        0.5 * (theta_b - theta_e)
+    )
+    k = np.arange(1.0, m)
+    total = _rowdot(np.sin(np.reshape(y, -1)[:, None] * k) ** 2, m - k)
+    return np.minimum(4.0 * total, float(m * m)).reshape(np.shape(y))[()]
 
 
 def steering_vector(theta: float, array: ArrayConfig) -> np.ndarray:

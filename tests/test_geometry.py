@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uavsec import (
     ArrayConfig,
@@ -13,7 +15,9 @@ from uavsec import (
     sample_trajectory,
 )
 
-from oracle import steering_vector
+from oracle import steering_vector, summed_separation
+
+EPS = 2.0**-52
 
 
 class TestSteeringVector:
@@ -55,6 +59,41 @@ class TestSteeringVector:
             ArrayConfig(4, spacing=0.0)
 
 
+def separation_tolerance(m, spacing, theta_b, theta_e, d):
+    """How far the closed-form D and the summed oracle may differ.
+
+    Both see the directions through y = pi (d/lambda)(cos theta_b -
+    cos theta_e), which carries a rounding of a few ulp of |y|, and its
+    distance e from the nearest multiple of pi (the main or a grating lobe).
+    That moves D by up to |dD/de| ~ M^3 min(1, M |e|) times it; each form
+    also rounds D itself to a few ulp.
+    """
+    y = -2.0 * math.pi * spacing * math.sin(0.5 * (theta_b + theta_e)) * math.sin(0.5 * (theta_b - theta_e))
+    e = y - math.pi * round(y / math.pi)
+    return 8 * EPS * (d + abs(y) * m**3 * min(1.0, m * (abs(e) + EPS * abs(y))))
+
+
+@st.composite
+def separation_cases(draw):
+    """(M, d/lambda, theta_b, theta_e): any two directions; or y within 10^-12
+    to 3 of the main lobe (k = 0) or a grating lobe (k != 0) in units of 1/M,
+    which puts |M e| on both sides of the series branch at 1."""
+    m = draw(st.integers(2, 4096))
+    kind = draw(st.sampled_from(("any", "main lobe", "grating lobe")))
+    spacing = draw(st.floats(0.5 if kind == "grating lobe" else 0.05, 2.0))
+    if kind == "any":
+        return m, spacing, draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, math.pi))
+    lobes = int(2 * spacing)
+    k = 0 if kind == "main lobe" else draw(st.integers(1, lobes)) * draw(st.sampled_from((-1, 1)))
+    me = draw(st.sampled_from((-1, 1))) * 10.0 ** draw(st.floats(-12.0, 0.5))
+    # cos theta_b - cos theta_e = delta, with both cosines in [-1, 1].
+    delta = (k + me / (math.pi * m)) / spacing
+    assume(abs(delta) <= 2.0)
+    cos_b = -1.0 + max(delta, 0.0) + draw(st.floats(0.0, 1.0)) * (2.0 - abs(delta))
+    cos_e = cos_b - delta
+    return m, spacing, math.acos(min(1.0, max(-1.0, cos_b))), math.acos(min(1.0, max(-1.0, cos_e)))
+
+
 class TestArraySeparation:
     def test_matches_steering_vectors(self):
         rng = np.random.default_rng(3)
@@ -79,6 +118,23 @@ class TestArraySeparation:
                 limit = m * m * (m * m - 1) * y * y / 3.0
                 d = array_separation(theta_b, theta_e, arr)
                 assert abs(d - limit) <= 1e-12 * limit
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=separation_cases())
+    def test_matches_summed_oracle(self, case):
+        m, spacing, theta_b, theta_e = case
+        arr = ArrayConfig(m, spacing)
+        closed, summed = array_separation(theta_b, theta_e, arr), summed_separation(theta_b, theta_e, arr)
+        assert abs(closed - summed) <= separation_tolerance(m, spacing, theta_b, theta_e, summed)
+
+    def test_million_elements_match_summed_oracle(self):
+        # A generic pair, a near-parallel one (|My| ~ 0.01) and one at the
+        # series' edge (|My| ~ 0.8).
+        arr = ArrayConfig(1_000_000)
+        for theta_e in (2.0, 1.0 + 1e-8, 1.0 + 6e-7):
+            summed = summed_separation(1.0, theta_e, arr)
+            closed = array_separation(1.0, theta_e, arr)
+            assert abs(closed - summed) <= separation_tolerance(arr.num_antennas, arr.spacing, 1.0, theta_e, summed)
 
     def test_identical_and_orthogonal_directions(self):
         assert array_separation(1.0, 1.0, ArrayConfig(8)) == 0.0
@@ -107,6 +163,15 @@ class TestTrajectory:
         traj = sample_trajectory(geom)
         d = np.linalg.norm(traj.bob_position[49] - np.asarray(geom.alice))
         assert abs(traj.d_ab[49] - d) < 1e-9
+
+    def test_extreme_distances_neither_underflow_nor_overflow(self):
+        near = sample_trajectory(ScenarioGeometry(eve=(1e-200, 0.0, 0.0)))
+        assert (near.theta_e, near.d_ae) == (0.0, 1e-200)
+        far = sample_trajectory(ScenarioGeometry(eve=(1e200, 1e200, 0.0)))
+        assert far.theta_e == pytest.approx(math.pi / 4) and far.d_ae == pytest.approx(math.sqrt(2) * 1e200)
+        # In the normal range the scaling changes no bit of any distance.
+        traj = sample_trajectory(ScenarioGeometry())
+        assert traj.d_ab.tolist() == [math.sqrt(float(p @ p)) for p in traj.bob_position]
 
     def test_overhead_point_is_perpendicular(self):
         geom = ScenarioGeometry(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavsec import AisConfig, ConfigurationError, ScenarioGeometry
+from uavsec import AisConfig, ConfigurationError, ScenarioGeometry, path_loss
 from uavsec.harness import (
     CSV_HEADER,
     MAX_ABS_DBM,
@@ -67,7 +67,10 @@ def configs(draw):
     except ConfigurationError:
         assume(False)
     assume(geometry.flight_length / geometry.speed / geometry.sample_interval <= MAX_SAMPLES)
-    assume(math.dist(geometry.eve, geometry.alice) > 0)
+    d_ae = math.dist(geometry.eve, geometry.alice)
+    assume(d_ae > 0)
+    with np.errstate(over="ignore", divide="ignore"):
+        assume(np.isfinite(path_loss(np.float64(d_ae), geometry)))
     strategy = st.one_of(st.just(Strategy("ais")), st.just(Strategy("grid_oracle")),
                          _SPLIT.map(lambda beta: Strategy("fixed", beta)))
     path = st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) <= 1)
@@ -376,6 +379,24 @@ class TestResultFiles:
             assert (tmp_path / "r.json").read_text() == want_json
             assert (tmp_path / "r.csv").read_text() == want_csv
 
+    @pytest.mark.parametrize("config", [
+        # A one-point flight with one power: one block of one row.
+        "geometry.flight_end=8,0,20\nsweep.power_dbm=10\nstrategies=ais",
+        # One block, whose split is a scalar.
+        "strategies=fixed:0.5\nsweep.power_dbm=10,20",
+        # Several blocks, the first of one row.
+        "geometry.flight_end=8,0,20\nsweep.power_dbm=10\nsweep.antennas=4,8\n"
+        "strategies=ais,fixed:0.5,grid_oracle",
+    ])
+    def test_edge_shapes_match_reference_encoders(self, tmp_path, config):
+        # The file's first row has no row separator before it.
+        result = run_experiment(parse_config_text(config))
+        want_json, want_csv = _reference_files(result)
+        write_results(result, "json", tmp_path / "r.json")
+        write_results(result, "csv", tmp_path / "r.csv")
+        assert (tmp_path / "r.json").read_text() == want_json
+        assert (tmp_path / "r.csv").read_text() == want_csv
+
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.floats(), max_size=8))
     @example([0.0, -0.0, 0.0])
@@ -514,6 +535,10 @@ class TestCli:
         ("geometry.flight_end=1e200,0,20", ["run"], "the 1e+200 m flight gives 1.25e+199 samples"),
         ("array.spacing=0", ["run"], "array.spacing: must be positive"),
         ("geometry.eve=0,0,0", ["run"], "geometry.eve, geometry.alice: "),
+        # A path gain that overflows, and a flight whose length does.
+        ("geometry.eve=1e-200,0,0", ["run"], "geometry.eve: at d = 1e-200 m from the array"),
+        ("geometry.flight_start=-1.5e308,0,20\ngeometry.flight_end=1.5e308,0,20", ["run"],
+         "flight_start and flight_end: the flight's length overflows float64"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):
