@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -201,10 +201,13 @@ def sample_trajectory(geom: ScenarioGeometry) -> Trajectory:
 
 
 def path_loss(distance, geom: ScenarioGeometry):
-    """Linear power gain alpha/d^c at the given distance(s) in meters."""
+    """Linear power gain alpha/d^c at the given distance(s) in meters, in
+    float64: a gain beyond its range is inf (or 0), without a warning."""
+    distance = np.asarray(distance, dtype=float)
     if np.any(distance <= 0):
         raise ValueError("path loss undefined at zero distance")
-    return geom.reference_gain / distance**geom.path_loss_exponent
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        return (geom.reference_gain / distance**geom.path_loss_exponent)[()]
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,9 @@ class LinkState:
     directions on a ``num_antennas``-element array; gains are linear, powers
     and noise variances in mW. Each field after ``num_antennas`` is a scalar
     or an array; their broadcast shape, ``shape``, is the lane shape of the
-    batch, and every computation on the link is elementwise over it.
+    batch, and every computation on the link is elementwise over it. The
+    eavesdropper's gain may be 0 (its path gain underflowed), which makes
+    its rate exactly 0; every other gain, power and noise is positive.
     """
 
     num_antennas: int
@@ -227,11 +232,13 @@ class LinkState:
     p_s: float
 
     def __post_init__(self):
-        for name in ("g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s"):
+        if not np.greater_equal(self.g_ae, 0).all():
+            raise ValueError("g_ae must be nonnegative")
+        for name in ("g_ab", "sigma2_b", "sigma2_e", "p_s"):
             if not np.greater(getattr(self, name), 0).all():
                 raise ValueError(f"{name} must be strictly positive")
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return np.broadcast_shapes(*(np.shape(v) for v in (
             self.separation, self.g_ab, self.g_ae, self.sigma2_b, self.sigma2_e, self.p_s)))

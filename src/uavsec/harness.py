@@ -9,7 +9,10 @@ A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
 points; each strategy then evaluates all lanes of an M in one call. The
 results stay in those lane arrays, one block per (strategy, M), which
-``summarize`` and the writers read row by row.
+``summarize`` reads row by row. The writers format each block's columns
+straight from those arrays; the values a sweep repeats are found from the
+rate identities (a column of one double, zero rates, R_s = R_b where
+R_e = 0), not from a sort.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Optional
@@ -138,15 +141,22 @@ class ExperimentConfig:
             raise ConfigError(f"output.format: must be one of {_VALID_FORMATS}")
         if not self.array_spacing > 0:
             raise ConfigError("array.spacing: must be positive")
-        d_ae = math.dist(self.geometry.eve, self.geometry.alice)
+        geom = self.geometry
+        d_ae = math.dist(geom.eve, geom.alice)
         if d_ae == 0:
             raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")
-        with np.errstate(over="ignore", divide="ignore"):
-            gain = path_loss(np.float64(d_ae), self.geometry)
-        if not np.isfinite(gain):
+        if not np.isfinite(path_loss(d_ae, geom)):
             raise ConfigError(
                 f"geometry.eve: at d = {d_ae:g} m from the array, the eavesdropper's path gain "
                 "geometry.reference_gain / d**geometry.path_loss_exponent overflows float64"
+            )
+        # Every sample lies on the flight segment, no farther from the array
+        # than its farther end, so no sample's gain is smaller than this one.
+        d_far = max(math.dist(geom.flight_start, geom.alice), math.dist(geom.flight_end, geom.alice))
+        if path_loss(d_far, geom) == 0:
+            raise ConfigError(
+                f"geometry.flight_start, geometry.flight_end: at d = {d_far:g} m from the array, the "
+                "UAV's path gain geometry.reference_gain / d**geometry.path_loss_exponent underflows to 0"
             )
 
 
@@ -431,14 +441,13 @@ _JSON_LAYOUT = (",\n", ["  {\n" + f'    "{_FIELDS[0]}": '] + [f',\n    "{key}": 
 
 
 def _json_number(text: str) -> str:
-    """``json.dumps`` of the float a 12-digit text parses to, for a text
-    without a point or with an exponent.
+    """``json.dumps`` of the float a 12-digit text parses to.
 
     The float's shortest repr spells the same digits the same way when the
-    text has a point and no exponent (such texts never get here), or an
-    exponent e with -308 < e < 12. It differs for integral text ("100"
-    against "100.0"), for e from 12 to 15 (repr stays positional below
-    1e16) and for subnormals (fewer digits round-trip).
+    text has a point and no exponent, or an exponent e with -308 < e < 12.
+    It differs for integral text ("100" against "100.0"), for e from 12 to
+    15 (repr stays positional below 1e16) and for subnormals (fewer digits
+    round-trip).
     """
     _, e, exponent = text.partition("e")
     if e and -308 < int(exponent) < 12:
@@ -446,53 +455,82 @@ def _json_number(text: str) -> str:
     return _JSON_NONFINITE.get(text) or repr(float(text))
 
 
-def _float_texts(values, json_numbers: bool) -> list[str]:
-    """Each of the 1-D ``values`` at 12 significant digits; for JSON, as
-    ``json.dumps`` writes the float that text parses to. Each distinct double
-    (by bit pattern, so -0.0 stays apart from 0.0) is formatted once."""
+def _twelve_digits(values: np.ndarray, is_json: bool) -> list[str]:
+    """Each of the 1-D float64 ``values`` at 12 significant digits, in one
+    %-format call; for JSON, as ``json.dumps`` writes the float that text
+    parses to."""
+    # No text contains a newline.
+    texts = ("%.12g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
+    if is_json:
+        size = np.abs(values)
+        # Only these values can print without a point or with an exponent:
+        # elsewhere 12-digit rounding moves v by at most 0.5e-11 |v|, so the
+        # text keeps a fractional part and its exponent stays in [-4, 11].
+        with np.errstate(invalid="ignore"):
+            odd = ~((1e-4 <= size) & (size < 1e11) & (np.abs(values - np.rint(values)) > 1e-9 * size))
+        for i in np.flatnonzero(odd).tolist():
+            texts[i] = _json_number(texts[i])
+    return texts
+
+
+def _column_texts(values, is_json: bool, alias=None):
+    """The texts of a float column: one str when every lane holds one
+    double, else an object array of the lanes' texts.
+
+    Lanes are compared by bit pattern, so -0.0 stays apart from 0.0. Lanes
+    of +0.0 share one text, lanes bitwise equal to the same lane of
+    ``alias`` (an earlier column's values and texts) reuse its text, and
+    every other lane goes through one ``_twelve_digits`` call.
+    """
     bits = np.asarray(values, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    # One %-format call for every distinct value; no text contains a newline.
-    texts = ("%.12g\n" * len(distinct) % tuple(distinct.view(float).tolist())).split("\n")[:-1]
-    if json_numbers:
-        texts = [_json_number(t) if "." not in t or "e" in t else t for t in texts]
-    return np.array(texts, dtype=object)[inverse].tolist()
+    flat = bits.ravel()
+    if (flat == flat[0]).all():
+        return _twelve_digits(flat[:1].view(float), is_json)[0]
+    texts = np.empty(bits.shape, dtype=object)
+    todo = bits != 0
+    texts[~todo] = "0.0" if is_json else "0"
+    if alias is not None:
+        alias_values, alias_texts = alias
+        same = bits == np.asarray(alias_values, dtype=float).view(np.int64)
+        texts[same] = alias_texts if isinstance(alias_texts, str) else alias_texts[same]
+        todo &= ~same
+    texts[todo] = _twelve_digits(bits[todo].view(float), is_json)
+    return texts
 
 
 def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
     """The text of each block's rows, straight from the columns. Every row
     starts with the row separator, except the file's first row.
 
-    Every float of the result (Ps, theta_b, each block's split and rates)
-    goes through one ``_float_texts`` call. A block's rows are one
+    Each float column goes through ``_column_texts``; the secrecy rate
+    reuses the Bob rate's texts, since R_s = max(0, R_b - R_e) is exactly R_b
+    wherever R_e = 0. The Ps, ``n`` and ``theta_b`` texts of each lane are
+    joined once and shared by every block. A block's rows are one
     (powers x points x pieces) array of texts: a piece is a str shared by
-    every row (runs of them merged, such as a fixed split's), the Ps texts
-    as a column, the ``n`` and ``theta_b`` texts as a row, or a lane
-    column; the block is one join over it.
+    every row (runs of them merged, such as a fixed split's), that lane
+    prefix, or a lane column; the block is one join over it.
     """
     (row_sep, separators, end), null = (_JSON_LAYOUT, "null") if is_json else (_CSV_LAYOUT, "")
     shape = (len(result.powers_dbm), len(result.n))
-    floats = [np.ravel(c) for c in (result.powers_dbm, result.theta_b, *chain.from_iterable(
-        (b.beta, b.rate_bob, b.rate_eve, b.secrecy) for b in result.blocks))]
-    texts = np.fromiter(_float_texts(np.concatenate(floats), is_json), object, sum(c.size for c in floats))
-    ps_texts, theta_texts, *columns = (texts[end - c.size : end]
-                                        for c, end in zip(floats, accumulate(c.size for c in floats)))
-    n_texts = np.fromiter(map(str, result.n.tolist()), object, len(result.n))
-
-    def cells(values, to_text=None):
-        """One str for an absent column or a column of one value, else the
-        (P x N) lanes of texts."""
-        if values is None:
-            return null
-        texts = values if to_text is None else np.fromiter(map(to_text, values.ravel().tolist()), object, values.size)
-        return texts[0] if texts.size == 1 else texts.reshape(shape)
-
+    ps_texts = np.array(_twelve_digits(np.array(result.powers_dbm, dtype=float), is_json), dtype=object)
+    point_texts = np.array([f"{separators[3]}{n}{separators[4]}{theta}" for n, theta in
+                            zip(result.n.tolist(), _twelve_digits(result.theta_b, is_json))], dtype=object)
+    prefix = ps_texts[:, None] + point_texts
     for k, block in enumerate(result.blocks):
         name = json.dumps(block.strategy) if is_json else block.strategy
-        row = [name, str(block.m), ps_texts[:, None], n_texts, theta_texts, *map(cells, columns[4 * k : 4 * k + 4]),
-               cells(block.iterations, str), cells(block.converged, {True: "true", False: "false"}.get)]
-        pieces = [row_sep]
-        for piece in (*chain.from_iterable(zip(separators, row)), end):
+        bob = _column_texts(block.rate_bob, is_json)
+        columns = (_column_texts(block.beta, is_json), bob, _column_texts(block.rate_eve, is_json),
+                   _column_texts(block.secrecy, is_json, (block.rate_bob, bob)))
+        if block.iterations is None:
+            counts = flags = null
+        else:
+            counts = np.fromiter(map(str, block.iterations.ravel().tolist()), object,
+                                 block.iterations.size).reshape(block.iterations.shape)
+            flags = np.where(block.converged, "true", "false")
+        row = [row_sep + separators[0] + name + separators[1] + str(block.m) + separators[2], prefix,
+               *chain.from_iterable(zip(separators[5:], (*columns, counts, flags))), end]
+        pieces = row[:1]
+        for piece in row[1:]:
             if isinstance(piece, str) and isinstance(pieces[-1], str):
                 pieces[-1] += piece
             else:

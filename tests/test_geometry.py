@@ -221,3 +221,9 @@ class TestLinkState:
         with pytest.raises(ValueError):
             LinkState(num_antennas=4, separation=0.0, g_ab=1e-4, g_ae=1e-4,
                       sigma2_b=1e-7, sigma2_e=-1e-7, p_s=10.0)
+        with pytest.raises(ValueError, match="g_ae must be nonnegative"):
+            LinkState(num_antennas=4, separation=0.0, g_ab=1e-4, g_ae=-1e-4,
+                      sigma2_b=1e-7, sigma2_e=1e-7, p_s=10.0)
+        # An eavesdropper gain that underflowed to 0 is allowed.
+        LinkState(num_antennas=4, separation=0.0, g_ab=1e-4, g_ae=0.0,
+                  sigma2_b=1e-7, sigma2_e=1e-7, p_s=10.0)

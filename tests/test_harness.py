@@ -19,7 +19,7 @@ from uavsec.harness import (
     ResultBlock,
     Strategy,
     SweepResult,
-    _float_texts,
+    _twelve_digits,
     dbm_to_mw,
     parse_config_text,
     parse_strategy,
@@ -56,13 +56,20 @@ def configs(draw):
     """Any config the parser accepts, every key drawn over its valid range
     (subnormals and signed zeros included where valid)."""
     point = st.tuples(_finite(), _finite(), _finite())
-    start = draw(st.tuples(_finite(), _finite(), _POSITIVE))
+    alice, start = draw(point), draw(st.tuples(_finite(), _finite(), _POSITIVE))
+    end = (draw(_finite()), draw(_finite()), start[2])
+    reference_gain = draw(_POSITIVE)
+    # The UAV's path gain reference_gain / d**c must not underflow at the
+    # flight's far end: where d > 1, that bounds the exponent c.
+    d_far = max(math.dist(start, alice), math.dist(end, alice))
+    bound = (math.log(reference_gain) - math.log(5e-324)) / math.log(d_far) if d_far > 1 else None
+    assume(bound is None or bound > 0)
     try:
         geometry = ScenarioGeometry(
-            alice=draw(point), eve=draw(point), flight_start=start,
-            flight_end=(draw(_finite()), draw(_finite()), start[2]),
+            alice=alice, eve=draw(point), flight_start=start, flight_end=end,
             speed=draw(_POSITIVE), sample_interval=draw(_POSITIVE),
-            path_loss_exponent=draw(_POSITIVE), reference_gain=draw(_POSITIVE),
+            path_loss_exponent=draw(_finite(min_value=0.0, max_value=bound, exclude_min=True)),
+            reference_gain=reference_gain,
         )
     except ConfigurationError:
         assume(False)
@@ -71,6 +78,7 @@ def configs(draw):
     assume(d_ae > 0)
     with np.errstate(over="ignore", divide="ignore"):
         assume(np.isfinite(path_loss(np.float64(d_ae), geometry)))
+    assume(path_loss(d_far, geometry) > 0)
     strategy = st.one_of(st.just(Strategy("ais")), st.just(Strategy("grid_oracle")),
                          _SPLIT.map(lambda beta: Strategy("fixed", beta)))
     path = st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) <= 1)
@@ -284,6 +292,43 @@ def _repeated_values_result():
     return SweepResult((-0.0, 0.25), np.arange(1, 4), np.array([0.25, -0.0, 0.0]), blocks)
 
 
+# Doubles a sweep repeats or the JSON text rule turns on: signed zeros, NaN
+# payloads, infinities, integral values, values 12 digits round to an
+# integer, and values at and next to the edges 1e-4 and 1e11 of the range
+# where a 12-digit text always has a point and no exponent.
+_WRITER_EDGES = [0.0, -0.0, math.nan, float(np.uint64(0x7FF8000000000001).view(float)), math.inf,
+                 2.0, 2.0000000000001, 0.5, 1e15, 1e16, 123456789012.0, 99999999999.99999,
+                 1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 9.99999999999999e-5,
+                 1e11, math.nextafter(1e11, 0.0), math.nextafter(1e11, math.inf), 99999999999.5, 5e-324]
+_WRITER_VALUES = st.one_of(st.floats(), st.sampled_from(_WRITER_EDGES),
+                           st.sampled_from(_WRITER_EDGES).map(lambda v: -v))
+
+
+@st.composite
+def sweep_results(draw):
+    """Results whose columns repeat doubles as sweeps do: one value in every
+    lane, Rs bitwise equal to Rb on some lanes, and ``_WRITER_EDGES``."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    size = shape[0] * shape[1]
+
+    def lanes(elements):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+    def column():
+        return np.full(shape, draw(_WRITER_VALUES)) if draw(st.booleans()) else lanes(_WRITER_VALUES)
+
+    blocks = []
+    for strategy in draw(st.lists(st.sampled_from(["ais", "fixed:0.25", "grid_oracle"]), min_size=1, max_size=3)):
+        bob = column()
+        secrecy = np.where(lanes(st.booleans()), bob, column())
+        beta = draw(_WRITER_VALUES) if draw(st.booleans()) else column()
+        iterations = lanes(st.integers(1, 60)) if draw(st.booleans()) else None
+        converged = None if iterations is None else iterations < 50
+        blocks.append(ResultBlock(strategy, 8, beta, bob, column(), secrecy, iterations, converged))
+    powers = tuple(draw(st.lists(_WRITER_VALUES, min_size=shape[0], max_size=shape[0])))
+    return SweepResult(powers, np.arange(1, shape[1] + 1), column()[0], tuple(blocks))
+
+
 class TestResultFiles:
     def test_csv_shape(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
@@ -397,13 +442,24 @@ class TestResultFiles:
         assert (tmp_path / "r.json").read_text() == want_json
         assert (tmp_path / "r.csv").read_text() == want_csv
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(sweep_results())
+    def test_synthetic_results_match_reference_encoders(self, tmp_path_factory, result):
+        tmp_path = tmp_path_factory.mktemp("writer")
+        want_json, want_csv = _reference_files(result)
+        write_results(result, "json", tmp_path / "r.json")
+        write_results(result, "csv", tmp_path / "r.csv")
+        assert (tmp_path / "r.json").read_text() == want_json
+        assert (tmp_path / "r.csv").read_text() == want_csv
+
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.floats(), max_size=8))
     @example([0.0, -0.0, 0.0])
     def test_float_texts_match_json_dumps(self, values):
         # Any double, subnormals, signed zeros and non-finite values included.
-        assert _float_texts(values, json_numbers=True) == [json.dumps(float(f"{v:.12g}")) for v in values]
-        assert _float_texts(values, json_numbers=False) == [f"{v:.12g}" for v in values]
+        array = np.array(values, dtype=float)
+        assert _twelve_digits(array, is_json=True) == [json.dumps(float(f"{v:.12g}")) for v in values]
+        assert _twelve_digits(array, is_json=False) == [f"{v:.12g}" for v in values]
 
     def test_empty_and_bad_format_rejected(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
@@ -539,6 +595,9 @@ class TestCli:
         ("geometry.eve=1e-200,0,0", ["run"], "geometry.eve: at d = 1e-200 m from the array"),
         ("geometry.flight_start=-1.5e308,0,20\ngeometry.flight_end=1.5e308,0,20", ["run"],
          "flight_start and flight_end: the flight's length overflows float64"),
+        # A flight so far from the array that the UAV's path gain underflows to 0.
+        ("geometry.flight_start=1e200,0,20\ngeometry.flight_end=2e200,0,20\ngeometry.speed=1e196", ["run"],
+         "geometry.flight_start, geometry.flight_end: at d = 2e+200 m from the array"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):
@@ -554,3 +613,18 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def test_eavesdropper_whose_gain_underflows_hears_nothing(tmp_path, capsys):
+    # At 1e200 m Eve's path gain underflows to 0: the sweep runs, without a
+    # warning, and every row has an Eve rate of exactly 0.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("geometry.eve=1e200,0,0\n")
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    records = read_results_csv(out)
+    assert len(records) == 900
+    assert all(r.rate_eve == 0.0 for r in records)
