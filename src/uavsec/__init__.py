@@ -14,9 +14,9 @@ from .geometry import (
     sample_trajectory,
 )
 from .beamforming import leakage_pair
-from .rates import ProjectedPowers, RateBreakdown, rates_at, secrecy_sum_rate
+from .rates import ProjectedPowers, secrecy_sum_rate
 from .power_allocation import PaSolution, beta_grid_oracle, optimal_beta
-from .ais import AisConfig, AisTrace, optimize_point, run_baseline
+from .ais import AisConfig, AisTrace, optimize_point
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -30,40 +30,5 @@ from .harness import (
     summarize,
     write_results,
 )
-
-__all__ = [
-    "ArrayConfig",
-    "ConfigurationError",
-    "LinkState",
-    "ScenarioGeometry",
-    "Trajectory",
-    "array_separation",
-    "link_state_at",
-    "path_loss",
-    "sample_trajectory",
-    "leakage_pair",
-    "ProjectedPowers",
-    "RateBreakdown",
-    "rates_at",
-    "secrecy_sum_rate",
-    "PaSolution",
-    "beta_grid_oracle",
-    "optimal_beta",
-    "AisConfig",
-    "AisTrace",
-    "optimize_point",
-    "run_baseline",
-    "ConfigError",
-    "ExperimentConfig",
-    "ResultBlock",
-    "Strategy",
-    "SweepResult",
-    "parse_config",
-    "parse_config_text",
-    "run_experiment",
-    "serialize_config",
-    "summarize",
-    "write_results",
-]
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ monotone; the stopping rule plus an iteration cap handle that.
 A batched link runs all its lanes through the loop together. Each lane
 retires on its own stopping test (a per-lane mask) and keeps its own
 iteration count and result, exactly as if it ran alone; the loop ends when
-the last lane stops.
+the last lane stops. It returns each lane's split and the projected powers
+of its final vectors; the harness scores them as it does a fixed split.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import power_allocation
 from .beamforming import leakage_pair
 from .geometry import LinkState
-from .rates import ProjectedPowers, RateBreakdown, rates_at, split_rates
+from .rates import ProjectedPowers, split_rates
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,15 @@ def closed_form_step(link: LinkState, powers: ProjectedPowers):
 
 def optimize_point(
     link: LinkState, cfg: AisConfig = AisConfig(), pa_step=closed_form_step
-) -> tuple[ProjectedPowers, float, RateBreakdown, AisTrace]:
+) -> tuple[ProjectedPowers, float, AisTrace]:
     """Run the alternating iteration at one sampling point, or at every lane
     of a batched link.
 
     ``pa_step(link, powers)`` returns the best split for the projected powers
     of the current vectors and the signed secrecy rate there. Returns the
-    final vectors' projected powers, the final split, the rates at that split
-    and the trace, each per lane. A lane stops once its PA step moves f by at
-    most ``cfg.epsilon``. Hitting the iteration cap is a soft failure: the last iterate is
+    final vectors' projected powers, the final split and the trace, each per
+    lane. A lane stops once its PA step moves f by at most ``cfg.epsilon``.
+    Hitting the iteration cap is a soft failure: the last iterate is
     returned with ``converged=False`` so a flight sweep can keep going.
     """
     beta = np.full(link.shape, cfg.beta_init)
@@ -104,12 +105,5 @@ def optimize_point(
             break
     powers = ProjectedPowers(*(p[()] for p in powers))
     trace = AisTrace(iterations=tuple(records), converged=(~active)[()], iterations_used=used[()])
-    return powers, beta[()], rates_at(link, powers, beta[()]), trace
+    return powers, beta[()], trace
 
-
-def run_baseline(link: LinkState, fixed_beta: float) -> tuple[ProjectedPowers, RateBreakdown]:
-    """One-shot leakage beamformers and rates at a fixed power split."""
-    if not np.all((0.0 < fixed_beta) & (fixed_beta < 1.0)):
-        raise ValueError("fixed_beta must lie in (0, 1)")
-    powers = leakage_pair(link, fixed_beta)
-    return powers, rates_at(link, powers, fixed_beta)

@@ -6,8 +6,31 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .geometry import ConfigurationError
 from .harness import parse_config, parse_value, run_experiment, summarize, write_results
+
+_LIST_OPTIONS = ("--powers", "--antennas")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a usage error: ``main`` prints one ``error:`` line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``OPT V`` joined into ``OPT=V`` where OPT is a list option
+    (or its abbreviation) and V starts with a single '-': argparse would take
+    V for an option, since only a plain negative number counts as a value."""
+    out: list[str] = []
+    for arg in argv:
+        option = out[-1] if out else ""
+        if (len(option) > 2 and any(name.startswith(option) for name in _LIST_OPTIONS)
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -17,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uavsec",
         description="Secrecy-rate sweeps for a UAV directional-modulation link",
     )
@@ -39,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
         cfg = parse_config(args.config)
         if args.command == "sweep-power":
             powers = parse_value("sweep.power_dbm", args.powers, "--powers")
@@ -52,7 +75,7 @@ def main(argv=None) -> int:
         out = args.out or cfg.output_path
         fmt = args.format or cfg.output_format
         write_results(result, fmt, out)
-    except (ConfigurationError, OSError, OverflowError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(result)} records to {out} ({fmt})")

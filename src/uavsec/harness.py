@@ -7,12 +7,14 @@ conversion happens only here; everything below works in linear power.
 
 A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
-points; each strategy then evaluates all lanes of an M in one call. The
-results stay in those lane arrays, one block per (strategy, M), which
-``summarize`` reads row by row. The writers format each block's columns
-straight from those arrays; the values a sweep repeats are found from the
-rate identities (a column of one double, zero rates, R_s = R_b where
-R_e = 0), not from a sort.
+points. Each strategy picks the split of all lanes of an M in one call and
+returns it with the projected powers of its leakage vectors; the rates there
+are one ``split_rates`` call and one clamp per (strategy, M). The results
+stay in those lane arrays, one block per (strategy, M), which ``summarize``
+reads row by row. The writers format each block's columns straight from
+those arrays; the values a sweep repeats are found from the rate identities
+(a column of one double, zero rates, R_s = R_b where R_e = 0), not from a
+sort.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .ais import AisConfig, closed_form_step, optimize_point, run_baseline
+from .ais import AisConfig, closed_form_step, optimize_point
+from .beamforming import leakage_pair
 from .geometry import (
     ArrayConfig,
     ConfigurationError,
@@ -39,7 +42,7 @@ from .geometry import (
     sample_trajectory,
 )
 from .power_allocation import beta_grid_oracle
-from .rates import secrecy_sum_rate
+from .rates import secrecy_sum_rate, split_rates
 
 CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
 _FIELDS = CSV_HEADER.split(",")
@@ -94,16 +97,15 @@ def parse_strategy(token: str) -> Strategy:
         return Strategy("ais")
     if token == "grid_oracle":
         return Strategy("grid_oracle")
-    for prefix, suffix in (("fixed:", ""), ("fixed(", ")")):
-        if token.startswith(prefix) and token.endswith(suffix):
-            body = token[len(prefix) : len(token) - len(suffix)]
-            try:
-                beta = float(body)
-            except ValueError:
-                raise ConfigError(f"strategies: bad fixed beta {body!r}") from None
-            if not 0.0 < beta < 1.0:
-                raise ConfigError("strategies: fixed beta must lie in (0, 1)")
-            return Strategy("fixed", beta)
+    if token.startswith("fixed:"):
+        body = token[len("fixed:") :]
+        try:
+            beta = float(body)
+        except ValueError:
+            raise ConfigError(f"strategies: bad fixed beta {body!r}") from None
+        if not 0.0 < beta < 1.0:
+            raise ConfigError("strategies: fixed beta must lie in (0, 1)")
+        return Strategy("fixed", beta)
     raise ConfigError(f"strategies: unknown strategy {token!r}")
 
 
@@ -344,17 +346,14 @@ class SweepResult:
 
 
 def _run_strategy(cfg: ExperimentConfig, strategy: Strategy, link: LinkState):
-    """(beta, rates, iterations, converged) of one strategy on every lane of
-    ``link``; the last two are None for a fixed split."""
+    """(beta, projected powers, iterations, converged) of one strategy on
+    every lane of ``link``; the last two are None for a fixed split."""
     if strategy.kind == "fixed":
-        _, breakdown = run_baseline(link, strategy.fixed_beta)
-        return strategy.fixed_beta, breakdown, None, None
-    if strategy.kind == "grid_oracle":
-        pa_step = partial(beta_grid_oracle, step=cfg.grid_step)
-    else:
-        pa_step = closed_form_step
-    _, beta, breakdown, trace = optimize_point(link, cfg.ais, pa_step)
-    return beta, breakdown, trace.iterations_used, trace.converged
+        return strategy.fixed_beta, leakage_pair(link, strategy.fixed_beta), None, None
+    pa_step = (partial(beta_grid_oracle, step=cfg.grid_step) if strategy.kind == "grid_oracle"
+               else closed_form_step)
+    projected, beta, trace = optimize_point(link, cfg.ais, pa_step)
+    return beta, projected, trace.iterations_used, trace.converged
 
 
 def _check_finite(block: ResultBlock, powers: tuple[float, ...]):
@@ -391,10 +390,12 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
         for m, link in links:
             # An overflowing config shows as non-finite rates, checked below.
             with np.errstate(all="ignore"):
-                beta, breakdown, iterations, converged = _run_strategy(cfg, strategy, link)
-            rates = (np.broadcast_to(v, link.shape) for v in
-                     (breakdown.rate_bob, breakdown.rate_eve, breakdown.secrecy_rate))
-            block = ResultBlock(strategy.name, m, beta, *rates, iterations, converged)
+                beta, projected, iterations, converged = _run_strategy(cfg, strategy, link)
+                rate_bob, rate_eve = split_rates(link, projected, beta)
+                diff = rate_bob - rate_eve
+            # R_s = max{0, R_b - R_e}, and 0 where the difference is NaN.
+            secrecy = np.where(diff > 0.0, diff, 0.0)
+            block = ResultBlock(strategy.name, m, beta, rate_bob, rate_eve, secrecy, iterations, converged)
             _check_finite(block, powers)
             blocks.append(block)
     return SweepResult(powers, traj.sample_index, traj.theta_b, tuple(blocks))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,18 +45,8 @@ _TIE_BITS = math.log2(1.0 + 1e-12)
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
-
-
-class _RateLink(NamedTuple):
-    """The link fields the rate formula reads, for a chunk of the lanes of
-    an already validated ``LinkState``."""
-
-    g_ab: np.ndarray
-    g_ae: np.ndarray
-    sigma2_b: np.ndarray
-    sigma2_e: np.ndarray
-    p_s: np.ndarray
-
+# The link fields ``rates.split_rates`` reads, all a chunk of lanes carries.
+_RATE_FIELDS = ("g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s")
 
 _LABELS = ("root1", "root2", "degenerate_root", "endpoint_1", "constant_function")
 _ROOT1, _ROOT2, _DEGENERATE, _ENDPOINT, _CONSTANT = range(len(_LABELS))
@@ -180,12 +170,13 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-
     shape = np.broadcast_shapes(link.shape, *(np.shape(p) for p in powers))
     # One row per lane, with the grid along the contiguous last axis.
     lanes = [np.broadcast_to(v, shape).reshape(-1, 1)
-             for v in (*(getattr(link, name) for name in _RateLink._fields), *powers)]
+             for v in (*(getattr(link, name) for name in _RATE_FIELDS), *powers)]
     best = np.empty(math.prod(shape), dtype=int)
     rows = max(1, CHUNK_ELEMENTS // grid.size)
     for lo in range(0, best.size, rows):
         part = [v[lo : lo + rows] for v in lanes]
-        r_b, r_e = rates.split_rates(_RateLink(*part[:5]), ProjectedPowers(*part[5:]), grid)
+        chunk = SimpleNamespace(**dict(zip(_RATE_FIELDS, part)))
+        r_b, r_e = rates.split_rates(chunk, ProjectedPowers(*part[5:]), grid)
         best[lo : lo + rows] = (r_b - r_e).argmax(axis=1)
     # A maximum at beta=0 means no split gives positive secrecy.
     best[best == 0] = n

@@ -1,4 +1,4 @@
-"""Achievable rates, per-point secrecy rate, and the flight-level sum rate.
+"""Achievable rates at a power split, and the flight-level sum rate.
 
 All rates are in bits/s/Hz (log base 2); all powers are linear mW. The rates,
 the power allocation and the alternating loop see the beamformers only
@@ -11,7 +11,6 @@ Every function is elementwise over the lanes of a batched ``LinkState``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .geometry import LinkState
@@ -26,13 +25,6 @@ class ProjectedPowers(NamedTuple):
     w_b: float  # artificial noise at Bob, |h_b^H v_an|^2
     u_e: float  # confidential stream at Eve, |h_e^H v_b|^2
     w_e: float  # artificial noise at Eve, |h_e^H v_an|^2
-
-
-@dataclass(frozen=True)
-class RateBreakdown:
-    rate_bob: float
-    rate_eve: float
-    secrecy_rate: float
 
 
 def split_rates(link: LinkState, powers: ProjectedPowers, beta):
@@ -51,16 +43,6 @@ def split_rates(link: LinkState, powers: ProjectedPowers, beta):
         rate(link.g_ab, powers.u_b, powers.w_b, link.sigma2_b),
         rate(link.g_ae, powers.u_e, powers.w_e, link.sigma2_e),
     )
-
-
-def rates_at(link: LinkState, powers: ProjectedPowers, beta: float) -> RateBreakdown:
-    """Bob's and Eve's rates and the secrecy rate max{0, R_b - R_e}."""
-    if not np.all((0.0 <= beta) & (beta <= 1.0)):
-        raise ValueError("beta must lie in [0, 1]")
-    r_b, r_e = split_rates(link, powers, beta)
-    diff = r_b - r_e
-    # max{0, diff} as Python's max(0.0, diff) gives it: 0 for a NaN difference.
-    return RateBreakdown(rate_bob=r_b, rate_eve=r_e, secrecy_rate=np.where(diff > 0.0, diff, 0.0)[()])
 
 
 def secrecy_sum_rate(rate_differences: Iterable[float]) -> float:

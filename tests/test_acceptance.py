@@ -18,7 +18,6 @@ from uavsec import (
     leakage_pair,
     optimal_beta,
     optimize_point,
-    run_baseline,
 )
 from uavsec.harness import dbm_to_mw, parse_config_text, run_experiment, write_results
 from oracle import anlnr_beamformer, f_value, rational_coefficients, slnr_beamformer
@@ -60,11 +59,11 @@ def _mean_sr(m, ps_dbm, strategy):
         values = []
         for link in _default_links(m, ps_dbm):
             if strategy == "ais":
-                _, _, _, trace = optimize_point(link)
+                _, _, trace = optimize_point(link)
                 values.append(max(0.0, trace.iterations[-1].f_value))
             else:
-                _, breakdown = run_baseline(link, strategy)
-                values.append(breakdown.secrecy_rate)
+                r_b, r_e = split_rates(link, leakage_pair(link, strategy), strategy)
+                values.append(max(0.0, r_b - r_e))
         _MEAN_SR_CACHE[key] = math.fsum(values) / len(values)
     return _MEAN_SR_CACHE[key]
 
@@ -139,7 +138,7 @@ def test_acceptance_4_fast_convergence_on_default_flight():
     all_converged = True
     for ps_dbm in (10.0, 20.0, 30.0):
         for link in _default_links(8, ps_dbm):
-            _, _, _, trace = optimize_point(link, cfg)
+            _, _, trace = optimize_point(link, cfg)
             counts.append(trace.iterations_used)
             all_converged &= trace.converged
     ok = all_converged and max(counts) <= 5 and statistics.median(counts) <= 2
@@ -180,11 +179,11 @@ def test_acceptance_6_power_and_antenna_trends():
 def test_acceptance_7_identical_channels_leak_nothing():
     link = symmetric_link()
     worst = 0.0
-    _, _, _, trace = optimize_point(link)
+    _, _, trace = optimize_point(link)
     worst = max(worst, max(0.0, trace.iterations[-1].f_value))
     for beta in (0.5, 0.9):
-        _, breakdown = run_baseline(link, beta)
-        worst = max(worst, breakdown.secrecy_rate)
+        r_b, r_e = split_rates(link, leakage_pair(link, beta), beta)
+        worst = max(worst, max(0.0, r_b - r_e))
     _, f_grid = beta_grid_oracle(link, leakage_pair(link, 0.5), 1e-3)
     worst = max(worst, max(0.0, f_grid))
     ok = worst <= 1e-12

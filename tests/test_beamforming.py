@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uavsec import ArrayConfig, leakage_pair
-from uavsec.rates import rates_at
+from uavsec.rates import split_rates
 
 from helpers import random_link, random_unit, symmetric_link
 from oracle import (
@@ -194,9 +194,9 @@ def test_parallel_channels_at_high_power_stay_finite():
         for beta in (0.1, 0.5, 0.9):
             powers = leakage_pair(link, beta)
             assert powers.u_b == powers.w_e == powers.u_e == powers.w_b == m
-            rates = rates_at(link, powers, beta)
-            assert all(math.isfinite(r) for r in (rates.rate_bob, rates.rate_eve))
-            assert rates.secrecy_rate == 0.0
+            r_b, r_e = split_rates(link, powers, beta)
+            assert all(math.isfinite(r) for r in (r_b, r_e))
+            assert max(0.0, r_b - r_e) == 0.0
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 64, 256, 1024])

@@ -2,13 +2,26 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavsec import AisConfig, ConfigurationError, ScenarioGeometry, path_loss
+from uavsec import (
+    AisConfig,
+    ArrayConfig,
+    ConfigurationError,
+    ScenarioGeometry,
+    beta_grid_oracle,
+    leakage_pair,
+    link_state_at,
+    optimize_point,
+    path_loss,
+    sample_trajectory,
+)
+from uavsec.ais import closed_form_step
 from uavsec.harness import (
     CSV_HEADER,
     MAX_ABS_DBM,
@@ -29,6 +42,7 @@ from uavsec.harness import (
     write_results,
 )
 from uavsec.cli import main
+from uavsec.rates import split_rates
 
 from helpers import read_results_csv, records_of, reference_summary, result_of
 
@@ -142,7 +156,7 @@ class TestConfigParsing:
         assert parse_strategy("ais") == Strategy("ais")
         assert parse_strategy("grid_oracle") == Strategy("grid_oracle")
         assert parse_strategy("fixed:0.25") == Strategy("fixed", 0.25)
-        assert parse_strategy("fixed(0.25)") == Strategy("fixed", 0.25)
+        assert parse_strategy("fixed:2.5e-1") == Strategy("fixed", 0.25)
         assert Strategy("fixed", 0.5).name == "fixed:0.5"
         with pytest.raises(ConfigError):
             parse_strategy("fixed:1.5")
@@ -150,7 +164,7 @@ class TestConfigParsing:
             parse_strategy("annealing")
         # Equal splits are one strategy however they are spelled.
         with pytest.raises(ConfigError, match="duplicate entries"):
-            parse_config_text("strategies=fixed:0.5,fixed(0.50)")
+            parse_config_text("strategies=fixed:0.5,fixed:0.50")
 
     def test_dbm_conversion(self):
         assert dbm_to_mw(0.0) == 1.0
@@ -224,6 +238,38 @@ class TestRunExperiment:
         for n in ais:
             assert abs(ais[n].secrecy - grid[n].secrecy) <= 1e-3
             assert ais[n].converged and grid[n].converged
+
+    def test_blocks_are_the_rates_at_each_strategy_split(self):
+        # Every block holds split_rates at its strategy's split and the
+        # projected powers of the vectors there, bit for bit, clamped once.
+        # Eve at (30, 0, 15) out-hears Bob at some points of every block.
+        cfg = parse_config_text(SHORT_CONFIG + "strategies=ais,fixed:0.5,grid_oracle\n"
+                                "sweep.antennas=4,64\nsweep.power_dbm=30,0\ngeometry.eve=30,0,15\n")
+        result = run_experiment(cfg)
+        assert [(block.strategy, block.m) for block in result.blocks] == [
+            ("ais", 4), ("ais", 64), ("fixed:0.5", 4), ("fixed:0.5", 64), ("grid_oracle", 4), ("grid_oracle", 64)]
+        traj = sample_trajectory(cfg.geometry)
+        p_s = np.array([dbm_to_mw(ps) for ps in result.powers_dbm])[:, None]
+        steps = {"ais": closed_form_step, "grid_oracle": partial(beta_grid_oracle, step=cfg.grid_step)}
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.int64)
+
+        for block in result.blocks:
+            link = link_state_at(traj, cfg.geometry, ArrayConfig(block.m, cfg.array_spacing),
+                                 dbm_to_mw(cfg.noise_dbm_bob), dbm_to_mw(cfg.noise_dbm_eve), p_s)
+            if block.strategy in steps:
+                powers, beta, _ = optimize_point(link, cfg.ais, steps[block.strategy])
+            else:
+                beta = 0.5
+                powers = leakage_pair(link, beta)
+            r_b, r_e = split_rates(link, powers, beta)
+            assert np.array_equal(bits(block.beta), bits(beta))
+            assert np.array_equal(bits(block.rate_bob), bits(r_b))
+            assert np.array_equal(bits(block.rate_eve), bits(r_e))
+            diff = block.rate_bob - block.rate_eve
+            assert (diff < 0).any() and (diff > 0).any()
+            assert np.array_equal(bits(block.secrecy), bits(np.where(diff > 0, diff, 0)))
 
     def test_deterministic_and_parallel_consistent(self):
         cfg = parse_config_text(SHORT_CONFIG)
@@ -363,7 +409,7 @@ class TestResultFiles:
         # and non-finite floats (12g and repr disagree on the form of 1.5e13,
         # 123456789012345.0, 100 and 5e-324); a block-wide and a per-lane
         # beta; iteration fields absent, true and false.
-        names = [parse_strategy(t).name for t in ("ais", "fixed(0.25)", "fixed:0.5", "grid_oracle")]
+        names = [parse_strategy(t).name for t in ("ais", "fixed:0.25", "fixed:0.5", "grid_oracle")]
         pool = np.array([0.999999999999, 1.0, 0.5, 0.9, 12.5, 1.0 / 3.0, 100.0, 1e-7, -3.25e-5, 0.0,
                          -2.5e-12, 1.5e13, 7e20, math.nan, math.inf, -math.inf, 5e-324, 1e16,
                          123456789012345.0])
@@ -554,6 +600,35 @@ class TestCli:
         assert sorted({row["M"] for row in rows}) == [2, 4]
         assert len(rows) == 20
 
+    @pytest.mark.parametrize("option, value", [("--powers", "-10,50"), ("--powers", "-10"), ("--pow", "-10,50"),
+                                               ("--powers", "0,30"), ("--antennas", "2,4")])
+    def test_list_value_after_a_space_parses_as_after_equals(self, tmp_path, capsys, option, value):
+        command = "sweep-power" if option.startswith("--p") else "sweep-antennas"
+        cfg_path = self._write_config(tmp_path)
+        outputs = []
+        for argv in ([option, value], [f"{option}={value}"]):
+            out = tmp_path / f"r{len(outputs)}.csv"
+            assert main([command, "--config", str(cfg_path), *argv, "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append((out.read_bytes(), captured.out.replace(str(out), "OUT")))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "the following arguments are required: --config"),
+        ([], "the following arguments are required: command"),
+        (["simulate", "--config", "c"], "argument command: invalid choice: 'simulate'"),
+        (["run", "--config", "c", "--powers", "10"], "unrecognized arguments: --powers 10"),
+        (["sweep-power", "--config", "c", "--powers"], "argument --powers: expected one argument"),
+        (["run", "--config", "c", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ])
+    def test_bad_arguments_are_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
 
 @pytest.mark.parametrize(
     "config, command, message",
@@ -598,6 +673,9 @@ class TestCli:
         # A flight so far from the array that the UAV's path gain underflows to 0.
         ("geometry.flight_start=1e200,0,20\ngeometry.flight_end=2e200,0,20\ngeometry.speed=1e196", ["run"],
          "geometry.flight_start, geometry.flight_end: at d = 2e+200 m from the array"),
+        ("strategies=fixed(0.5)", ["run"], "strategies: unknown strategy"),
+        # A list after a space that starts with '-' reaches the list parser.
+        ("", ["sweep-antennas", "--antennas", "-2,4"], "--antennas: -2 is outside [2, 1000000]"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):

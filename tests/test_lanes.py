@@ -13,8 +13,6 @@ import pytest
 
 from uavsec import ArrayConfig, array_separation, beta_grid_oracle, leakage_pair, optimal_beta
 from uavsec import geometry
-from uavsec.ais import run_baseline
-from uavsec.rates import rates_at
 
 from helpers import eve_silent_link, random_instance, stack_links, stack_powers, symmetric_link
 
@@ -52,12 +50,7 @@ def test_power_allocation_lanes_match_per_lane():
 
 def test_range_checks_cover_every_lane():
     link = stack_links([symmetric_link(), eve_silent_link()])
-    powers = leakage_pair(link, 0.5)
     with pytest.raises(ValueError, match="g_ab"):
         replace(link, g_ab=np.array([1e-4, 0.0]))
     with pytest.raises(ValueError):
         leakage_pair(link, np.array([0.5, 1.5]))
-    with pytest.raises(ValueError):
-        rates_at(link, powers, np.array([0.5, np.nan]))
-    with pytest.raises(ValueError):
-        run_baseline(link, np.array([0.5, 1.0]))

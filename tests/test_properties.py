@@ -17,13 +17,19 @@ from hypothesis import strategies as st
 from uavsec import ArrayConfig, LinkState, array_separation
 from uavsec.ais import AisConfig, closed_form_step, optimize_point
 from uavsec.power_allocation import beta_grid_oracle, optimal_beta
-from uavsec.rates import rates_at
+from uavsec.rates import split_rates
 
 from helpers import stack_links
 
 CFG = AisConfig()
 GRID_STEP = 1e-3
 PA_STEPS = {"closed_form": closed_form_step, "grid": partial(beta_grid_oracle, step=GRID_STEP)}
+
+
+def secrecy(link, powers, beta):
+    """The per-point secrecy rate max{0, R_b - R_e}, as a sweep reports it."""
+    r_b, r_e = split_rates(link, powers, beta)
+    return max(0.0, r_b - r_e)
 
 
 @st.composite
@@ -50,9 +56,9 @@ property_settings = settings(max_examples=200, deadline=None, derandomize=True, 
 @property_settings
 @given(link=links(), step=st.sampled_from(sorted(PA_STEPS)))
 def test_loop_output_is_a_valid_point(link, step):
-    _, beta, rates, trace = optimize_point(link, CFG, PA_STEPS[step])
-    assert rates.secrecy_rate >= 0.0
-    assert all(math.isfinite(r) for r in (rates.rate_bob, rates.rate_eve))
+    powers, beta, trace = optimize_point(link, CFG, PA_STEPS[step])
+    assert secrecy(link, powers, beta) >= 0.0
+    assert all(math.isfinite(r) for r in split_rates(link, powers, beta))
     assert 0.0 < beta <= 1.0
     assert 1 <= trace.iterations_used <= CFG.max_iterations
 
@@ -60,7 +66,7 @@ def test_loop_output_is_a_valid_point(link, step):
 @property_settings
 @given(link=links(), step=st.sampled_from(sorted(PA_STEPS)))
 def test_closed_form_at_least_grid_at_same_vectors(link, step):
-    powers, _, _, _ = optimize_point(link, CFG, PA_STEPS[step])
+    powers, _, _ = optimize_point(link, CFG, PA_STEPS[step])
     closed = optimal_beta(link, powers).secrecy_rate_at_beta
     _, grid = beta_grid_oracle(link, powers, GRID_STEP)
     assert closed >= grid - 1e-9
@@ -69,9 +75,9 @@ def test_closed_form_at_least_grid_at_same_vectors(link, step):
 @property_settings
 @given(link=links())
 def test_ais_beats_fixed_splits_at_its_final_vectors(link):
-    powers, _, rates, _ = optimize_point(link, CFG)
+    powers, beta, _ = optimize_point(link, CFG)
     for fixed in (0.5, 0.9):
-        assert rates.secrecy_rate >= rates_at(link, powers, fixed).secrecy_rate - 1e-9
+        assert secrecy(link, powers, beta) >= secrecy(link, powers, fixed) - 1e-9
 
 
 @property_settings
@@ -83,10 +89,10 @@ def test_joint_noise_and_power_scaling_leaves_the_point_unchanged(link, exponent
     # channels 1e-10 rad apart amplify that rounding: beta moved by 3e-4.)
     c = 2.0 ** exponent
     scaled = replace(link, sigma2_b=c * link.sigma2_b, sigma2_e=c * link.sigma2_e, p_s=c * link.p_s)
-    _, beta, rates, _ = optimize_point(link, CFG)
-    _, beta_c, rates_c, _ = optimize_point(scaled, CFG)
+    powers, beta, _ = optimize_point(link, CFG)
+    powers_c, beta_c, _ = optimize_point(scaled, CFG)
     assert abs(beta_c - beta) <= 1e-12
-    assert abs(rates_c.secrecy_rate - rates.secrecy_rate) <= 1e-9
+    assert abs(secrecy(scaled, powers_c, beta_c) - secrecy(link, powers, beta)) <= 1e-9
 
 
 @st.composite
@@ -113,9 +119,11 @@ def extreme_links(draw):
 @property_settings
 @given(link=extreme_links(), step=st.sampled_from(sorted(PA_STEPS)))
 def test_extreme_inputs_give_a_valid_point(link, step):
-    _, beta, rates, trace = optimize_point(link, CFG, PA_STEPS[step])
-    assert all(math.isfinite(r) for r in (rates.rate_bob, rates.rate_eve, rates.secrecy_rate))
-    assert rates.secrecy_rate >= 0.0
+    powers, beta, trace = optimize_point(link, CFG, PA_STEPS[step])
+    rate_bob, rate_eve = split_rates(link, powers, beta)
+    secrecy_rate = secrecy(link, powers, beta)
+    assert all(math.isfinite(r) for r in (rate_bob, rate_eve, secrecy_rate))
+    assert secrecy_rate >= 0.0
     assert 0.0 < beta <= 1.0
     assert 1 <= trace.iterations_used <= CFG.max_iterations
 
@@ -155,8 +163,10 @@ LANE_CONFIGS = (CFG, AisConfig(epsilon=1e-12, max_iterations=3), AisConfig(epsil
 @property_settings
 @given(lanes=lane_batches(), cfg=st.sampled_from(LANE_CONFIGS), step=st.sampled_from(sorted(PA_STEPS)))
 def test_a_lane_in_a_batch_equals_the_lane_alone(lanes, cfg, step):
-    _, beta, rates, trace = optimize_point(stack_links(lanes), cfg, PA_STEPS[step])
+    batch = stack_links(lanes)
+    powers, beta, trace = optimize_point(batch, cfg, PA_STEPS[step])
+    r_b, r_e = split_rates(batch, powers, beta)
     for i, link in enumerate(lanes):
-        _, beta_i, rates_i, trace_i = optimize_point(link, cfg, PA_STEPS[step])
-        assert (beta[i], rates.rate_bob[i], rates.rate_eve[i]) == (beta_i, rates_i.rate_bob, rates_i.rate_eve)
+        powers_i, beta_i, trace_i = optimize_point(link, cfg, PA_STEPS[step])
+        assert (beta[i], r_b[i], r_e[i]) == (beta_i, *split_rates(link, powers_i, beta_i))
         assert (trace.iterations_used[i], trace.converged[i]) == (trace_i.iterations_used, trace_i.converged)
