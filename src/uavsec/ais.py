@@ -17,23 +17,24 @@ of its final vectors; the harness scores them as it does a fixed split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import power_allocation
 from .beamforming import leakage_pair
-from .geometry import LinkState
+from .geometry import LinkState, Validated
 from .rates import ProjectedPowers, split_rates
 
 
-@dataclass(frozen=True)
-class AisConfig:
-    beta_init: float = 0.1
-    epsilon: float = 1e-6
-    max_iterations: int = 50
+class AisConfig(Validated, namedtuple("AisConfig", "beta_init epsilon max_iterations",
+                                      defaults=(0.1, 1e-6, 50))):
+    """The initial split, the stopping tolerance on f and the iteration cap."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def _validate(self):
         if not 0.0 < self.beta_init < 1.0:
             raise ValueError("beta_init must lie in (0, 1)")
         if not self.epsilon > 0:
@@ -42,8 +43,7 @@ class AisConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-@dataclass(frozen=True)
-class AisIteration:
+class AisIteration(NamedTuple):
     """State after one beamform-then-reallocate cycle.
 
     ``beta`` is the freshly optimized split; ``f_value`` is the signed
@@ -55,8 +55,7 @@ class AisIteration:
     f_value: float
 
 
-@dataclass(frozen=True)
-class AisTrace:
+class AisTrace(NamedTuple):
     iterations: tuple[AisIteration, ...]
     converged: bool
     iterations_used: int

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .harness import parse_config, parse_value, run_experiment, summarize, write_results
 
@@ -65,12 +64,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
         cfg = parse_config(args.config)
+        # ``_replace`` builds the config through its checks again.
         if args.command == "sweep-power":
             powers = parse_value("sweep.power_dbm", args.powers, "--powers")
-            cfg = replace(cfg, power_sweep_dbm=powers)
+            cfg = cfg._replace(power_sweep_dbm=powers)
         elif args.command == "sweep-antennas":
             antennas = parse_value("sweep.antennas", args.antennas, "--antennas")
-            cfg = replace(cfg, antenna_sweep=antennas)
+            cfg = cfg._replace(antenna_sweep=antennas)
         result = run_experiment(cfg)
         out = args.out or cfg.output_path
         fmt = args.format or cfg.output_format

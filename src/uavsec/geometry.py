@@ -14,13 +14,19 @@ The sweep works on lanes: ``sample_trajectory`` returns the whole flight as
 arrays, ``link_state_at`` builds the link of every point at once, and
 everything downstream takes arrays (or scalars) elementwise, so one call
 covers every sample point and transmit power of a sweep.
+
+The package's records compile no code when it is imported, which keeps its
+start-up short. A validated config is a ``collections.namedtuple`` behind
+the ``Validated`` mixin, which runs its checks however it is built; an array
+holder (``Trajectory``, ``LinkState``, the harness's ``SweepResult``) is a
+``Frozen`` class; the other records are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from collections import namedtuple
+from functools import reduce
 
 import numpy as np
 
@@ -29,17 +35,76 @@ class ConfigurationError(ValueError):
     """A scenario or sweep configuration violates an invariant."""
 
 
-@dataclass(frozen=True)
-class ArrayConfig:
+class Validated:
+    """Mixin in front of a ``collections.namedtuple`` base: the constructor,
+    ``_make`` and ``_replace`` all build the record through ``__new__``,
+    which runs the subclass's ``_validate`` checks on it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Frozen:
+    """Base of the immutable array holders. A subclass names its fields in
+    ``_fields`` (and in ``__slots__``) and sets them once, in its
+    ``__init__``, through ``_set``; assigning or deleting an attribute
+    afterwards raises AttributeError. Two holders are equal when they are of
+    one class and their field values compare equal (as tuples); the hash is
+    that of the field values. ``_replace`` and ``_asdict`` work as on a named
+    tuple."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values, **extra):
+        for name, value in (*zip(self._fields, values), *extra.items()):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._astuple()))
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", defaults=(0.5,))):
     """Uniform linear array at the transmitter.
 
     ``spacing`` is the element spacing over the carrier wavelength (d/lambda).
     """
 
-    num_antennas: int
-    spacing: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _validate(self):
         if self.num_antennas < 2:
             raise ConfigurationError("num_antennas must be >= 2")
         if self.spacing <= 0:
@@ -102,26 +167,32 @@ def array_separation(theta_b, theta_e, array: ArrayConfig):
     # M + r = 2M - (M - r); both factors are positive, so D >= 0.
     return np.minimum(gap * (2 * m - gap), float(m * m)).reshape(z.shape)[()]
 
-@dataclass(frozen=True)
-class ScenarioGeometry:
+_GEOMETRY_DEFAULTS = {
+    "alice": (0.0, 0.0, 0.0),
+    "eve": (200.0, 0.0, 0.0),
+    "flight_start": (0.0, 0.0, 20.0),
+    "flight_end": (800.0, 0.0, 20.0),
+    "speed": 8.0,
+    "sample_interval": 1.0,
+    "path_loss_exponent": 2.0,
+    "reference_gain": 1.0,
+}
+
+
+class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAULTS,
+                                             defaults=_GEOMETRY_DEFAULTS.values())):
     """Fixed ground nodes plus the UAV's straight flight segment.
 
-    Default layout: Alice (the transmit array) at the origin with the array
-    axis along +x, Eve 200 m away on the ground, and the UAV flying 800 m
-    parallel to the array axis at 20 m altitude. The flight is level: both
-    endpoints share one positive z, the altitude.
+    Points are (x, y, z) tuples of floats, in meters. Default layout: Alice
+    (the transmit array) at the origin with the array axis along +x, Eve
+    200 m away on the ground, and the UAV flying 800 m parallel to the array
+    axis at 20 m altitude and 8 m/s, sampled once a second. The flight is
+    level: both endpoints share one positive z, the altitude.
     """
 
-    alice: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    eve: tuple[float, float, float] = (200.0, 0.0, 0.0)
-    flight_start: tuple[float, float, float] = (0.0, 0.0, 20.0)
-    flight_end: tuple[float, float, float] = (800.0, 0.0, 20.0)
-    speed: float = 8.0
-    sample_interval: float = 1.0
-    path_loss_exponent: float = 2.0
-    reference_gain: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _validate(self):
         length = self.flight_length
         if length <= 0:
             raise ConfigurationError("flight_start and flight_end must differ")
@@ -147,17 +218,14 @@ class ScenarioGeometry:
         return math.hypot(*(float(e) - float(s) for s, e in zip(self.flight_start, self.flight_end)))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Frozen):
     """The sampled flight as arrays over its N points (``bob_position`` is
     N x 3); the eavesdropper's angle and distance are scalars."""
 
-    sample_index: np.ndarray
-    bob_position: np.ndarray
-    theta_b: np.ndarray
-    theta_e: float
-    d_ab: np.ndarray
-    d_ae: float
+    __slots__ = _fields = ("sample_index", "bob_position", "theta_b", "theta_e", "d_ab", "d_ae")
+
+    def __init__(self, sample_index, bob_position, theta_b, theta_e, d_ab, d_ae):
+        self._set(sample_index, bob_position, theta_b, theta_e, d_ab, d_ae)
 
     def __len__(self) -> int:
         return len(self.sample_index)
@@ -210,8 +278,7 @@ def path_loss(distance, geom: ScenarioGeometry):
         return (geom.reference_gain / distance**geom.path_loss_exponent)[()]
 
 
-@dataclass(frozen=True)
-class LinkState:
+class LinkState(Frozen):
     """Everything needed to evaluate one sampling point, or a batch of them.
 
     ``separation`` is ``array_separation`` for the UAV and eavesdropper
@@ -223,25 +290,17 @@ class LinkState:
     its rate exactly 0; every other gain, power and noise is positive.
     """
 
-    num_antennas: int
-    separation: float
-    g_ab: float
-    g_ae: float
-    sigma2_b: float
-    sigma2_e: float
-    p_s: float
+    _fields = ("num_antennas", "separation", "g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s")
+    __slots__ = (*_fields, "shape")
 
-    def __post_init__(self):
-        if not np.greater_equal(self.g_ae, 0).all():
+    def __init__(self, num_antennas, separation, g_ab, g_ae, sigma2_b, sigma2_e, p_s):
+        if not np.greater_equal(g_ae, 0).all():
             raise ValueError("g_ae must be nonnegative")
-        for name in ("g_ab", "sigma2_b", "sigma2_e", "p_s"):
-            if not np.greater(getattr(self, name), 0).all():
+        for name, value in (("g_ab", g_ab), ("sigma2_b", sigma2_b), ("sigma2_e", sigma2_e), ("p_s", p_s)):
+            if not np.greater(value, 0).all():
                 raise ValueError(f"{name} must be strictly positive")
-
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        return np.broadcast_shapes(*(np.shape(v) for v in (
-            self.separation, self.g_ab, self.g_ae, self.sigma2_b, self.sigma2_e, self.p_s)))
+        lanes = (separation, g_ab, g_ae, sigma2_b, sigma2_e, p_s)
+        self._set(num_antennas, *lanes, shape=np.broadcast_shapes(*map(np.shape, lanes)))
 
 
 def link_state_at(

@@ -3,7 +3,10 @@
 Configs are flat ``section.key=value`` text; defaults reproduce the baseline
 scenario (half-wavelength spacing, free-space-like exponent 2, 800 m flight
 at 20 m altitude and 8 m/s, eavesdropper 200 m from the array). dBm to mW
-conversion happens only here; everything below works in linear power.
+conversion happens only here; everything below works in linear power. A
+parsed config is an ``ExperimentConfig``, a validated named tuple:
+``_replace``, which the CLI's ``--powers``/``--antennas`` overrides use,
+checks the new config again.
 
 A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
@@ -19,14 +22,13 @@ sort.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,8 +37,10 @@ from .beamforming import leakage_pair
 from .geometry import (
     ArrayConfig,
     ConfigurationError,
+    Frozen,
     LinkState,
     ScenarioGeometry,
+    Validated,
     link_state_at,
     path_loss,
     sample_trajectory,
@@ -70,8 +74,7 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     """One of the sweepable per-point optimizers.
 
     kind: 'ais' (alternating closed-form loop), 'fixed' (leakage beamformers
@@ -109,28 +112,32 @@ def parse_strategy(token: str) -> Strategy:
     raise ConfigError(f"strategies: unknown strategy {token!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    geometry: ScenarioGeometry = ScenarioGeometry()
-    array_spacing: float = 0.5
+_EXPERIMENT_DEFAULTS = {
+    "geometry": ScenarioGeometry(),
+    "array_spacing": 0.5,
     # Noise floor consistent with ~1 MHz bandwidth and a small noise figure;
     # low enough that the whole flight stays in the high-SNR regime where the
     # antenna-sweep trends are visible.
-    noise_dbm_bob: float = -110.0
-    noise_dbm_eve: float = -110.0
-    power_sweep_dbm: tuple[float, ...] = (10.0, 20.0, 30.0)
-    antenna_sweep: tuple[int, ...] = (8,)
-    strategies: tuple[Strategy, ...] = (
-        Strategy("ais"),
-        Strategy("fixed", 0.5),
-        Strategy("fixed", 0.9),
-    )
-    ais: AisConfig = AisConfig()
-    grid_step: float = 1e-3
-    output_path: str = "results.csv"
-    output_format: str = "csv"
+    "noise_dbm_bob": -110.0,
+    "noise_dbm_eve": -110.0,
+    "power_sweep_dbm": (10.0, 20.0, 30.0),
+    "antenna_sweep": (8,),
+    "strategies": (Strategy("ais"), Strategy("fixed", 0.5), Strategy("fixed", 0.9)),
+    "ais": AisConfig(),
+    "grid_step": 1e-3,
+    "output_path": "results.csv",
+    "output_format": "csv",
+}
 
-    def __post_init__(self):
+
+class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEFAULTS,
+                                             defaults=_EXPERIMENT_DEFAULTS.values())):
+    """A whole sweep: the scenario, the swept powers (dBm), antenna counts and
+    strategies, the loop settings and the output file."""
+
+    __slots__ = ()
+
+    def _validate(self):
         if not self.power_sweep_dbm:
             raise ConfigError("sweep.power_dbm: sweep must be nonempty")
         if not self.antenna_sweep:
@@ -276,11 +283,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
         geometry = ScenarioGeometry(**kwargs["geometry"])
     except ConfigurationError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
+    # (L/V)/dt, floored by sample_trajectory to the number of points.
     samples = geometry.flight_length / geometry.speed / geometry.sample_interval
     if not samples <= MAX_SAMPLES:
         raise ConfigError(
             f"geometry.speed, geometry.sample_interval: the {geometry.flight_length:g} m "
             f"flight gives {samples:.3g} samples, more than {MAX_SAMPLES}"
+        )
+    if math.floor(samples) == 0:
+        raise ConfigError(
+            f"geometry.speed, geometry.sample_interval: the {geometry.flight_length:g} m flight "
+            f"lasts {geometry.flight_length / geometry.speed!r} s, shorter than one sample "
+            f"interval ({geometry.sample_interval!r} s); no points to evaluate"
         )
     try:
         ais_cfg = AisConfig(**kwargs["ais"])
@@ -307,8 +321,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ResultBlock:
+class ResultBlock(NamedTuple):
     """One (strategy, M) run over every (Ps, n) lane.
 
     ``beta`` and the rates are (P x N) arrays, rows in the order of
@@ -327,18 +340,17 @@ class ResultBlock:
     converged: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Frozen):
     """A sweep's results as columns, one row per (strategy, M, Ps, n).
 
     Rows run over ``blocks`` in order, then over ``powers_dbm``, then over
     the trajectory points ``n`` (whose bearings are ``theta_b``).
     """
 
-    powers_dbm: tuple[float, ...]
-    n: np.ndarray
-    theta_b: np.ndarray
-    blocks: tuple[ResultBlock, ...]
+    __slots__ = _fields = ("powers_dbm", "n", "theta_b", "blocks")
+
+    def __init__(self, powers_dbm, n, theta_b, blocks):
+        self._set(powers_dbm, n, theta_b, blocks)
 
     def __len__(self) -> int:
         """The number of result rows."""
@@ -518,7 +530,9 @@ def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
                             zip(result.n.tolist(), _twelve_digits(result.theta_b, is_json))], dtype=object)
     prefix = ps_texts[:, None] + point_texts
     for k, block in enumerate(result.blocks):
-        name = json.dumps(block.strategy) if is_json else block.strategy
+        # A name is "ais", "grid_oracle" or "fixed:" and a float's repr: no
+        # character JSON escapes.
+        name = f'"{block.strategy}"' if is_json else block.strategy
         bob = _column_texts(block.rate_bob, is_json)
         columns = (_column_texts(block.beta, is_json), bob, _column_texts(block.rate_eve, is_json),
                    _column_texts(block.secrecy, is_json, (block.rate_bob, bob)))

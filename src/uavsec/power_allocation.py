@@ -30,8 +30,8 @@ lanes of a batched link: every candidate is scored on every lane, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ _LABELS = ("root1", "root2", "degenerate_root", "endpoint_1", "constant_function
 _ROOT1, _ROOT2, _DEGENERATE, _ENDPOINT, _CONSTANT = range(len(_LABELS))
 
 
-@dataclass(frozen=True)
-class PaSolution:
+class PaSolution(NamedTuple):
     """The split, the signed secrecy rate there and the name of the winning
     candidate (one of ``_LABELS``), per lane."""
 

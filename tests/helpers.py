@@ -6,7 +6,6 @@ test run is reproducible; seeds are given at the call sites. Links are
 """
 
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -82,7 +81,7 @@ def flight_links(geom, array, sigma2_b, sigma2_e, p_s):
     """One scalar ``LinkState`` (not a steered link) per sample point of the
     flight: the lanes of the batched link ``link_state_at`` builds for it."""
     link = link_state_at(sample_trajectory(geom), geom, array, sigma2_b, sigma2_e, p_s)
-    return [replace(link, separation=float(d), g_ab=float(g))
+    return [link._replace(separation=float(d), g_ab=float(g))
             for d, g in zip(link.separation, link.g_ab)]
 
 

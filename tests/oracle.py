@@ -233,12 +233,15 @@ def steering_vector(theta: float, array: ArrayConfig) -> np.ndarray:
     return np.exp(2j * math.pi * phase)
 
 
-@dataclass(frozen=True)
 class SteeredLink(LinkState):
     """A link state plus the steering vectors toward the UAV and Eve."""
 
-    h_b: np.ndarray = field(default=None, repr=False)
-    h_e: np.ndarray = field(default=None, repr=False)
+    _fields = (*LinkState._fields, "h_b", "h_e")
+    __slots__ = ("h_b", "h_e")
+
+    def __init__(self, *args, h_b=None, h_e=None, **fields):
+        super().__init__(*args, **fields)
+        self._set(h_b=h_b, h_e=h_e)
 
 
 def steered_link(theta_b: float, theta_e: float, array: ArrayConfig, **fields) -> SteeredLink:

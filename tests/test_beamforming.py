@@ -2,7 +2,6 @@
 vector reference (``oracle``) against first principles."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +98,7 @@ class TestSlnr:
         rng = np.random.default_rng(5)
         link = random_link(rng, 8)
         # beta1 * Ps / sigma2 kept fixed while each factor changes
-        scaled = replace(link, sigma2_b=link.sigma2_b * 4.0, p_s=link.p_s * 8.0)
+        scaled = link._replace(sigma2_b=link.sigma2_b * 4.0, p_s=link.p_s * 8.0)
         v1 = slnr_beamformer(link, 0.5)
         v2 = slnr_beamformer(scaled, 0.25)
         assert np.allclose(v1, v2, atol=1e-12)
@@ -189,7 +188,7 @@ def test_parallel_channels_at_high_power_stay_finite():
     # vectors are the matched filter whatever the split, and each projected
     # power is the full array gain M.
     for m in (3, 8, 1024):
-        link = replace(symmetric_link(m, p_s=1e5), sigma2_b=1e-11, sigma2_e=1e-11)
+        link = symmetric_link(m, p_s=1e5)._replace(sigma2_b=1e-11, sigma2_e=1e-11)
         assert link.separation == 0.0
         for beta in (0.1, 0.5, 0.9):
             powers = leakage_pair(link, beta)

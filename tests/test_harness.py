@@ -1,7 +1,7 @@
 import json
 import math
+import sys
 import warnings
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -78,10 +78,14 @@ def configs(draw):
     d_far = max(math.dist(start, alice), math.dist(end, alice))
     bound = (math.log(reference_gain) - math.log(5e-324)) / math.log(d_far) if d_far > 1 else None
     assume(bound is None or bound > 0)
+    # At least one sample point: (L/V)/dt >= 1, so dt <= L/V.
+    speed = draw(_POSITIVE)
+    duration = min(math.hypot(*(e - s for s, e in zip(start, end))) / speed, sys.float_info.max)
+    assume(duration > 0)
     try:
         geometry = ScenarioGeometry(
-            alice=alice, eve=draw(point), flight_start=start, flight_end=end,
-            speed=draw(_POSITIVE), sample_interval=draw(_POSITIVE),
+            alice=alice, eve=draw(point), flight_start=start, flight_end=end, speed=speed,
+            sample_interval=draw(_finite(min_value=0.0, max_value=duration, exclude_min=True)),
             path_loss_exponent=draw(_finite(min_value=0.0, max_value=bound, exclude_min=True)),
             reference_gain=reference_gain,
         )
@@ -172,15 +176,15 @@ class TestConfigParsing:
         assert abs(dbm_to_mw(-110.0) - 1e-11) < 1e-22
 
     def test_overrides(self):
-        # The CLI's sweep overrides go through dataclasses.replace, which
-        # validates the new config again.
+        # The CLI's sweep overrides go through _replace, which validates
+        # the new config again.
         cfg = ExperimentConfig()
-        out = replace(cfg, power_sweep_dbm=(5.0,), antenna_sweep=(4, 8))
+        out = cfg._replace(power_sweep_dbm=(5.0,), antenna_sweep=(4, 8))
         assert out.power_sweep_dbm == (5.0,)
         assert out.antenna_sweep == (4, 8)
-        assert replace(cfg) == cfg
+        assert cfg._replace() == cfg
         with pytest.raises(ConfigError, match="sweep.power_dbm"):
-            replace(cfg, power_sweep_dbm=())
+            cfg._replace(power_sweep_dbm=())
 
 
 class TestRunExperiment:
@@ -511,7 +515,7 @@ class TestResultFiles:
         cfg = parse_config_text(SHORT_CONFIG)
         result = run_experiment(cfg)
         with pytest.raises(ValueError):
-            write_results(replace(result, blocks=()), "csv", tmp_path / "x.csv")
+            write_results(result._replace(blocks=()), "csv", tmp_path / "x.csv")
         with pytest.raises(ValueError):
             write_results(result, "yaml", tmp_path / "x.yaml")
 
@@ -676,6 +680,9 @@ class TestCli:
         ("strategies=fixed(0.5)", ["run"], "strategies: unknown strategy"),
         # A list after a space that starts with '-' reaches the list parser.
         ("", ["sweep-antennas", "--antennas", "-2,4"], "--antennas: -2 is outside [2, 1000000]"),
+        # A flight shorter than one sample interval has no point to evaluate.
+        ("geometry.sample_interval=1e300", ["run"],
+         "geometry.speed, geometry.sample_interval: the 800 m flight lasts 100.0 s, shorter than one"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):

@@ -6,7 +6,6 @@ whatever the other lanes do and wherever a chunk boundary falls.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +50,6 @@ def test_power_allocation_lanes_match_per_lane():
 def test_range_checks_cover_every_lane():
     link = stack_links([symmetric_link(), eve_silent_link()])
     with pytest.raises(ValueError, match="g_ab"):
-        replace(link, g_ab=np.array([1e-4, 0.0]))
+        link._replace(g_ab=np.array([1e-4, 0.0]))
     with pytest.raises(ValueError):
         leakage_pair(link, np.array([0.5, 1.5]))

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -167,7 +166,7 @@ def test_root_within_one_ulp_of_one_is_kept():
     # exactly, loses tens of bits.
     rng = np.random.default_rng(11)
     for _ in range(20):
-        link = replace(random_link(rng, 64), p_s=1e30, sigma2_b=1e-30, sigma2_e=1e-30)
+        link = random_link(rng, 64)._replace(p_s=1e30, sigma2_b=1e-30, sigma2_e=1e-30)
         bf = oracle.leakage_pair(link, rng.uniform(0.05, 0.95))
         powers = oracle.projected_powers(link, bf)
         _, f_grid = beta_grid_oracle(link, powers, 1e-4)
@@ -182,7 +181,7 @@ def test_discriminant_negative_by_rounding_is_a_double_root():
     # 0.94 bits to the grid.
     rng = np.random.default_rng(11)
     for _ in range(40):
-        link = replace(random_link(rng, 64), p_s=1e30, sigma2_b=1e-30, sigma2_e=1e-30)
+        link = random_link(rng, 64)._replace(p_s=1e30, sigma2_b=1e-30, sigma2_e=1e-30)
         powers = oracle.projected_powers(link, random_pair(rng, 64))
         _, f_grid = beta_grid_oracle(link, powers, 1e-4)
         assert optimal_beta(link, powers).secrecy_rate_at_beta >= f_grid - 1e-9

@@ -8,7 +8,6 @@ stays reproducible.
 """
 
 import math
-from dataclasses import replace
 from functools import partial
 
 from hypothesis import given, settings
@@ -88,7 +87,7 @@ def test_joint_noise_and_power_scaling_leaves_the_point_unchanged(link, exponent
     # not scale-free can move the result. (A decimal factor also rounds, and
     # channels 1e-10 rad apart amplify that rounding: beta moved by 3e-4.)
     c = 2.0 ** exponent
-    scaled = replace(link, sigma2_b=c * link.sigma2_b, sigma2_e=c * link.sigma2_e, p_s=c * link.p_s)
+    scaled = link._replace(sigma2_b=c * link.sigma2_b, sigma2_e=c * link.sigma2_e, p_s=c * link.p_s)
     powers, beta, _ = optimize_point(link, CFG)
     powers_c, beta_c, _ = optimize_point(scaled, CFG)
     assert abs(beta_c - beta) <= 1e-12

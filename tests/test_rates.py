@@ -2,7 +2,6 @@
 the vector reference (``oracle.projected_powers``) supplies."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,7 +82,7 @@ def test_rate_eve_term_by_term():
 def test_rate_eve_vanishes_without_path_gain():
     rng = np.random.default_rng(4)
     link = random_link(rng, 8)
-    weak = replace(link, g_ae=1e-30)
+    weak = link._replace(g_ae=1e-30)
     bf = random_pair(rng, 8)
     for beta in (0.1, 0.5, 0.9, 1.0):
         assert rate_eve(weak, bf, beta) < 1e-15
@@ -144,8 +143,8 @@ def test_global_phase_invariance():
 def test_joint_noise_power_scaling_invariance():
     rng = np.random.default_rng(9)
     link = random_link(rng, 8)
-    scaled = replace(
-        link, sigma2_b=link.sigma2_b * 37.0, sigma2_e=link.sigma2_e * 37.0, p_s=link.p_s * 37.0
+    scaled = link._replace(
+        sigma2_b=link.sigma2_b * 37.0, sigma2_e=link.sigma2_e * 37.0, p_s=link.p_s * 37.0
     )
     bf = random_pair(rng, 8)
     for beta in (0.3, 0.8):

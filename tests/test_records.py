@@ -1,0 +1,141 @@
+"""The public records: how the package starts up, immutability, equality and
+hashing, validation on every way of building a config, and the writer's
+JSON form of a strategy name."""
+
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uavsec import (
+    AisConfig,
+    ArrayConfig,
+    ConfigurationError,
+    ExperimentConfig,
+    ResultBlock,
+    ScenarioGeometry,
+    Strategy,
+    SweepResult,
+    link_state_at,
+    optimal_beta,
+    optimize_point,
+    parse_config_text,
+    run_experiment,
+    sample_trajectory,
+    serialize_config,
+)
+from uavsec.beamforming import leakage_pair
+from uavsec.harness import ConfigError, _format_blocks, parse_strategy
+
+_STARTUP = """
+import sys
+import numpy
+baseline = set(sys.modules)
+import uavsec
+uavsec.parse_config(sys.argv[1])
+print(" ".join(sorted(set(sys.modules) - baseline)))
+"""
+
+
+def test_startup_imports_neither_dataclasses_nor_json(tmp_path):
+    # A fresh interpreter: the modules importing uavsec and parsing the empty
+    # config load on top of numpy's.
+    config = tmp_path / "empty.cfg"
+    config.write_text("")
+    added = subprocess.run([sys.executable, "-c", _STARTUP, str(config)], check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "uavsec.harness" in added
+    assert "dataclasses" not in added
+    assert "json" not in added
+
+
+def _records():
+    """One instance of every public record type."""
+    cfg = parse_config_text("geometry.flight_end=40,0,20\nsweep.power_dbm=20\nsweep.antennas=4\n")
+    traj = sample_trajectory(cfg.geometry)
+    link = link_state_at(traj, cfg.geometry, ArrayConfig(4), 1e-11, 1e-11, 100.0)
+    powers, _, trace = optimize_point(link, cfg.ais)
+    result = run_experiment(cfg)
+    return [ArrayConfig(4), cfg.geometry, cfg.ais, cfg, cfg.strategies[0], traj, link,
+            leakage_pair(link, 0.5), optimal_beta(link, powers), trace, trace.iterations[0],
+            result, result.blocks[0]]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    field = record._fields[0]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is value
+
+
+def test_strategy_is_hashable_and_equal_by_value():
+    assert Strategy("fixed", 0.5) == Strategy("fixed", 0.5) == parse_strategy("fixed:5e-1")
+    assert Strategy("fixed", 0.5) != Strategy("fixed", 0.9)
+    assert Strategy("ais") != Strategy("grid_oracle")
+    assert hash(Strategy("fixed", 0.5)) == hash(parse_strategy("fixed:0.50"))
+    assert len({Strategy("ais"), Strategy("ais"), Strategy("fixed", 0.5), Strategy("fixed", 0.5)}) == 2
+    assert {Strategy("ais"): 1}[parse_strategy("ais")] == 1
+
+
+def test_configs_are_equal_by_value_and_round_trip():
+    cfg = parse_config_text("sweep.power_dbm=5,15\nstrategies=grid_oracle,fixed:0.25\nais.epsilon=1e-9\n")
+    again = parse_config_text(serialize_config(cfg))
+    assert again == cfg and hash(again) == hash(cfg)
+    assert again is not cfg and again.geometry == cfg.geometry and again.ais == cfg.ais
+    assert parse_config_text("") == ExperimentConfig()
+    assert hash(parse_config_text("")) == hash(ExperimentConfig())
+    assert cfg != ExperimentConfig()
+
+
+def test_holders_compare_field_by_field():
+    cfg = ExperimentConfig()
+    traj = sample_trajectory(cfg.geometry)
+    link = link_state_at(traj, cfg.geometry, ArrayConfig(8), 1e-11, 1e-11, 10.0)
+    assert link == link._replace() and link._replace(p_s=20.0) != link
+    assert link._replace(p_s=np.array([[1.0], [2.0]])).shape == (2, len(traj))
+    assert SweepResult((), (), (), ()) == SweepResult((), (), (), ())
+    assert hash(SweepResult((), (), (), ())) == hash(SweepResult((), (), (), ()))
+    assert SweepResult((), (), (), ()) != ((), (), (), ())
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ArrayConfig(8)._replace(num_antennas=1), ConfigurationError, "num_antennas must be >= 2"),
+    (lambda: ArrayConfig._make((8, 0.0)), ConfigurationError, "spacing"),
+    (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigurationError, "speed must be positive"),
+    (lambda: AisConfig()._replace(max_iterations=0), ValueError, "max_iterations must be at least 1"),
+    (lambda: ExperimentConfig()._replace(antenna_sweep=()), ConfigError, "sweep.antennas"),
+    (lambda: ExperimentConfig._make((*ExperimentConfig()[:-1], "xml")), ConfigError, "output.format"),
+])
+def test_every_way_of_building_a_config_validates(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def _one_block_result(name: str) -> SweepResult:
+    block = ResultBlock(name, 8, 0.5, np.array([[1.0]]), np.array([[0.5]]), np.array([[0.5]]))
+    return SweepResult((10.0,), np.array([1]), np.array([0.5]), (block,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.sampled_from(("ais", "grid_oracle")),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    .map(lambda beta: Strategy("fixed", beta).name),
+))
+@example("fixed:1e-05")
+@example("fixed:5e-324")
+@example("fixed:2.2250738585072014e-308")
+@example("fixed:0.9999999999999999")
+def test_written_strategy_name_is_its_json_string(name):
+    assert parse_strategy(name).name == name
+    text = "".join(_format_blocks(_one_block_result(name), is_json=True))
+    quoted = text.split('"strategy": ', 1)[1].split(",\n", 1)[0]
+    assert quoted == json.dumps(name)
