@@ -80,11 +80,12 @@ def optimize_point(
     Hitting the iteration cap is a soft failure: the last iterate is
     returned with ``converged=False`` so a flight sweep can keep going.
     """
-    beta = np.full(link.shape, cfg.beta_init)
-    f = np.zeros(link.shape)
+    shape = link.shape
+    beta = np.full(shape, cfg.beta_init)
+    f = np.zeros(shape)
     powers = ProjectedPowers(f, f, f, f)
-    active = np.ones(link.shape, dtype=bool)
-    used = np.zeros(link.shape, dtype=int)
+    active = np.ones(shape, dtype=bool)
+    used = np.zeros(shape, dtype=int)
     records: list[AisIteration] = []
     for _ in range(cfg.max_iterations):
         new_powers = leakage_pair(link, beta)

@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(result)} records to {out} ({fmt})")
+    print(f"wrote {result.rows} records to {out} ({fmt})")
     summary = summarize(result)
     for row in summary:
         if row["nonconverged"]:

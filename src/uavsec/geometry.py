@@ -16,10 +16,11 @@ everything downstream takes arrays (or scalars) elementwise, so one call
 covers every sample point and transmit power of a sweep.
 
 The package's records compile no code when it is imported, which keeps its
-start-up short. A validated config is a ``collections.namedtuple`` behind
-the ``Validated`` mixin, which runs its checks however it is built; an array
-holder (``Trajectory``, ``LinkState``, the harness's ``SweepResult``) is a
-``Frozen`` class; the other records are ``typing.NamedTuple``s.
+start-up short. They are of two kinds. A config, a ``LinkState``, a
+``Trajectory`` and the harness's ``SweepResult`` are ``collections.namedtuple``
+subclasses; those with checks (the configs and ``LinkState``) sit behind the
+``Validated`` mixin, which runs them however the record is built. The other
+records are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -50,50 +51,6 @@ class Validated:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-
-class Frozen:
-    """Base of the immutable array holders. A subclass names its fields in
-    ``_fields`` (and in ``__slots__``) and sets them once, in its
-    ``__init__``, through ``_set``; assigning or deleting an attribute
-    afterwards raises AttributeError. Two holders are equal when they are of
-    one class and their field values compare equal (as tuples); the hash is
-    that of the field values. ``_replace`` and ``_asdict`` work as on a named
-    tuple."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _set(self, *values, **extra):
-        for name, value in (*zip(self._fields, values), *extra.items()):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def _asdict(self) -> dict:
-        return dict(zip(self._fields, self._astuple()))
-
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
-        return f"{type(self).__name__}({fields})"
 
 
 class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", defaults=(0.5,))):
@@ -218,17 +175,20 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
         return math.hypot(*(float(e) - float(s) for s, e in zip(self.flight_start, self.flight_end)))
 
 
-class Trajectory(Frozen):
+class Trajectory(namedtuple("Trajectory", "sample_index bob_position theta_b theta_e d_ab d_ae")):
     """The sampled flight as arrays over its N points (``bob_position`` is
     N x 3); the eavesdropper's angle and distance are scalars."""
 
-    __slots__ = _fields = ("sample_index", "bob_position", "theta_b", "theta_e", "d_ab", "d_ae")
-
-    def __init__(self, sample_index, bob_position, theta_b, theta_e, d_ab, d_ae):
-        self._set(sample_index, bob_position, theta_b, theta_e, d_ab, d_ae)
+    __slots__ = ()
 
     def __len__(self) -> int:
+        """The number of sample points, N (not the field count)."""
         return len(self.sample_index)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make rejects a len() other than the field count.
+        return cls(*iterable)
 
 
 def _direction_angle(origin: np.ndarray, target: np.ndarray):
@@ -278,7 +238,7 @@ def path_loss(distance, geom: ScenarioGeometry):
         return (geom.reference_gain / distance**geom.path_loss_exponent)[()]
 
 
-class LinkState(Frozen):
+class LinkState(Validated, namedtuple("LinkState", "num_antennas separation g_ab g_ae sigma2_b sigma2_e p_s")):
     """Everything needed to evaluate one sampling point, or a batch of them.
 
     ``separation`` is ``array_separation`` for the UAV and eavesdropper
@@ -290,17 +250,18 @@ class LinkState(Frozen):
     its rate exactly 0; every other gain, power and noise is positive.
     """
 
-    _fields = ("num_antennas", "separation", "g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s")
-    __slots__ = (*_fields, "shape")
+    __slots__ = ()
 
-    def __init__(self, num_antennas, separation, g_ab, g_ae, sigma2_b, sigma2_e, p_s):
-        if not np.greater_equal(g_ae, 0).all():
+    def _validate(self):
+        if not np.greater_equal(self.g_ae, 0).all():
             raise ValueError("g_ae must be nonnegative")
-        for name, value in (("g_ab", g_ab), ("sigma2_b", sigma2_b), ("sigma2_e", sigma2_e), ("p_s", p_s)):
-            if not np.greater(value, 0).all():
+        for name in ("g_ab", "sigma2_b", "sigma2_e", "p_s"):
+            if not np.greater(getattr(self, name), 0).all():
                 raise ValueError(f"{name} must be strictly positive")
-        lanes = (separation, g_ab, g_ae, sigma2_b, sigma2_e, p_s)
-        self._set(num_antennas, *lanes, shape=np.broadcast_shapes(*map(np.shape, lanes)))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return np.broadcast_shapes(*map(np.shape, self[1:]))
 
 
 def link_state_at(

@@ -37,7 +37,6 @@ from .beamforming import leakage_pair
 from .geometry import (
     ArrayConfig,
     ConfigurationError,
-    Frozen,
     LinkState,
     ScenarioGeometry,
     Validated,
@@ -138,6 +137,20 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
     __slots__ = ()
 
     def _validate(self):
+        geom = self.geometry
+        # (L/V)/dt, floored by sample_trajectory to the number of points.
+        samples = geom.flight_length / geom.speed / geom.sample_interval
+        if not samples <= MAX_SAMPLES:
+            raise ConfigError(
+                f"geometry.speed, geometry.sample_interval: the {geom.flight_length:g} m "
+                f"flight gives {samples:.3g} samples, more than {MAX_SAMPLES}"
+            )
+        if math.floor(samples) == 0:
+            raise ConfigError(
+                f"geometry.speed, geometry.sample_interval: the {geom.flight_length:g} m flight "
+                f"lasts {geom.flight_length / geom.speed!r} s, shorter than one sample "
+                f"interval ({geom.sample_interval!r} s); no points to evaluate"
+            )
         if not self.power_sweep_dbm:
             raise ConfigError("sweep.power_dbm: sweep must be nonempty")
         if not self.antenna_sweep:
@@ -150,7 +163,6 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
             raise ConfigError(f"output.format: must be one of {_VALID_FORMATS}")
         if not self.array_spacing > 0:
             raise ConfigError("array.spacing: must be positive")
-        geom = self.geometry
         d_ae = math.dist(geom.eve, geom.alice)
         if d_ae == 0:
             raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")
@@ -283,19 +295,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         geometry = ScenarioGeometry(**kwargs["geometry"])
     except ConfigurationError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
-    # (L/V)/dt, floored by sample_trajectory to the number of points.
-    samples = geometry.flight_length / geometry.speed / geometry.sample_interval
-    if not samples <= MAX_SAMPLES:
-        raise ConfigError(
-            f"geometry.speed, geometry.sample_interval: the {geometry.flight_length:g} m "
-            f"flight gives {samples:.3g} samples, more than {MAX_SAMPLES}"
-        )
-    if math.floor(samples) == 0:
-        raise ConfigError(
-            f"geometry.speed, geometry.sample_interval: the {geometry.flight_length:g} m flight "
-            f"lasts {geometry.flight_length / geometry.speed!r} s, shorter than one sample "
-            f"interval ({geometry.sample_interval!r} s); no points to evaluate"
-        )
     try:
         ais_cfg = AisConfig(**kwargs["ais"])
     except ValueError as exc:
@@ -340,19 +339,17 @@ class ResultBlock(NamedTuple):
     converged: Optional[np.ndarray] = None
 
 
-class SweepResult(Frozen):
+class SweepResult(namedtuple("SweepResult", "powers_dbm n theta_b blocks")):
     """A sweep's results as columns, one row per (strategy, M, Ps, n).
 
     Rows run over ``blocks`` in order, then over ``powers_dbm``, then over
     the trajectory points ``n`` (whose bearings are ``theta_b``).
     """
 
-    __slots__ = _fields = ("powers_dbm", "n", "theta_b", "blocks")
+    __slots__ = ()
 
-    def __init__(self, powers_dbm, n, theta_b, blocks):
-        self._set(powers_dbm, n, theta_b, blocks)
-
-    def __len__(self) -> int:
+    @property
+    def rows(self) -> int:
         """The number of result rows."""
         return len(self.blocks) * len(self.powers_dbm) * len(self.n)
 
@@ -566,7 +563,7 @@ def write_results(result: SweepResult, fmt: str, path: str | Path):
     columns, because with ``indent`` set ``json`` falls back to its
     pure-Python encoder.
     """
-    if not len(result):
+    if not result.rows:
         raise ValueError("no records to write")
     if fmt not in _VALID_FORMATS:
         raise ValueError(f"format must be one of {_VALID_FORMATS}")

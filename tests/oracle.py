@@ -5,11 +5,11 @@ their four projected powers in closed form over the array separation
 (``uavsec.beamforming.leakage_pair``). The vector path it replaced lives here
 unchanged: steering vectors, the Sherman-Morrison solve of the rank-one
 whitening matrix, both normalized beamformers with their SLNR/ANLNR values,
-and the projection ``projected_powers``. ``SteeredLink`` is a ``LinkState``
-that also carries the two steering vectors it was built from. The array
-separation the library takes from the Dirichlet kernel in closed form
-(``uavsec.geometry.array_separation``) is also kept here as the sum of
-M - 1 nonnegative terms it replaced, ``summed_separation``.
+and the projection ``projected_powers``. ``SteeredLink`` has the fields and
+checks of a ``LinkState`` and also carries the two steering vectors it was
+built from. The array separation the library takes from the Dirichlet kernel
+in closed form (``uavsec.geometry.array_separation``) is also kept here as
+the sum of M - 1 nonnegative terms it replaced, ``summed_separation``.
 
 Power allocation. The signed secrecy rate as a function of the power split
 beta is log2 of a ratio of two quadratics. This module expands that ratio
@@ -27,6 +27,7 @@ float64 from the factored form and is checked against ``optimal_beta`` here.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from uavsec import rates
-from uavsec.geometry import ArrayConfig, LinkState, _rowdot, array_separation
+from uavsec.geometry import ArrayConfig, LinkState, Validated, _rowdot, array_separation
 from uavsec.rates import ProjectedPowers
 
 # Relative tie width on phi when ranking candidates.
@@ -233,15 +234,18 @@ def steering_vector(theta: float, array: ArrayConfig) -> np.ndarray:
     return np.exp(2j * math.pi * phase)
 
 
-class SteeredLink(LinkState):
-    """A link state plus the steering vectors toward the UAV and Eve."""
+class SteeredLink(Validated, namedtuple("SteeredLink", (*LinkState._fields, "h_b", "h_e"),
+                                          defaults=(None, None))):
+    """A link state plus the steering vectors toward the UAV and Eve: checked
+    as a ``LinkState`` is, with the same ``shape``; ``_replace`` keeps the
+    vectors."""
 
-    _fields = (*LinkState._fields, "h_b", "h_e")
-    __slots__ = ("h_b", "h_e")
+    __slots__ = ()
+    _validate = LinkState._validate
 
-    def __init__(self, *args, h_b=None, h_e=None, **fields):
-        super().__init__(*args, **fields)
-        self._set(h_b=h_b, h_e=h_e)
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return LinkState(*self[: len(LinkState._fields)]).shape
 
 
 def steered_link(theta_b: float, theta_e: float, array: ArrayConfig, **fields) -> SteeredLink:

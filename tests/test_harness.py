@@ -405,7 +405,7 @@ class TestResultFiles:
         out = tmp_path / "r.json"
         write_results(result, "json", out)
         rows = json.loads(out.read_text())
-        assert len(rows) == len(result) == 10
+        assert len(rows) == result.rows == 10
         assert list(rows[0].keys()) == CSV_HEADER.split(",")
 
     def test_writers_match_reference_encoders(self, tmp_path):
@@ -433,7 +433,7 @@ class TestResultFiles:
         result = SweepResult((-10.0, 0.0, 20.0, 50.0), np.arange(1, 5),
                              np.array([1.2, 1e-300, 3.14159265358979, 2.0]), blocks)
         records = records_of(result)
-        assert len(records) == len(result) == 64
+        assert len(records) == result.rows == 64
 
         def twelve_digits(v):
             return float(f"{v:.12g}")

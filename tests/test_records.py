@@ -16,6 +16,7 @@ from uavsec import (
     ArrayConfig,
     ConfigurationError,
     ExperimentConfig,
+    LinkState,
     ResultBlock,
     ScenarioGeometry,
     Strategy,
@@ -100,10 +101,10 @@ def test_holders_compare_field_by_field():
     traj = sample_trajectory(cfg.geometry)
     link = link_state_at(traj, cfg.geometry, ArrayConfig(8), 1e-11, 1e-11, 10.0)
     assert link == link._replace() and link._replace(p_s=20.0) != link
+    assert traj == traj._replace() and traj._replace(d_ae=1.0) != traj
     assert link._replace(p_s=np.array([[1.0], [2.0]])).shape == (2, len(traj))
     assert SweepResult((), (), (), ()) == SweepResult((), (), (), ())
     assert hash(SweepResult((), (), (), ())) == hash(SweepResult((), (), (), ()))
-    assert SweepResult((), (), (), ()) != ((), (), (), ())
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -113,6 +114,15 @@ def test_holders_compare_field_by_field():
     (lambda: AisConfig()._replace(max_iterations=0), ValueError, "max_iterations must be at least 1"),
     (lambda: ExperimentConfig()._replace(antenna_sweep=()), ConfigError, "sweep.antennas"),
     (lambda: ExperimentConfig._make((*ExperimentConfig()[:-1], "xml")), ConfigError, "output.format"),
+    (lambda: ExperimentConfig(geometry=ScenarioGeometry(sample_interval=1e300)), ConfigError,
+     "geometry.speed, geometry.sample_interval: .* shorter than one sample interval"),
+    (lambda: ExperimentConfig(geometry=ScenarioGeometry(sample_interval=1e-5)), ConfigError,
+     "geometry.speed, geometry.sample_interval: .* 1e\\+07 samples, more than 1000000"),
+    (lambda: LinkState(8, 1.0, -1e-4, 1e-4, 1e-11, 1e-11, 10.0), ValueError, "g_ab must be strictly positive"),
+    (lambda: LinkState._make((8, 1.0, -1e-4, 1e-4, 1e-11, 1e-11, 10.0)), ValueError,
+     "g_ab must be strictly positive"),
+    (lambda: LinkState(8, 1.0, 1e-4, 1e-4, 1e-11, 1e-11, 10.0)._replace(g_ab=np.array([1e-4, -1e-4])),
+     ValueError, "g_ab must be strictly positive"),
 ])
 def test_every_way_of_building_a_config_validates(build, error, message):
     with pytest.raises(error, match=message):
