@@ -17,7 +17,9 @@ stay in those lane arrays, one block per (strategy, M), which ``summarize``
 reads row by row. The writers format each block's columns straight from
 those arrays; the values a sweep repeats are found from the rate identities
 (a column of one double, zero rates, R_s = R_b where R_e = 0), not from a
-sort.
+sort. The float texts come from ``uavsec.floattext``: the other lanes of
+a column are formatted together, by one %-format call or, for a long
+column, mostly from digit tables.
 """
 
 from __future__ import annotations
@@ -111,6 +113,28 @@ def parse_strategy(token: str) -> Strategy:
     raise ConfigError(f"strategies: unknown strategy {token!r}")
 
 
+def _check_dbm(key: str, value: float, text: Optional[str] = None):
+    """Raise ConfigError naming ``key`` unless ``value`` (written ``text``,
+    by default its repr) lies within MAX_ABS_DBM dBm of 0."""
+    if not abs(value) <= MAX_ABS_DBM:
+        text = repr(float(value)) if text is None else text
+        raise ConfigError(f"{key}: {text} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
+
+
+def _check_antennas(key: str, value: int):
+    """Raise ConfigError naming ``key`` unless 2 <= ``value`` <= MAX_ANTENNAS."""
+    if not 2 <= value <= MAX_ANTENNAS:
+        raise ConfigError(f"{key}: {value} is outside [2, {MAX_ANTENNAS}] antennas")
+
+
+def _check_unique(key: str, values: tuple, text: Optional[str] = None):
+    """Raise ConfigError naming ``key`` if ``values`` (written ``text``, by
+    default as serialize_config writes them) repeat an entry."""
+    if len(set(values)) != len(values):
+        text = _KEYS[key][3](values) if text is None else text
+        raise ConfigError(f"{key}: duplicate entries in {text!r}")
+
+
 _EXPERIMENT_DEFAULTS = {
     "geometry": ScenarioGeometry(),
     "array_spacing": 0.5,
@@ -157,6 +181,16 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
             raise ConfigError("sweep.antennas: sweep must be nonempty")
         if not self.strategies:
             raise ConfigError("strategies: at least one strategy required")
+        # The parser's per-value checks, for a config built in code.
+        _check_dbm("noise.bob_dbm", self.noise_dbm_bob)
+        _check_dbm("noise.eve_dbm", self.noise_dbm_eve)
+        for ps in self.power_sweep_dbm:
+            _check_dbm("sweep.power_dbm", ps)
+        for m in self.antenna_sweep:
+            _check_antennas("sweep.antennas", m)
+        _check_unique("sweep.power_dbm", self.power_sweep_dbm)
+        _check_unique("sweep.antennas", self.antenna_sweep)
+        _check_unique("strategies", self.strategies)
         if not 0.0 < self.grid_step <= 1e-2:
             raise ConfigError("grid.step: must lie in (0, 1e-2]")
         if self.output_format not in _VALID_FORMATS:
@@ -193,8 +227,7 @@ def _parse_float(key: str, raw: str) -> float:
 
 def _parse_dbm(key: str, raw: str) -> float:
     value = _parse_float(key, raw)
-    if abs(value) > MAX_ABS_DBM:
-        raise ConfigError(f"{key}: {raw} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
+    _check_dbm(key, value, raw)
     return value
 
 
@@ -207,8 +240,7 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_antennas(key: str, raw: str) -> int:
     value = _parse_int(key, raw)
-    if not 2 <= value <= MAX_ANTENNAS:
-        raise ConfigError(f"{key}: {value} is outside [2, {MAX_ANTENNAS}] antennas")
+    _check_antennas(key, value)
     return value
 
 
@@ -226,8 +258,8 @@ def _parse_list(conv, count: Optional[int] = None):
         elif len(items) != count:
             raise ConfigError(f"{key}: expected {count} comma-separated coordinates")
         values = tuple(conv(key, item) for item in items)
-        if count is None and len(set(values)) != len(values):
-            raise ConfigError(f"{key}: duplicate entries in {raw!r}")
+        if count is None:
+            _check_unique(key, values, raw)
         return values
 
     return parse
@@ -440,8 +472,6 @@ def summarize(result: SweepResult) -> list[dict]:
     return out
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
 # The separator before a row, the text before each of its fields, and the
 # text after its last field: a row is a CSV line, or one element of
 # ``json.dumps(rows, indent=2)``.
@@ -450,89 +480,34 @@ _JSON_LAYOUT = (",\n", ["  {\n" + f'    "{_FIELDS[0]}": '] + [f',\n    "{key}": 
                 "\n  }")
 
 
-def _json_number(text: str) -> str:
-    """``json.dumps`` of the float a 12-digit text parses to.
-
-    The float's shortest repr spells the same digits the same way when the
-    text has a point and no exponent, or an exponent e with -308 < e < 12.
-    It differs for integral text ("100" against "100.0"), for e from 12 to
-    15 (repr stays positional below 1e16) and for subnormals (fewer digits
-    round-trip).
-    """
-    _, e, exponent = text.partition("e")
-    if e and -308 < int(exponent) < 12:
-        return text
-    return _JSON_NONFINITE.get(text) or repr(float(text))
-
-
-def _twelve_digits(values: np.ndarray, is_json: bool) -> list[str]:
-    """Each of the 1-D float64 ``values`` at 12 significant digits, in one
-    %-format call; for JSON, as ``json.dumps`` writes the float that text
-    parses to."""
-    # No text contains a newline.
-    texts = ("%.12g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
-    if is_json:
-        size = np.abs(values)
-        # Only these values can print without a point or with an exponent:
-        # elsewhere 12-digit rounding moves v by at most 0.5e-11 |v|, so the
-        # text keeps a fractional part and its exponent stays in [-4, 11].
-        with np.errstate(invalid="ignore"):
-            odd = ~((1e-4 <= size) & (size < 1e11) & (np.abs(values - np.rint(values)) > 1e-9 * size))
-        for i in np.flatnonzero(odd).tolist():
-            texts[i] = _json_number(texts[i])
-    return texts
-
-
-def _column_texts(values, is_json: bool, alias=None):
-    """The texts of a float column: one str when every lane holds one
-    double, else an object array of the lanes' texts.
-
-    Lanes are compared by bit pattern, so -0.0 stays apart from 0.0. Lanes
-    of +0.0 share one text, lanes bitwise equal to the same lane of
-    ``alias`` (an earlier column's values and texts) reuse its text, and
-    every other lane goes through one ``_twelve_digits`` call.
-    """
-    bits = np.asarray(values, dtype=float).view(np.int64)
-    flat = bits.ravel()
-    if (flat == flat[0]).all():
-        return _twelve_digits(flat[:1].view(float), is_json)[0]
-    texts = np.empty(bits.shape, dtype=object)
-    todo = bits != 0
-    texts[~todo] = "0.0" if is_json else "0"
-    if alias is not None:
-        alias_values, alias_texts = alias
-        same = bits == np.asarray(alias_values, dtype=float).view(np.int64)
-        texts[same] = alias_texts if isinstance(alias_texts, str) else alias_texts[same]
-        todo &= ~same
-    texts[todo] = _twelve_digits(bits[todo].view(float), is_json)
-    return texts
-
-
 def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
     """The text of each block's rows, straight from the columns. Every row
     starts with the row separator, except the file's first row.
 
-    Each float column goes through ``_column_texts``; the secrecy rate
-    reuses the Bob rate's texts, since R_s = max(0, R_b - R_e) is exactly R_b
-    wherever R_e = 0. The Ps, ``n`` and ``theta_b`` texts of each lane are
+    Each float column goes through ``floattext.column_texts``; the secrecy
+    rate reuses the Bob rate's texts, since R_s = max(0, R_b - R_e) is
+    exactly R_b wherever R_e = 0. The Ps, ``n`` and ``theta_b`` texts of each lane are
     joined once and shared by every block. A block's rows are one
     (powers x points x pieces) array of texts: a piece is a str shared by
     every row (runs of them merged, such as a fixed split's), that lane
     prefix, or a lane column; the block is one join over it.
     """
+    # Loaded here, not at import: parsing a config never needs it.
+    from .floattext import column_texts, twelve_digits
+
     (row_sep, separators, end), null = (_JSON_LAYOUT, "null") if is_json else (_CSV_LAYOUT, "")
     shape = (len(result.powers_dbm), len(result.n))
-    ps_texts = np.array(_twelve_digits(np.array(result.powers_dbm, dtype=float), is_json), dtype=object)
+    ps_texts = np.array(twelve_digits(np.array(result.powers_dbm, dtype=float), is_json), dtype=object)
     point_texts = np.array([f"{separators[3]}{n}{separators[4]}{theta}" for n, theta in
-                            zip(result.n.tolist(), _twelve_digits(result.theta_b, is_json))], dtype=object)
+                            zip(result.n.tolist(), twelve_digits(result.theta_b, is_json))], dtype=object)
     prefix = ps_texts[:, None] + point_texts
     for k, block in enumerate(result.blocks):
         # A name is "ais", "grid_oracle" or "fixed:" and a float's repr: no
         # character JSON escapes.
         name = f'"{block.strategy}"' if is_json else block.strategy
-        bob = _column_texts(block.rate_bob, is_json)
-        columns = (_column_texts(block.beta, is_json), bob, _column_texts(block.rate_eve, is_json),
-                   _column_texts(block.secrecy, is_json, (block.rate_bob, bob)))
+        bob = column_texts(block.rate_bob, is_json)
+        columns = (column_texts(block.beta, is_json), bob, column_texts(block.rate_eve, is_json),
+                   column_texts(block.secrecy, is_json, (block.rate_bob, bob)))
         if block.iterations is None:
             counts = flags = null
         else:

@@ -32,7 +32,6 @@ from uavsec.harness import (
     ResultBlock,
     Strategy,
     SweepResult,
-    _twelve_digits,
     dbm_to_mw,
     parse_config_text,
     parse_strategy,
@@ -42,6 +41,7 @@ from uavsec.harness import (
     write_results,
 )
 from uavsec.cli import main
+from uavsec.floattext import _TABLE_CHUNK, _TABLE_MIN, twelve_digits
 from uavsec.rates import split_rates
 
 from helpers import read_results_csv, records_of, reference_summary, result_of
@@ -350,6 +350,13 @@ _WRITER_EDGES = [0.0, -0.0, math.nan, float(np.uint64(0x7FF8000000000001).view(f
                  2.0, 2.0000000000001, 0.5, 1e15, 1e16, 123456789012.0, 99999999999.99999,
                  1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 9.99999999999999e-5,
                  1e11, math.nextafter(1e11, 0.0), math.nextafter(1e11, math.inf), 99999999999.5, 5e-324]
+# Doubles at the edges of the digit tables' lanes: the range ends 1e-4 and
+# 1e11 and their predecessors, an exact 13th-digit tie, values that round up
+# to the next decade or to an integer, integral values, negatives, signed
+# zero, the smallest subnormal and non-finite values.
+_TABLE_EDGES = [1e-4, math.nextafter(1e-4, 0.0), 1e11, math.nextafter(1e11, 0.0), 12345678901.25,
+                99999999999.96, 9.9999999999996, 0.0999999999999996, 2.0, 100.0, 123456789012.0,
+                -0.5, -12.25, -3.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]
 _WRITER_VALUES = st.one_of(st.floats(), st.sampled_from(_WRITER_EDGES),
                            st.sampled_from(_WRITER_EDGES).map(lambda v: -v))
 
@@ -482,6 +489,8 @@ class TestResultFiles:
         # Several blocks, the first of one row.
         "geometry.flight_end=8,0,20\nsweep.power_dbm=10\nsweep.antennas=4,8\n"
         "strategies=ais,fixed:0.5,grid_oracle",
+        # Columns of 600 lanes, which take the digit tables.
+        "strategies=fixed:0.5,fixed:0.9\nsweep.power_dbm=0,10,20,30,40,50\nsweep.antennas=8,64",
     ])
     def test_edge_shapes_match_reference_encoders(self, tmp_path, config):
         # The file's first row has no row separator before it.
@@ -508,8 +517,23 @@ class TestResultFiles:
     def test_float_texts_match_json_dumps(self, values):
         # Any double, subnormals, signed zeros and non-finite values included.
         array = np.array(values, dtype=float)
-        assert _twelve_digits(array, is_json=True) == [json.dumps(float(f"{v:.12g}")) for v in values]
-        assert _twelve_digits(array, is_json=False) == [f"{v:.12g}" for v in values]
+        assert twelve_digits(array, is_json=True) == [json.dumps(float(f"{v:.12g}")) for v in values]
+        assert twelve_digits(array, is_json=False) == [f"{v:.12g}" for v in values]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_WRITER_VALUES, max_size=16), st.integers(0, 2**32 - 1), st.integers(0, _TABLE_CHUNK))
+    def test_table_texts_match_json_dumps(self, drawn, seed, extra):
+        # Arrays long enough for the digit tables: the drawn doubles among a
+        # seeded bulk spread over 1e-5 to 1e12, 13-digit decimals ending in 5
+        # (12-digit ties that parse to a double on either side) and
+        # ``_TABLE_EDGES``; some arrays span more than one table pass.
+        rng = np.random.default_rng(seed)
+        ties = [float(f"{m}5e{e}") for m, e in zip(rng.integers(10**11, 10**12, 64).tolist(),
+                                                    rng.integers(-16, -1, 64).tolist())]
+        values = rng.permutation(np.concatenate([10.0 ** rng.uniform(-5, 12, _TABLE_MIN + extra), ties,
+                                                 _TABLE_EDGES, drawn]))
+        assert twelve_digits(values, is_json=False) == [f"{v:.12g}" for v in values.tolist()]
+        assert twelve_digits(values, is_json=True) == [json.dumps(float(f"{v:.12g}")) for v in values.tolist()]
 
     def test_empty_and_bad_format_rejected(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)

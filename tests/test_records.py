@@ -30,6 +30,7 @@ from uavsec import (
     serialize_config,
 )
 from uavsec.beamforming import leakage_pair
+from uavsec.floattext import _TABLE_MIN
 from uavsec.harness import ConfigError, _format_blocks, parse_strategy
 
 _STARTUP = """
@@ -37,21 +38,35 @@ import sys
 import numpy
 baseline = set(sys.modules)
 import uavsec
-uavsec.parse_config(sys.argv[1])
+cfg = uavsec.parse_config(sys.argv[1])
 print(" ".join(sorted(set(sys.modules) - baseline)))
+built = []
+for powers in ((10.0, 20.0, 30.0), (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)):
+    result = uavsec.run_experiment(cfg._replace(power_sweep_dbm=powers))
+    for fmt in ("csv", "json"):
+        uavsec.write_results(result, fmt, sys.argv[2] + "." + fmt)
+    built.append(sys.modules["uavsec.floattext"]._digit_tables.cache_info().currsize)
+print(*built)
 """
 
 
 def test_startup_imports_neither_dataclasses_nor_json(tmp_path):
     # A fresh interpreter: the modules importing uavsec and parsing the empty
-    # config load on top of numpy's.
+    # config load on top of numpy's; the writer's float texts are not among
+    # them. Writing a sweep whose columns hold fewer than _TABLE_MIN lanes
+    # (the empty config's 3 x 100) builds no digit table; one of 6 x 100
+    # lanes does.
+    assert 300 < _TABLE_MIN <= 600
     config = tmp_path / "empty.cfg"
     config.write_text("")
-    added = subprocess.run([sys.executable, "-c", _STARTUP, str(config)], check=True,
-                           capture_output=True, text=True).stdout.split()
+    modules, built = subprocess.run([sys.executable, "-c", _STARTUP, str(config), str(tmp_path / "r")],
+                                    check=True, capture_output=True, text=True).stdout.splitlines()
+    added = modules.split()
     assert "uavsec.harness" in added
     assert "dataclasses" not in added
     assert "json" not in added
+    assert "uavsec.floattext" not in added
+    assert built.split() == ["0", "1"]
 
 
 def _records():
@@ -118,6 +133,20 @@ def test_holders_compare_field_by_field():
      "geometry.speed, geometry.sample_interval: .* shorter than one sample interval"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry(sample_interval=1e-5)), ConfigError,
      "geometry.speed, geometry.sample_interval: .* 1e\\+07 samples, more than 1000000"),
+    # The parser's per-value checks, with its messages.
+    (lambda: ExperimentConfig(power_sweep_dbm=(10.0, 10.0)), ConfigError,
+     "sweep.power_dbm: duplicate entries in '10.0,10.0'"),
+    (lambda: ExperimentConfig()._replace(antenna_sweep=(8, 64, 8)), ConfigError, "sweep.antennas: duplicate entries"),
+    (lambda: ExperimentConfig(strategies=(Strategy("ais"), Strategy("ais"))), ConfigError,
+     "strategies: duplicate entries in 'ais,ais'"),
+    (lambda: ExperimentConfig(power_sweep_dbm=(1e308,)), ConfigError,
+     "sweep.power_dbm: 1e\\+308 dBm is outside \\[-300, 300\\] dBm"),
+    (lambda: ExperimentConfig(power_sweep_dbm=(10.0, float("nan"))), ConfigError, "sweep.power_dbm: nan dBm is outside"),
+    (lambda: ExperimentConfig(noise_dbm_bob=1e308), ConfigError, "noise.bob_dbm: 1e\\+308 dBm is outside"),
+    (lambda: ExperimentConfig._make((*ExperimentConfig()[:3], -301.0, *ExperimentConfig()[4:])), ConfigError,
+     "noise.eve_dbm: -301.0 dBm is outside"),
+    (lambda: ExperimentConfig(antenna_sweep=(1,)), ConfigError, "sweep.antennas: 1 is outside \\[2, 1000000\\] antennas"),
+    (lambda: ExperimentConfig(antenna_sweep=(8, 1_000_001)), ConfigError, "sweep.antennas: 1000001 is outside"),
     (lambda: LinkState(8, 1.0, -1e-4, 1e-4, 1e-11, 1e-11, 10.0), ValueError, "g_ab must be strictly positive"),
     (lambda: LinkState._make((8, 1.0, -1e-4, 1e-4, 1e-11, 1e-11, 10.0)), ValueError,
      "g_ab must be strictly positive"),
