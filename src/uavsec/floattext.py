@@ -6,8 +6,12 @@ An array of fewer than ``_TABLE_MIN`` values goes through one %-format call.
 A longer array builds the texts of its plain lanes with numpy arithmetic from
 digit tables, which are built on first use. A plain lane is positive and
 prints with a point and no exponent, so its text is also its JSON form. The
-other lanes of a longer array go through the %-format call. The writers load
-this module on their first call, so importing the package does not compile it.
+other lanes of a longer array go through the %-format call. The texts are
+plain lists: ``column_texts`` gives a whole column as one str, an earlier
+column's list, the ``twelve_digits`` list, or, for a column that mixes
+zero, alias and other lanes, a list scattered through one object array. The
+writers load this module on their first call, so importing the package does
+not compile it.
 """
 
 from __future__ import annotations
@@ -168,24 +172,30 @@ def twelve_digits(values: np.ndarray, is_json: bool) -> list[str]:
 
 def column_texts(values, is_json: bool, alias=None):
     """The texts of a float column: one str when every lane holds one
-    double, else an object array of the lanes' texts.
+    double, else a list of the lanes' texts in C order.
 
     Lanes are compared by bit pattern, so -0.0 stays apart from 0.0. Lanes
     of +0.0 share one text, lanes bitwise equal to the same lane of
     ``alias`` (an earlier column's values and texts) reuse its text, and
-    every other lane goes through one ``twelve_digits`` call.
+    every other lane goes through one ``twelve_digits`` call. A column that
+    is all alias lanes returns the alias texts themselves, one with neither
+    kind of lane the ``twelve_digits`` list.
     """
-    bits = np.asarray(values, dtype=float).view(np.int64)
-    flat = bits.ravel()
+    flat = np.asarray(values, dtype=float).view(np.int64).ravel()
     if (flat == flat[0]).all():
         return twelve_digits(flat[:1].view(float), is_json)[0]
-    texts = np.empty(bits.shape, dtype=object)
-    todo = bits != 0
-    texts[~todo] = "0.0" if is_json else "0"
+    todo = flat != 0
     if alias is not None:
         alias_values, alias_texts = alias
-        same = bits == np.asarray(alias_values, dtype=float).view(np.int64)
-        texts[same] = alias_texts if isinstance(alias_texts, str) else alias_texts[same]
+        same = flat == np.asarray(alias_values, dtype=float).view(np.int64).ravel()
+        if same.all():
+            return alias_texts
         todo &= ~same
-    texts[todo] = twelve_digits(bits[todo].view(float), is_json)
-    return texts
+    if todo.all():
+        return twelve_digits(flat.view(float), is_json)
+    texts = np.empty(flat.size, dtype=object)
+    texts[~todo] = "0.0" if is_json else "0"
+    if alias is not None:
+        texts[same] = alias_texts if isinstance(alias_texts, str) else np.array(alias_texts, object)[same]
+    texts[todo] = twelve_digits(flat[todo].view(float), is_json)
+    return texts.tolist()

@@ -199,10 +199,14 @@ def _direction_angle(origin: np.ndarray, target: np.ndarray):
     size = np.abs(delta)
     _, exponent = np.frexp(np.maximum(np.maximum(size[..., 0], size[..., 1]), size[..., 2]))
     scaled = np.ldexp(delta, -exponent[..., None])
-    dist = np.ldexp(np.sqrt(_rowdot(scaled, scaled)), exponent)
+    norm = np.sqrt(_rowdot(scaled, scaled))
+    # The cosine comes from the scaled vector: a distance beyond float64
+    # range is inf, and the angle keeps its bits.
+    with np.errstate(over="ignore"):
+        dist = np.ldexp(norm, exponent)
     if np.any(dist == 0):
         raise ValueError("coincident points have no direction angle")
-    return np.arccos(np.clip(delta[..., 0] / dist, -1.0, 1.0)), dist
+    return np.arccos(np.clip(scaled[..., 0] / norm, -1.0, 1.0)), dist
 
 
 def sample_trajectory(geom: ScenarioGeometry) -> Trajectory:

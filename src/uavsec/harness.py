@@ -10,16 +10,20 @@ checks the new config again.
 
 A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
-points. Each strategy picks the split of all lanes of an M in one call and
-returns it with the projected powers of its leakage vectors; the rates there
-are one ``split_rates`` call and one clamp per (strategy, M). The results
-stay in those lane arrays, one block per (strategy, M), which ``summarize``
-reads row by row. The writers format each block's columns straight from
-those arrays; the values a sweep repeats are found from the rate identities
-(a column of one double, zero rates, R_s = R_b where R_e = 0), not from a
-sort. The float texts come from ``uavsec.floattext``: the other lanes of
-a column are formatted together, by one %-format call or, for a long
-column, mostly from digit tables.
+points. The fixed splits of an M are scored together: one ``leakage_pair``
+and one ``split_rates`` call over a leading axis of splits, shaped
+(F, 1, 1), with each fixed block a view of that stack. An iterating
+strategy picks the split of all lanes of an M in one call and returns it
+with the projected powers of its leakage vectors; the rates there are one
+``split_rates`` call and one clamp. The results stay in those lane arrays,
+one block per (strategy, M), which ``summarize`` reads row by row. The
+writers format each block's columns straight from those arrays; the values
+a sweep repeats are found from the rate identities (a column of one double,
+zero rates, R_s = R_b where R_e = 0), not from a sort. The float texts come
+from ``uavsec.floattext`` as plain lists: the other lanes of a column are
+formatted together, by one %-format call or, for a long column, mostly from
+digit tables. A block's text is one flat list of pieces, filled by slice
+assignment, and one join.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
@@ -65,6 +69,13 @@ MAX_SAMPLES = 1_000_000
 # Upper bound on the array size. No cost grows with M (the array separation
 # is a closed form), so this only bounds the input to a sane range.
 MAX_ANTENNAS = 1_000_000
+
+# Upper bound on array.spacing (d/lambda). The array phase pi z is taken
+# modulo pi, and |z| <= 2 spacing rounds by up to ulp(2 spacing), which M
+# elements turn into a phase error of pi M ulp(2 spacing): about 9e-5 rad at
+# this bound and MAX_ANTENNAS. Far above it z keeps no fractional bits (at
+# 1e20 every lane sees Eve in Bob's direction, D = 0).
+MAX_SPACING = 1e5
 
 
 class ConfigError(ConfigurationError):
@@ -113,16 +124,27 @@ def parse_strategy(token: str) -> Strategy:
     raise ConfigError(f"strategies: unknown strategy {token!r}")
 
 
+def _check_type(key: str, value, types: tuple):
+    """Raise ConfigError naming ``key`` unless the type of ``value`` is exactly
+    one of ``types``: serialize_config writes a bool or numpy number as text
+    the parser rejects, and the writers would print it into every row."""
+    if type(value) not in types:
+        raise ConfigError(f"{key}: expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+
+
 def _check_dbm(key: str, value: float, text: Optional[str] = None):
     """Raise ConfigError naming ``key`` unless ``value`` (written ``text``,
-    by default its repr) lies within MAX_ABS_DBM dBm of 0."""
+    by default its repr) is an int or float within MAX_ABS_DBM dBm of 0."""
+    _check_type(key, value, (int, float))
     if not abs(value) <= MAX_ABS_DBM:
         text = repr(float(value)) if text is None else text
         raise ConfigError(f"{key}: {text} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
 
 
 def _check_antennas(key: str, value: int):
-    """Raise ConfigError naming ``key`` unless 2 <= ``value`` <= MAX_ANTENNAS."""
+    """Raise ConfigError naming ``key`` unless ``value`` is an int, 2 to
+    MAX_ANTENNAS."""
+    _check_type(key, value, (int,))
     if not 2 <= value <= MAX_ANTENNAS:
         raise ConfigError(f"{key}: {value} is outside [2, {MAX_ANTENNAS}] antennas")
 
@@ -191,12 +213,16 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
         _check_unique("sweep.power_dbm", self.power_sweep_dbm)
         _check_unique("sweep.antennas", self.antenna_sweep)
         _check_unique("strategies", self.strategies)
+        _check_type("grid.step", self.grid_step, (int, float))
         if not 0.0 < self.grid_step <= 1e-2:
             raise ConfigError("grid.step: must lie in (0, 1e-2]")
         if self.output_format not in _VALID_FORMATS:
             raise ConfigError(f"output.format: must be one of {_VALID_FORMATS}")
+        _check_type("array.spacing", self.array_spacing, (int, float))
         if not self.array_spacing > 0:
             raise ConfigError("array.spacing: must be positive")
+        if self.array_spacing > MAX_SPACING:
+            raise ConfigError(f"array.spacing: {self.array_spacing!r} is above {MAX_SPACING:g}")
         d_ae = math.dist(geom.eve, geom.alice)
         if d_ae == 0:
             raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")
@@ -386,15 +412,12 @@ class SweepResult(namedtuple("SweepResult", "powers_dbm n theta_b blocks")):
         return len(self.blocks) * len(self.powers_dbm) * len(self.n)
 
 
-def _run_strategy(cfg: ExperimentConfig, strategy: Strategy, link: LinkState):
-    """(beta, projected powers, iterations, converged) of one strategy on
-    every lane of ``link``; the last two are None for a fixed split."""
-    if strategy.kind == "fixed":
-        return strategy.fixed_beta, leakage_pair(link, strategy.fixed_beta), None, None
-    pa_step = (partial(beta_grid_oracle, step=cfg.grid_step) if strategy.kind == "grid_oracle"
-               else closed_form_step)
-    projected, beta, trace = optimize_point(link, cfg.ais, pa_step)
-    return beta, projected, trace.iterations_used, trace.converged
+def _score(link: LinkState, projected, beta):
+    """(R_b, R_e, R_s) at the split ``beta`` with these projected powers."""
+    rate_bob, rate_eve = split_rates(link, projected, beta)
+    diff = rate_bob - rate_eve
+    # R_s = max{0, R_b - R_e}, and 0 where the difference is NaN.
+    return rate_bob, rate_eve, np.where(diff > 0.0, diff, 0.0)
 
 
 def _check_finite(block: ResultBlock, powers: tuple[float, ...]):
@@ -426,19 +449,27 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
         (m, link_state_at(traj, cfg.geometry, ArrayConfig(m, cfg.array_spacing), sigma2_b, sigma2_e, p_s))
         for m in sorted(cfg.antenna_sweep)
     ]
+    strategies = sorted(cfg.strategies, key=attrgetter("name"))
+    fixed = [s for s in strategies if s.kind == "fixed"]
+    betas = np.array([s.fixed_beta for s in fixed])[:, None, None]
     blocks = []
-    for strategy in sorted(cfg.strategies, key=attrgetter("name")):
-        for m, link in links:
-            # An overflowing config shows as non-finite rates, checked below.
-            with np.errstate(all="ignore"):
-                beta, projected, iterations, converged = _run_strategy(cfg, strategy, link)
-                rate_bob, rate_eve = split_rates(link, projected, beta)
-                diff = rate_bob - rate_eve
-            # R_s = max{0, R_b - R_e}, and 0 where the difference is NaN.
-            secrecy = np.where(diff > 0.0, diff, 0.0)
-            block = ResultBlock(strategy.name, m, beta, rate_bob, rate_eve, secrecy, iterations, converged)
-            _check_finite(block, powers)
-            blocks.append(block)
+    # An overflowing config shows as non-finite rates, checked below.
+    with np.errstate(all="ignore"):
+        # Every fixed split of an M in one call, along a leading axis.
+        stacks = [dict(zip(fixed, zip(*_score(link, leakage_pair(link, betas), betas)))) if fixed else {}
+                  for _, link in links]
+        for strategy in strategies:
+            for (m, link), stack in zip(links, stacks):
+                if strategy.kind == "fixed":
+                    block = ResultBlock(strategy.name, m, strategy.fixed_beta, *stack[strategy])
+                else:
+                    pa_step = (partial(beta_grid_oracle, step=cfg.grid_step)
+                               if strategy.kind == "grid_oracle" else closed_form_step)
+                    projected, beta, trace = optimize_point(link, cfg.ais, pa_step)
+                    block = ResultBlock(strategy.name, m, beta, *_score(link, projected, beta),
+                                        trace.iterations_used, trace.converged)
+                _check_finite(block, powers)
+                blocks.append(block)
     return SweepResult(powers, traj.sample_index, traj.theta_b, tuple(blocks))
 
 
@@ -486,21 +517,21 @@ def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
 
     Each float column goes through ``floattext.column_texts``; the secrecy
     rate reuses the Bob rate's texts, since R_s = max(0, R_b - R_e) is
-    exactly R_b wherever R_e = 0. The Ps, ``n`` and ``theta_b`` texts of each lane are
-    joined once and shared by every block. A block's rows are one
-    (powers x points x pieces) array of texts: a piece is a str shared by
-    every row (runs of them merged, such as a fixed split's), that lane
-    prefix, or a lane column; the block is one join over it.
+    exactly R_b wherever R_e = 0. The Ps, ``n`` and ``theta_b`` texts of
+    each lane are joined once, as one list shared by every block. A row is
+    a run of pieces: a str shared by every row (runs of them merged, such as
+    a fixed split's), that lane prefix, or a lane column. Each piece fills
+    every k-th slot of one flat list by slice assignment, and the block is
+    one join over it.
     """
     # Loaded here, not at import: parsing a config never needs it.
     from .floattext import column_texts, twelve_digits
 
     (row_sep, separators, end), null = (_JSON_LAYOUT, "null") if is_json else (_CSV_LAYOUT, "")
-    shape = (len(result.powers_dbm), len(result.n))
-    ps_texts = np.array(twelve_digits(np.array(result.powers_dbm, dtype=float), is_json), dtype=object)
-    point_texts = np.array([f"{separators[3]}{n}{separators[4]}{theta}" for n, theta in
-                            zip(result.n.tolist(), twelve_digits(result.theta_b, is_json))], dtype=object)
-    prefix = ps_texts[:, None] + point_texts
+    point_texts = [f"{separators[3]}{n}{separators[4]}{theta}" for n, theta in
+                   zip(result.n.tolist(), twelve_digits(result.theta_b, is_json))]
+    prefix = [ps + point for ps in twelve_digits(np.array(result.powers_dbm, dtype=float), is_json)
+              for point in point_texts]
     for k, block in enumerate(result.blocks):
         # A name is "ais", "grid_oracle" or "fixed:" and a float's repr: no
         # character JSON escapes.
@@ -511,21 +542,16 @@ def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
         if block.iterations is None:
             counts = flags = null
         else:
-            counts = np.fromiter(map(str, block.iterations.ravel().tolist()), object,
-                                 block.iterations.size).reshape(block.iterations.shape)
-            flags = np.where(block.converged, "true", "false")
+            counts = list(map(str, block.iterations.ravel().tolist()))
+            flags = [("false", "true")[c] for c in block.converged.ravel().tolist()]
         row = [row_sep + separators[0] + name + separators[1] + str(block.m) + separators[2], prefix,
                *chain.from_iterable(zip(separators[5:], (*columns, counts, flags))), end]
-        pieces = row[:1]
-        for piece in row[1:]:
-            if isinstance(piece, str) and isinstance(pieces[-1], str):
-                pieces[-1] += piece
-            else:
-                pieces.append(piece)
-        grid = np.empty((*shape, len(pieces)), dtype=object)
+        pieces = [piece for is_text, run in groupby(row, lambda p: isinstance(p, str))
+                  for piece in (["".join(run)] if is_text else run)]
+        texts = [""] * (len(prefix) * len(pieces))
         for i, piece in enumerate(pieces):
-            grid[..., i] = piece
-        text = "".join(grid.ravel().tolist())
+            texts[i::len(pieces)] = [piece] * len(prefix) if isinstance(piece, str) else piece
+        text = "".join(texts)
         yield text[len(row_sep):] if k == 0 else text
 
 

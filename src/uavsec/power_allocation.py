@@ -24,7 +24,10 @@ Candidates are the stationary points inside (0,1) and beta=1; beta=0 always
 gives zero secrecy and is excluded. A stationary point that rounds to 1 is
 scored at the largest float below 1. Both searches run elementwise over the
 lanes of a batched link: every candidate is scored on every lane, and
-``np.where`` keeps the winner of each.
+``np.where`` keeps the winner of each. The closed form scores its three
+candidates (root1 or the degenerate root, root2, and the endpoint 1) in one
+``split_rates`` call, stacked along a leading axis, then folds the rows in
+that order.
 """
 
 from __future__ import annotations
@@ -129,13 +132,14 @@ def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
     candidates = [
         (np.minimum(beta, _BELOW_ONE), label, exists & (0.0 < beta) & (beta <= 1.0))
         for beta, label, exists in stationary
-    ] + [(1.0, _ENDPOINT, True)]
+    ] + [(np.ones(constant.shape), _ENDPOINT, True)]
+    # All candidates are scored in one call, along a leading axis.
+    values = _signed_rate(link, powers, np.stack([np.where(v, b, 1.0) for b, _, v in candidates]))
     # Fold the candidates in order: the first valid one is the best so far,
     # and a later one replaces it when better, or when tied (preferring the
     # larger beta, more confidential power).
     have, best_beta, best_f, best_label = np.False_, np.nan, np.nan, _ENDPOINT
-    for beta, label, valid in candidates:
-        value = _signed_rate(link, powers, np.where(valid, beta, 1.0))
+    for (beta, label, valid), value in zip(candidates, values):
         tie = abs(value - best_f) <= _TIE_BITS
         take = valid & (~have | np.where(tie, beta > best_beta, value > best_f))
         best_beta = np.where(take, beta, best_beta)

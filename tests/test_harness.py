@@ -27,6 +27,7 @@ from uavsec.harness import (
     MAX_ABS_DBM,
     MAX_ANTENNAS,
     MAX_SAMPLES,
+    MAX_SPACING,
     ConfigError,
     ExperimentConfig,
     ResultBlock,
@@ -41,7 +42,7 @@ from uavsec.harness import (
     write_results,
 )
 from uavsec.cli import main
-from uavsec.floattext import _TABLE_CHUNK, _TABLE_MIN, twelve_digits
+from uavsec.floattext import _TABLE_CHUNK, _TABLE_MIN, column_texts, twelve_digits
 from uavsec.rates import split_rates
 
 from helpers import read_results_csv, records_of, reference_summary, result_of
@@ -102,7 +103,7 @@ def configs(draw):
     path = st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) <= 1)
     return ExperimentConfig(
         geometry=geometry,
-        array_spacing=draw(_POSITIVE),
+        array_spacing=draw(_finite(min_value=0.0, max_value=MAX_SPACING, exclude_min=True)),
         noise_dbm_bob=draw(_DBM),
         noise_dbm_eve=draw(_DBM),
         power_sweep_dbm=tuple(draw(st.lists(_DBM, min_size=1, max_size=4, unique=True))),
@@ -274,6 +275,26 @@ class TestRunExperiment:
             diff = block.rate_bob - block.rate_eve
             assert (diff < 0).any() and (diff > 0).any()
             assert np.array_equal(bits(block.secrecy), bits(np.where(diff > 0, diff, 0)))
+
+    def test_stacked_fixed_splits_equal_each_split_alone(self):
+        # The fixed splits of one M are scored in one stacked call; each
+        # block is bit for bit the block of a sweep of that split alone, and
+        # the blocks keep their sorted order around the ais ones.
+        text = ("geometry.flight_end=160,0,20\nsweep.power_dbm=40,-20,10\nsweep.antennas=64,4\n"
+                "geometry.eve=-150,120,0\n")
+        result = run_experiment(parse_config_text(text + "strategies=fixed:0.9,ais,fixed:0.25,fixed:0.5\n"))
+        assert [(block.strategy, block.m) for block in result.blocks] == [
+            (name, m) for name in ("ais", "fixed:0.25", "fixed:0.5", "fixed:0.9") for m in (4, 64)]
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.int64)
+
+        for block in result.blocks[2:]:
+            alone = run_experiment(parse_config_text(text + f"strategies={block.strategy}\n"))
+            (same,) = [b for b in alone.blocks if b.m == block.m]
+            assert block.beta == same.beta and block.iterations is same.iterations is None
+            for field in ("rate_bob", "rate_eve", "secrecy"):
+                assert np.array_equal(bits(getattr(block, field)), bits(getattr(same, field)))
 
     def test_deterministic_and_parallel_consistent(self):
         cfg = parse_config_text(SHORT_CONFIG)
@@ -535,6 +556,26 @@ class TestResultFiles:
         assert twelve_digits(values, is_json=False) == [f"{v:.12g}" for v in values.tolist()]
         assert twelve_digits(values, is_json=True) == [json.dumps(float(f"{v:.12g}")) for v in values.tolist()]
 
+    @pytest.mark.parametrize("is_json", [False, True])
+    def test_column_texts_match_per_lane_texts(self, is_json):
+        # A column with no zero or alias lane, one whose lanes all alias an
+        # earlier column, and one that mixes zeros (and a -0.0), alias lanes
+        # and lanes of its own.
+        def want(values):
+            texts = [f"{v:.12g}" for v in values.ravel().tolist()]
+            return [json.dumps(float(text)) for text in texts] if is_json else texts
+
+        rng = np.random.default_rng(16)
+        bob = rng.uniform(0.5, 40.0, (3, 7))
+        bob_texts = column_texts(bob, is_json)
+        assert bob_texts == want(bob)
+        assert column_texts(bob.copy(), is_json, (bob, bob_texts)) is bob_texts
+        mixed = np.where(rng.random(bob.shape) < 0.5, bob, rng.uniform(0.5, 40.0, bob.shape))
+        mixed[0, :3] = 0.0
+        mixed[1, 1] = -0.0
+        assert column_texts(mixed, is_json, (bob, bob_texts)) == want(mixed)
+        assert column_texts(np.full((2, 2), 0.25), is_json) == want(np.array([0.25]))[0]
+
     def test_empty_and_bad_format_rejected(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
         result = run_experiment(cfg)
@@ -693,6 +734,9 @@ class TestCli:
         # The flight's length does not overflow: no numpy warning, a finite length.
         ("geometry.flight_end=1e200,0,20", ["run"], "the 1e+200 m flight gives 1.25e+199 samples"),
         ("array.spacing=0", ["run"], "array.spacing: must be positive"),
+        # A spacing so wide that z keeps too few fractional bits for the phase.
+        ("array.spacing=1e20", ["run"], "array.spacing: 1e+20 is above 100000"),
+        ("array.spacing=1.7976931348623157e308", ["run"], "array.spacing: 1.7976931348623157e+308 is above"),
         ("geometry.eve=0,0,0", ["run"], "geometry.eve, geometry.alice: "),
         # A path gain that overflows, and a flight whose length does.
         ("geometry.eve=1e-200,0,0", ["run"], "geometry.eve: at d = 1e-200 m from the array"),
@@ -737,3 +781,23 @@ def test_eavesdropper_whose_gain_underflows_hears_nothing(tmp_path, capsys):
     records = read_results_csv(out)
     assert len(records) == 900
     assert all(r.rate_eve == 0.0 for r in records)
+
+
+def test_eavesdropper_beyond_float_range_keeps_its_bearing(tmp_path, capsys):
+    # Eve's distance overflows to inf, but her bearing is pi/4, as at
+    # (1e300, 0, 1e300): Bob's beams and rates are those, and Eve hears
+    # nothing, without a warning.
+    bob_rates = []
+    for eve in ("1.7976931348623157e308,300,1.7976931348623157e308", "1e300,0,1e300"):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"geometry.eve={eve}\n")
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        records = read_results_csv(out)
+        assert len(records) == 900
+        assert all(r.rate_eve == 0.0 for r in records)
+        bob_rates.append([r.rate_bob for r in records])
+    assert bob_rates[0] == bob_rates[1]

@@ -9,13 +9,17 @@ from uavsec import (
     ScenarioGeometry,
     beta_grid_oracle,
     leakage_pair,
+    link_state_at,
     optimal_beta,
+    sample_trajectory,
 )
+from uavsec import power_allocation
 from uavsec.harness import dbm_to_mw
 from uavsec.rates import split_rates
 
 import oracle
-from helpers import flight_links, random_instance, random_link, random_pair, symmetric_link
+from helpers import (flight_links, random_instance, random_link, random_pair, stack_links, stack_powers,
+                     symmetric_link)
 from oracle import RationalCoefficients, f_value, phi, rational_coefficients, stationary_points
 
 
@@ -55,6 +59,56 @@ def test_float_solution_matches_exact_oracle():
     assert count >= 1000
     # The default flight reaches the cancelling case.
     assert smallest_factor < 1e-8
+
+
+def _fold_one_call_per_candidate(link, powers):
+    """``optimal_beta`` as it was before its candidates were stacked: each
+    candidate scored by its own ``_signed_rate`` call, then the same fold."""
+    pa = power_allocation
+    constant, stationary = pa._stationary_candidates(link, powers)
+    candidates = [(np.minimum(beta, pa._BELOW_ONE), label, exists & (0.0 < beta) & (beta <= 1.0))
+                  for beta, label, exists in stationary] + [(1.0, pa._ENDPOINT, True)]
+    have, best_beta, best_f, best_label = np.False_, np.nan, np.nan, pa._ENDPOINT
+    for beta, label, valid in candidates:
+        value = pa._signed_rate(link, powers, np.where(valid, beta, 1.0))
+        tie = abs(value - best_f) <= pa._TIE_BITS
+        take = valid & (~have | np.where(tie, beta > best_beta, value > best_f))
+        best_beta = np.where(take, beta, best_beta)
+        best_f = np.where(take, value, best_f)
+        best_label = np.where(take, label, best_label)
+        have = have | valid
+    best_label = np.where(constant, pa._CONSTANT, best_label)
+    return best_beta, best_f, np.asarray(pa._LABELS)[best_label]
+
+
+def _stacked_instances():
+    """Batched links: random instances, the default flight, and the low-SNR
+    flight (-60 dBm noise, 0 dBm, M = 2) where AIS alternates near beta = 1."""
+    rng = np.random.default_rng(15)
+    instances = [random_instance(rng, i, 8, 20.0) for i in range(60)]
+    links, powers = zip(*instances)
+    yield stack_links(links), stack_powers(powers)
+    yield from instances[:4]
+    geom = ScenarioGeometry()
+    traj = sample_trajectory(geom)
+    for noise_dbm, m, powers_dbm in ((-110.0, 8, (10.0, 20.0, 30.0)), (-60.0, 2, (0.0, 10.0))):
+        noise = dbm_to_mw(noise_dbm)
+        p_s = np.array([dbm_to_mw(ps) for ps in powers_dbm])[:, None]
+        link = link_state_at(traj, geom, ArrayConfig(m), noise, noise, p_s)
+        for beta in (0.1, 0.5, 0.9189, 1.0):
+            yield link, leakage_pair(link, beta)
+
+
+def test_stacked_candidates_equal_one_call_each():
+    labels = set()
+    for link, powers in _stacked_instances():
+        sol = optimal_beta(link, powers)
+        beta, f, label = _fold_one_call_per_candidate(link, powers)
+        assert np.array_equal(np.asarray(sol.beta_star).view(np.int64), beta.view(np.int64))
+        assert np.array_equal(np.asarray(sol.secrecy_rate_at_beta).view(np.int64), f.view(np.int64))
+        assert np.array_equal(sol.winning_candidate, label)
+        labels.update(np.ravel(label).tolist())
+    assert {"root2", "endpoint_1"} <= labels
 
 
 def test_symmetric_links_give_constant_ratio():

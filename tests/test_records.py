@@ -147,6 +147,22 @@ def test_holders_compare_field_by_field():
      "noise.eve_dbm: -301.0 dBm is outside"),
     (lambda: ExperimentConfig(antenna_sweep=(1,)), ConfigError, "sweep.antennas: 1 is outside \\[2, 1000000\\] antennas"),
     (lambda: ExperimentConfig(antenna_sweep=(8, 1_000_001)), ConfigError, "sweep.antennas: 1000001 is outside"),
+    # Types: an antenna count is exactly an int, a dBm, spacing or grid step
+    # exactly an int or float, whichever way the config is built.
+    (lambda: ExperimentConfig(antenna_sweep=(8.0,)), ConfigError, "sweep.antennas: expected int, got 8.0"),
+    (lambda: ExperimentConfig()._replace(antenna_sweep=(8, True)), ConfigError,
+     "sweep.antennas: expected int, got True"),
+    (lambda: ExperimentConfig._make((*ExperimentConfig()[:5], (np.int64(8),), *ExperimentConfig()[6:])),
+     ConfigError, r"sweep.antennas: expected int, got np.int64\(8\)"),
+    (lambda: ExperimentConfig(power_sweep_dbm=(np.float64(10.0),)), ConfigError,
+     r"sweep.power_dbm: expected int or float, got np.float64\(10.0\)"),
+    (lambda: ExperimentConfig()._replace(noise_dbm_bob=np.float64(-110.0)), ConfigError,
+     "noise.bob_dbm: expected int or float"),
+    (lambda: ExperimentConfig()._replace(noise_dbm_eve=False), ConfigError,
+     "noise.eve_dbm: expected int or float, got False"),
+    (lambda: ExperimentConfig._make((ScenarioGeometry(), np.float64(0.5), *ExperimentConfig()[2:])), ConfigError,
+     "array.spacing: expected int or float"),
+    (lambda: ExperimentConfig(grid_step=np.float32(1e-3)), ConfigError, "grid.step: expected int or float"),
     (lambda: LinkState(8, 1.0, -1e-4, 1e-4, 1e-11, 1e-11, 10.0), ValueError, "g_ab must be strictly positive"),
     (lambda: LinkState._make((8, 1.0, -1e-4, 1e-4, 1e-11, 1e-11, 10.0)), ValueError,
      "g_ab must be strictly positive"),
