@@ -188,6 +188,8 @@ def column_texts(values, is_json: bool, alias=None):
     if alias is not None:
         alias_values, alias_texts = alias
         same = flat == np.asarray(alias_values, dtype=float).view(np.int64).ravel()
+        # A secrecy-rate column where R_e = 0 on every lane, the usual case;
+        # the scatter below would copy every text through object arrays.
         if same.all():
             return alias_texts
         todo &= ~same

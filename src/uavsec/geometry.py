@@ -53,6 +53,14 @@ class Validated:
         return cls(*iterable)
 
 
+# Upper bound on the element spacing (d/lambda). The array phase pi z is
+# taken modulo pi, and |z| <= 2 spacing rounds by up to ulp(2 spacing), which
+# M elements turn into a phase error of pi M ulp(2 spacing): about 9e-5 rad
+# at this bound and 10^6 elements. Far above it z keeps no fractional bits
+# (at 1e20 every lane sees Eve in Bob's direction, D = 0).
+MAX_SPACING = 1e5
+
+
 class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", defaults=(0.5,))):
     """Uniform linear array at the transmitter.
 
@@ -66,6 +74,8 @@ class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", d
             raise ConfigurationError("num_antennas must be >= 2")
         if self.spacing <= 0:
             raise ConfigurationError("spacing (d/lambda) must be positive")
+        if self.spacing > MAX_SPACING:
+            raise ConfigurationError(f"spacing (d/lambda) {self.spacing!r} is above {MAX_SPACING:g}")
 
 
 # Elements per intermediate array where a computation over many lanes forms

@@ -41,6 +41,7 @@ import numpy as np
 from .ais import AisConfig, closed_form_step, optimize_point
 from .beamforming import leakage_pair
 from .geometry import (
+    MAX_SPACING,
     ArrayConfig,
     ConfigurationError,
     LinkState,
@@ -69,13 +70,6 @@ MAX_SAMPLES = 1_000_000
 # Upper bound on the array size. No cost grows with M (the array separation
 # is a closed form), so this only bounds the input to a sane range.
 MAX_ANTENNAS = 1_000_000
-
-# Upper bound on array.spacing (d/lambda). The array phase pi z is taken
-# modulo pi, and |z| <= 2 spacing rounds by up to ulp(2 spacing), which M
-# elements turn into a phase error of pi M ulp(2 spacing): about 9e-5 rad at
-# this bound and MAX_ANTENNAS. Far above it z keeps no fractional bits (at
-# 1e20 every lane sees Eve in Bob's direction, D = 0).
-MAX_SPACING = 1e5
 
 
 class ConfigError(ConfigurationError):
@@ -221,6 +215,7 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
         _check_type("array.spacing", self.array_spacing, (int, float))
         if not self.array_spacing > 0:
             raise ConfigError("array.spacing: must be positive")
+        # ArrayConfig's bound, checked here to name the key.
         if self.array_spacing > MAX_SPACING:
             raise ConfigError(f"array.spacing: {self.array_spacing!r} is above {MAX_SPACING:g}")
         d_ae = math.dist(geom.eve, geom.alice)

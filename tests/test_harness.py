@@ -22,12 +22,12 @@ from uavsec import (
     sample_trajectory,
 )
 from uavsec.ais import closed_form_step
+from uavsec.geometry import MAX_SPACING
 from uavsec.harness import (
     CSV_HEADER,
     MAX_ABS_DBM,
     MAX_ANTENNAS,
     MAX_SAMPLES,
-    MAX_SPACING,
     ConfigError,
     ExperimentConfig,
     ResultBlock,
@@ -569,7 +569,7 @@ class TestResultFiles:
         bob = rng.uniform(0.5, 40.0, (3, 7))
         bob_texts = column_texts(bob, is_json)
         assert bob_texts == want(bob)
-        assert column_texts(bob.copy(), is_json, (bob, bob_texts)) is bob_texts
+        assert column_texts(bob.copy(), is_json, (bob, bob_texts)) == bob_texts
         mixed = np.where(rng.random(bob.shape) < 0.5, bob, rng.uniform(0.5, 40.0, bob.shape))
         mixed[0, :3] = 0.0
         mixed[1, 1] = -0.0
