@@ -72,10 +72,8 @@ class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", d
     def _validate(self):
         if self.num_antennas < 2:
             raise ConfigurationError("num_antennas must be >= 2")
-        if self.spacing <= 0:
-            raise ConfigurationError("spacing (d/lambda) must be positive")
-        if self.spacing > MAX_SPACING:
-            raise ConfigurationError(f"spacing (d/lambda) {self.spacing!r} is above {MAX_SPACING:g}")
+        if not 0 < self.spacing <= MAX_SPACING:
+            raise ConfigurationError(f"spacing (d/lambda) {self.spacing!r} is outside (0, {MAX_SPACING:g}]")
 
 
 # Elements per intermediate array where a computation over many lanes forms

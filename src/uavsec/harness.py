@@ -447,6 +447,7 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     strategies = sorted(cfg.strategies, key=attrgetter("name"))
     fixed = [s for s in strategies if s.kind == "fixed"]
     betas = np.array([s.fixed_beta for s in fixed])[:, None, None]
+    pa_steps = {"ais": closed_form_step, "grid_oracle": partial(beta_grid_oracle, step=cfg.grid_step)}
     blocks = []
     # An overflowing config shows as non-finite rates, checked below.
     with np.errstate(all="ignore"):
@@ -458,9 +459,7 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
                 if strategy.kind == "fixed":
                     block = ResultBlock(strategy.name, m, strategy.fixed_beta, *stack[strategy])
                 else:
-                    pa_step = (partial(beta_grid_oracle, step=cfg.grid_step)
-                               if strategy.kind == "grid_oracle" else closed_form_step)
-                    projected, beta, trace = optimize_point(link, cfg.ais, pa_step)
+                    projected, beta, trace = optimize_point(link, cfg.ais, pa_steps[strategy.kind])
                     block = ResultBlock(strategy.name, m, beta, *_score(link, projected, beta),
                                         trace.iterations_used, trace.converged)
                 _check_finite(block, powers)

@@ -125,8 +125,9 @@ def test_holders_compare_field_by_field():
 @pytest.mark.parametrize("build, error, message", [
     (lambda: ArrayConfig(8)._replace(num_antennas=1), ConfigurationError, "num_antennas must be >= 2"),
     (lambda: ArrayConfig._make((8, 0.0)), ConfigurationError, "spacing"),
+    (lambda: ArrayConfig(8, float("nan")), ConfigurationError, "spacing \\(d/lambda\\) nan is outside"),
     # Far above MAX_SPACING the array phase keeps no fractional bits.
-    (lambda: ArrayConfig(8, 1e20), ConfigurationError, "spacing \\(d/lambda\\) 1e\\+20 is above 100000"),
+    (lambda: ArrayConfig(8, 1e20), ConfigurationError, "spacing \\(d/lambda\\) 1e\\+20 is outside \\(0, 100000\\]"),
     (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigurationError, "speed must be positive"),
     (lambda: AisConfig()._replace(max_iterations=0), ValueError, "max_iterations must be at least 1"),
     (lambda: ExperimentConfig()._replace(antenna_sweep=()), ConfigError, "sweep.antennas"),
