@@ -35,6 +35,11 @@ class AisConfig(Validated, namedtuple("AisConfig", "beta_init epsilon max_iterat
     __slots__ = ()
 
     def _validate(self):
+        # The parser's types: serialize_config writes any other type (a bool,
+        # a numpy number) as text the parser rejects.
+        for name, value, types in zip(self._fields, self, ((int, float), (int, float), (int,))):
+            if type(value) not in types:
+                raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
         if not 0.0 < self.beta_init < 1.0:
             raise ValueError("beta_init must lie in (0, 1)")
         if not self.epsilon > 0:

@@ -76,12 +76,6 @@ class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", d
             raise ConfigurationError(f"spacing (d/lambda) {self.spacing!r} is outside (0, {MAX_SPACING:g}]")
 
 
-# Elements per intermediate array where a computation over many lanes forms
-# a (lanes x row) array: the grid search (one grid per lane) takes its lanes
-# in chunks of this size, or one lane at a time when a row is longer. 2^14
-# doubles stay in cache; larger chunks ran slower.
-CHUNK_ELEMENTS = 1 << 14
-
 # (-1)^(j+1) / (2j+1)!, j = 1..8: times 1 - M^-2j, the Taylor coefficients of
 # (M sin e - sin Me) / (Me)^3 in (Me)^2. Where |Me| < 1, term j is at most
 # 8/(2j+1)! of the sum, so the first term left out (j = 9) is below 2^-53 of it.

@@ -206,6 +206,12 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
             _check_antennas("sweep.antennas", m)
         _check_unique("sweep.power_dbm", self.power_sweep_dbm)
         _check_unique("sweep.antennas", self.antenna_sweep)
+        for strategy in self.strategies:
+            # Its name must parse back to it (parse_strategy raises naming the
+            # key for an unknown kind or a bad split): any other strategy
+            # would be written into the rows, or read back, as another one.
+            if not isinstance(strategy, Strategy) or parse_strategy(strategy.name) != strategy:
+                raise ConfigError(f"strategies: {strategy!r} is not a Strategy that parses back from its name")
         _check_unique("strategies", self.strategies)
         _check_type("grid.step", self.grid_step, (int, float))
         if not 0.0 < self.grid_step <= 1e-2:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CHUNK_ELEMENTS, LinkState
+from .geometry import LinkState
 from . import rates
 from .rates import ProjectedPowers
 
@@ -50,6 +50,11 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 # The link fields ``rates.split_rates`` reads, all a chunk of lanes carries.
 _RATE_FIELDS = ("g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s")
+
+# Elements per (lanes x grid) array of the grid search: it takes its lanes in
+# chunks of this size, or one lane at a time when a grid is longer. 2^14
+# doubles stay in cache; larger chunks ran slower.
+CHUNK_ELEMENTS = 1 << 14
 
 _LABELS = ("root1", "root2", "degenerate_root", "endpoint_1", "constant_function")
 _ROOT1, _ROOT2, _DEGENERATE, _ENDPOINT, _CONSTANT = range(len(_LABELS))

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from uavsec import ArrayConfig, LinkState, link_state_at, sample_trajectory
+from uavsec.geometry import ArrayConfig, LinkState, link_state_at, sample_trajectory
 from uavsec.harness import CSV_HEADER, ResultBlock, SweepResult
 from uavsec.beamforming import leakage_pair
 from uavsec.rates import ProjectedPowers, secrecy_sum_rate

@@ -10,15 +10,10 @@ import time
 
 import numpy as np
 
-from uavsec import (
-    AisConfig,
-    ArrayConfig,
-    ScenarioGeometry,
-    beta_grid_oracle,
-    leakage_pair,
-    optimal_beta,
-    optimize_point,
-)
+from uavsec.ais import AisConfig, optimize_point
+from uavsec.beamforming import leakage_pair
+from uavsec.geometry import ArrayConfig, ScenarioGeometry
+from uavsec.power_allocation import beta_grid_oracle, optimal_beta
 from uavsec.harness import dbm_to_mw, parse_config_text, run_experiment, write_results
 from oracle import anlnr_beamformer, f_value, rational_coefficients, slnr_beamformer
 from uavsec.rates import split_rates

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from uavsec import (
-    AisConfig,
-    ArrayConfig,
-    ScenarioGeometry,
-    leakage_pair,
-    optimize_point,
-)
+from uavsec.ais import AisConfig, optimize_point
+from uavsec.beamforming import leakage_pair
+from uavsec.geometry import ArrayConfig, ScenarioGeometry
 from uavsec.power_allocation import optimal_beta
 from uavsec.rates import split_rates
 

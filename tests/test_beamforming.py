@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from uavsec import ArrayConfig, leakage_pair
+from uavsec.beamforming import leakage_pair
+from uavsec.geometry import ArrayConfig
 from uavsec.rates import split_rates
 
 from helpers import random_link, random_unit, symmetric_link

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavsec import (
+from uavsec.geometry import (
     ArrayConfig,
     ConfigurationError,
     LinkState,

@@ -9,20 +9,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavsec import (
-    AisConfig,
+from uavsec.ais import AisConfig, closed_form_step, optimize_point
+from uavsec.beamforming import leakage_pair
+from uavsec.geometry import (
+    MAX_SPACING,
     ArrayConfig,
     ConfigurationError,
     ScenarioGeometry,
-    beta_grid_oracle,
-    leakage_pair,
     link_state_at,
-    optimize_point,
     path_loss,
     sample_trajectory,
 )
-from uavsec.ais import closed_form_step
-from uavsec.geometry import MAX_SPACING
+from uavsec.power_allocation import beta_grid_oracle
 from uavsec.harness import (
     CSV_HEADER,
     MAX_ABS_DBM,

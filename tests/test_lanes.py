@@ -10,23 +10,32 @@ import math
 import numpy as np
 import pytest
 
-from uavsec import ArrayConfig, array_separation, beta_grid_oracle, leakage_pair, optimal_beta
-from uavsec import geometry
+from uavsec import power_allocation
+from uavsec.beamforming import leakage_pair
+from uavsec.geometry import ArrayConfig, array_separation
+from uavsec.power_allocation import beta_grid_oracle, optimal_beta
 
 from helpers import eve_silent_link, random_instance, stack_links, stack_powers, symmetric_link
 
 
-def test_chunked_separation_equals_unchunked(monkeypatch):
+def test_batched_separation_equals_per_point():
     rng = np.random.default_rng(12)
     arr = ArrayConfig(1025)
     theta_b = rng.uniform(0.0, math.pi, 200)
-    # 1024 terms per point: the 200 points span several chunks.
-    assert geometry.CHUNK_ELEMENTS // 1024 < len(theta_b)
-    chunked = array_separation(theta_b, 1.2, arr)
-    monkeypatch.setattr(geometry, "CHUNK_ELEMENTS", 1 << 30)
-    unchunked = array_separation(theta_b, 1.2, arr)
-    assert np.array_equal(chunked, unchunked)
-    assert [array_separation(t, 1.2, arr) for t in theta_b] == chunked.tolist()
+    batch = array_separation(theta_b, 1.2, arr)
+    assert [array_separation(t, 1.2, arr) for t in theta_b] == batch.tolist()
+
+
+def test_chunked_grid_oracle_equals_one_chunk(monkeypatch):
+    rng = np.random.default_rng(14)
+    links, powers = zip(*(random_instance(rng, i, 8, 20.0) for i in range(40)))
+    batch, batch_powers = stack_links(links), stack_powers(powers)
+    # 1001 grid points per lane: the 40 lanes span at least three chunks.
+    assert power_allocation.CHUNK_ELEMENTS // 1001 < 20
+    chunked = beta_grid_oracle(batch, batch_powers, 1e-3)
+    monkeypatch.setattr(power_allocation, "CHUNK_ELEMENTS", 1 << 30)
+    one_chunk = beta_grid_oracle(batch, batch_powers, 1e-3)
+    assert [a.tobytes() for a in chunked] == [a.tobytes() for a in one_chunk]
 
 
 def test_power_allocation_lanes_match_per_lane():

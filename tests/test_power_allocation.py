@@ -3,17 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uavsec import (
-    ArrayConfig,
-    LinkState,
-    ScenarioGeometry,
-    beta_grid_oracle,
-    leakage_pair,
-    link_state_at,
-    optimal_beta,
-    sample_trajectory,
-)
 from uavsec import power_allocation
+from uavsec.beamforming import leakage_pair
+from uavsec.geometry import ArrayConfig, LinkState, ScenarioGeometry, link_state_at, sample_trajectory
+from uavsec.power_allocation import beta_grid_oracle, optimal_beta
 from uavsec.harness import dbm_to_mw
 from uavsec.rates import split_rates
 

@@ -13,7 +13,7 @@ from functools import partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavsec import ArrayConfig, LinkState, array_separation
+from uavsec.geometry import ArrayConfig, LinkState, array_separation
 from uavsec.ais import AisConfig, closed_form_step, optimize_point
 from uavsec.power_allocation import beta_grid_oracle, optimal_beta
 from uavsec.rates import split_rates

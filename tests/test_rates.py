@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from uavsec import secrecy_sum_rate
-from uavsec.rates import split_rates
+from uavsec.rates import secrecy_sum_rate, split_rates
 
 from helpers import random_link, random_pair, random_unit, symmetric_link
 from oracle import BeamformingPair, projected_powers

@@ -11,27 +11,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavsec import (
-    AisConfig,
-    ArrayConfig,
-    ConfigurationError,
-    ExperimentConfig,
-    LinkState,
-    ResultBlock,
-    ScenarioGeometry,
-    Strategy,
-    SweepResult,
-    link_state_at,
-    optimal_beta,
-    optimize_point,
-    parse_config_text,
-    run_experiment,
-    sample_trajectory,
-    serialize_config,
-)
+from uavsec.ais import AisConfig, optimize_point
 from uavsec.beamforming import leakage_pair
 from uavsec.floattext import _TABLE_MIN
-from uavsec.harness import ConfigError, _format_blocks, parse_strategy
+from uavsec.geometry import (
+    ArrayConfig,
+    ConfigurationError,
+    LinkState,
+    ScenarioGeometry,
+    link_state_at,
+    sample_trajectory,
+)
+from uavsec.harness import (
+    ConfigError,
+    ExperimentConfig,
+    ResultBlock,
+    Strategy,
+    SweepResult,
+    _format_blocks,
+    parse_config_text,
+    parse_strategy,
+    run_experiment,
+    serialize_config,
+)
+from uavsec.power_allocation import optimal_beta
 
 _STARTUP = """
 import sys
@@ -42,9 +45,9 @@ cfg = uavsec.parse_config(sys.argv[1])
 print(" ".join(sorted(set(sys.modules) - baseline)))
 built = []
 for powers in ((10.0, 20.0, 30.0), (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)):
-    result = uavsec.run_experiment(cfg._replace(power_sweep_dbm=powers))
+    result = uavsec.harness.run_experiment(cfg._replace(power_sweep_dbm=powers))
     for fmt in ("csv", "json"):
-        uavsec.write_results(result, fmt, sys.argv[2] + "." + fmt)
+        uavsec.harness.write_results(result, fmt, sys.argv[2] + "." + fmt)
     built.append(sys.modules["uavsec.floattext"]._digit_tables.cache_info().currsize)
 print(*built)
 """
@@ -130,6 +133,12 @@ def test_holders_compare_field_by_field():
     (lambda: ArrayConfig(8, 1e20), ConfigurationError, "spacing \\(d/lambda\\) 1e\\+20 is outside \\(0, 100000\\]"),
     (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigurationError, "speed must be positive"),
     (lambda: AisConfig()._replace(max_iterations=0), ValueError, "max_iterations must be at least 1"),
+    # The parser's types, which serialize_config writes back as parseable text.
+    (lambda: AisConfig(max_iterations=2.5), ValueError, "max_iterations must be int, got 2.5"),
+    (lambda: AisConfig()._replace(max_iterations=True), ValueError, "max_iterations must be int, got True"),
+    (lambda: AisConfig(beta_init=np.float64(0.1)), ValueError,
+     r"beta_init must be int or float, got np.float64\(0.1\)"),
+    (lambda: AisConfig._make((0.1, False, 50)), ValueError, "epsilon must be int or float, got False"),
     (lambda: ExperimentConfig()._replace(antenna_sweep=()), ConfigError, "sweep.antennas"),
     (lambda: ExperimentConfig._make((*ExperimentConfig()[:-1], "xml")), ConfigError, "output.format"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry(sample_interval=1e300)), ConfigError,
@@ -142,6 +151,21 @@ def test_holders_compare_field_by_field():
     (lambda: ExperimentConfig()._replace(antenna_sweep=(8, 64, 8)), ConfigError, "sweep.antennas: duplicate entries"),
     (lambda: ExperimentConfig(strategies=(Strategy("ais"), Strategy("ais"))), ConfigError,
      "strategies: duplicate entries in 'ais,ais'"),
+    # A strategy must be the one its written name parses to.
+    (lambda: ExperimentConfig(strategies=(Strategy("fixed", 0.0),)), ConfigError,
+     r"strategies: fixed beta must lie in \(0, 1\)"),
+    (lambda: ExperimentConfig()._replace(strategies=(Strategy("ais"), Strategy("fixed", 1.0))), ConfigError,
+     r"strategies: fixed beta must lie in \(0, 1\)"),
+    (lambda: ExperimentConfig(strategies=(Strategy("fixed", 1.5),)), ConfigError,
+     r"strategies: fixed beta must lie in \(0, 1\)"),
+    (lambda: ExperimentConfig(strategies=(Strategy("fixed", np.float64(0.5)),)), ConfigError,
+     r"strategies: bad fixed beta 'np.float64\(0.5\)'"),
+    (lambda: ExperimentConfig(strategies=(Strategy("fixed", True),)), ConfigError,
+     "strategies: bad fixed beta 'True'"),
+    (lambda: ExperimentConfig(strategies=(Strategy("bogus"),)), ConfigError, "strategies: unknown strategy 'bogus'"),
+    (lambda: ExperimentConfig._make((*ExperimentConfig()[:6], (Strategy("ais", 0.3),), *ExperimentConfig()[7:])),
+     ConfigError, r"strategies: Strategy\(kind='ais', fixed_beta=0.3\) is not a Strategy that parses back"),
+    (lambda: ExperimentConfig(strategies=("ais",)), ConfigError, "strategies: 'ais' is not a Strategy"),
     (lambda: ExperimentConfig(power_sweep_dbm=(1e308,)), ConfigError,
      "sweep.power_dbm: 1e\\+308 dBm is outside \\[-300, 300\\] dBm"),
     (lambda: ExperimentConfig(power_sweep_dbm=(10.0, float("nan"))), ConfigError, "sweep.power_dbm: nan dBm is outside"),
