@@ -7,11 +7,12 @@ A longer array builds the texts of its plain lanes with numpy arithmetic from
 digit tables, which are built on first use. A plain lane is positive and
 prints with a point and no exponent, so its text is also its JSON form. The
 other lanes of a longer array go through the %-format call. The texts are
-plain lists: ``column_texts`` gives a whole column as one str, an earlier
-column's list, the ``twelve_digits`` list, or, for a column that mixes
-zero, alias and other lanes, a list scattered through one object array. The
-writers load this module on their first call, so importing the package does
-not compile it.
+plain lists: ``column_texts`` gives a column of one double as one str, that
+double formatted alone with ``%.12g`` (and, for JSON, ``_json_number``) and
+no array pass; any other column as an earlier column's list, the
+``twelve_digits`` list, or, for a column that mixes zero, alias and other
+lanes, a list scattered through one object array. The writers load this
+module on their first call, so importing the package does not compile it.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def twelve_digits(values: np.ndarray, is_json: bool) -> list[str]:
 
 def column_texts(values, is_json: bool, alias=None):
     """The texts of a float column: one str when every lane holds one
-    double, else a list of the lanes' texts in C order.
+    double (formatted alone, with no array pass), else a list of the lanes'
+    texts in C order.
 
     Lanes are compared by bit pattern, so -0.0 stays apart from 0.0. Lanes
     of +0.0 share one text, lanes bitwise equal to the same lane of
@@ -183,7 +185,8 @@ def column_texts(values, is_json: bool, alias=None):
     """
     flat = np.asarray(values, dtype=float).view(np.int64).ravel()
     if (flat == flat[0]).all():
-        return twelve_digits(flat[:1].view(float), is_json)[0]
+        text = "%.12g" % flat[:1].view(float)[0]
+        return _json_number(text) if is_json else text
     todo = flat != 0
     if alias is not None:
         alias_values, alias_texts = alias

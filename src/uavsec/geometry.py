@@ -152,6 +152,14 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
     __slots__ = ()
 
     def _validate(self):
+        # The parser's types: serialize_config writes any other type (a bool,
+        # a numpy number, a list) as text that does not parse back to it.
+        for name, value in zip(self._fields, self):
+            if isinstance(_GEOMETRY_DEFAULTS[name], tuple):
+                if not (type(value) is tuple and len(value) == 3 and all(type(v) in (int, float) for v in value)):
+                    raise ConfigurationError(f"{name} must be a tuple of 3 ints or floats, got {value!r}")
+            elif type(value) not in (int, float):
+                raise ConfigurationError(f"{name} must be int or float, got {value!r}")
         length = self.flight_length
         if length <= 0:
             raise ConfigurationError("flight_start and flight_end must differ")

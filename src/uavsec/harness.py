@@ -16,7 +16,9 @@ and one ``split_rates`` call over a leading axis of splits, shaped
 strategy picks the split of all lanes of an M in one call and returns it
 with the projected powers of its leakage vectors; the rates there are one
 ``split_rates`` call and one clamp. The results stay in those lane arrays,
-one block per (strategy, M), which ``summarize`` reads row by row. The
+one block per (strategy, M), which ``summarize`` reads row by row: in a
+block where no lane was clamped (R_s = R_b - R_e bit for bit), the clamped
+flight sum max(0, sum(R_b - R_e)) of a row is max(0, sum(R_s)), one sum. The
 writers format each block's columns straight from those arrays; the values
 a sweep repeats are found from the rate identities (a column of one double,
 zero rates, R_s = R_b where R_e = 0), not from a sort. The float texts come
@@ -216,6 +218,10 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
         _check_type("grid.step", self.grid_step, (int, float))
         if not 0.0 < self.grid_step <= 1e-2:
             raise ConfigError("grid.step: must lie in (0, 1e-2]")
+        _check_type("output.path", self.output_path, (str,))
+        # serialize_config writes the path as one line, which the parser strips.
+        if self.output_path != self.output_path.strip() or len(self.output_path.splitlines()) > 1:
+            raise ConfigError(f"output.path: {self.output_path!r} holds a line break or surrounding whitespace")
         if self.output_format not in _VALID_FORMATS:
             raise ConfigError(f"output.format: must be one of {_VALID_FORMATS}")
         _check_type("array.spacing", self.array_spacing, (int, float))
@@ -476,7 +482,11 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
 def summarize(result: SweepResult) -> list[dict]:
     """Per-(strategy, M, Ps) aggregates: mean per-point secrecy rate, the
     per-point-clamped sum, the whole-flight clamped sum, and the number of
-    points that hit the iteration cap without converging."""
+    points that hit the iteration cap without converging.
+
+    The whole-flight sum takes a second ``math.fsum`` only in a block with a
+    clamped lane: where R_s equals R_b - R_e bit for bit on every lane (the
+    usual case), it is the per-point-clamped sum, clamped at 0."""
     points = len(result.n)
     out = []
     for block in result.blocks:
@@ -484,9 +494,11 @@ def summarize(result: SweepResult) -> list[dict]:
             nonconverged = repeat(0)
         else:
             nonconverged = np.count_nonzero(~block.converged, axis=1).tolist()
+        diffs = block.rate_bob - block.rate_eve
+        unclamped = block.secrecy.tobytes() == diffs.tobytes()
         rows = zip(result.powers_dbm, block.secrecy.tolist(),
-                   (block.rate_bob - block.rate_eve).tolist(), nonconverged)
-        for ps, secrecy, diffs, capped in rows:
+                   repeat(None) if unclamped else diffs.tolist(), nonconverged)
+        for ps, secrecy, row_diffs, capped in rows:
             total = math.fsum(secrecy)
             out.append(
                 {
@@ -496,7 +508,7 @@ def summarize(result: SweepResult) -> list[dict]:
                     "points": points,
                     "mean_secrecy_rate": total / points,
                     "ssr_per_point_clamped": total,
-                    "ssr_sum_clamped": secrecy_sum_rate(diffs),
+                    "ssr_sum_clamped": max(0.0, total) if unclamped else secrecy_sum_rate(row_diffs),
                     "nonconverged": capped,
                 }
             )

@@ -315,6 +315,10 @@ class TestRunExperiment:
         "",
         "geometry.flight_end=200,0,20\ngeometry.eve=203,1.5,0\nsweep.power_dbm=50,-10,20\n"
         "sweep.antennas=64,4\nstrategies=grid_oracle,fixed:0.5,ais\nais.max_iterations=2\n",
+        # Low SNR: 4 of the 24 rows hold clamped lanes (R_b < R_e), so their
+        # blocks take the two-sum path.
+        "noise.bob_dbm=-60\nnoise.eve_dbm=-60\nsweep.power_dbm=0,10,20\nsweep.antennas=2,4,8,64\n"
+        "strategies=ais,fixed:0.5\n",
     ])
     def test_summary_equals_record_reference(self, config):
         result = run_experiment(parse_config_text(config))

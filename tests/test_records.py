@@ -5,6 +5,7 @@ JSON form of a strategy name."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ def test_holders_compare_field_by_field():
     # Far above MAX_SPACING the array phase keeps no fractional bits.
     (lambda: ArrayConfig(8, 1e20), ConfigurationError, "spacing \\(d/lambda\\) 1e\\+20 is outside \\(0, 100000\\]"),
     (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigurationError, "speed must be positive"),
+    # The parser's types: a scalar is exactly an int or float, a point a
+    # tuple of three of them; serialize_config writes anything else as text
+    # that does not parse back to it.
+    (lambda: ScenarioGeometry(speed=np.float64(8.0)), ConfigurationError,
+     r"speed must be int or float, got np.float64\(8.0\)"),
+    (lambda: ScenarioGeometry()._replace(speed=True), ConfigurationError, "speed must be int or float, got True"),
+    (lambda: ScenarioGeometry(eve=(np.float64(200.0), 0, 0)), ConfigurationError,
+     r"eve must be a tuple of 3 ints or floats, got \(np.float64\(200.0\), 0, 0\)"),
+    (lambda: ScenarioGeometry(eve=[200.0, 0.0, 0.0]), ConfigurationError,
+     r"eve must be a tuple of 3 ints or floats, got \[200.0, 0.0, 0.0\]"),
+    (lambda: ScenarioGeometry._make(((0.0, 0.0), *ScenarioGeometry()[1:])), ConfigurationError,
+     "alice must be a tuple of 3 ints or floats"),
     (lambda: AisConfig()._replace(max_iterations=0), ValueError, "max_iterations must be at least 1"),
     # The parser's types, which serialize_config writes back as parseable text.
     (lambda: AisConfig(max_iterations=2.5), ValueError, "max_iterations must be int, got 2.5"),
@@ -141,6 +154,14 @@ def test_holders_compare_field_by_field():
     (lambda: AisConfig._make((0.1, False, 50)), ValueError, "epsilon must be int or float, got False"),
     (lambda: ExperimentConfig()._replace(antenna_sweep=()), ConfigError, "sweep.antennas"),
     (lambda: ExperimentConfig._make((*ExperimentConfig()[:-1], "xml")), ConfigError, "output.format"),
+    # An output path is written as one line of the config, which the parser
+    # strips: a line break would start another key.
+    (lambda: ExperimentConfig(output_path="a\nsweep.antennas=64"), ConfigError,
+     r"output.path: 'a\\nsweep.antennas=64' holds a line break"),
+    (lambda: ExperimentConfig(output_path=" out.csv"), ConfigError,
+     "output.path: ' out.csv' holds a line break or surrounding whitespace"),
+    (lambda: ExperimentConfig()._replace(output_path=Path("out.csv")), ConfigError,
+     r"output.path: expected str, got .*Path\('out.csv'\)"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry(sample_interval=1e300)), ConfigError,
      "geometry.speed, geometry.sample_interval: .* shorter than one sample interval"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry(sample_interval=1e-5)), ConfigError,
