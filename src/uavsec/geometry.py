@@ -165,14 +165,10 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
             raise ConfigurationError("flight_start and flight_end must differ")
         if length == math.inf:
             raise ConfigurationError("flight_start and flight_end: the flight's length overflows float64")
-        if self.speed <= 0:
-            raise ConfigurationError("speed must be positive")
-        if self.sample_interval <= 0:
-            raise ConfigurationError("sample_interval must be positive")
-        if self.path_loss_exponent <= 0:
-            raise ConfigurationError("path_loss_exponent must be positive")
-        if self.reference_gain <= 0:
-            raise ConfigurationError("reference_gain must be positive")
+        for name in ("speed", "sample_interval", "path_loss_exponent", "reference_gain"):
+            # Written ``not > 0``, so that NaN fails too.
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive")
         z_start, z_end = self.flight_start[2], self.flight_end[2]
         if not (z_start > 0 and math.isclose(z_start, z_end)):
             raise ConfigurationError(

@@ -4,7 +4,13 @@ Configs are flat ``section.key=value`` text; defaults reproduce the baseline
 scenario (half-wavelength spacing, free-space-like exponent 2, 800 m flight
 at 20 m altitude and 8 m/s, eavesdropper 200 m from the array). dBm to mW
 conversion happens only here; everything below works in linear power. A
-parsed config is an ``ExperimentConfig``, a validated named tuple:
+config is an ``ExperimentConfig``, a validated named tuple, and it is valid
+when its text parses back to it: each key's value, written as
+``serialize_config`` writes it, must parse with that key's parser to a value
+of the same repr. The parsers hold the per-key checks and messages (the
+``geometry.*`` and ``ais.*`` ranges are ``ScenarioGeometry``'s and
+``AisConfig``'s); ``ExperimentConfig``'s own checks span several keys: the
+sample count, Eve at the array, and Eve's and the UAV's path gains.
 ``_replace``, which the CLI's ``--powers``/``--antennas`` overrides use,
 checks the new config again.
 
@@ -120,39 +126,6 @@ def parse_strategy(token: str) -> Strategy:
     raise ConfigError(f"strategies: unknown strategy {token!r}")
 
 
-def _check_type(key: str, value, types: tuple):
-    """Raise ConfigError naming ``key`` unless the type of ``value`` is exactly
-    one of ``types``: serialize_config writes a bool or numpy number as text
-    the parser rejects, and the writers would print it into every row."""
-    if type(value) not in types:
-        raise ConfigError(f"{key}: expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
-
-
-def _check_dbm(key: str, value: float, text: Optional[str] = None):
-    """Raise ConfigError naming ``key`` unless ``value`` (written ``text``,
-    by default its repr) is an int or float within MAX_ABS_DBM dBm of 0."""
-    _check_type(key, value, (int, float))
-    if not abs(value) <= MAX_ABS_DBM:
-        text = repr(float(value)) if text is None else text
-        raise ConfigError(f"{key}: {text} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
-
-
-def _check_antennas(key: str, value: int):
-    """Raise ConfigError naming ``key`` unless ``value`` is an int, 2 to
-    MAX_ANTENNAS."""
-    _check_type(key, value, (int,))
-    if not 2 <= value <= MAX_ANTENNAS:
-        raise ConfigError(f"{key}: {value} is outside [2, {MAX_ANTENNAS}] antennas")
-
-
-def _check_unique(key: str, values: tuple, text: Optional[str] = None):
-    """Raise ConfigError naming ``key`` if ``values`` (written ``text``, by
-    default as serialize_config writes them) repeat an entry."""
-    if len(set(values)) != len(values):
-        text = _KEYS[key][3](values) if text is None else text
-        raise ConfigError(f"{key}: duplicate entries in {text!r}")
-
-
 _EXPERIMENT_DEFAULTS = {
     "geometry": ScenarioGeometry(),
     "array_spacing": 0.5,
@@ -179,6 +152,18 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
     __slots__ = ()
 
     def _validate(self):
+        # Each key's value must be the one its text parses back to: the
+        # parser's checks, with its messages, and no value (an int where a
+        # float belongs, a list, a Path, a numpy number) that the text form
+        # would not keep.
+        for key, value, parse, fmt in _key_values(self):
+            try:
+                text = fmt(value)
+            except (TypeError, AttributeError):  # a scalar where a tuple belongs, a str strategy
+                text = None
+            back = "nothing" if text is None else repr(parse(key, text))
+            if back != repr(value):
+                raise ConfigError(f"{key}: {value!r} does not parse back from its text (it reads as {back})")
         geom = self.geometry
         # (L/V)/dt, floored by sample_trajectory to the number of points.
         samples = geom.flight_length / geom.speed / geom.sample_interval
@@ -193,43 +178,6 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
                 f"lasts {geom.flight_length / geom.speed!r} s, shorter than one sample "
                 f"interval ({geom.sample_interval!r} s); no points to evaluate"
             )
-        if not self.power_sweep_dbm:
-            raise ConfigError("sweep.power_dbm: sweep must be nonempty")
-        if not self.antenna_sweep:
-            raise ConfigError("sweep.antennas: sweep must be nonempty")
-        if not self.strategies:
-            raise ConfigError("strategies: at least one strategy required")
-        # The parser's per-value checks, for a config built in code.
-        _check_dbm("noise.bob_dbm", self.noise_dbm_bob)
-        _check_dbm("noise.eve_dbm", self.noise_dbm_eve)
-        for ps in self.power_sweep_dbm:
-            _check_dbm("sweep.power_dbm", ps)
-        for m in self.antenna_sweep:
-            _check_antennas("sweep.antennas", m)
-        _check_unique("sweep.power_dbm", self.power_sweep_dbm)
-        _check_unique("sweep.antennas", self.antenna_sweep)
-        for strategy in self.strategies:
-            # Its name must parse back to it (parse_strategy raises naming the
-            # key for an unknown kind or a bad split): any other strategy
-            # would be written into the rows, or read back, as another one.
-            if not isinstance(strategy, Strategy) or parse_strategy(strategy.name) != strategy:
-                raise ConfigError(f"strategies: {strategy!r} is not a Strategy that parses back from its name")
-        _check_unique("strategies", self.strategies)
-        _check_type("grid.step", self.grid_step, (int, float))
-        if not 0.0 < self.grid_step <= 1e-2:
-            raise ConfigError("grid.step: must lie in (0, 1e-2]")
-        _check_type("output.path", self.output_path, (str,))
-        # serialize_config writes the path as one line, which the parser strips.
-        if self.output_path != self.output_path.strip() or len(self.output_path.splitlines()) > 1:
-            raise ConfigError(f"output.path: {self.output_path!r} holds a line break or surrounding whitespace")
-        if self.output_format not in _VALID_FORMATS:
-            raise ConfigError(f"output.format: must be one of {_VALID_FORMATS}")
-        _check_type("array.spacing", self.array_spacing, (int, float))
-        if not self.array_spacing > 0:
-            raise ConfigError("array.spacing: must be positive")
-        # ArrayConfig's bound, checked here to name the key.
-        if self.array_spacing > MAX_SPACING:
-            raise ConfigError(f"array.spacing: {self.array_spacing!r} is above {MAX_SPACING:g}")
         d_ae = math.dist(geom.eve, geom.alice)
         if d_ae == 0:
             raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")
@@ -260,7 +208,8 @@ def _parse_float(key: str, raw: str) -> float:
 
 def _parse_dbm(key: str, raw: str) -> float:
     value = _parse_float(key, raw)
-    _check_dbm(key, value, raw)
+    if not abs(value) <= MAX_ABS_DBM:
+        raise ConfigError(f"{key}: {raw} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
     return value
 
 
@@ -273,8 +222,39 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_antennas(key: str, raw: str) -> int:
     value = _parse_int(key, raw)
-    _check_antennas(key, value)
+    if not 2 <= value <= MAX_ANTENNAS:
+        raise ConfigError(f"{key}: {value} is outside [2, {MAX_ANTENNAS}] antennas")
     return value
+
+
+def _parse_spacing(key: str, raw: str) -> float:
+    value = _parse_float(key, raw)
+    if not value > 0:
+        raise ConfigError(f"{key}: must be positive")
+    # ArrayConfig's bound, checked here to name the key.
+    if value > MAX_SPACING:
+        raise ConfigError(f"{key}: {value!r} is above {MAX_SPACING:g}")
+    return value
+
+
+def _parse_grid_step(key: str, raw: str) -> float:
+    value = _parse_float(key, raw)
+    if not 0.0 < value <= 1e-2:
+        raise ConfigError(f"{key}: must lie in (0, 1e-2]")
+    return value
+
+
+def _parse_path(key: str, raw: str) -> str:
+    # The path is written as one config line, which the parser strips.
+    if raw != raw.strip() or len(raw.splitlines()) > 1:
+        raise ConfigError(f"{key}: {raw!r} holds a line break or surrounding whitespace")
+    return raw
+
+
+def _parse_format(key: str, raw: str) -> str:
+    if raw not in _VALID_FORMATS:
+        raise ConfigError(f"{key}: must be one of {_VALID_FORMATS}")
+    return raw
 
 
 def _parse_list(conv, count: Optional[int] = None):
@@ -291,8 +271,8 @@ def _parse_list(conv, count: Optional[int] = None):
         elif len(items) != count:
             raise ConfigError(f"{key}: expected {count} comma-separated coordinates")
         values = tuple(conv(key, item) for item in items)
-        if count is None:
-            _check_unique(key, values, raw)
+        if count is None and len(set(values)) != len(values):
+            raise ConfigError(f"{key}: duplicate entries in {raw!r}")
         return values
 
     return parse
@@ -314,7 +294,7 @@ _KEYS = {
     "geometry.sample_interval": ("geometry", "sample_interval", _parse_float, repr),
     "geometry.path_loss_exponent": ("geometry", "path_loss_exponent", _parse_float, repr),
     "geometry.reference_gain": ("geometry", "reference_gain", _parse_float, repr),
-    "array.spacing": (None, "array_spacing", _parse_float, repr),
+    "array.spacing": (None, "array_spacing", _parse_spacing, repr),
     "noise.bob_dbm": (None, "noise_dbm_bob", _parse_dbm, repr),
     "noise.eve_dbm": (None, "noise_dbm_eve", _parse_dbm, repr),
     "sweep.power_dbm": (None, "power_sweep_dbm", _parse_list(_parse_dbm), _join),
@@ -324,10 +304,16 @@ _KEYS = {
     "ais.beta_init": ("ais", "beta_init", _parse_float, repr),
     "ais.epsilon": ("ais", "epsilon", _parse_float, repr),
     "ais.max_iterations": ("ais", "max_iterations", _parse_int, repr),
-    "grid.step": (None, "grid_step", _parse_float, repr),
-    "output.path": (None, "output_path", lambda key, raw: raw, str),
-    "output.format": (None, "output_format", lambda key, raw: raw, str),
+    "grid.step": (None, "grid_step", _parse_grid_step, repr),
+    "output.path": (None, "output_path", _parse_path, str),
+    "output.format": (None, "output_format", _parse_format, str),
 }
+
+
+def _key_values(cfg: ExperimentConfig):
+    """(key, value, parse, format) for every config key, in ``_KEYS`` order."""
+    for key, (section, field, parse, fmt) in _KEYS.items():
+        yield key, getattr(cfg if section is None else getattr(cfg, section), field), parse, fmt
 
 
 def parse_value(key: str, raw: str, label: str):
@@ -377,12 +363,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit every key in the flat format parse_config_text accepts; the text
-    parses back to an equal config."""
-    lines = [
-        f"{key}={fmt(getattr(cfg if section is None else getattr(cfg, section), field))}"
-        for key, (section, field, _, fmt) in _KEYS.items()
-    ]
-    return "\n".join(lines) + "\n"
+    parses back to an equal config, as ExperimentConfig checks key by key."""
+    return "".join(f"{key}={fmt(value)}\n" for key, value, _, fmt in _key_values(cfg))
 
 
 class ResultBlock(NamedTuple):

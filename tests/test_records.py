@@ -1,8 +1,10 @@
 """The public records: how the package starts up, immutability, equality and
-hashing, validation on every way of building a config, and the writer's
-JSON form of a strategy name."""
+hashing, validation on every way of building a config, the round trip of a
+config built in code through its text, and the writer's JSON form of a
+strategy name."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +135,13 @@ def test_holders_compare_field_by_field():
     # Far above MAX_SPACING the array phase keeps no fractional bits.
     (lambda: ArrayConfig(8, 1e20), ConfigurationError, "spacing \\(d/lambda\\) 1e\\+20 is outside \\(0, 100000\\]"),
     (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigurationError, "speed must be positive"),
+    # NaN fails every "positive" check, whichever field holds it.
+    (lambda: ScenarioGeometry(speed=float("nan")), ConfigurationError, "^speed must be positive$"),
+    (lambda: ScenarioGeometry()._replace(sample_interval=float("nan")), ConfigurationError,
+     "sample_interval must be positive"),
+    (lambda: ScenarioGeometry(path_loss_exponent=float("nan")), ConfigurationError,
+     "path_loss_exponent must be positive"),
+    (lambda: ScenarioGeometry(reference_gain=float("nan")), ConfigurationError, "reference_gain must be positive"),
     # The parser's types: a scalar is exactly an int or float, a point a
     # tuple of three of them; serialize_config writes anything else as text
     # that does not parse back to it.
@@ -161,7 +170,7 @@ def test_holders_compare_field_by_field():
     (lambda: ExperimentConfig(output_path=" out.csv"), ConfigError,
      "output.path: ' out.csv' holds a line break or surrounding whitespace"),
     (lambda: ExperimentConfig()._replace(output_path=Path("out.csv")), ConfigError,
-     r"output.path: expected str, got .*Path\('out.csv'\)"),
+     r"output.path: .*Path\('out.csv'\) does not parse back from its text \(it reads as 'out.csv'\)"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry(sample_interval=1e300)), ConfigError,
      "geometry.speed, geometry.sample_interval: .* shorter than one sample interval"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry(sample_interval=1e-5)), ConfigError,
@@ -185,32 +194,54 @@ def test_holders_compare_field_by_field():
      "strategies: bad fixed beta 'True'"),
     (lambda: ExperimentConfig(strategies=(Strategy("bogus"),)), ConfigError, "strategies: unknown strategy 'bogus'"),
     (lambda: ExperimentConfig._make((*ExperimentConfig()[:6], (Strategy("ais", 0.3),), *ExperimentConfig()[7:])),
-     ConfigError, r"strategies: Strategy\(kind='ais', fixed_beta=0.3\) is not a Strategy that parses back"),
-    (lambda: ExperimentConfig(strategies=("ais",)), ConfigError, "strategies: 'ais' is not a Strategy"),
+     ConfigError, r"strategies: \(Strategy\(kind='ais', fixed_beta=0.3\),\) does not parse back"),
+    (lambda: ExperimentConfig(strategies=("ais",)), ConfigError,
+     r"strategies: \('ais',\) does not parse back from its text \(it reads as nothing\)"),
     (lambda: ExperimentConfig(power_sweep_dbm=(1e308,)), ConfigError,
      "sweep.power_dbm: 1e\\+308 dBm is outside \\[-300, 300\\] dBm"),
-    (lambda: ExperimentConfig(power_sweep_dbm=(10.0, float("nan"))), ConfigError, "sweep.power_dbm: nan dBm is outside"),
+    (lambda: ExperimentConfig(power_sweep_dbm=(10.0, float("nan"))), ConfigError,
+     "sweep.power_dbm: expected a finite number, got 'nan'"),
     (lambda: ExperimentConfig(noise_dbm_bob=1e308), ConfigError, "noise.bob_dbm: 1e\\+308 dBm is outside"),
     (lambda: ExperimentConfig._make((*ExperimentConfig()[:3], -301.0, *ExperimentConfig()[4:])), ConfigError,
      "noise.eve_dbm: -301.0 dBm is outside"),
     (lambda: ExperimentConfig(antenna_sweep=(1,)), ConfigError, "sweep.antennas: 1 is outside \\[2, 1000000\\] antennas"),
     (lambda: ExperimentConfig(antenna_sweep=(8, 1_000_001)), ConfigError, "sweep.antennas: 1000001 is outside"),
-    # Types: an antenna count is exactly an int, a dBm, spacing or grid step
-    # exactly an int or float, whichever way the config is built.
-    (lambda: ExperimentConfig(antenna_sweep=(8.0,)), ConfigError, "sweep.antennas: expected int, got 8.0"),
+    # Each value must be the one its text parses back to, whichever way the
+    # config is built: a value whose text the parser rejects gets the
+    # parser's message; one that reads back as another value (an int where a
+    # float belongs, a list, a bare scalar) is named with what it reads as.
+    (lambda: ExperimentConfig(power_sweep_dbm=10.0), ConfigError,
+     r"sweep.power_dbm: 10.0 does not parse back from its text \(it reads as nothing\)"),
+    (lambda: ExperimentConfig(antenna_sweep=8), ConfigError,
+     r"sweep.antennas: 8 does not parse back from its text \(it reads as nothing\)"),
+    (lambda: ExperimentConfig(power_sweep_dbm=[10.0, 20.0]), ConfigError,
+     r"sweep.power_dbm: \[10.0, 20.0\] does not parse back from its text \(it reads as \(10.0, 20.0\)\)"),
+    (lambda: ExperimentConfig()._replace(antenna_sweep=[8]), ConfigError,
+     r"sweep.antennas: \[8\] does not parse back from its text \(it reads as \(8,\)\)"),
+    (lambda: ExperimentConfig(strategies=[Strategy("ais")]), ConfigError,
+     r"strategies: \[Strategy\(kind='ais', fixed_beta=None\)\] does not parse back"),
+    (lambda: ExperimentConfig(geometry=ScenarioGeometry(eve=(200.0, float("nan"), 0.0))), ConfigError,
+     "geometry.eve: expected a finite number, got 'nan'"),
+    (lambda: ExperimentConfig(array_spacing=1), ConfigError,
+     r"array.spacing: 1 does not parse back from its text \(it reads as 1.0\)"),
+    (lambda: ExperimentConfig(geometry=ScenarioGeometry(flight_end=(400, 0, 20))), ConfigError,
+     r"geometry.flight_end: \(400, 0, 20\) does not parse back from its text "
+     r"\(it reads as \(400.0, 0.0, 20.0\)\)"),
+    (lambda: ExperimentConfig(antenna_sweep=(8.0,)), ConfigError, "sweep.antennas: expected an integer, got '8.0'"),
     (lambda: ExperimentConfig()._replace(antenna_sweep=(8, True)), ConfigError,
-     "sweep.antennas: expected int, got True"),
+     "sweep.antennas: expected an integer, got 'True'"),
     (lambda: ExperimentConfig._make((*ExperimentConfig()[:5], (np.int64(8),), *ExperimentConfig()[6:])),
-     ConfigError, r"sweep.antennas: expected int, got np.int64\(8\)"),
+     ConfigError, r"sweep.antennas: expected an integer, got 'np.int64\(8\)'"),
     (lambda: ExperimentConfig(power_sweep_dbm=(np.float64(10.0),)), ConfigError,
-     r"sweep.power_dbm: expected int or float, got np.float64\(10.0\)"),
+     r"sweep.power_dbm: expected a number, got 'np.float64\(10.0\)'"),
     (lambda: ExperimentConfig()._replace(noise_dbm_bob=np.float64(-110.0)), ConfigError,
-     "noise.bob_dbm: expected int or float"),
+     r"noise.bob_dbm: expected a number, got 'np.float64\(-110.0\)'"),
     (lambda: ExperimentConfig()._replace(noise_dbm_eve=False), ConfigError,
-     "noise.eve_dbm: expected int or float, got False"),
+     "noise.eve_dbm: expected a number, got 'False'"),
     (lambda: ExperimentConfig._make((ScenarioGeometry(), np.float64(0.5), *ExperimentConfig()[2:])), ConfigError,
-     "array.spacing: expected int or float"),
-    (lambda: ExperimentConfig(grid_step=np.float32(1e-3)), ConfigError, "grid.step: expected int or float"),
+     r"array.spacing: expected a number, got 'np.float64\(0.5\)'"),
+    (lambda: ExperimentConfig(grid_step=np.float32(1e-3)), ConfigError,
+     r"grid.step: expected a number, got 'np.float32\(0.001\)'"),
     (lambda: LinkState(8, 1.0, -1e-4, 1e-4, 1e-11, 1e-11, 10.0), ValueError, "g_ab must be strictly positive"),
     (lambda: LinkState._make((8, 1.0, -1e-4, 1e-4, 1e-11, 1e-11, 10.0)), ValueError,
      "g_ab must be strictly positive"),
@@ -220,6 +251,64 @@ def test_holders_compare_field_by_field():
 def test_every_way_of_building_a_config_validates(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+# Values a config built in code may hold: the parser's own, ints where a
+# float belongs, numpy scalars and bools, NaN, +-inf and +-max float. Each
+# field draws the parser's values for it about half the time, so that some
+# drawn configs are valid.
+_MAX = sys.float_info.max
+_REALS = [0.0, -0.0, 1e-3, 0.5, 8.0, 20.0, -110.0, 1e-2, 300.0, _MAX, -_MAX, math.nan, math.inf, -math.inf,
+          0, 1, 8, 64]
+_SCALARS = st.sampled_from(_REALS + [2, 1_000_001, np.float64(0.5), np.float64(10.0), np.int64(8), True, False])
+_STRATEGIES = [Strategy("ais"), Strategy("grid_oracle"), Strategy("fixed", 0.5), Strategy("fixed", 0.9)]
+_STRATEGY = st.sampled_from(_STRATEGIES + [Strategy("fixed", 1), Strategy("fixed", math.nan), Strategy("ais", 0.3),
+                                           Strategy("fixed", np.float64(0.5)), Strategy("bogus"), "ais", "fixed:0.5"])
+
+
+def _scalar(*good):
+    return st.one_of(st.sampled_from(good), _SCALARS)
+
+
+def _sweep(good, items=_SCALARS):
+    """A tuple of distinct ``good`` values, as the parser gives; or a tuple,
+    a list or a bare value drawn from ``items``."""
+    return st.one_of(st.lists(st.sampled_from(good), min_size=1, max_size=3, unique=True).map(tuple),
+                     st.lists(items, max_size=3).map(tuple), st.lists(items, max_size=3), items)
+
+
+_CONFIG_FIELDS = {
+    # ScenarioGeometry takes any int or float in a point, and any positive
+    # speed.
+    "geometry": st.one_of(st.just(ScenarioGeometry(eve=(-150.0, 120.0, 0.0))),
+                          st.builds(ScenarioGeometry, eve=st.tuples(*[st.sampled_from(_REALS)] * 3),
+                                    speed=st.sampled_from([8.0, 8, 0.5, math.inf, _MAX]))),
+    "array_spacing": _scalar(0.5, 1e-3, 8.0),
+    "noise_dbm_bob": _scalar(-110.0, -0.0, 300.0),
+    "noise_dbm_eve": _scalar(-110.0, 20.0),
+    "power_sweep_dbm": _sweep([10.0, -0.0, -300.0, 20.5]),
+    "antenna_sweep": _sweep([2, 8, 64, 1_000_000]),
+    "strategies": _sweep(_STRATEGIES, _STRATEGY),
+    "ais": st.builds(AisConfig, st.sampled_from([0.1, 0.5]), st.sampled_from([1e-6, 1, 1.0, math.inf, _MAX]),
+                     st.sampled_from([1, 50])),
+    "grid_step": _scalar(1e-3, 1e-2),
+    "output_path": st.one_of(st.sampled_from(["results.csv", "", "out dir/r.json"]),
+                             st.sampled_from([" out.csv", "out.csv\n", "a\nb", "a\x0bb", "a\u2028b", Path("out.csv")])),
+    "output_format": st.one_of(st.sampled_from(["csv", "json"]), st.sampled_from(["xml", " csv", Path("csv")])),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.fixed_dictionaries({}, optional=_CONFIG_FIELDS))
+def test_a_config_built_in_code_parses_back_from_its_text(fields):
+    # Building a config either fails with one ConfigError or gives a config
+    # that its text rebuilds exactly, down to the type of every value.
+    try:
+        cfg = ExperimentConfig(**fields)
+    except ConfigError:
+        return
+    again = parse_config_text(serialize_config(cfg))
+    assert again == cfg and repr(again) == repr(cfg)
 
 
 def _one_block_result(name: str) -> SweepResult:
