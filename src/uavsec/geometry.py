@@ -26,6 +26,7 @@ records are ``typing.NamedTuple``s.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from functools import reduce
 
@@ -158,6 +159,9 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
             if isinstance(_GEOMETRY_DEFAULTS[name], tuple):
                 if not (type(value) is tuple and len(value) == 3 and all(type(v) in (int, float) for v in value)):
                     raise ConfigurationError(f"{name} must be a tuple of 3 ints or floats, got {value!r}")
+                # False for NaN and infinities; an int compares exactly, so one beyond float64 fails.
+                if not all(abs(v) <= sys.float_info.max for v in value):
+                    raise ConfigurationError(f"{name} must have finite coordinates")
             elif type(value) not in (int, float):
                 raise ConfigurationError(f"{name} must be int or float, got {value!r}")
         length = self.flight_length
@@ -181,9 +185,9 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
         return math.hypot(*(float(e) - float(s) for s, e in zip(self.flight_start, self.flight_end)))
 
 
-class Trajectory(namedtuple("Trajectory", "sample_index bob_position theta_b theta_e d_ab d_ae")):
-    """The sampled flight as arrays over its N points (``bob_position`` is
-    N x 3); the eavesdropper's angle and distance are scalars."""
+class Trajectory(namedtuple("Trajectory", "sample_index theta_b theta_e d_ab d_ae")):
+    """The sampled flight as arrays over its N points; the eavesdropper's
+    angle and distance are scalars."""
 
     __slots__ = ()
 
@@ -235,7 +239,7 @@ def sample_trajectory(geom: ScenarioGeometry) -> Trajectory:
     pos = s + (n * geom.sample_interval * geom.speed)[:, None] * unit
     theta_b, d_ab = _direction_angle(alice, pos)
     theta_e, d_ae = _direction_angle(alice, np.asarray(geom.eve, dtype=float))
-    return Trajectory(n, pos, theta_b, float(theta_e), d_ab, float(d_ae))
+    return Trajectory(n, theta_b, float(theta_e), d_ab, float(d_ae))
 
 
 def path_loss(distance, geom: ScenarioGeometry):

@@ -11,8 +11,6 @@ of the same repr. The parsers hold the per-key checks and messages (the
 ``geometry.*`` and ``ais.*`` ranges are ``ScenarioGeometry``'s and
 ``AisConfig``'s); ``ExperimentConfig``'s own checks span several keys: the
 sample count, Eve at the array, and Eve's and the UAV's path gains.
-``_replace``, which the CLI's ``--powers``/``--antennas`` overrides use,
-checks the new config again.
 
 A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
@@ -42,7 +40,7 @@ from functools import partial
 from itertools import chain, groupby, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -161,6 +159,8 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
                 text = fmt(value)
             except (TypeError, AttributeError):  # a scalar where a tuple belongs, a str strategy
                 text = None
+            except ValueError:  # an int past sys.get_int_max_str_digits(), which repr refuses
+                raise ConfigError(f"{key}: an integer too long to write as text") from None
             back = "nothing" if text is None else repr(parse(key, text))
             if back != repr(value):
                 raise ConfigError(f"{key}: {value!r} does not parse back from its text (it reads as {back})")
@@ -316,26 +316,23 @@ def _key_values(cfg: ExperimentConfig):
         yield key, getattr(cfg if section is None else getattr(cfg, section), field), parse, fmt
 
 
-def parse_value(key: str, raw: str, label: str):
-    """The value of config key ``key`` written as ``raw``, parsed as in a
-    config file; a ConfigError names ``label`` in place of the key."""
-    return _KEYS[key][2](label, raw)
-
-
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Build a validated config from flat key=value text.
+def parse_config_text(text: str, overrides: Iterable[str] = ()) -> ExperimentConfig:
+    """Build a validated config from flat key=value text, then the
+    ``overrides``, each one more line after the text's.
 
     Unknown keys and malformed values raise ConfigError naming the key; a
-    key given twice keeps its last value; an empty document yields the
-    all-defaults config.
+    line without '=' is named by its number, or as ``--set`` (the CLI option
+    that passes overrides); a key given twice keeps its last value; an empty
+    document yields the all-defaults config.
     """
     kwargs: dict = {"geometry": {}, "ais": {}, None: {}}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    numbered = [(f"line {n}", line) for n, line in enumerate(text.splitlines(), start=1)]
+    for where, line in numbered + [("--set", line) for line in overrides]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{where}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in _KEYS:
@@ -353,12 +350,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(geometry=geometry, ais=ais_cfg, **kwargs[None])
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
+def parse_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, overrides)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

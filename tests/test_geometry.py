@@ -149,9 +149,11 @@ class TestTrajectory:
         assert traj.sample_index.tolist() == list(range(1, 101))
 
     def test_points_equally_spaced(self):
+        # The default flight runs along x in the y = 0 plane, so each point's
+        # x is d_ab cos(theta_b).
         geom = ScenarioGeometry()
-        positions = sample_trajectory(geom).bob_position
-        steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
+        traj = sample_trajectory(geom)
+        steps = np.diff(traj.d_ab * np.cos(traj.theta_b))
         assert np.allclose(steps, geom.speed * geom.sample_interval, atol=1e-9)
 
     def test_eve_angle_constant(self):
@@ -161,7 +163,8 @@ class TestTrajectory:
     def test_distance_recomputed_independently(self):
         geom = ScenarioGeometry()
         traj = sample_trajectory(geom)
-        d = np.linalg.norm(traj.bob_position[49] - np.asarray(geom.alice))
+        # Point 50 sits 50 * 8 m along the flight, at (400, 0, 20).
+        d = np.linalg.norm(np.array([400.0, 0.0, 20.0]) - np.asarray(geom.alice))
         assert abs(traj.d_ab[49] - d) < 1e-9
 
     def test_extreme_distances_neither_underflow_nor_overflow(self):
@@ -171,14 +174,16 @@ class TestTrajectory:
         assert far.theta_e == pytest.approx(math.pi / 4) and far.d_ae == pytest.approx(math.sqrt(2) * 1e200)
         # In the normal range the scaling changes no bit of any distance.
         traj = sample_trajectory(ScenarioGeometry())
-        assert traj.d_ab.tolist() == [math.sqrt(float(p @ p)) for p in traj.bob_position]
+        positions = [np.array([8.0 * n, 0.0, 20.0]) for n in traj.sample_index.tolist()]
+        assert traj.d_ab.tolist() == [math.sqrt(float(p @ p)) for p in positions]
 
     def test_overhead_point_is_perpendicular(self):
         geom = ScenarioGeometry(
             flight_start=(0.0, -8.0, 20.0), flight_end=(0.0, 8.0, 20.0)
         )
         traj = sample_trajectory(geom)
-        assert tuple(traj.bob_position[0].tolist()) == (0.0, 0.0, 20.0)
+        # The first point, one 8 m step from (0, -8, 20), is (0, 0, 20).
+        assert traj.d_ab[0] == 20.0
         assert abs(traj.theta_b[0] - math.pi / 2) < 1e-12
 
     def test_too_short_flight_rejected(self):

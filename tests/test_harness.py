@@ -651,7 +651,7 @@ class TestCli:
         cfg_path = self._write_config(tmp_path)
         out = tmp_path / "p.csv"
         code = main(
-            ["sweep-power", "--config", str(cfg_path), "--powers", "0,30",
+            ["run", "--config", str(cfg_path), "--set", "sweep.power_dbm=0,30",
              "--out", str(out)]
         )
         assert code == 0
@@ -663,7 +663,7 @@ class TestCli:
         cfg_path = self._write_config(tmp_path)
         out = tmp_path / "m.json"
         code = main(
-            ["sweep-antennas", "--config", str(cfg_path), "--antennas", "2,4",
+            ["run", "--config", str(cfg_path), "--set", "sweep.antennas=2,4",
              "--out", str(out), "--format", "json"]
         )
         assert code == 0
@@ -671,26 +671,33 @@ class TestCli:
         assert sorted({row["M"] for row in rows}) == [2, 4]
         assert len(rows) == 20
 
-    @pytest.mark.parametrize("option, value", [("--powers", "-10,50"), ("--powers", "-10"), ("--pow", "-10,50"),
-                                               ("--powers", "0,30"), ("--antennas", "2,4")])
-    def test_list_value_after_a_space_parses_as_after_equals(self, tmp_path, capsys, option, value):
-        command = "sweep-power" if option.startswith("--p") else "sweep-antennas"
+    @pytest.mark.parametrize("line", ["sweep.power_dbm=-10,50", "sweep.antennas=2,4",
+                                      "geometry.eve=-150,120,0", "output.format=json"])
+    def test_set_is_a_config_line_after_the_file(self, tmp_path, capsys, line):
+        # The same line in the file, once through --set, and through --set
+        # after an earlier --set of the same key: one result file, one stdout.
+        key = line.partition("=")[0]
+        earlier = {"sweep.power_dbm": "1,2", "sweep.antennas": "16", "geometry.eve": "10,0,0",
+                   "output.format": "csv"}[key]
         cfg_path = self._write_config(tmp_path)
+        in_file = tmp_path / "in_file.cfg"
+        in_file.write_text(SHORT_CONFIG + line + "\n")
         outputs = []
-        for argv in ([option, value], [f"{option}={value}"]):
-            out = tmp_path / f"r{len(outputs)}.csv"
-            assert main([command, "--config", str(cfg_path), *argv, "--out", str(out)]) == 0
+        for config, sets in ((in_file, []), (cfg_path, ["--set", line]),
+                             (cfg_path, ["--set", f"{key}={earlier}", "--set", line])):
+            out = tmp_path / f"r{len(outputs)}"
+            assert main(["run", "--config", str(config), *sets, "--out", str(out)]) == 0
             captured = capsys.readouterr()
             assert captured.err == ""
             outputs.append((out.read_bytes(), captured.out.replace(str(out), "OUT")))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("argv, message", [
         (["run"], "the following arguments are required: --config"),
         ([], "the following arguments are required: command"),
         (["simulate", "--config", "c"], "argument command: invalid choice: 'simulate'"),
         (["run", "--config", "c", "--powers", "10"], "unrecognized arguments: --powers 10"),
-        (["sweep-power", "--config", "c", "--powers"], "argument --powers: expected one argument"),
+        (["run", "--config", "c", "--set"], "argument --set: expected one argument"),
         (["run", "--config", "c", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
     ])
     def test_bad_arguments_are_one_error_line(self, capsys, argv, message):
@@ -712,22 +719,22 @@ class TestCli:
         ("sweep.power_dbm=10,10", ["run"], "sweep.power_dbm: duplicate entries"),
         ("geometry.flight_start=0,0,0\ngeometry.flight_end=800,0,0", ["run"], "positive altitude"),
         ("geometry.flight_end=800,0,30", ["run"], "positive altitude"),
-        ("", ["sweep-power", "--powers", "nan"], "--powers: expected a finite number"),
-        ("", ["sweep-power", "--powers", "abc"], "--powers: expected a number"),
-        ("", ["sweep-power", "--powers", "10,10"], "--powers: duplicate entries"),
-        ("", ["sweep-antennas", "--antennas", "8,8"], "--antennas: duplicate entries"),
-        ("", ["sweep-antennas", "--antennas", "four"], "--antennas: expected an integer"),
+        ("", ["run", "--set", "sweep.power_dbm=nan"], "sweep.power_dbm: expected a finite number"),
+        ("", ["run", "--set", "sweep.power_dbm=abc"], "sweep.power_dbm: expected a number"),
+        ("", ["run", "--set", "sweep.power_dbm=10,10"], "sweep.power_dbm: duplicate entries"),
+        ("", ["run", "--set", "sweep.antennas=8,8"], "sweep.antennas: duplicate entries"),
+        ("", ["run", "--set", "sweep.antennas=four"], "sweep.antennas: expected an integer"),
         # Finite but out of range: rejected while parsing, naming the key.
         ("noise.bob_dbm=4000", ["run"], "noise.bob_dbm: "),
         ("geometry.speed=1e-320", ["run"], "geometry.speed"),
         ("noise.eve_dbm=-4000", ["run"], "noise.eve_dbm: -4000 dBm is outside"),
         ("sweep.power_dbm=10,301", ["run"], "sweep.power_dbm: 301 dBm is outside"),
-        ("", ["sweep-power", "--powers", "-400"], "--powers: -400 dBm is outside"),
+        ("", ["run", "--set", "sweep.power_dbm=-400"], "sweep.power_dbm: -400 dBm is outside"),
         ("geometry.sample_interval=1e-9", ["run"], "geometry.sample_interval: the 800 m"),
         ("sweep.antennas=1", ["run"], "sweep.antennas: 1 is outside [2, 1000000]"),
         ("sweep.antennas=1000000000000", ["run"], "sweep.antennas: 1000000000000 is outside"),
-        ("", ["sweep-antennas", "--antennas", "0"], "--antennas: 0 is outside [2, 1000000]"),
-        ("", ["sweep-antennas", "--antennas", "8,1000001"], "--antennas: 1000001 is outside"),
+        ("", ["run", "--set", "sweep.antennas=0"], "sweep.antennas: 0 is outside [2, 1000000]"),
+        ("", ["run", "--set", "sweep.antennas=8,1000001"], "sweep.antennas: 1000001 is outside"),
         ("strategies=ais,fixed:1", ["run"], "strategies: fixed beta must lie in (0, 1)"),
         # Parses, but the received powers overflow float64.
         ("geometry.reference_gain=1e300\nsweep.power_dbm=300\nnoise.bob_dbm=-300\n"
@@ -748,8 +755,11 @@ class TestCli:
         ("geometry.flight_start=1e200,0,20\ngeometry.flight_end=2e200,0,20\ngeometry.speed=1e196", ["run"],
          "geometry.flight_start, geometry.flight_end: at d = 2e+200 m from the array"),
         ("strategies=fixed(0.5)", ["run"], "strategies: unknown strategy"),
-        # A list after a space that starts with '-' reaches the list parser.
-        ("", ["sweep-antennas", "--antennas", "-2,4"], "--antennas: -2 is outside [2, 1000000]"),
+        # A --set list that starts with '-' reaches the list parser.
+        ("", ["run", "--set", "sweep.antennas=-2,4"], "sweep.antennas: -2 is outside [2, 1000000]"),
+        # A bad --set quotes its text and cites no line of the file.
+        ("", ["run", "--set", "foo"], "error: --set: expected key=value, got 'foo'\n"),
+        ("", ["run", "--set", "bogus.key=1"], "error: unknown config key 'bogus.key'\n"),
         # A flight shorter than one sample interval has no point to evaluate.
         ("geometry.sample_interval=1e300", ["run"],
          "geometry.speed, geometry.sample_interval: the 800 m flight lasts 100.0 s, shorter than one"),

@@ -220,8 +220,8 @@ def test_holders_compare_field_by_field():
      r"sweep.antennas: \[8\] does not parse back from its text \(it reads as \(8,\)\)"),
     (lambda: ExperimentConfig(strategies=[Strategy("ais")]), ConfigError,
      r"strategies: \[Strategy\(kind='ais', fixed_beta=None\)\] does not parse back"),
-    (lambda: ExperimentConfig(geometry=ScenarioGeometry(eve=(200.0, float("nan"), 0.0))), ConfigError,
-     "geometry.eve: expected a finite number, got 'nan'"),
+    (lambda: ExperimentConfig(geometry=ScenarioGeometry(eve=(200.0, float("nan"), 0.0))), ConfigurationError,
+     "^eve must have finite coordinates$"),
     (lambda: ExperimentConfig(array_spacing=1), ConfigError,
      r"array.spacing: 1 does not parse back from its text \(it reads as 1.0\)"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry(flight_end=(400, 0, 20))), ConfigError,
@@ -247,6 +247,19 @@ def test_holders_compare_field_by_field():
      "g_ab must be strictly positive"),
     (lambda: LinkState(8, 1.0, 1e-4, 1e-4, 1e-11, 1e-11, 10.0)._replace(g_ab=np.array([1e-4, -1e-4])),
      ValueError, "g_ab must be strictly positive"),
+    # A point must be finite: NaN would give NaN angles and distances, and an
+    # infinite or out-of-range coordinate an infinite or NaN flight length.
+    (lambda: ScenarioGeometry(eve=(math.nan, 0.0, 0.0)), ConfigurationError, "eve must have finite coordinates"),
+    (lambda: ScenarioGeometry(flight_start=(math.nan, 0.0, 20.0)), ConfigurationError,
+     "^flight_start must have finite coordinates$"),
+    (lambda: ScenarioGeometry()._replace(flight_end=(800.0, -math.inf, 20.0)), ConfigurationError,
+     "^flight_end must have finite coordinates$"),
+    (lambda: ScenarioGeometry(alice=(0, 10**400, 0)), ConfigurationError, "^alice must have finite coordinates$"),
+    # An int whose repr Python refuses (more than 4300 digits by default).
+    (lambda: ExperimentConfig(ais=AisConfig(max_iterations=10**5000)), ConfigError,
+     "^ais.max_iterations: an integer too long to write as text$"),
+    (lambda: ExperimentConfig(antenna_sweep=(8, 10**5000)), ConfigError,
+     "^sweep.antennas: an integer too long to write as text$"),
 ])
 def test_every_way_of_building_a_config_validates(build, error, message):
     with pytest.raises(error, match=message):
@@ -260,6 +273,7 @@ def test_every_way_of_building_a_config_validates(build, error, message):
 _MAX = sys.float_info.max
 _REALS = [0.0, -0.0, 1e-3, 0.5, 8.0, 20.0, -110.0, 1e-2, 300.0, _MAX, -_MAX, math.nan, math.inf, -math.inf,
           0, 1, 8, 64]
+_FINITE_REALS = [value for value in _REALS if math.isfinite(value)]
 _SCALARS = st.sampled_from(_REALS + [2, 1_000_001, np.float64(0.5), np.float64(10.0), np.int64(8), True, False])
 _STRATEGIES = [Strategy("ais"), Strategy("grid_oracle"), Strategy("fixed", 0.5), Strategy("fixed", 0.9)]
 _STRATEGY = st.sampled_from(_STRATEGIES + [Strategy("fixed", 1), Strategy("fixed", math.nan), Strategy("ais", 0.3),
@@ -278,10 +292,10 @@ def _sweep(good, items=_SCALARS):
 
 
 _CONFIG_FIELDS = {
-    # ScenarioGeometry takes any int or float in a point, and any positive
-    # speed.
+    # ScenarioGeometry takes any finite int or float in a point, and any
+    # positive speed.
     "geometry": st.one_of(st.just(ScenarioGeometry(eve=(-150.0, 120.0, 0.0))),
-                          st.builds(ScenarioGeometry, eve=st.tuples(*[st.sampled_from(_REALS)] * 3),
+                          st.builds(ScenarioGeometry, eve=st.tuples(*[st.sampled_from(_FINITE_REALS)] * 3),
                                     speed=st.sampled_from([8.0, 8, 0.5, math.inf, _MAX]))),
     "array_spacing": _scalar(0.5, 1e-3, 8.0),
     "noise_dbm_bob": _scalar(-110.0, -0.0, 300.0),
