@@ -24,7 +24,7 @@ import numpy as np
 
 from . import power_allocation
 from .beamforming import leakage_pair
-from .geometry import LinkState, Validated
+from .geometry import LinkState, Validated, _parse_cap, _parse_positive, _parse_split
 from .rates import ProjectedPowers, split_rates
 
 
@@ -33,19 +33,9 @@ class AisConfig(Validated, namedtuple("AisConfig", "beta_init epsilon max_iterat
     """The initial split, the stopping tolerance on f and the iteration cap."""
 
     __slots__ = ()
-
-    def _validate(self):
-        # The parser's types: serialize_config writes any other type (a bool,
-        # a numpy number) as text the parser rejects.
-        for name, value, types in zip(self._fields, self, ((int, float), (int, float), (int,))):
-            if type(value) not in types:
-                raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
-        if not 0.0 < self.beta_init < 1.0:
-            raise ValueError("beta_init must lie in (0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+    _FIELD_KEYS = {"beta_init": ("ais.beta_init", _parse_split, repr),
+                   "epsilon": ("ais.epsilon", _parse_positive, repr),
+                   "max_iterations": ("ais.max_iterations", _parse_cap, repr)}
 
 
 class AisIteration(NamedTuple):

@@ -21,37 +21,76 @@ start-up short. They are of two kinds. A config, a ``LinkState``, a
 subclasses; those with checks (the configs and ``LinkState``) sit behind the
 ``Validated`` mixin, which runs them however the record is built. The other
 records are ``typing.NamedTuple``s.
+
+Every field of a config record has a config key, and its one rule is that
+key's parser: the value must be what its text parses back to. The parsers
+shared by several records live here, next to ``Validated``; every rejected
+field, whether the record was built in code or parsed, is one
+``ConfigError`` that names the key.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from functools import reduce
 
 import numpy as np
 
 
-class ConfigurationError(ValueError):
-    """A scenario or sweep configuration violates an invariant."""
+class ConfigError(ValueError):
+    """A config value is malformed or violates an invariant; the message
+    starts with its config key, or with the keys of a rule that spans several."""
 
 
-class Validated:
-    """Mixin in front of a ``collections.namedtuple`` base: the constructor,
-    ``_make`` and ``_replace`` all build the record through ``__new__``,
-    which runs the subclass's ``_validate`` checks on it."""
+def _parse_float(key: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
-    __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._validate()
-        return self
+def _parse_positive(key: str, raw: str) -> float:
+    value = _parse_float(key, raw)
+    if not value > 0:
+        raise ConfigError(f"{key}: must be positive")
+    return value
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+
+def _parse_split(key: str, raw: str) -> float:
+    value = _parse_float(key, raw)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{key}: {raw} is outside (0, 1)")
+    return value
+
+
+def _parse_int(key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+
+
+def _parse_cap(key: str, raw: str) -> int:
+    value = _parse_int(key, raw)
+    if value < 1:
+        raise ConfigError(f"{key}: must be at least 1")
+    return value
+
+
+# Upper bound on the array size. No cost grows with M (the array separation
+# is a closed form), so this only bounds the input to a sane range.
+MAX_ANTENNAS = 1_000_000
+
+
+def _parse_antennas(key: str, raw: str) -> int:
+    value = _parse_int(key, raw)
+    if not 2 <= value <= MAX_ANTENNAS:
+        raise ConfigError(f"{key}: {value} is outside [2, {MAX_ANTENNAS}] antennas")
+    return value
 
 
 # Upper bound on the element spacing (d/lambda). The array phase pi z is
@@ -62,19 +101,88 @@ class Validated:
 MAX_SPACING = 1e5
 
 
+def _parse_spacing(key: str, raw: str) -> float:
+    value = _parse_positive(key, raw)
+    if value > MAX_SPACING:
+        raise ConfigError(f"{key}: {value!r} is above {MAX_SPACING:g}")
+    return value
+
+
+def _parse_list(conv, count: int | None = None):
+    """A parser of comma-separated ``conv`` values: exactly ``count`` of them
+    (a point), or else a nonempty sweep without duplicates (empty items are
+    skipped)."""
+
+    def parse(key: str, raw: str) -> tuple:
+        items = [p.strip() for p in raw.split(",")]
+        if count is None:
+            items = [p for p in items if p]
+            if not items:
+                raise ConfigError(f"{key}: empty list")
+        elif len(items) != count:
+            raise ConfigError(f"{key}: expected {count} comma-separated coordinates")
+        values = tuple(conv(key, item) for item in items)
+        if count is None and len(set(values)) != len(values):
+            raise ConfigError(f"{key}: duplicate entries in {raw!r}")
+        return values
+
+    return parse
+
+
+def _join(values) -> str:
+    return ",".join(map(repr, values))
+
+
+class Validated:
+    """Mixin in front of a ``collections.namedtuple`` base: the constructor,
+    ``_make`` and ``_replace`` all build the record through ``__new__``,
+    which checks it.
+
+    ``_FIELD_KEYS`` maps a field to its config key, that key's parser and
+    its formatter. A field is valid when its value, written by the formatter
+    as ``serialize_config`` writes it, parses back to a value of the same
+    repr: the parser's checks, with its messages, and no value (an int where
+    a float belongs, a list, a numpy number) that the text would not keep.
+    ``_validate`` then runs the checks that span several fields.
+    """
+
+    __slots__ = ()
+    _FIELD_KEYS: dict = {}
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for field, (key, parse, fmt) in cls._FIELD_KEYS.items():
+            value = getattr(self, field)
+            try:
+                text = fmt(value)
+            except (TypeError, AttributeError):  # a scalar where a tuple belongs, a str strategy
+                text = None
+            except ValueError:  # an int past sys.get_int_max_str_digits(), which repr refuses
+                raise ConfigError(f"{key}: an integer too long to write as text") from None
+            back = "nothing" if text is None else repr(parse(key, text))
+            if back != repr(value):
+                raise ConfigError(f"{key}: {value!r} does not parse back from its text (it reads as {back})")
+        self._validate()
+        return self
+
+    def _validate(self):
+        pass
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", defaults=(0.5,))):
-    """Uniform linear array at the transmitter.
+    """Uniform linear array at the transmitter: one antenna count of
+    ``sweep.antennas``.
 
     ``spacing`` is the element spacing over the carrier wavelength (d/lambda).
     """
 
     __slots__ = ()
-
-    def _validate(self):
-        if self.num_antennas < 2:
-            raise ConfigurationError("num_antennas must be >= 2")
-        if not 0 < self.spacing <= MAX_SPACING:
-            raise ConfigurationError(f"spacing (d/lambda) {self.spacing!r} is outside (0, {MAX_SPACING:g}]")
+    _FIELD_KEYS = {"num_antennas": ("sweep.antennas", _parse_antennas, repr),
+                   "spacing": ("array.spacing", _parse_spacing, repr)}
 
 
 # (-1)^(j+1) / (2j+1)!, j = 1..8: times 1 - M^-2j, the Taylor coefficients of
@@ -152,37 +260,27 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
 
     __slots__ = ()
 
+    _FIELD_KEYS = {
+        **{name: (f"geometry.{name}", _parse_list(_parse_float, 3), _join)
+           for name in ("alice", "eve", "flight_start", "flight_end")},
+        **{name: (f"geometry.{name}", _parse_positive, repr)
+           for name in ("speed", "sample_interval", "path_loss_exponent", "reference_gain")},
+    }
+
     def _validate(self):
-        # The parser's types: serialize_config writes any other type (a bool,
-        # a numpy number, a list) as text that does not parse back to it.
-        for name, value in zip(self._fields, self):
-            if isinstance(_GEOMETRY_DEFAULTS[name], tuple):
-                if not (type(value) is tuple and len(value) == 3 and all(type(v) in (int, float) for v in value)):
-                    raise ConfigurationError(f"{name} must be a tuple of 3 ints or floats, got {value!r}")
-                # False for NaN and infinities; an int compares exactly, so one beyond float64 fails.
-                if not all(abs(v) <= sys.float_info.max for v in value):
-                    raise ConfigurationError(f"{name} must have finite coordinates")
-            elif type(value) not in (int, float):
-                raise ConfigurationError(f"{name} must be int or float, got {value!r}")
         length = self.flight_length
         if length <= 0:
-            raise ConfigurationError("flight_start and flight_end must differ")
+            raise ConfigError("geometry.flight_start, geometry.flight_end: must differ")
         if length == math.inf:
-            raise ConfigurationError("flight_start and flight_end: the flight's length overflows float64")
-        for name in ("speed", "sample_interval", "path_loss_exponent", "reference_gain"):
-            # Written ``not > 0``, so that NaN fails too.
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
+            raise ConfigError("geometry.flight_start, geometry.flight_end: the flight's length overflows float64")
         z_start, z_end = self.flight_start[2], self.flight_end[2]
         if not (z_start > 0 and math.isclose(z_start, z_end)):
-            raise ConfigurationError(
-                "flight_start and flight_end must sit at one positive altitude (z)"
-            )
+            raise ConfigError("geometry.flight_start, geometry.flight_end: must sit at one positive altitude (z)")
 
     @property
     def flight_length(self) -> float:
         # hypot of Python floats: no overflowing square for a huge flight.
-        return math.hypot(*(float(e) - float(s) for s, e in zip(self.flight_start, self.flight_end)))
+        return math.hypot(*(e - s for s, e in zip(self.flight_start, self.flight_end)))
 
 
 class Trajectory(namedtuple("Trajectory", "sample_index theta_b theta_e d_ab d_ae")):
@@ -231,9 +329,8 @@ def sample_trajectory(geom: ScenarioGeometry) -> Trajectory:
     length = geom.flight_length
     n_points = int(math.floor((length / geom.speed) / geom.sample_interval))
     if n_points == 0:
-        raise ConfigurationError(
-            "trajectory shorter than one sample interval; no points to evaluate"
-        )
+        raise ConfigError("geometry.speed, geometry.sample_interval: the flight is shorter than one sample "
+                          "interval; no points to evaluate")
     unit = (d - s) / length
     n = np.arange(1, n_points + 1)
     pos = s + (n * geom.sample_interval * geom.speed)[:, None] * unit

@@ -4,13 +4,15 @@ Configs are flat ``section.key=value`` text; defaults reproduce the baseline
 scenario (half-wavelength spacing, free-space-like exponent 2, 800 m flight
 at 20 m altitude and 8 m/s, eavesdropper 200 m from the array). dBm to mW
 conversion happens only here; everything below works in linear power. A
-config is an ``ExperimentConfig``, a validated named tuple, and it is valid
-when its text parses back to it: each key's value, written as
+config is an ``ExperimentConfig``, a validated named tuple holding a
+``ScenarioGeometry`` and an ``AisConfig``, and like them it is valid when
+its text parses back to it: each key's value, written as
 ``serialize_config`` writes it, must parse with that key's parser to a value
-of the same repr. The parsers hold the per-key checks and messages (the
-``geometry.*`` and ``ais.*`` ranges are ``ScenarioGeometry``'s and
-``AisConfig``'s); ``ExperimentConfig``'s own checks span several keys: the
-sample count, Eve at the array, and Eve's and the UAV's path gains.
+of the same repr. The parsers hold every per-key check and message, and each
+record declares its keys; the key table here joins them in the order of
+``ExperimentConfig``'s fields. ``ExperimentConfig``'s own checks span
+several keys: the sample count, Eve at the array, and Eve's and the UAV's
+path gains.
 
 A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
@@ -47,12 +49,17 @@ import numpy as np
 from .ais import AisConfig, closed_form_step, optimize_point
 from .beamforming import leakage_pair
 from .geometry import (
-    MAX_SPACING,
     ArrayConfig,
-    ConfigurationError,
+    ConfigError,
     LinkState,
     ScenarioGeometry,
     Validated,
+    _join,
+    _parse_antennas,
+    _parse_float,
+    _parse_list,
+    _parse_spacing,
+    _parse_split,
     link_state_at,
     path_loss,
     sample_trajectory,
@@ -72,14 +79,6 @@ MAX_ABS_DBM = 300.0
 
 # Upper bound on the trajectory samples one sweep combination may evaluate.
 MAX_SAMPLES = 1_000_000
-
-# Upper bound on the array size. No cost grows with M (the array separation
-# is a closed form), so this only bounds the input to a sane range.
-MAX_ANTENNAS = 1_000_000
-
-
-class ConfigError(ConfigurationError):
-    """A config file key is missing, malformed, or violates an invariant."""
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -113,15 +112,35 @@ def parse_strategy(token: str) -> Strategy:
     if token == "grid_oracle":
         return Strategy("grid_oracle")
     if token.startswith("fixed:"):
-        body = token[len("fixed:") :]
-        try:
-            beta = float(body)
-        except ValueError:
-            raise ConfigError(f"strategies: bad fixed beta {body!r}") from None
-        if not 0.0 < beta < 1.0:
-            raise ConfigError("strategies: fixed beta must lie in (0, 1)")
-        return Strategy("fixed", beta)
+        return Strategy("fixed", _parse_split("strategies", token[len("fixed:") :]))
     raise ConfigError(f"strategies: unknown strategy {token!r}")
+
+
+def _parse_dbm(key: str, raw: str) -> float:
+    value = _parse_float(key, raw)
+    if not abs(value) <= MAX_ABS_DBM:
+        raise ConfigError(f"{key}: {raw} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
+    return value
+
+
+def _parse_grid_step(key: str, raw: str) -> float:
+    value = _parse_float(key, raw)
+    if not 0.0 < value <= 1e-2:
+        raise ConfigError(f"{key}: must lie in (0, 1e-2]")
+    return value
+
+
+def _parse_path(key: str, raw: str) -> str:
+    # The path is written as one config line, which the parser strips.
+    if raw != raw.strip() or len(raw.splitlines()) > 1:
+        raise ConfigError(f"{key}: {raw!r} holds a line break or surrounding whitespace")
+    return raw
+
+
+def _parse_format(key: str, raw: str) -> str:
+    if raw not in _VALID_FORMATS:
+        raise ConfigError(f"{key}: must be one of {_VALID_FORMATS}")
+    return raw
 
 
 _EXPERIMENT_DEFAULTS = {
@@ -142,28 +161,33 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
+# The fields of an ExperimentConfig that are records with keys of their own.
+_SECTIONS = {"geometry": ScenarioGeometry, "ais": AisConfig}
+
+
 class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEFAULTS,
                                              defaults=_EXPERIMENT_DEFAULTS.values())):
     """A whole sweep: the scenario, the swept powers (dBm), antenna counts and
     strategies, the loop settings and the output file."""
 
     __slots__ = ()
+    _FIELD_KEYS = {
+        "array_spacing": ("array.spacing", _parse_spacing, repr),
+        "noise_dbm_bob": ("noise.bob_dbm", _parse_dbm, repr),
+        "noise_dbm_eve": ("noise.eve_dbm", _parse_dbm, repr),
+        "power_sweep_dbm": ("sweep.power_dbm", _parse_list(_parse_dbm), _join),
+        "antenna_sweep": ("sweep.antennas", _parse_list(_parse_antennas), _join),
+        "strategies": ("strategies", _parse_list(lambda key, token: parse_strategy(token)),
+                       lambda strategies: ",".join(s.name for s in strategies)),
+        "grid_step": ("grid.step", _parse_grid_step, repr),
+        "output_path": ("output.path", _parse_path, str),
+        "output_format": ("output.format", _parse_format, str),
+    }
 
     def _validate(self):
-        # Each key's value must be the one its text parses back to: the
-        # parser's checks, with its messages, and no value (an int where a
-        # float belongs, a list, a Path, a numpy number) that the text form
-        # would not keep.
-        for key, value, parse, fmt in _key_values(self):
-            try:
-                text = fmt(value)
-            except (TypeError, AttributeError):  # a scalar where a tuple belongs, a str strategy
-                text = None
-            except ValueError:  # an int past sys.get_int_max_str_digits(), which repr refuses
-                raise ConfigError(f"{key}: an integer too long to write as text") from None
-            back = "nothing" if text is None else repr(parse(key, text))
-            if back != repr(value):
-                raise ConfigError(f"{key}: {value!r} does not parse back from its text (it reads as {back})")
+        for section, record in _SECTIONS.items():
+            if type(getattr(self, section)) is not record:
+                raise ConfigError(f"{section}: {getattr(self, section)!r} is not of type {record.__name__}")
         geom = self.geometry
         # (L/V)/dt, floored by sample_trajectory to the number of points.
         samples = geom.flight_length / geom.speed / geom.sample_interval
@@ -196,117 +220,17 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
             )
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
-    return value
-
-
-def _parse_dbm(key: str, raw: str) -> float:
-    value = _parse_float(key, raw)
-    if not abs(value) <= MAX_ABS_DBM:
-        raise ConfigError(f"{key}: {raw} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
-    return value
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_antennas(key: str, raw: str) -> int:
-    value = _parse_int(key, raw)
-    if not 2 <= value <= MAX_ANTENNAS:
-        raise ConfigError(f"{key}: {value} is outside [2, {MAX_ANTENNAS}] antennas")
-    return value
-
-
-def _parse_spacing(key: str, raw: str) -> float:
-    value = _parse_float(key, raw)
-    if not value > 0:
-        raise ConfigError(f"{key}: must be positive")
-    # ArrayConfig's bound, checked here to name the key.
-    if value > MAX_SPACING:
-        raise ConfigError(f"{key}: {value!r} is above {MAX_SPACING:g}")
-    return value
-
-
-def _parse_grid_step(key: str, raw: str) -> float:
-    value = _parse_float(key, raw)
-    if not 0.0 < value <= 1e-2:
-        raise ConfigError(f"{key}: must lie in (0, 1e-2]")
-    return value
-
-
-def _parse_path(key: str, raw: str) -> str:
-    # The path is written as one config line, which the parser strips.
-    if raw != raw.strip() or len(raw.splitlines()) > 1:
-        raise ConfigError(f"{key}: {raw!r} holds a line break or surrounding whitespace")
-    return raw
-
-
-def _parse_format(key: str, raw: str) -> str:
-    if raw not in _VALID_FORMATS:
-        raise ConfigError(f"{key}: must be one of {_VALID_FORMATS}")
-    return raw
-
-
-def _parse_list(conv, count: Optional[int] = None):
-    """A parser of comma-separated ``conv`` values: exactly ``count`` of them
-    (a point), or else a nonempty sweep without duplicates (empty items are
-    skipped)."""
-
-    def parse(key: str, raw: str) -> tuple:
-        items = [p.strip() for p in raw.split(",")]
-        if count is None:
-            items = [p for p in items if p]
-            if not items:
-                raise ConfigError(f"{key}: empty list")
-        elif len(items) != count:
-            raise ConfigError(f"{key}: expected {count} comma-separated coordinates")
-        values = tuple(conv(key, item) for item in items)
-        if count is None and len(set(values)) != len(values):
-            raise ConfigError(f"{key}: duplicate entries in {raw!r}")
-        return values
-
-    return parse
-
-
-def _join(values) -> str:
-    return ",".join(map(repr, values))
-
-
-# Every config key: key -> (section, field, parse, format). The value is
-# ``cfg.<section>.<field>``, or ``cfg.<field>`` when section is None; ``format``
-# writes text that ``parse(key, text)`` reads back exactly (as repr does floats).
+# Every config key: key -> (section, field, parse, format), in the order of
+# ExperimentConfig's fields, with the geometry and ais records' keys in their
+# places. The value is ``cfg.<section>.<field>``, or ``cfg.<field>`` when
+# section is None; ``format`` writes text that ``parse(key, text)`` reads back
+# exactly (as repr does floats).
 _KEYS = {
-    "geometry.alice": ("geometry", "alice", _parse_list(_parse_float, 3), _join),
-    "geometry.eve": ("geometry", "eve", _parse_list(_parse_float, 3), _join),
-    "geometry.flight_start": ("geometry", "flight_start", _parse_list(_parse_float, 3), _join),
-    "geometry.flight_end": ("geometry", "flight_end", _parse_list(_parse_float, 3), _join),
-    "geometry.speed": ("geometry", "speed", _parse_float, repr),
-    "geometry.sample_interval": ("geometry", "sample_interval", _parse_float, repr),
-    "geometry.path_loss_exponent": ("geometry", "path_loss_exponent", _parse_float, repr),
-    "geometry.reference_gain": ("geometry", "reference_gain", _parse_float, repr),
-    "array.spacing": (None, "array_spacing", _parse_spacing, repr),
-    "noise.bob_dbm": (None, "noise_dbm_bob", _parse_dbm, repr),
-    "noise.eve_dbm": (None, "noise_dbm_eve", _parse_dbm, repr),
-    "sweep.power_dbm": (None, "power_sweep_dbm", _parse_list(_parse_dbm), _join),
-    "sweep.antennas": (None, "antenna_sweep", _parse_list(_parse_antennas), _join),
-    "strategies": (None, "strategies", _parse_list(lambda key, token: parse_strategy(token)),
-                   lambda strategies: ",".join(s.name for s in strategies)),
-    "ais.beta_init": ("ais", "beta_init", _parse_float, repr),
-    "ais.epsilon": ("ais", "epsilon", _parse_float, repr),
-    "ais.max_iterations": ("ais", "max_iterations", _parse_int, repr),
-    "grid.step": (None, "grid_step", _parse_grid_step, repr),
-    "output.path": (None, "output_path", _parse_path, str),
-    "output.format": (None, "output_format", _parse_format, str),
+    key: (section, field, parse, fmt)
+    for name in ExperimentConfig._fields
+    for section, table in [(name, _SECTIONS[name]._FIELD_KEYS) if name in _SECTIONS
+                           else (None, {name: ExperimentConfig._FIELD_KEYS[name]})]
+    for field, (key, parse, fmt) in table.items()
 }
 
 
@@ -325,7 +249,7 @@ def parse_config_text(text: str, overrides: Iterable[str] = ()) -> ExperimentCon
     that passes overrides); a key given twice keeps its last value; an empty
     document yields the all-defaults config.
     """
-    kwargs: dict = {"geometry": {}, "ais": {}, None: {}}
+    kwargs: dict = {section: {} for section in (*_SECTIONS, None)}
     numbered = [(f"line {n}", line) for n, line in enumerate(text.splitlines(), start=1)]
     for where, line in numbered + [("--set", line) for line in overrides]:
         line = line.strip()
@@ -339,15 +263,8 @@ def parse_config_text(text: str, overrides: Iterable[str] = ()) -> ExperimentCon
             raise ConfigError(f"unknown config key {key!r}")
         section, field, parse, _ = _KEYS[key]
         kwargs[section][field] = parse(key, raw)
-    try:
-        geometry = ScenarioGeometry(**kwargs["geometry"])
-    except ConfigurationError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
-    try:
-        ais_cfg = AisConfig(**kwargs["ais"])
-    except ValueError as exc:
-        raise ConfigError(f"ais: {exc}") from exc
-    return ExperimentConfig(geometry=geometry, ais=ais_cfg, **kwargs[None])
+    sections = {section: record(**kwargs[section]) for section, record in _SECTIONS.items()}
+    return ExperimentConfig(**sections, **kwargs[None])
 
 
 def parse_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentConfig:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from uavsec.geometry import (
     ArrayConfig,
-    ConfigurationError,
+    ConfigError,
     LinkState,
     ScenarioGeometry,
     array_separation,
@@ -53,9 +53,9 @@ class TestSteeringVector:
             assert np.allclose(h, np.conj(h[::-1]), atol=1e-12)
 
     def test_array_config_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             ArrayConfig(1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             ArrayConfig(4, spacing=0.0)
 
 
@@ -188,15 +188,15 @@ class TestTrajectory:
 
     def test_too_short_flight_rejected(self):
         geom = ScenarioGeometry(flight_end=(4.0, 0.0, 20.0))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             sample_trajectory(geom)
 
     def test_geometry_validation(self):
-        with pytest.raises(ConfigurationError, match="speed must be positive"):
+        with pytest.raises(ConfigError, match="geometry.speed: must be positive"):
             ScenarioGeometry(speed=0.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             ScenarioGeometry(flight_start=(0, 0, 10.0))  # off the altitude plane
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             ScenarioGeometry(flight_end=(0.0, 0.0, 20.0))  # zero-length flight
 
 

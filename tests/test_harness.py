@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from uavsec.ais import AisConfig, closed_form_step, optimize_point
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import (
+    MAX_ANTENNAS,
     MAX_SPACING,
     ArrayConfig,
-    ConfigurationError,
+    ConfigError,
     ScenarioGeometry,
     link_state_at,
     path_loss,
@@ -24,9 +25,7 @@ from uavsec.power_allocation import beta_grid_oracle
 from uavsec.harness import (
     CSV_HEADER,
     MAX_ABS_DBM,
-    MAX_ANTENNAS,
     MAX_SAMPLES,
-    ConfigError,
     ExperimentConfig,
     ResultBlock,
     Strategy,
@@ -88,7 +87,7 @@ def configs(draw):
             path_loss_exponent=draw(_finite(min_value=0.0, max_value=bound, exclude_min=True)),
             reference_gain=reference_gain,
         )
-    except ConfigurationError:
+    except ConfigError:
         assume(False)
     assume(geometry.flight_length / geometry.speed / geometry.sample_interval <= MAX_SAMPLES)
     d_ae = math.dist(geometry.eve, geometry.alice)
@@ -124,7 +123,7 @@ class TestConfigParsing:
         assert [s.name for s in cfg.strategies] == ["ais", "fixed:0.5", "fixed:0.9"]
 
     def test_invalid_speed_reported(self):
-        with pytest.raises(ConfigError, match="speed must be positive"):
+        with pytest.raises(ConfigError, match="geometry.speed: must be positive"):
             parse_config_text("geometry.speed=0")
 
     def test_unknown_key_reported(self):
@@ -611,7 +610,7 @@ class TestCli:
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, "geometry.speed=0\n")
         assert main(["run", "--config", str(cfg_path)]) == 1
-        assert "speed must be positive" in capsys.readouterr().err
+        assert "geometry.speed: must be positive" in capsys.readouterr().err
 
     def test_missing_config_exits_nonzero(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
@@ -735,11 +734,14 @@ class TestCli:
         ("sweep.antennas=1000000000000", ["run"], "sweep.antennas: 1000000000000 is outside"),
         ("", ["run", "--set", "sweep.antennas=0"], "sweep.antennas: 0 is outside [2, 1000000]"),
         ("", ["run", "--set", "sweep.antennas=8,1000001"], "sweep.antennas: 1000001 is outside"),
-        ("strategies=ais,fixed:1", ["run"], "strategies: fixed beta must lie in (0, 1)"),
+        ("strategies=ais,fixed:1", ["run"], "strategies: 1 is outside (0, 1)"),
         # Parses, but the received powers overflow float64.
         ("geometry.reference_gain=1e300\nsweep.power_dbm=300\nnoise.bob_dbm=-300\n"
          "noise.eve_dbm=-300\nstrategies=ais,fixed:0.5,grid_oracle", ["run"],
          "strategy=ais M=8 Ps=300dBm: non-finite rates"),
+        # Only the second power's lanes overflow: the error names that row.
+        ("geometry.reference_gain=1e290\nsweep.power_dbm=10,200", ["run"],
+         "strategy=ais M=8 Ps=200dBm: non-finite rates"),
         # The flight's length does not overflow: no numpy warning, a finite length.
         ("geometry.flight_end=1e200,0,20", ["run"], "the 1e+200 m flight gives 1.25e+199 samples"),
         ("array.spacing=0", ["run"], "array.spacing: must be positive"),
@@ -750,7 +752,7 @@ class TestCli:
         # A path gain that overflows, and a flight whose length does.
         ("geometry.eve=1e-200,0,0", ["run"], "geometry.eve: at d = 1e-200 m from the array"),
         ("geometry.flight_start=-1.5e308,0,20\ngeometry.flight_end=1.5e308,0,20", ["run"],
-         "flight_start and flight_end: the flight's length overflows float64"),
+         "geometry.flight_start, geometry.flight_end: the flight's length overflows float64"),
         # A flight so far from the array that the UAV's path gain underflows to 0.
         ("geometry.flight_start=1e200,0,20\ngeometry.flight_end=2e200,0,20\ngeometry.speed=1e196", ["run"],
          "geometry.flight_start, geometry.flight_end: at d = 2e+200 m from the array"),

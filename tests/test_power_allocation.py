@@ -8,7 +8,7 @@ from uavsec.beamforming import leakage_pair
 from uavsec.geometry import ArrayConfig, LinkState, ScenarioGeometry, link_state_at, sample_trajectory
 from uavsec.power_allocation import beta_grid_oracle, optimal_beta
 from uavsec.harness import dbm_to_mw
-from uavsec.rates import split_rates
+from uavsec.rates import ProjectedPowers, split_rates
 
 import oracle
 from helpers import (flight_links, random_instance, random_link, random_pair, stack_links, stack_powers,
@@ -18,9 +18,10 @@ from oracle import RationalCoefficients, f_value, phi, rational_coefficients, st
 
 def _oracle_instances():
     """The default flight across M, Ps and the incoming split, then random
-    links with leakage-optimal or random vectors. With an incoming split of
-    1, which the loop feeds back after an endpoint win, the AN vector's
-    leakage into Bob dwarfs Bob's noise floor."""
+    links with leakage-optimal or random vectors, then one link whose
+    stationary quadratic is linear and one whose leading coefficient is 1. With an incoming split of 1, which the
+    loop feeds back after an endpoint win, the AN vector's leakage into Bob
+    dwarfs Bob's noise floor."""
     geom = ScenarioGeometry()
     noise = dbm_to_mw(-110.0)
     for m in (4, 8, 16, 32, 64, 128):
@@ -32,17 +33,27 @@ def _oracle_instances():
     rng = np.random.default_rng(10)
     for i in range(300):
         yield random_instance(rng, i, (4, 8, 16)[i % 3], (0.0, 10.0, 20.0, 30.0)[i % 4])
+    # w_b = 0 makes r2 = 0 and u_e = w_e makes r3 = 0, so q = 0 exactly while
+    # h != 0: the one stationary point is the degenerate root.
+    yield (LinkState(8, 10.0, 1e-4, 1e-4, 1e-11, 1e-11, 10.0),
+           ProjectedPowers(u_b=6.0, w_b=0.0, u_e=0.5, w_e=0.5))
+    # q = 1.0 exactly (u_b tuned to the ulp), where root2 wins near beta = 1.
+    yield (LinkState(8, 49.834453035406064, 1e-4, 1e-4, 1e-11, 1e-11, 1.6888746193562834),
+           ProjectedPowers(u_b=0.5291812277919429, w_b=0.22047290594454694, u_e=6.028104869398453,
+                           w_e=4.305146505754226))
 
 
 def test_float_solution_matches_exact_oracle():
     count = 0
     smallest_factor = 1.0
+    labels = set()
     for link, powers in _oracle_instances():
         sol = optimal_beta(link, powers)
         exact = oracle.optimal_beta(link, powers)
         assert abs(sol.beta_star - exact.beta_star) <= 1e-12
         assert abs(sol.secrecy_rate_at_beta - exact.secrecy_rate_at_beta) <= 1e-10
         assert sol.winning_candidate == exact.winning_candidate
+        labels.add(str(sol.winning_candidate))
         # 1 + r2 = sigma2_b / den_b0 and 1 + r4 = sigma2_e / den_e0, the
         # interference-plus-noise factors that cancel as beta -> 1.
         for gain, w, sigma2 in ((link.g_ab, powers.w_b, link.sigma2_b),
@@ -52,6 +63,7 @@ def test_float_solution_matches_exact_oracle():
     assert count >= 1000
     # The default flight reaches the cancelling case.
     assert smallest_factor < 1e-8
+    assert "degenerate_root" in labels
 
 
 def _fold_one_call_per_candidate(link, powers):

@@ -19,14 +19,13 @@ from uavsec.beamforming import leakage_pair
 from uavsec.floattext import _TABLE_MIN
 from uavsec.geometry import (
     ArrayConfig,
-    ConfigurationError,
+    ConfigError,
     LinkState,
     ScenarioGeometry,
     link_state_at,
     sample_trajectory,
 )
 from uavsec.harness import (
-    ConfigError,
     ExperimentConfig,
     ResultBlock,
     Strategy,
@@ -129,38 +128,41 @@ def test_holders_compare_field_by_field():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: ArrayConfig(8)._replace(num_antennas=1), ConfigurationError, "num_antennas must be >= 2"),
-    (lambda: ArrayConfig._make((8, 0.0)), ConfigurationError, "spacing"),
-    (lambda: ArrayConfig(8, float("nan")), ConfigurationError, "spacing \\(d/lambda\\) nan is outside"),
+    (lambda: ArrayConfig(8)._replace(num_antennas=1), ConfigError,
+     r"^sweep.antennas: 1 is outside \[2, 1000000\] antennas$"),
+    (lambda: ArrayConfig._make((8, 0.0)), ConfigError, "^array.spacing: must be positive$"),
+    (lambda: ArrayConfig(8, float("nan")), ConfigError, "^array.spacing: expected a finite number, got 'nan'$"),
     # Far above MAX_SPACING the array phase keeps no fractional bits.
-    (lambda: ArrayConfig(8, 1e20), ConfigurationError, "spacing \\(d/lambda\\) 1e\\+20 is outside \\(0, 100000\\]"),
-    (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigurationError, "speed must be positive"),
-    # NaN fails every "positive" check, whichever field holds it.
-    (lambda: ScenarioGeometry(speed=float("nan")), ConfigurationError, "^speed must be positive$"),
-    (lambda: ScenarioGeometry()._replace(sample_interval=float("nan")), ConfigurationError,
-     "sample_interval must be positive"),
-    (lambda: ScenarioGeometry(path_loss_exponent=float("nan")), ConfigurationError,
-     "path_loss_exponent must be positive"),
-    (lambda: ScenarioGeometry(reference_gain=float("nan")), ConfigurationError, "reference_gain must be positive"),
-    # The parser's types: a scalar is exactly an int or float, a point a
-    # tuple of three of them; serialize_config writes anything else as text
-    # that does not parse back to it.
-    (lambda: ScenarioGeometry(speed=np.float64(8.0)), ConfigurationError,
-     r"speed must be int or float, got np.float64\(8.0\)"),
-    (lambda: ScenarioGeometry()._replace(speed=True), ConfigurationError, "speed must be int or float, got True"),
-    (lambda: ScenarioGeometry(eve=(np.float64(200.0), 0, 0)), ConfigurationError,
-     r"eve must be a tuple of 3 ints or floats, got \(np.float64\(200.0\), 0, 0\)"),
-    (lambda: ScenarioGeometry(eve=[200.0, 0.0, 0.0]), ConfigurationError,
-     r"eve must be a tuple of 3 ints or floats, got \[200.0, 0.0, 0.0\]"),
-    (lambda: ScenarioGeometry._make(((0.0, 0.0), *ScenarioGeometry()[1:])), ConfigurationError,
-     "alice must be a tuple of 3 ints or floats"),
-    (lambda: AisConfig()._replace(max_iterations=0), ValueError, "max_iterations must be at least 1"),
-    # The parser's types, which serialize_config writes back as parseable text.
-    (lambda: AisConfig(max_iterations=2.5), ValueError, "max_iterations must be int, got 2.5"),
-    (lambda: AisConfig()._replace(max_iterations=True), ValueError, "max_iterations must be int, got True"),
-    (lambda: AisConfig(beta_init=np.float64(0.1)), ValueError,
-     r"beta_init must be int or float, got np.float64\(0.1\)"),
-    (lambda: AisConfig._make((0.1, False, 50)), ValueError, "epsilon must be int or float, got False"),
+    (lambda: ArrayConfig(8, 1e20), ConfigError, "^array.spacing: 1e\\+20 is above 100000$"),
+    (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigError, "^geometry.speed: must be positive$"),
+    # NaN fails every "positive" field's parser, whichever field holds it.
+    (lambda: ScenarioGeometry(speed=float("nan")), ConfigError, "^geometry.speed: expected a finite number, got 'nan'$"),
+    (lambda: ScenarioGeometry()._replace(sample_interval=float("nan")), ConfigError,
+     "^geometry.sample_interval: expected a finite number, got 'nan'$"),
+    (lambda: ScenarioGeometry(path_loss_exponent=float("nan")), ConfigError,
+     "^geometry.path_loss_exponent: expected a finite number, got 'nan'$"),
+    (lambda: ScenarioGeometry(reference_gain=float("nan")), ConfigError,
+     "^geometry.reference_gain: expected a finite number, got 'nan'$"),
+    # Every record's fields follow the round-trip rule of their config keys:
+    # a value whose text the parser rejects gets the parser's message; one
+    # that reads back as another value (an int where a float belongs, a
+    # list) is named with what it reads as.
+    (lambda: ScenarioGeometry(speed=np.float64(8.0)), ConfigError,
+     r"^geometry.speed: expected a number, got 'np.float64\(8.0\)'$"),
+    (lambda: ScenarioGeometry()._replace(speed=True), ConfigError, "^geometry.speed: expected a number, got 'True'$"),
+    (lambda: ScenarioGeometry(eve=(np.float64(200.0), 0, 0)), ConfigError,
+     r"^geometry.eve: expected a number, got 'np.float64\(200.0\)'$"),
+    (lambda: ScenarioGeometry(eve=[200.0, 0.0, 0.0]), ConfigError,
+     r"^geometry.eve: \[200.0, 0.0, 0.0\] does not parse back from its text \(it reads as \(200.0, 0.0, 0.0\)\)$"),
+    (lambda: ScenarioGeometry._make(((0.0, 0.0), *ScenarioGeometry()[1:])), ConfigError,
+     "^geometry.alice: expected 3 comma-separated coordinates$"),
+    (lambda: AisConfig()._replace(max_iterations=0), ConfigError, "^ais.max_iterations: must be at least 1$"),
+    (lambda: AisConfig(max_iterations=2.5), ConfigError, "^ais.max_iterations: expected an integer, got '2.5'$"),
+    (lambda: AisConfig()._replace(max_iterations=True), ConfigError,
+     "^ais.max_iterations: expected an integer, got 'True'$"),
+    (lambda: AisConfig(beta_init=np.float64(0.1)), ConfigError,
+     r"^ais.beta_init: expected a number, got 'np.float64\(0.1\)'$"),
+    (lambda: AisConfig._make((0.1, False, 50)), ConfigError, "^ais.epsilon: expected a number, got 'False'$"),
     (lambda: ExperimentConfig()._replace(antenna_sweep=()), ConfigError, "sweep.antennas"),
     (lambda: ExperimentConfig._make((*ExperimentConfig()[:-1], "xml")), ConfigError, "output.format"),
     # An output path is written as one line of the config, which the parser
@@ -183,15 +185,15 @@ def test_holders_compare_field_by_field():
      "strategies: duplicate entries in 'ais,ais'"),
     # A strategy must be the one its written name parses to.
     (lambda: ExperimentConfig(strategies=(Strategy("fixed", 0.0),)), ConfigError,
-     r"strategies: fixed beta must lie in \(0, 1\)"),
+     r"^strategies: 0.0 is outside \(0, 1\)$"),
     (lambda: ExperimentConfig()._replace(strategies=(Strategy("ais"), Strategy("fixed", 1.0))), ConfigError,
-     r"strategies: fixed beta must lie in \(0, 1\)"),
+     r"^strategies: 1.0 is outside \(0, 1\)$"),
     (lambda: ExperimentConfig(strategies=(Strategy("fixed", 1.5),)), ConfigError,
-     r"strategies: fixed beta must lie in \(0, 1\)"),
+     r"^strategies: 1.5 is outside \(0, 1\)$"),
     (lambda: ExperimentConfig(strategies=(Strategy("fixed", np.float64(0.5)),)), ConfigError,
-     r"strategies: bad fixed beta 'np.float64\(0.5\)'"),
+     r"^strategies: expected a number, got 'np.float64\(0.5\)'$"),
     (lambda: ExperimentConfig(strategies=(Strategy("fixed", True),)), ConfigError,
-     "strategies: bad fixed beta 'True'"),
+     "^strategies: expected a number, got 'True'$"),
     (lambda: ExperimentConfig(strategies=(Strategy("bogus"),)), ConfigError, "strategies: unknown strategy 'bogus'"),
     (lambda: ExperimentConfig._make((*ExperimentConfig()[:6], (Strategy("ais", 0.3),), *ExperimentConfig()[7:])),
      ConfigError, r"strategies: \(Strategy\(kind='ais', fixed_beta=0.3\),\) does not parse back"),
@@ -220,8 +222,8 @@ def test_holders_compare_field_by_field():
      r"sweep.antennas: \[8\] does not parse back from its text \(it reads as \(8,\)\)"),
     (lambda: ExperimentConfig(strategies=[Strategy("ais")]), ConfigError,
      r"strategies: \[Strategy\(kind='ais', fixed_beta=None\)\] does not parse back"),
-    (lambda: ExperimentConfig(geometry=ScenarioGeometry(eve=(200.0, float("nan"), 0.0))), ConfigurationError,
-     "^eve must have finite coordinates$"),
+    (lambda: ExperimentConfig(geometry=ScenarioGeometry(eve=(200.0, float("nan"), 0.0))), ConfigError,
+     "^geometry.eve: expected a finite number, got 'nan'$"),
     (lambda: ExperimentConfig(array_spacing=1), ConfigError,
      r"array.spacing: 1 does not parse back from its text \(it reads as 1.0\)"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry(flight_end=(400, 0, 20))), ConfigError,
@@ -249,17 +251,34 @@ def test_holders_compare_field_by_field():
      ValueError, "g_ab must be strictly positive"),
     # A point must be finite: NaN would give NaN angles and distances, and an
     # infinite or out-of-range coordinate an infinite or NaN flight length.
-    (lambda: ScenarioGeometry(eve=(math.nan, 0.0, 0.0)), ConfigurationError, "eve must have finite coordinates"),
-    (lambda: ScenarioGeometry(flight_start=(math.nan, 0.0, 20.0)), ConfigurationError,
-     "^flight_start must have finite coordinates$"),
-    (lambda: ScenarioGeometry()._replace(flight_end=(800.0, -math.inf, 20.0)), ConfigurationError,
-     "^flight_end must have finite coordinates$"),
-    (lambda: ScenarioGeometry(alice=(0, 10**400, 0)), ConfigurationError, "^alice must have finite coordinates$"),
+    (lambda: ScenarioGeometry(eve=(math.nan, 0.0, 0.0)), ConfigError, "geometry.eve: expected a finite number"),
+    (lambda: ScenarioGeometry(flight_start=(math.nan, 0.0, 20.0)), ConfigError,
+     "^geometry.flight_start: expected a finite number, got 'nan'$"),
+    (lambda: ScenarioGeometry()._replace(flight_end=(800.0, -math.inf, 20.0)), ConfigError,
+     "^geometry.flight_end: expected a finite number, got '-inf'$"),
+    (lambda: ScenarioGeometry(alice=(0, 10**400, 0)), ConfigError,
+     "^geometry.alice: expected a finite number, got '10{400}'$"),
     # An int whose repr Python refuses (more than 4300 digits by default).
     (lambda: ExperimentConfig(ais=AisConfig(max_iterations=10**5000)), ConfigError,
      "^ais.max_iterations: an integer too long to write as text$"),
     (lambda: ExperimentConfig(antenna_sweep=(8, 10**5000)), ConfigError,
      "^sweep.antennas: an integer too long to write as text$"),
+    # The direct API: an int too large for a float or for its text, a str
+    # antenna count, and values beyond the parser's ranges.
+    (lambda: sample_trajectory(ScenarioGeometry(speed=10**400)), ConfigError,
+     "^geometry.speed: expected a finite number, got '10{400}'$"),
+    (lambda: ScenarioGeometry(eve=[10**5000, 0, 0]), ConfigError, "^geometry.eve: an integer too long to write as text$"),
+    (lambda: ArrayConfig("8"), ConfigError, "^sweep.antennas: expected an integer, got \"'8'\"$"),
+    (lambda: ArrayConfig(10**400, 0.5), ConfigError, r"^sweep.antennas: 10{400} is outside \[2, 1000000\] antennas$"),
+    (lambda: ArrayConfig(8, 10**400), ConfigError, "^array.spacing: expected a finite number, got '10{400}'$"),
+    # The parser's types hold in the direct API as in an ExperimentConfig.
+    (lambda: ScenarioGeometry(flight_end=(400, 0, 20)), ConfigError,
+     r"^geometry.flight_end: \(400, 0, 20\) does not parse back from its text \(it reads as \(400.0, 0.0, 20.0\)\)$"),
+    (lambda: AisConfig(epsilon=1), ConfigError, r"^ais.epsilon: 1 does not parse back from its text \(it reads as 1.0\)$"),
+    # A section of an ExperimentConfig is exactly its record.
+    (lambda: ExperimentConfig(ais=(0.1, 1e-6, 50)), ConfigError, r"^ais: \(0.1, 1e-06, 50\) is not of type AisConfig$"),
+    (lambda: ExperimentConfig(geometry=ScenarioGeometry()._asdict()), ConfigError,
+     "^geometry: .* is not of type ScenarioGeometry$"),
 ])
 def test_every_way_of_building_a_config_validates(build, error, message):
     with pytest.raises(error, match=message):
@@ -273,7 +292,6 @@ def test_every_way_of_building_a_config_validates(build, error, message):
 _MAX = sys.float_info.max
 _REALS = [0.0, -0.0, 1e-3, 0.5, 8.0, 20.0, -110.0, 1e-2, 300.0, _MAX, -_MAX, math.nan, math.inf, -math.inf,
           0, 1, 8, 64]
-_FINITE_REALS = [value for value in _REALS if math.isfinite(value)]
 _SCALARS = st.sampled_from(_REALS + [2, 1_000_001, np.float64(0.5), np.float64(10.0), np.int64(8), True, False])
 _STRATEGIES = [Strategy("ais"), Strategy("grid_oracle"), Strategy("fixed", 0.5), Strategy("fixed", 0.9)]
 _STRATEGY = st.sampled_from(_STRATEGIES + [Strategy("fixed", 1), Strategy("fixed", math.nan), Strategy("ais", 0.3),
@@ -291,20 +309,22 @@ def _sweep(good, items=_SCALARS):
                      st.lists(items, max_size=3).map(tuple), st.lists(items, max_size=3), items)
 
 
+# The two record fields draw their record's arguments, and the test builds
+# the record: a rejected argument is one more ConfigError.
+_RECORDS = {"geometry": ScenarioGeometry, "ais": AisConfig}
 _CONFIG_FIELDS = {
-    # ScenarioGeometry takes any finite int or float in a point, and any
-    # positive speed.
-    "geometry": st.one_of(st.just(ScenarioGeometry(eve=(-150.0, 120.0, 0.0))),
-                          st.builds(ScenarioGeometry, eve=st.tuples(*[st.sampled_from(_FINITE_REALS)] * 3),
-                                    speed=st.sampled_from([8.0, 8, 0.5, math.inf, _MAX]))),
+    "geometry": st.one_of(st.just({"eve": (-150.0, 120.0, 0.0)}),
+                          st.fixed_dictionaries({"eve": st.tuples(*[st.sampled_from(_REALS)] * 3),
+                                                 "speed": st.sampled_from([8.0, 8, 0.5, math.inf, _MAX])})),
     "array_spacing": _scalar(0.5, 1e-3, 8.0),
     "noise_dbm_bob": _scalar(-110.0, -0.0, 300.0),
     "noise_dbm_eve": _scalar(-110.0, 20.0),
     "power_sweep_dbm": _sweep([10.0, -0.0, -300.0, 20.5]),
     "antenna_sweep": _sweep([2, 8, 64, 1_000_000]),
     "strategies": _sweep(_STRATEGIES, _STRATEGY),
-    "ais": st.builds(AisConfig, st.sampled_from([0.1, 0.5]), st.sampled_from([1e-6, 1, 1.0, math.inf, _MAX]),
-                     st.sampled_from([1, 50])),
+    "ais": st.fixed_dictionaries({"beta_init": st.sampled_from([0.1, 0.5]),
+                                  "epsilon": st.sampled_from([1e-6, 1, 1.0, math.inf, _MAX]),
+                                  "max_iterations": st.sampled_from([1, 50])}),
     "grid_step": _scalar(1e-3, 1e-2),
     "output_path": st.one_of(st.sampled_from(["results.csv", "", "out dir/r.json"]),
                              st.sampled_from([" out.csv", "out.csv\n", "a\nb", "a\x0bb", "a\u2028b", Path("out.csv")])),
@@ -315,10 +335,12 @@ _CONFIG_FIELDS = {
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.fixed_dictionaries({}, optional=_CONFIG_FIELDS))
 def test_a_config_built_in_code_parses_back_from_its_text(fields):
-    # Building a config either fails with one ConfigError or gives a config
-    # that its text rebuilds exactly, down to the type of every value.
+    # Building a config, with its geometry and ais records, either fails with
+    # one ConfigError or gives a config that its text rebuilds exactly, down
+    # to the type of every value.
     try:
-        cfg = ExperimentConfig(**fields)
+        cfg = ExperimentConfig(**{name: _RECORDS[name](**value) if name in _RECORDS else value
+                                  for name, value in fields.items()})
     except ConfigError:
         return
     again = parse_config_text(serialize_config(cfg))
