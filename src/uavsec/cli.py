@@ -21,19 +21,17 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", dest="overrides",
                         help="a config line read after the file's (repeatable; the last value of a key wins)")
-    parser.add_argument("--out", help="output file (default: config output.path)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format override")
+    parser.add_argument("--out", action="append", type="output.path={}".format, metavar="O", dest="overrides",
+                        help="output file: the config line output.path=O, in argv order with --set")
     try:
         args = parser.parse_args(argv)
         cfg = parse_config(args.config, args.overrides)
         result = run_experiment(cfg)
-        out = args.out or cfg.output_path
-        fmt = args.format or cfg.output_format
-        write_results(result, fmt, out)
+        write_results(result, cfg.output_format, cfg.output_path)
     except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {result.rows} records to {out} ({fmt})")
+    print(f"wrote {result.rows} records to {cfg.output_path} ({cfg.output_format})")
     summary = summarize(result)
     for row in summary:
         if row["nonconverged"]:

@@ -9,10 +9,10 @@ prints with a point and no exponent, so its text is also its JSON form. The
 other lanes of a longer array go through the %-format call. The texts are
 plain lists: ``column_texts`` gives a column of one double as one str, that
 double formatted alone with ``%.12g`` (and, for JSON, ``_json_number``) and
-no array pass; any other column as an earlier column's list, the
-``twelve_digits`` list, or, for a column that mixes zero, alias and other
-lanes, a list scattered through one object array. The writers load this
-module on their first call, so importing the package does not compile it.
+no array pass; any other column as an earlier column's list, when it holds
+that column's values, or else as the ``twelve_digits`` list. The writers
+load this module on their first call, so importing the package does not
+compile it.
 """
 
 from __future__ import annotations
@@ -173,34 +173,16 @@ def twelve_digits(values: np.ndarray, is_json: bool) -> list[str]:
 
 def column_texts(values, is_json: bool, alias=None):
     """The texts of a float column: one str when every lane holds one
-    double (formatted alone, with no array pass), else a list of the lanes'
-    texts in C order.
+    double (formatted alone, with no array pass); the texts of ``alias``
+    (an earlier column's values and texts) when every lane equals its lane
+    there; else the ``twelve_digits`` list of the lanes, in C order.
 
-    Lanes are compared by bit pattern, so -0.0 stays apart from 0.0. Lanes
-    of +0.0 share one text, lanes bitwise equal to the same lane of
-    ``alias`` (an earlier column's values and texts) reuse its text, and
-    every other lane goes through one ``twelve_digits`` call. A column that
-    is all alias lanes returns the alias texts themselves, one with neither
-    kind of lane the ``twelve_digits`` list.
+    Lanes are compared by bit pattern, so -0.0 stays apart from 0.0.
     """
     flat = np.asarray(values, dtype=float).view(np.int64).ravel()
     if (flat == flat[0]).all():
         text = "%.12g" % flat[:1].view(float)[0]
         return _json_number(text) if is_json else text
-    todo = flat != 0
-    if alias is not None:
-        alias_values, alias_texts = alias
-        same = flat == np.asarray(alias_values, dtype=float).view(np.int64).ravel()
-        # A secrecy-rate column where R_e = 0 on every lane, the usual case;
-        # the scatter below would copy every text through object arrays.
-        if same.all():
-            return alias_texts
-        todo &= ~same
-    if todo.all():
-        return twelve_digits(flat.view(float), is_json)
-    texts = np.empty(flat.size, dtype=object)
-    texts[~todo] = "0.0" if is_json else "0"
-    if alias is not None:
-        texts[same] = alias_texts if isinstance(alias_texts, str) else np.array(alias_texts, object)[same]
-    texts[todo] = twelve_digits(flat[todo].view(float), is_json)
-    return texts.tolist()
+    if alias is not None and (flat == np.asarray(alias[0], dtype=float).view(np.int64).ravel()).all():
+        return alias[1]
+    return twelve_digits(flat.view(float), is_json)

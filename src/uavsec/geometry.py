@@ -26,7 +26,10 @@ Every field of a config record has a config key, and its one rule is that
 key's parser: the value must be what its text parses back to. The parsers
 shared by several records live here, next to ``Validated``; every rejected
 field, whether the record was built in code or parsed, is one
-``ConfigError`` that names the key.
+``ConfigError`` that names the key. Every rule that reads only the scenario
+(the sample count, Eve off the array, the path gains) is
+``ScenarioGeometry``'s, so a geometry built in code is checked as a parsed
+one is.
 """
 
 from __future__ import annotations
@@ -235,6 +238,9 @@ def array_separation(theta_b, theta_e, array: ArrayConfig):
     # M + r = 2M - (M - r); both factors are positive, so D >= 0.
     return np.minimum(gap * (2 * m - gap), float(m * m)).reshape(z.shape)[()]
 
+# Upper bound on the trajectory samples one sweep combination may evaluate.
+MAX_SAMPLES = 1_000_000
+
 _GEOMETRY_DEFAULTS = {
     "alice": (0.0, 0.0, 0.0),
     "eve": (200.0, 0.0, 0.0),
@@ -256,6 +262,11 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
     200 m away on the ground, and the UAV flying 800 m parallel to the array
     axis at 20 m altitude and 8 m/s, sampled once a second. The flight is
     level: both endpoints share one positive z, the altitude.
+
+    A geometry that builds can be evaluated: its flight has 1 to
+    ``MAX_SAMPLES`` sample points, Eve is off the array with a finite path
+    gain, and the UAV's path gain is nonzero at every point. Only a sample
+    point on the array is left to ``sample_trajectory``, which computes them.
     """
 
     __slots__ = ()
@@ -276,11 +287,44 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
         z_start, z_end = self.flight_start[2], self.flight_end[2]
         if not (z_start > 0 and math.isclose(z_start, z_end)):
             raise ConfigError("geometry.flight_start, geometry.flight_end: must sit at one positive altitude (z)")
+        samples = self.samples
+        if not samples <= MAX_SAMPLES:
+            raise ConfigError(
+                f"geometry.speed, geometry.sample_interval: the {length:g} m "
+                f"flight gives {samples:.3g} samples, more than {MAX_SAMPLES}"
+            )
+        if samples < 1:
+            raise ConfigError(
+                f"geometry.speed, geometry.sample_interval: the {length:g} m flight "
+                f"lasts {length / self.speed!r} s, shorter than one sample "
+                f"interval ({self.sample_interval!r} s); no points to evaluate"
+            )
+        d_ae = math.dist(self.eve, self.alice)
+        if d_ae == 0:
+            raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")
+        if not np.isfinite(path_loss(d_ae, self)):
+            raise ConfigError(
+                f"geometry.eve: at d = {d_ae:g} m from the array, the eavesdropper's path gain "
+                "geometry.reference_gain / d**geometry.path_loss_exponent overflows float64"
+            )
+        # Every sample lies on the flight segment, no farther from the array
+        # than its farther end, so no sample's gain is smaller than this one.
+        d_far = max(math.dist(self.flight_start, self.alice), math.dist(self.flight_end, self.alice))
+        if path_loss(d_far, self) == 0:
+            raise ConfigError(
+                f"geometry.flight_start, geometry.flight_end: at d = {d_far:g} m from the array, the "
+                "UAV's path gain geometry.reference_gain / d**geometry.path_loss_exponent underflows to 0"
+            )
 
     @property
     def flight_length(self) -> float:
         # hypot of Python floats: no overflowing square for a huge flight.
         return math.hypot(*(e - s for s, e in zip(self.flight_start, self.flight_end)))
+
+    @property
+    def samples(self) -> float:
+        """(L/V)/dt: its floor is N, the number of sample points."""
+        return self.flight_length / self.speed / self.sample_interval
 
 
 class Trajectory(namedtuple("Trajectory", "sample_index theta_b theta_e d_ab d_ae")):
@@ -312,8 +356,10 @@ def _direction_angle(origin: np.ndarray, target: np.ndarray):
     # range is inf, and the angle keeps its bits.
     with np.errstate(over="ignore"):
         dist = np.ldexp(norm, exponent)
+    # A valid geometry keeps Eve off the array, so only a sample point can sit there.
     if np.any(dist == 0):
-        raise ValueError("coincident points have no direction angle")
+        raise ConfigError("geometry.alice, geometry.flight_start, geometry.flight_end: a sample point of the "
+                          "flight sits at the array")
     return np.arccos(np.clip(scaled[..., 0] / norm, -1.0, 1.0)), dist
 
 
@@ -326,13 +372,8 @@ def sample_trajectory(geom: ScenarioGeometry) -> Trajectory:
     alice = np.asarray(geom.alice, dtype=float)
     s = np.asarray(geom.flight_start, dtype=float)
     d = np.asarray(geom.flight_end, dtype=float)
-    length = geom.flight_length
-    n_points = int(math.floor((length / geom.speed) / geom.sample_interval))
-    if n_points == 0:
-        raise ConfigError("geometry.speed, geometry.sample_interval: the flight is shorter than one sample "
-                          "interval; no points to evaluate")
-    unit = (d - s) / length
-    n = np.arange(1, n_points + 1)
+    unit = (d - s) / geom.flight_length
+    n = np.arange(1, math.floor(geom.samples) + 1)
     pos = s + (n * geom.sample_interval * geom.speed)[:, None] * unit
     theta_b, d_ab = _direction_angle(alice, pos)
     theta_e, d_ae = _direction_angle(alice, np.asarray(geom.eve, dtype=float))

@@ -10,9 +10,9 @@ its text parses back to it: each key's value, written as
 ``serialize_config`` writes it, must parse with that key's parser to a value
 of the same repr. The parsers hold every per-key check and message, and each
 record declares its keys; the key table here joins them in the order of
-``ExperimentConfig``'s fields. ``ExperimentConfig``'s own checks span
-several keys: the sample count, Eve at the array, and Eve's and the UAV's
-path gains.
+``ExperimentConfig``'s fields. ``ExperimentConfig``'s own check is that its
+``geometry`` and ``ais`` fields are exactly those records; whether the
+scenario can be evaluated is ``ScenarioGeometry``'s to decide.
 
 A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
@@ -27,7 +27,7 @@ block where no lane was clamped (R_s = R_b - R_e bit for bit), the clamped
 flight sum max(0, sum(R_b - R_e)) of a row is max(0, sum(R_s)), one sum. The
 writers format each block's columns straight from those arrays; the values
 a sweep repeats are found from the rate identities (a column of one double,
-zero rates, R_s = R_b where R_e = 0), not from a sort. The float texts come
+R_s = R_b where R_e = 0 on every lane), not from a sort. The float texts come
 from ``uavsec.floattext`` as plain lists: the other lanes of a column are
 formatted together, by one %-format call or, for a long column, mostly from
 digit tables. A block's text is one flat list of pieces, filled by slice
@@ -61,10 +61,9 @@ from .geometry import (
     _parse_spacing,
     _parse_split,
     link_state_at,
-    path_loss,
     sample_trajectory,
 )
-from .power_allocation import beta_grid_oracle
+from .power_allocation import beta_grid_oracle, check_grid_step
 from .rates import secrecy_sum_rate, split_rates
 
 CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
@@ -76,9 +75,6 @@ _VALID_FORMATS = ("csv", "json")
 # 300 dBm is about the Sun's total output, and the linear mW values of the
 # whole range stay well inside float64.
 MAX_ABS_DBM = 300.0
-
-# Upper bound on the trajectory samples one sweep combination may evaluate.
-MAX_SAMPLES = 1_000_000
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -120,13 +116,6 @@ def _parse_dbm(key: str, raw: str) -> float:
     value = _parse_float(key, raw)
     if not abs(value) <= MAX_ABS_DBM:
         raise ConfigError(f"{key}: {raw} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
-    return value
-
-
-def _parse_grid_step(key: str, raw: str) -> float:
-    value = _parse_float(key, raw)
-    if not 0.0 < value <= 1e-2:
-        raise ConfigError(f"{key}: must lie in (0, 1e-2]")
     return value
 
 
@@ -179,7 +168,7 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
         "antenna_sweep": ("sweep.antennas", _parse_list(_parse_antennas), _join),
         "strategies": ("strategies", _parse_list(lambda key, token: parse_strategy(token)),
                        lambda strategies: ",".join(s.name for s in strategies)),
-        "grid_step": ("grid.step", _parse_grid_step, repr),
+        "grid_step": ("grid.step", lambda key, raw: check_grid_step(_parse_float(key, raw)), repr),
         "output_path": ("output.path", _parse_path, str),
         "output_format": ("output.format", _parse_format, str),
     }
@@ -188,36 +177,6 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
         for section, record in _SECTIONS.items():
             if type(getattr(self, section)) is not record:
                 raise ConfigError(f"{section}: {getattr(self, section)!r} is not of type {record.__name__}")
-        geom = self.geometry
-        # (L/V)/dt, floored by sample_trajectory to the number of points.
-        samples = geom.flight_length / geom.speed / geom.sample_interval
-        if not samples <= MAX_SAMPLES:
-            raise ConfigError(
-                f"geometry.speed, geometry.sample_interval: the {geom.flight_length:g} m "
-                f"flight gives {samples:.3g} samples, more than {MAX_SAMPLES}"
-            )
-        if math.floor(samples) == 0:
-            raise ConfigError(
-                f"geometry.speed, geometry.sample_interval: the {geom.flight_length:g} m flight "
-                f"lasts {geom.flight_length / geom.speed!r} s, shorter than one sample "
-                f"interval ({geom.sample_interval!r} s); no points to evaluate"
-            )
-        d_ae = math.dist(geom.eve, geom.alice)
-        if d_ae == 0:
-            raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")
-        if not np.isfinite(path_loss(d_ae, geom)):
-            raise ConfigError(
-                f"geometry.eve: at d = {d_ae:g} m from the array, the eavesdropper's path gain "
-                "geometry.reference_gain / d**geometry.path_loss_exponent overflows float64"
-            )
-        # Every sample lies on the flight segment, no farther from the array
-        # than its farther end, so no sample's gain is smaller than this one.
-        d_far = max(math.dist(geom.flight_start, geom.alice), math.dist(geom.flight_end, geom.alice))
-        if path_loss(d_far, geom) == 0:
-            raise ConfigError(
-                f"geometry.flight_start, geometry.flight_end: at d = {d_far:g} m from the array, the "
-                "UAV's path gain geometry.reference_gain / d**geometry.path_loss_exponent underflows to 0"
-            )
 
 
 # Every config key: key -> (section, field, parse, format), in the order of
@@ -424,13 +383,13 @@ def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
     starts with the row separator, except the file's first row.
 
     Each float column goes through ``floattext.column_texts``; the secrecy
-    rate reuses the Bob rate's texts, since R_s = max(0, R_b - R_e) is
-    exactly R_b wherever R_e = 0. The Ps, ``n`` and ``theta_b`` texts of
-    each lane are joined once, as one list shared by every block. A row is
-    a run of pieces: a str shared by every row (runs of them merged, such as
-    a fixed split's), that lane prefix, or a lane column. Each piece fills
-    every k-th slot of one flat list by slice assignment, and the block is
-    one join over it.
+    rate reuses the Bob rate's texts where R_e = 0 on every lane, since
+    R_s = max(0, R_b - R_e) is then exactly R_b. The Ps, ``n`` and
+    ``theta_b`` texts of each lane are joined once, as one list shared by
+    every block. A row is a run of pieces: a str shared by every row (runs
+    of them merged, such as a fixed split's), that lane prefix, or a lane
+    column. Each piece fills every k-th slot of one flat list by slice
+    assignment, and the block is one join over it.
     """
     # Loaded here, not at import: parsing a config never needs it.
     from .floattext import column_texts, twelve_digits

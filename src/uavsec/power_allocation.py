@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import LinkState
+from .geometry import ConfigError, LinkState
 from . import rates
 from .rates import ProjectedPowers
 
@@ -160,6 +160,13 @@ def _signed_rate(link: LinkState, powers: ProjectedPowers, beta):
     return r_b - r_e
 
 
+def check_grid_step(step: float) -> float:
+    """The grid step, which ``grid.step`` sets: it must lie in (0, 1e-2]."""
+    if not 0.0 < step <= 1e-2:
+        raise ConfigError("grid.step: must lie in (0, 1e-2]")
+    return step
+
+
 def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-4):
     """Exhaustive search over a uniform beta grid, straight from the rates.
 
@@ -171,9 +178,7 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-
     elements or one row; the rate at each lane's chosen split is then
     evaluated over all lanes at once, with the same arithmetic as on the grid.
     """
-    if not 0.0 < step <= 1e-2:
-        raise ValueError("step must lie in (0, 1e-2]")
-    n = int(round(1.0 / step))
+    n = int(round(1.0 / check_grid_step(step)))
     grid = np.linspace(0.0, 1.0, n + 1)
     shape = np.broadcast_shapes(link.shape, *(np.shape(p) for p in powers))
     # One row per lane, with the grid along the contiguous last axis.

@@ -168,7 +168,8 @@ class TestTrajectory:
         assert abs(traj.d_ab[49] - d) < 1e-9
 
     def test_extreme_distances_neither_underflow_nor_overflow(self):
-        near = sample_trajectory(ScenarioGeometry(eve=(1e-200, 0.0, 0.0)))
+        # At exponent 1 the near eavesdropper's path gain, 1e200, is finite.
+        near = sample_trajectory(ScenarioGeometry(eve=(1e-200, 0.0, 0.0), path_loss_exponent=1.0))
         assert (near.theta_e, near.d_ae) == (0.0, 1e-200)
         far = sample_trajectory(ScenarioGeometry(eve=(1e200, 1e200, 0.0)))
         assert far.theta_e == pytest.approx(math.pi / 4) and far.d_ae == pytest.approx(math.sqrt(2) * 1e200)
@@ -187,9 +188,8 @@ class TestTrajectory:
         assert abs(traj.theta_b[0] - math.pi / 2) < 1e-12
 
     def test_too_short_flight_rejected(self):
-        geom = ScenarioGeometry(flight_end=(4.0, 0.0, 20.0))
         with pytest.raises(ConfigError):
-            sample_trajectory(geom)
+            ScenarioGeometry(flight_end=(4.0, 0.0, 20.0))
 
     def test_geometry_validation(self):
         with pytest.raises(ConfigError, match="geometry.speed: must be positive"):

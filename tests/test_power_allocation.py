@@ -5,7 +5,7 @@ import pytest
 
 from uavsec import power_allocation
 from uavsec.beamforming import leakage_pair
-from uavsec.geometry import ArrayConfig, LinkState, ScenarioGeometry, link_state_at, sample_trajectory
+from uavsec.geometry import ArrayConfig, ConfigError, LinkState, ScenarioGeometry, link_state_at, sample_trajectory
 from uavsec.power_allocation import beta_grid_oracle, optimal_beta
 from uavsec.harness import dbm_to_mw
 from uavsec.rates import ProjectedPowers, split_rates
@@ -270,6 +270,12 @@ class TestGridOracle:
             beta_grid_oracle(link, powers, 0.0)
         with pytest.raises(ValueError):
             beta_grid_oracle(link, powers, 0.5)
+
+    def test_step_rule_is_the_config_keys(self):
+        # One rule for the step, with the grid.step parser's message.
+        link, powers = random_instance(np.random.default_rng(9), 0, 4, 10.0)
+        with pytest.raises(ConfigError, match=r"^grid.step: must lie in \(0, 1e-2\]$"):
+            beta_grid_oracle(link, powers, step=0.02)
 
     def test_symmetric_links_zero_everywhere(self):
         link = symmetric_link()

@@ -275,6 +275,15 @@ def test_holders_compare_field_by_field():
     (lambda: ScenarioGeometry(flight_end=(400, 0, 20)), ConfigError,
      r"^geometry.flight_end: \(400, 0, 20\) does not parse back from its text \(it reads as \(400.0, 0.0, 20.0\)\)$"),
     (lambda: AisConfig(epsilon=1), ConfigError, r"^ais.epsilon: 1 does not parse back from its text \(it reads as 1.0\)$"),
+    # The scenario's rules hold for a geometry built on its own: the sample
+    # count, Eve off the array with a finite gain, the UAV's gain nonzero.
+    (lambda: ScenarioGeometry(sample_interval=1e-9), ConfigError,
+     r"^geometry.speed, geometry.sample_interval: the 800 m flight gives 1e\+11 samples, more than 1000000$"),
+    (lambda: ScenarioGeometry(eve=(1e-200, 0.0, 0.0)), ConfigError,
+     "^geometry.eve: at d = 1e-200 m from the array, the eavesdropper's path gain .* overflows float64$"),
+    (lambda: ScenarioGeometry(flight_start=(1e200, 0.0, 20.0), flight_end=(2e200, 0.0, 20.0), speed=1e196),
+     ConfigError, r"^geometry.flight_start, geometry.flight_end: at d = 2e\+200 m from the array, the UAV's "
+     "path gain .* underflows to 0$"),
     # A section of an ExperimentConfig is exactly its record.
     (lambda: ExperimentConfig(ais=(0.1, 1e-6, 50)), ConfigError, r"^ais: \(0.1, 1e-06, 50\) is not of type AisConfig$"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry()._asdict()), ConfigError,
