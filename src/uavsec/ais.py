@@ -24,7 +24,7 @@ import numpy as np
 
 from . import power_allocation
 from .beamforming import leakage_pair
-from .geometry import LinkState, Validated, _parse_cap, _parse_positive, _parse_split
+from .geometry import _ITERATIONS, _POSITIVE, _SPLIT, LinkState, Validated
 from .rates import ProjectedPowers, split_rates
 
 
@@ -33,9 +33,9 @@ class AisConfig(Validated, namedtuple("AisConfig", "beta_init epsilon max_iterat
     """The initial split, the stopping tolerance on f and the iteration cap."""
 
     __slots__ = ()
-    _FIELD_KEYS = {"beta_init": ("ais.beta_init", _parse_split, repr),
-                   "epsilon": ("ais.epsilon", _parse_positive, repr),
-                   "max_iterations": ("ais.max_iterations", _parse_cap, repr)}
+    _FIELD_KEYS = {"beta_init": ("ais.beta_init", _SPLIT, repr),
+                   "epsilon": ("ais.epsilon", _POSITIVE, repr),
+                   "max_iterations": ("ais.max_iterations", _ITERATIONS, repr)}
 
 
 class AisIteration(NamedTuple):

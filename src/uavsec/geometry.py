@@ -23,11 +23,12 @@ subclasses; those with checks (the configs and ``LinkState``) sit behind the
 records are ``typing.NamedTuple``s.
 
 Every field of a config record has a config key, and its one rule is that
-key's parser: the value must be what its text parses back to. The parsers
-shared by several records live here, next to ``Validated``; every rejected
-field, whether the record was built in code or parsed, is one
-``ConfigError`` that names the key. Every rule that reads only the scenario
-(the sample count, Eve off the array, the path gains) is
+key's parser: the value must be what its text parses back to. Every
+numeric key's parser comes from one factory, ``_number``, with its interval
+declared here once, and every message that quotes input quotes it through
+``_echo``; every rejected field, whether the record was built in code or
+parsed, is one ``ConfigError`` that names the key. Every rule that reads
+only the scenario (the sample count, Eve off the array, the path gains) is
 ``ScenarioGeometry``'s, so a geometry built in code is checked as a parsed
 one is.
 """
@@ -46,55 +47,38 @@ class ConfigError(ValueError):
     starts with its config key, or with the keys of a rule that spans several."""
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
-    return value
+def _echo(text: str, quote=str) -> str:
+    """``text`` as a message quotes it: ``quote(text)``, cut to its first 32
+    characters and the length of ``text`` where it is longer than 40."""
+    shown = quote(text)
+    return shown if len(shown) <= 40 else f"{shown[:32]}... ({len(text)} chars)"
 
 
-def _parse_positive(key: str, raw: str) -> float:
-    value = _parse_float(key, raw)
-    if not value > 0:
-        raise ConfigError(f"{key}: must be positive")
-    return value
+def _number(kind, low, high, open_low=False, open_high=False, unit=""):
+    """The parser of a key whose value is one ``kind`` (``int`` or
+    ``float``, as ``kind(text)`` reads it; a float must be finite) in the
+    interval from ``low`` to ``high``, each end open or closed. A value
+    outside is ``<key>: <text> is outside <interval><unit>``."""
+    interval = f"{'[('[open_low]}{low:.12g}, {high:.12g}{'])'[open_high]}{unit}"
 
+    def parse(key: str, raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key}: expected {noun}, got {_echo(raw, repr)}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {_echo(raw, repr)}")
+        if value < low or value > high or (open_low and value == low) or (open_high and value == high):
+            raise ConfigError(f"{key}: {_echo(raw)} is outside {interval}")
+        return value
 
-def _parse_split(key: str, raw: str) -> float:
-    value = _parse_float(key, raw)
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"{key}: {raw} is outside (0, 1)")
-    return value
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_cap(key: str, raw: str) -> int:
-    value = _parse_int(key, raw)
-    if value < 1:
-        raise ConfigError(f"{key}: must be at least 1")
-    return value
+    return parse
 
 
 # Upper bound on the array size. No cost grows with M (the array separation
 # is a closed form), so this only bounds the input to a sane range.
 MAX_ANTENNAS = 1_000_000
-
-
-def _parse_antennas(key: str, raw: str) -> int:
-    value = _parse_int(key, raw)
-    if not 2 <= value <= MAX_ANTENNAS:
-        raise ConfigError(f"{key}: {value} is outside [2, {MAX_ANTENNAS}] antennas")
-    return value
-
 
 # Upper bound on the element spacing (d/lambda). The array phase pi z is
 # taken modulo pi, and |z| <= 2 spacing rounds by up to ulp(2 spacing), which
@@ -103,12 +87,20 @@ def _parse_antennas(key: str, raw: str) -> int:
 # (at 1e20 every lane sees Eve in Bob's direction, D = 0).
 MAX_SPACING = 1e5
 
+# Transmit powers and noise floors, in dBm, must lie within this magnitude:
+# 300 dBm is about the Sun's total output, and the linear mW values of the
+# whole range stay well inside float64.
+MAX_ABS_DBM = 300.0
 
-def _parse_spacing(key: str, raw: str) -> float:
-    value = _parse_positive(key, raw)
-    if value > MAX_SPACING:
-        raise ConfigError(f"{key}: {value!r} is above {MAX_SPACING:g}")
-    return value
+# The value of every numeric config key, its kind and interval declared once.
+_COORDINATE = _number(float, -math.inf, math.inf)  # each coordinate of a geometry point
+_POSITIVE = _number(float, 0.0, math.inf, open_low=True, open_high=True)  # geometry scalars, ais.epsilon
+_SPLIT = _number(float, 0.0, 1.0, open_low=True, open_high=True)  # ais.beta_init, fixed:B
+_ITERATIONS = _number(int, 1, math.inf, open_high=True)
+_ANTENNAS = _number(int, 2, MAX_ANTENNAS, unit=" antennas")
+_SPACING = _number(float, 0.0, MAX_SPACING, open_low=True)
+_DBM = _number(float, -MAX_ABS_DBM, MAX_ABS_DBM, unit=" dBm")
+_GRID_STEP = _number(float, 0.0, 1e-2, open_low=True)  # and 1/n, power_allocation.parse_grid_step
 
 
 def _parse_list(conv, count: int | None = None):
@@ -126,7 +118,7 @@ def _parse_list(conv, count: int | None = None):
             raise ConfigError(f"{key}: expected {count} comma-separated coordinates")
         values = tuple(conv(key, item) for item in items)
         if count is None and len(set(values)) != len(values):
-            raise ConfigError(f"{key}: duplicate entries in {raw!r}")
+            raise ConfigError(f"{key}: duplicate entries in {_echo(raw, repr)}")
         return values
 
     return parse
@@ -164,7 +156,8 @@ class Validated:
                 raise ConfigError(f"{key}: an integer too long to write as text") from None
             back = "nothing" if text is None else repr(parse(key, text))
             if back != repr(value):
-                raise ConfigError(f"{key}: {value!r} does not parse back from its text (it reads as {back})")
+                raise ConfigError(f"{key}: {_echo(repr(value))} does not parse back from its text "
+                                  f"(it reads as {_echo(back)})")
         self._validate()
         return self
 
@@ -184,8 +177,8 @@ class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", d
     """
 
     __slots__ = ()
-    _FIELD_KEYS = {"num_antennas": ("sweep.antennas", _parse_antennas, repr),
-                   "spacing": ("array.spacing", _parse_spacing, repr)}
+    _FIELD_KEYS = {"num_antennas": ("sweep.antennas", _ANTENNAS, repr),
+                   "spacing": ("array.spacing", _SPACING, repr)}
 
 
 # (-1)^(j+1) / (2j+1)!, j = 1..8: times 1 - M^-2j, the Taylor coefficients of
@@ -272,9 +265,9 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
     __slots__ = ()
 
     _FIELD_KEYS = {
-        **{name: (f"geometry.{name}", _parse_list(_parse_float, 3), _join)
+        **{name: (f"geometry.{name}", _parse_list(_COORDINATE, 3), _join)
            for name in ("alice", "eve", "flight_start", "flight_end")},
-        **{name: (f"geometry.{name}", _parse_positive, repr)
+        **{name: (f"geometry.{name}", _POSITIVE, repr)
            for name in ("speed", "sample_interval", "path_loss_exponent", "reference_gain")},
     }
 

@@ -49,32 +49,28 @@ import numpy as np
 from .ais import AisConfig, closed_form_step, optimize_point
 from .beamforming import leakage_pair
 from .geometry import (
+    _ANTENNAS,
+    _DBM,
+    _SPACING,
+    _SPLIT,
     ArrayConfig,
     ConfigError,
     LinkState,
     ScenarioGeometry,
     Validated,
+    _echo,
     _join,
-    _parse_antennas,
-    _parse_float,
     _parse_list,
-    _parse_spacing,
-    _parse_split,
     link_state_at,
     sample_trajectory,
 )
-from .power_allocation import beta_grid_oracle, check_grid_step
+from .power_allocation import beta_grid_oracle, parse_grid_step
 from .rates import secrecy_sum_rate, split_rates
 
 CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
 _FIELDS = CSV_HEADER.split(",")
 
 _VALID_FORMATS = ("csv", "json")
-
-# Transmit powers and noise floors, in dBm, must lie within this magnitude:
-# 300 dBm is about the Sun's total output, and the linear mW values of the
-# whole range stay well inside float64.
-MAX_ABS_DBM = 300.0
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -103,26 +99,20 @@ class Strategy(NamedTuple):
 
 def parse_strategy(token: str) -> Strategy:
     token = token.strip()
-    if token == "ais":
-        return Strategy("ais")
-    if token == "grid_oracle":
-        return Strategy("grid_oracle")
+    if token in ("ais", "grid_oracle"):
+        return Strategy(token)
     if token.startswith("fixed:"):
-        return Strategy("fixed", _parse_split("strategies", token[len("fixed:") :]))
-    raise ConfigError(f"strategies: unknown strategy {token!r}")
-
-
-def _parse_dbm(key: str, raw: str) -> float:
-    value = _parse_float(key, raw)
-    if not abs(value) <= MAX_ABS_DBM:
-        raise ConfigError(f"{key}: {raw} dBm is outside [-{MAX_ABS_DBM:g}, {MAX_ABS_DBM:g}] dBm")
-    return value
+        return Strategy("fixed", _SPLIT("strategies", token[len("fixed:") :]))
+    raise ConfigError(f"strategies: unknown strategy {_echo(token, repr)}")
 
 
 def _parse_path(key: str, raw: str) -> str:
-    # The path is written as one config line, which the parser strips.
+    # The path is written as one config line, which the parser strips; an
+    # empty one names the current directory, which no file can be written to.
+    if not raw:
+        raise ConfigError(f"{key}: empty path")
     if raw != raw.strip() or len(raw.splitlines()) > 1:
-        raise ConfigError(f"{key}: {raw!r} holds a line break or surrounding whitespace")
+        raise ConfigError(f"{key}: {_echo(raw, repr)} holds a line break or surrounding whitespace")
     return raw
 
 
@@ -161,14 +151,14 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
 
     __slots__ = ()
     _FIELD_KEYS = {
-        "array_spacing": ("array.spacing", _parse_spacing, repr),
-        "noise_dbm_bob": ("noise.bob_dbm", _parse_dbm, repr),
-        "noise_dbm_eve": ("noise.eve_dbm", _parse_dbm, repr),
-        "power_sweep_dbm": ("sweep.power_dbm", _parse_list(_parse_dbm), _join),
-        "antenna_sweep": ("sweep.antennas", _parse_list(_parse_antennas), _join),
+        "array_spacing": ("array.spacing", _SPACING, repr),
+        "noise_dbm_bob": ("noise.bob_dbm", _DBM, repr),
+        "noise_dbm_eve": ("noise.eve_dbm", _DBM, repr),
+        "power_sweep_dbm": ("sweep.power_dbm", _parse_list(_DBM), _join),
+        "antenna_sweep": ("sweep.antennas", _parse_list(_ANTENNAS), _join),
         "strategies": ("strategies", _parse_list(lambda key, token: parse_strategy(token)),
                        lambda strategies: ",".join(s.name for s in strategies)),
-        "grid_step": ("grid.step", lambda key, raw: check_grid_step(_parse_float(key, raw)), repr),
+        "grid_step": ("grid.step", parse_grid_step, repr),
         "output_path": ("output.path", _parse_path, str),
         "output_format": ("output.format", _parse_format, str),
     }
@@ -176,7 +166,7 @@ class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEF
     def _validate(self):
         for section, record in _SECTIONS.items():
             if type(getattr(self, section)) is not record:
-                raise ConfigError(f"{section}: {getattr(self, section)!r} is not of type {record.__name__}")
+                raise ConfigError(f"{section}: {_echo(repr(getattr(self, section)))} is not of type {record.__name__}")
 
 
 # Every config key: key -> (section, field, parse, format), in the order of
@@ -215,11 +205,11 @@ def parse_config_text(text: str, overrides: Iterable[str] = ()) -> ExperimentCon
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{where}: expected key=value, got {line!r}")
+            raise ConfigError(f"{where}: expected key=value, got {_echo(line, repr)}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in _KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {_echo(key, repr)}")
         section, field, parse, _ = _KEYS[key]
         kwargs[section][field] = parse(key, raw)
     sections = {section: record(**kwargs[section]) for section, record in _SECTIONS.items()}

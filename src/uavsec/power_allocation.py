@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConfigError, LinkState
+from .geometry import _GRID_STEP, ConfigError, LinkState, _echo
 from . import rates
 from .rates import ProjectedPowers
 
@@ -160,10 +160,18 @@ def _signed_rate(link: LinkState, powers: ProjectedPowers, beta):
     return r_b - r_e
 
 
-def check_grid_step(step: float) -> float:
-    """The grid step, which ``grid.step`` sets: it must lie in (0, 1e-2]."""
-    if not 0.0 < step <= 1e-2:
-        raise ConfigError("grid.step: must lie in (0, 1e-2]")
+def parse_grid_step(key: str, raw: str) -> float:
+    """The ``grid.step`` parser: a step in (0, 1e-2] that is 1/n for an
+    integer n, the grid's interval count, to within |n step - 1| <= 1e-9.
+
+    1/n itself rounds by far less (n step is within 2^-52 of 1), and a 1/n
+    written to 10 or more digits, such as 0.0033333333333, passes; 0.003
+    does not (333 steps of it end at 0.999). Every step up to 2e-9 is within
+    step/2 of some 1/n, so it needs no check (its 1/step may overflow).
+    """
+    step = _GRID_STEP(key, raw)
+    if step > 2e-9 and abs(round(1.0 / step) * step - 1.0) > 1e-9:
+        raise ConfigError(f"{key}: {_echo(raw)} is not 1/n for an integer n")
     return step
 
 
@@ -171,14 +179,15 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-
     """Exhaustive search over a uniform beta grid, straight from the rates.
 
     Independent of the stationary-point solve: evaluates the factored
-    R_b - R_e on the grid {0, step, ..., 1} and keeps each lane's first
-    maximum. When no split beats beta=0, where the secrecy rate vanishes, it
-    returns beta=1 as optimal_beta does. The lanes are taken in chunks of
+    R_b - R_e on the grid {0, 1/n, ..., 1}, n = round(1/step) (the step must
+    pass ``parse_grid_step``), and keeps each lane's first maximum. When no
+    split beats beta=0, where the secrecy rate vanishes, it returns beta=1
+    as optimal_beta does. The lanes are taken in chunks of
     rows so that no (lanes x grid) array holds more than ``CHUNK_ELEMENTS``
     elements or one row; the rate at each lane's chosen split is then
     evaluated over all lanes at once, with the same arithmetic as on the grid.
     """
-    n = int(round(1.0 / check_grid_step(step)))
+    n = round(1.0 / parse_grid_step("grid.step", str(step)))
     grid = np.linspace(0.0, 1.0, n + 1)
     shape = np.broadcast_shapes(link.shape, *(np.shape(p) for p in powers))
     # One row per lane, with the grid along the contiguous last axis.

@@ -192,7 +192,7 @@ class TestTrajectory:
             ScenarioGeometry(flight_end=(4.0, 0.0, 20.0))
 
     def test_geometry_validation(self):
-        with pytest.raises(ConfigError, match="geometry.speed: must be positive"):
+        with pytest.raises(ConfigError, match=r"^geometry.speed: 0.0 is outside \(0, inf\)$"):
             ScenarioGeometry(speed=0.0)
         with pytest.raises(ConfigError):
             ScenarioGeometry(flight_start=(0, 0, 10.0))  # off the altitude plane

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from uavsec.ais import AisConfig, closed_form_step, optimize_point
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import (
+    MAX_ABS_DBM,
     MAX_ANTENNAS,
     MAX_SPACING,
     ArrayConfig,
@@ -24,7 +25,6 @@ from uavsec.geometry import (
 from uavsec.power_allocation import beta_grid_oracle
 from uavsec.harness import (
     CSV_HEADER,
-    MAX_ABS_DBM,
     ExperimentConfig,
     ResultBlock,
     Strategy,
@@ -90,7 +90,7 @@ def configs(draw):
         assume(False)
     strategy = st.one_of(st.just(Strategy("ais")), st.just(Strategy("grid_oracle")),
                          _SPLIT.map(lambda beta: Strategy("fixed", beta)))
-    path = st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) <= 1)
+    path = st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) == 1)
     return ExperimentConfig(
         geometry=geometry,
         array_spacing=draw(_finite(min_value=0.0, max_value=MAX_SPACING, exclude_min=True)),
@@ -101,7 +101,9 @@ def configs(draw):
                                           unique=True))),
         strategies=tuple(draw(st.lists(strategy, min_size=1, max_size=4, unique=True))),
         ais=AisConfig(draw(_SPLIT), draw(_POSITIVE), draw(st.integers(min_value=1))),
-        grid_step=draw(_finite(min_value=0.0, max_value=1e-2, exclude_min=True)),
+        # 1/n for an integer n; every step up to 2e-9 is within step/2 of one.
+        grid_step=draw(st.one_of(st.integers(100, 10**9).map(lambda n: 1.0 / n),
+                                 _finite(min_value=0.0, max_value=2e-9, exclude_min=True))),
         output_path=draw(path),
         output_format=draw(st.sampled_from(("csv", "json"))),
     )
@@ -116,7 +118,7 @@ class TestConfigParsing:
         assert [s.name for s in cfg.strategies] == ["ais", "fixed:0.5", "fixed:0.9"]
 
     def test_invalid_speed_reported(self):
-        with pytest.raises(ConfigError, match="geometry.speed: must be positive"):
+        with pytest.raises(ConfigError, match=r"^geometry.speed: 0 is outside \(0, inf\)$"):
             parse_config_text("geometry.speed=0")
 
     def test_unknown_key_reported(self):
@@ -603,7 +605,7 @@ class TestCli:
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, "geometry.speed=0\n")
         assert main(["run", "--config", str(cfg_path)]) == 1
-        assert "geometry.speed: must be positive" in capsys.readouterr().err
+        assert "error: geometry.speed: 0 is outside (0, inf)\n" in capsys.readouterr().err
 
     def test_missing_config_exits_nonzero(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
@@ -720,9 +722,9 @@ class TestCli:
         # Finite but out of range: rejected while parsing, naming the key.
         ("noise.bob_dbm=4000", ["run"], "noise.bob_dbm: "),
         ("geometry.speed=1e-320", ["run"], "geometry.speed"),
-        ("noise.eve_dbm=-4000", ["run"], "noise.eve_dbm: -4000 dBm is outside"),
-        ("sweep.power_dbm=10,301", ["run"], "sweep.power_dbm: 301 dBm is outside"),
-        ("", ["run", "--set", "sweep.power_dbm=-400"], "sweep.power_dbm: -400 dBm is outside"),
+        ("noise.eve_dbm=-4000", ["run"], "noise.eve_dbm: -4000 is outside [-300, 300] dBm"),
+        ("sweep.power_dbm=10,301", ["run"], "sweep.power_dbm: 301 is outside [-300, 300] dBm"),
+        ("", ["run", "--set", "sweep.power_dbm=-400"], "sweep.power_dbm: -400 is outside [-300, 300] dBm"),
         ("geometry.sample_interval=1e-9", ["run"], "geometry.sample_interval: the 800 m"),
         ("sweep.antennas=1", ["run"], "sweep.antennas: 1 is outside [2, 1000000]"),
         ("sweep.antennas=1000000000000", ["run"], "sweep.antennas: 1000000000000 is outside"),
@@ -738,10 +740,10 @@ class TestCli:
          "strategy=ais M=8 Ps=200dBm: non-finite rates"),
         # The flight's length does not overflow: no numpy warning, a finite length.
         ("geometry.flight_end=1e200,0,20", ["run"], "the 1e+200 m flight gives 1.25e+199 samples"),
-        ("array.spacing=0", ["run"], "array.spacing: must be positive"),
+        ("array.spacing=0", ["run"], "array.spacing: 0 is outside (0, 100000]"),
         # A spacing so wide that z keeps too few fractional bits for the phase.
-        ("array.spacing=1e20", ["run"], "array.spacing: 1e+20 is above 100000"),
-        ("array.spacing=1.7976931348623157e308", ["run"], "array.spacing: 1.7976931348623157e+308 is above"),
+        ("array.spacing=1e20", ["run"], "array.spacing: 1e20 is outside (0, 100000]"),
+        ("array.spacing=1.7976931348623157e308", ["run"], "array.spacing: 1.7976931348623157e308 is outside"),
         ("geometry.eve=0,0,0", ["run"], "geometry.eve, geometry.alice: "),
         # A path gain that overflows, and a flight whose length does.
         ("geometry.eve=1e-200,0,0", ["run"], "geometry.eve: at d = 1e-200 m from the array"),
@@ -756,6 +758,13 @@ class TestCli:
         # A bad --set quotes its text and cites no line of the file.
         ("", ["run", "--set", "foo"], "error: --set: expected key=value, got 'foo'\n"),
         ("", ["run", "--set", "bogus.key=1"], "error: unknown config key 'bogus.key'\n"),
+        # An empty output path names a directory: rejected before the sweep runs.
+        ("", ["run", "--set", "output.path="], "error: output.path: empty path\n"),
+        ("", ["run", "--out", ""], "error: output.path: empty path\n"),
+        # A long value is quoted by its first 32 characters and its length.
+        ("", ["run", "--set", "sweep.antennas=" + "7" * 5000],
+         "error: sweep.antennas: expected an integer, got '" + "7" * 31 + "... (5000 chars)\n"),
+        ("", ["run", "--set", "x" * 5000], "error: --set: expected key=value, got '" + "x" * 31 + "... (5000 chars)\n"),
         # Alice on sample point 1, (8, 0, 20): only a sample point can sit at the array.
         ("geometry.alice=8.0,0.0,20.0", ["run"],
          "error: geometry.alice, geometry.flight_start, geometry.flight_end: a sample point of the flight sits"),

@@ -7,7 +7,7 @@ from uavsec import power_allocation
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import ArrayConfig, ConfigError, LinkState, ScenarioGeometry, link_state_at, sample_trajectory
 from uavsec.power_allocation import beta_grid_oracle, optimal_beta
-from uavsec.harness import dbm_to_mw
+from uavsec.harness import ExperimentConfig, dbm_to_mw, parse_config_text
 from uavsec.rates import ProjectedPowers, split_rates
 
 import oracle
@@ -274,8 +274,25 @@ class TestGridOracle:
     def test_step_rule_is_the_config_keys(self):
         # One rule for the step, with the grid.step parser's message.
         link, powers = random_instance(np.random.default_rng(9), 0, 4, 10.0)
-        with pytest.raises(ConfigError, match=r"^grid.step: must lie in \(0, 1e-2\]$"):
+        with pytest.raises(ConfigError, match=r"^grid.step: 0.02 is outside \(0, 0.01\]$"):
             beta_grid_oracle(link, powers, step=0.02)
+
+    def test_step_is_one_over_an_integer(self):
+        # The grid is {0, 1/n, ..., 1} with n = round(1/step): a step that is
+        # not 1/n, such as 0.003 (n = 333, a 0.003003 grid), is rejected.
+        link, powers = random_instance(np.random.default_rng(9), 0, 4, 10.0)
+        for step in (1e-2, 5e-3, 2.5e-3, 1e-3, 1e-4, 0.0033333333333, 5e-324):
+            assert parse_config_text(f"grid.step={step!r}").grid_step == step
+            assert ExperimentConfig(grid_step=step).grid_step == step
+        for step in (1e-2, 5e-3, 2.5e-3, 1e-3):
+            beta, _ = beta_grid_oracle(link, powers, step=step)
+            assert beta in np.linspace(0.0, 1.0, round(1 / step) + 1)
+        for build in (lambda: parse_config_text("grid.step=0.003"), lambda: ExperimentConfig(grid_step=0.003),
+                      lambda: beta_grid_oracle(link, powers, step=0.003)):
+            with pytest.raises(ConfigError, match=r"^grid.step: 0.003 is not 1/n for an integer n$"):
+                build()
+        with pytest.raises(ConfigError, match=r"^grid.step: 0.00333333 is not 1/n for an integer n$"):
+            parse_config_text("grid.step=0.00333333")
 
     def test_symmetric_links_zero_everywhere(self):
         link = symmetric_link()

@@ -5,6 +5,7 @@ strategy name."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,7 @@ from uavsec.harness import (
     run_experiment,
     serialize_config,
 )
+from uavsec.cli import main
 from uavsec.power_allocation import optimal_beta
 
 _STARTUP = """
@@ -130,11 +132,11 @@ def test_holders_compare_field_by_field():
 @pytest.mark.parametrize("build, error, message", [
     (lambda: ArrayConfig(8)._replace(num_antennas=1), ConfigError,
      r"^sweep.antennas: 1 is outside \[2, 1000000\] antennas$"),
-    (lambda: ArrayConfig._make((8, 0.0)), ConfigError, "^array.spacing: must be positive$"),
+    (lambda: ArrayConfig._make((8, 0.0)), ConfigError, r"^array.spacing: 0.0 is outside \(0, 100000\]$"),
     (lambda: ArrayConfig(8, float("nan")), ConfigError, "^array.spacing: expected a finite number, got 'nan'$"),
     # Far above MAX_SPACING the array phase keeps no fractional bits.
-    (lambda: ArrayConfig(8, 1e20), ConfigError, "^array.spacing: 1e\\+20 is above 100000$"),
-    (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigError, "^geometry.speed: must be positive$"),
+    (lambda: ArrayConfig(8, 1e20), ConfigError, r"^array.spacing: 1e\+20 is outside \(0, 100000\]$"),
+    (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigError, r"^geometry.speed: 0.0 is outside \(0, inf\)$"),
     # NaN fails every "positive" field's parser, whichever field holds it.
     (lambda: ScenarioGeometry(speed=float("nan")), ConfigError, "^geometry.speed: expected a finite number, got 'nan'$"),
     (lambda: ScenarioGeometry()._replace(sample_interval=float("nan")), ConfigError,
@@ -156,7 +158,7 @@ def test_holders_compare_field_by_field():
      r"^geometry.eve: \[200.0, 0.0, 0.0\] does not parse back from its text \(it reads as \(200.0, 0.0, 0.0\)\)$"),
     (lambda: ScenarioGeometry._make(((0.0, 0.0), *ScenarioGeometry()[1:])), ConfigError,
      "^geometry.alice: expected 3 comma-separated coordinates$"),
-    (lambda: AisConfig()._replace(max_iterations=0), ConfigError, "^ais.max_iterations: must be at least 1$"),
+    (lambda: AisConfig()._replace(max_iterations=0), ConfigError, r"^ais.max_iterations: 0 is outside \[1, inf\)$"),
     (lambda: AisConfig(max_iterations=2.5), ConfigError, "^ais.max_iterations: expected an integer, got '2.5'$"),
     (lambda: AisConfig()._replace(max_iterations=True), ConfigError,
      "^ais.max_iterations: expected an integer, got 'True'$"),
@@ -200,12 +202,12 @@ def test_holders_compare_field_by_field():
     (lambda: ExperimentConfig(strategies=("ais",)), ConfigError,
      r"strategies: \('ais',\) does not parse back from its text \(it reads as nothing\)"),
     (lambda: ExperimentConfig(power_sweep_dbm=(1e308,)), ConfigError,
-     "sweep.power_dbm: 1e\\+308 dBm is outside \\[-300, 300\\] dBm"),
+     r"^sweep.power_dbm: 1e\+308 is outside \[-300, 300\] dBm$"),
     (lambda: ExperimentConfig(power_sweep_dbm=(10.0, float("nan"))), ConfigError,
      "sweep.power_dbm: expected a finite number, got 'nan'"),
-    (lambda: ExperimentConfig(noise_dbm_bob=1e308), ConfigError, "noise.bob_dbm: 1e\\+308 dBm is outside"),
+    (lambda: ExperimentConfig(noise_dbm_bob=1e308), ConfigError, "noise.bob_dbm: 1e\\+308 is outside"),
     (lambda: ExperimentConfig._make((*ExperimentConfig()[:3], -301.0, *ExperimentConfig()[4:])), ConfigError,
-     "noise.eve_dbm: -301.0 dBm is outside"),
+     "noise.eve_dbm: -301.0 is outside"),
     (lambda: ExperimentConfig(antenna_sweep=(1,)), ConfigError, "sweep.antennas: 1 is outside \\[2, 1000000\\] antennas"),
     (lambda: ExperimentConfig(antenna_sweep=(8, 1_000_001)), ConfigError, "sweep.antennas: 1000001 is outside"),
     # Each value must be the one its text parses back to, whichever way the
@@ -257,7 +259,7 @@ def test_holders_compare_field_by_field():
     (lambda: ScenarioGeometry()._replace(flight_end=(800.0, -math.inf, 20.0)), ConfigError,
      "^geometry.flight_end: expected a finite number, got '-inf'$"),
     (lambda: ScenarioGeometry(alice=(0, 10**400, 0)), ConfigError,
-     "^geometry.alice: expected a finite number, got '10{400}'$"),
+     r"^geometry.alice: expected a finite number, got '10{30}\.\.\. \(401 chars\)$"),
     # An int whose repr Python refuses (more than 4300 digits by default).
     (lambda: ExperimentConfig(ais=AisConfig(max_iterations=10**5000)), ConfigError,
      "^ais.max_iterations: an integer too long to write as text$"),
@@ -266,11 +268,13 @@ def test_holders_compare_field_by_field():
     # The direct API: an int too large for a float or for its text, a str
     # antenna count, and values beyond the parser's ranges.
     (lambda: sample_trajectory(ScenarioGeometry(speed=10**400)), ConfigError,
-     "^geometry.speed: expected a finite number, got '10{400}'$"),
+     r"^geometry.speed: expected a finite number, got '10{30}\.\.\. \(401 chars\)$"),
     (lambda: ScenarioGeometry(eve=[10**5000, 0, 0]), ConfigError, "^geometry.eve: an integer too long to write as text$"),
     (lambda: ArrayConfig("8"), ConfigError, "^sweep.antennas: expected an integer, got \"'8'\"$"),
-    (lambda: ArrayConfig(10**400, 0.5), ConfigError, r"^sweep.antennas: 10{400} is outside \[2, 1000000\] antennas$"),
-    (lambda: ArrayConfig(8, 10**400), ConfigError, "^array.spacing: expected a finite number, got '10{400}'$"),
+    (lambda: ArrayConfig(10**400, 0.5), ConfigError,
+     r"^sweep.antennas: 10{31}\.\.\. \(401 chars\) is outside \[2, 1000000\] antennas$"),
+    (lambda: ArrayConfig(8, 10**400), ConfigError,
+     r"^array.spacing: expected a finite number, got '10{30}\.\.\. \(401 chars\)$"),
     # The parser's types hold in the direct API as in an ExperimentConfig.
     (lambda: ScenarioGeometry(flight_end=(400, 0, 20)), ConfigError,
      r"^geometry.flight_end: \(400, 0, 20\) does not parse back from its text \(it reads as \(400.0, 0.0, 20.0\)\)$"),
@@ -335,8 +339,9 @@ _CONFIG_FIELDS = {
                                   "epsilon": st.sampled_from([1e-6, 1, 1.0, math.inf, _MAX]),
                                   "max_iterations": st.sampled_from([1, 50])}),
     "grid_step": _scalar(1e-3, 1e-2),
-    "output_path": st.one_of(st.sampled_from(["results.csv", "", "out dir/r.json"]),
-                             st.sampled_from([" out.csv", "out.csv\n", "a\nb", "a\x0bb", "a\u2028b", Path("out.csv")])),
+    "output_path": st.one_of(st.sampled_from(["results.csv", "out dir/r.json"]),
+                             st.sampled_from(["", " out.csv", "out.csv\n", "a\nb", "a\x0bb", "a\u2028b",
+                                              Path("out.csv")])),
     "output_format": st.one_of(st.sampled_from(["csv", "json"]), st.sampled_from(["xml", " csv", Path("csv")])),
 }
 
@@ -354,6 +359,107 @@ def test_a_config_built_in_code_parses_back_from_its_text(fields):
         return
     again = parse_config_text(serialize_config(cfg))
     assert again == cfg and repr(again) == repr(cfg)
+
+
+# Every numeric config key's interval as the README's config table states
+# it: (kind, low, high, low end open, high end open). An infinite end admits
+# every finite value. Each key's config line puts the value in its text, and
+# its record is built with the value in the matching field.
+_INF = math.inf
+_INTERVALS = {
+    "geometry.alice": (float, -_INF, _INF, True, True),
+    "geometry.eve": (float, -_INF, _INF, True, True),
+    "geometry.flight_start": (float, -_INF, _INF, True, True),
+    "geometry.flight_end": (float, -_INF, _INF, True, True),
+    "geometry.speed": (float, 0.0, _INF, True, True),
+    "geometry.sample_interval": (float, 0.0, _INF, True, True),
+    "geometry.path_loss_exponent": (float, 0.0, _INF, True, True),
+    "geometry.reference_gain": (float, 0.0, _INF, True, True),
+    "array.spacing": (float, 0.0, 1e5, True, False),
+    "noise.bob_dbm": (float, -300.0, 300.0, False, False),
+    "noise.eve_dbm": (float, -300.0, 300.0, False, False),
+    "sweep.power_dbm": (float, -300.0, 300.0, False, False),
+    "sweep.antennas": (int, 2, 1_000_000, False, False),
+    "strategies": (float, 0.0, 1.0, True, True),
+    "ais.beta_init": (float, 0.0, 1.0, True, True),
+    "ais.epsilon": (float, 0.0, _INF, True, True),
+    "ais.max_iterations": (int, 1, _INF, False, True),
+    "grid.step": (float, 0.0, 1e-2, True, False),
+}
+_LINES = {"geometry.alice": "{},0,0", "geometry.eve": "{},0,0", "geometry.flight_start": "{},0,20",
+          "geometry.flight_end": "{},0,20", "strategies": "fixed:{}"}
+_BUILDS = {
+    "geometry.alice": lambda v: ScenarioGeometry(alice=(v, 0.0, 0.0)),
+    "geometry.eve": lambda v: ScenarioGeometry(eve=(v, 0.0, 0.0)),
+    "geometry.flight_start": lambda v: ScenarioGeometry(flight_start=(v, 0.0, 20.0)),
+    "geometry.flight_end": lambda v: ScenarioGeometry(flight_end=(v, 0.0, 20.0)),
+    "geometry.speed": lambda v: ScenarioGeometry(speed=v),
+    "geometry.sample_interval": lambda v: ScenarioGeometry(sample_interval=v),
+    "geometry.path_loss_exponent": lambda v: ScenarioGeometry(path_loss_exponent=v),
+    "geometry.reference_gain": lambda v: ScenarioGeometry(reference_gain=v),
+    "array.spacing": lambda v: ArrayConfig(8, v),
+    "noise.bob_dbm": lambda v: ExperimentConfig(noise_dbm_bob=v),
+    "noise.eve_dbm": lambda v: ExperimentConfig(noise_dbm_eve=v),
+    "sweep.power_dbm": lambda v: ExperimentConfig(power_sweep_dbm=(v,)),
+    "sweep.antennas": lambda v: ArrayConfig(v),
+    "strategies": lambda v: ExperimentConfig(strategies=(Strategy("fixed", v),)),
+    "ais.beta_init": lambda v: AisConfig(beta_init=v),
+    "ais.epsilon": lambda v: AisConfig(epsilon=v),
+    "ais.max_iterations": lambda v: AisConfig(max_iterations=v),
+    "grid.step": lambda v: ExperimentConfig(grid_step=v),
+}
+
+
+def _edge_values(kind, low, high, open_low, open_high):
+    """(value, inside) at each end of the interval: the end itself, and the
+    values one ulp (or 1, for an int) inside and outside it. An infinite end
+    gives the largest finite value (an int of 4300 digits, the most Python
+    reads), inside, and the infinity, outside."""
+    for end, is_open, sign in ((low, open_low, -1), (high, open_high, 1)):
+        if math.isinf(end):
+            yield sign * (10**4299 if kind is int else sys.float_info.max), True
+            yield end, False
+        elif kind is int:
+            yield from ((end, not is_open), (end - sign, True), (end + sign, False))
+        else:
+            yield from ((end, not is_open), (math.nextafter(end, -sign * _INF), True),
+                        (math.nextafter(end, sign * _INF), False))
+
+
+def _own_error(key, build):
+    """The message of ``key``'s own rule that ``build()`` raises, or None:
+    a rule that spans several keys (the sample count, a path gain) names
+    them all and is not the key's own."""
+    try:
+        build()
+    except ConfigError as exc:
+        return str(exc) if str(exc).startswith(f"{key}: ") else None
+    return None
+
+
+@pytest.mark.parametrize("key", _INTERVALS)
+def test_each_numeric_key_accepts_exactly_its_interval(key):
+    for value, inside in _edge_values(*_INTERVALS[key]):
+        line = f"{key}={_LINES.get(key, '{}').format(repr(value))}"
+        for build in (lambda: parse_config_text(line), lambda: _BUILDS[key](value)):
+            message = _own_error(key, build)
+            assert (message is None) == inside, (value, message)
+
+
+@pytest.mark.parametrize("key", _INTERVALS)
+def test_a_5000_character_value_is_one_short_error_line(key, tmp_path, capsys):
+    outside = [v for v, inside in _edge_values(*_INTERVALS[key]) if not inside and math.isfinite(v)]
+    prefix, suffix = _LINES.get(key, "{}").split("{}")
+    width = 5000 - len(prefix) - len(suffix)
+    # Leading zeros keep a number's value: out of range, or too many digits for an int.
+    padded = [f"{'-' * (v < 0)}{str(abs(v)).zfill(width - (v < 0))}" for v in outside]
+    for value in ["9" * width, "x" * width, *padded]:
+        value = prefix + value + suffix
+        assert len(value) == 5000
+        argv = ["run", "--config", os.devnull, "--set", f"{key}={value}", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {key}: ") and len(err.rstrip("\n")) <= 120, err
 
 
 def _one_block_result(name: str) -> SweepResult:
