@@ -8,11 +8,14 @@ run the same loop and stopping rule. The beamforming step optimizes leakage
 ratios, not the secrecy rate itself, so the iteration is not guaranteed
 monotone; the stopping rule plus an iteration cap handle that.
 
-A batched link runs all its lanes through the loop together. Each lane
-retires on its own stopping test (a per-lane mask) and keeps its own
-iteration count and result, exactly as if it ran alone; the loop ends when
-the last lane stops. It returns each lane's split and the projected powers
-of its final vectors; the harness scores them as it does a fixed split.
+A batched link runs all its lanes through the loop together, as one
+contiguous 1-D array per field (``geometry.lane_link``). Each lane retires on
+its own stopping test and keeps its own iteration count and result, exactly
+as if it ran alone; the loop ends when the last lane stops. Until the first
+lane retires every lane takes each cycle's values, so the per-lane masks run
+only from then on. It returns each lane's split, the projected powers of its
+final vectors, and R_b and R_e there, which the closed-form step hands back
+from scoring its candidates; the harness builds its rows from those rates.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import power_allocation
 from .beamforming import leakage_pair
-from .geometry import _ITERATIONS, _POSITIVE, _SPLIT, LinkState, Validated
+from .geometry import _ITERATIONS, _POSITIVE, _SPLIT, LinkState, Validated, lane_link
 from .rates import ProjectedPowers, split_rates
 
 
@@ -51,15 +54,20 @@ class AisIteration(NamedTuple):
 
 
 class AisTrace(NamedTuple):
+    """The per-cycle records, whether each lane stopped before the cap, its
+    cycle count, and Bob's and Eve's rates at its final split."""
+
     iterations: tuple[AisIteration, ...]
     converged: bool
     iterations_used: int
+    rate_bob: float
+    rate_eve: float
 
 
 def closed_form_step(link: LinkState, powers: ProjectedPowers):
-    """The default PA step: the closed-form Max-SR split."""
-    sol = power_allocation.optimal_beta(link, powers)
-    return sol.beta_star, sol.secrecy_rate_at_beta
+    """The default PA step: the closed-form Max-SR split and f there, with
+    the rates that scoring its candidates gave."""
+    return tuple(power_allocation.closed_form(link, powers)[0])
 
 
 def optimize_point(
@@ -69,36 +77,38 @@ def optimize_point(
     of a batched link.
 
     ``pa_step(link, powers)`` returns the best split for the projected powers
-    of the current vectors and the signed secrecy rate there. Returns the
-    final vectors' projected powers, the final split and the trace, each per
-    lane. A lane stops once its PA step moves f by at most ``cfg.epsilon``.
-    Hitting the iteration cap is a soft failure: the last iterate is
-    returned with ``converged=False`` so a flight sweep can keep going.
+    of the current vectors and the signed secrecy rate there, optionally
+    followed by R_b and R_e there; a step that gives only the two is scored
+    at the final splits once, after the loop. Returns the final vectors'
+    projected powers, the final split and the trace, each per lane. A lane
+    stops once its PA step moves f by at most ``cfg.epsilon``. Hitting the
+    iteration cap is a soft failure: the last iterate is returned with
+    ``converged=False`` so a flight sweep can keep going.
     """
     shape = link.shape
-    beta = np.full(shape, cfg.beta_init)
-    f = np.zeros(shape)
-    powers = ProjectedPowers(f, f, f, f)
-    active = np.ones(shape, dtype=bool)
-    used = np.zeros(shape, dtype=int)
-    records: list[AisIteration] = []
+    lanes = lane_link(link, shape=shape)
+    beta = np.full(lanes.p_s.shape, cfg.beta_init)
+    active = np.ones(beta.shape, dtype=bool)
+    used = np.zeros(beta.shape, dtype=int)
+    retired, records = False, []
     for _ in range(cfg.max_iterations):
-        new_powers = leakage_pair(link, beta)
+        powers = leakage_pair(lanes, beta)
         # Convergence compares f at the incoming and re-optimized splits
         # under the same (current) vectors: once the PA step stops moving
         # the secrecy rate, the lane is done.
-        r_b, r_e = split_rates(link, new_powers, beta)
-        new_beta, new_f = pa_step(link, new_powers)
-        done = abs(new_f - (r_b - r_e)) <= cfg.epsilon
-        powers = ProjectedPowers(*np.where(active, new_powers, powers))
-        beta = np.where(active, new_beta, beta)
-        f = np.where(active, new_f, f)
+        r_b, r_e = split_rates(lanes, powers, beta)
+        step = (*powers, *pa_step(lanes, powers))
+        done = abs(step[5] - (r_b - r_e)) <= cfg.epsilon
+        # A lane that stopped keeps its final values; until one has, every
+        # lane takes the new ones.
+        state = [np.where(active, new, old) for new, old in zip(step, state)] if retired else step
+        beta, f = state[4:6]
         used += active
         active &= ~done
-        records.append(AisIteration(beta=beta[()], f_value=f[()]))
-        if not active.any():
+        records.append(AisIteration(beta=beta.reshape(shape)[()], f_value=f.reshape(shape)[()]))
+        retired = (remaining := np.count_nonzero(active)) < active.size
+        if not remaining:
             break
-    powers = ProjectedPowers(*(p[()] for p in powers))
-    trace = AisTrace(iterations=tuple(records), converged=(~active)[()], iterations_used=used[()])
-    return powers, beta[()], trace
-
+    rates = state[6:] or split_rates(lanes, ProjectedPowers(*state[:4]), beta)
+    out = [v.reshape(shape)[()] for v in (*state[:5], ~active, used, *rates)]
+    return ProjectedPowers(*out[:4]), out[4], AisTrace(tuple(records), *out[5:])

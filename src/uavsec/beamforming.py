@@ -55,7 +55,9 @@ def leakage_pair(link: LinkState, beta) -> ProjectedPowers:
     """
     if not np.all((0.0 <= beta) & (beta <= 1.0)):
         raise ValueError("beta must lie in [0, 1]")
-    m, d = link.num_antennas, link.separation
+    # M as a 0-d float array: the same products as with the int (M < 2^53),
+    # and numpy multiplies an array by it faster than by a Python number.
+    m, d = np.asarray(link.num_antennas, dtype=float), link.separation
     rho2 = m * m - d
     t_b = link.sigma2_b / (link.sigma2_b + beta * link.p_s * m)
     t_e = link.sigma2_e / (link.sigma2_e + (1.0 - beta) * link.p_s * m)

@@ -100,7 +100,11 @@ _ITERATIONS = _number(int, 1, math.inf, open_high=True)
 _ANTENNAS = _number(int, 2, MAX_ANTENNAS, unit=" antennas")
 _SPACING = _number(float, 0.0, MAX_SPACING, open_low=True)
 _DBM = _number(float, -MAX_ABS_DBM, MAX_ABS_DBM, unit=" dBm")
-_GRID_STEP = _number(float, 0.0, 1e-2, open_low=True)  # and 1/n, power_allocation.parse_grid_step
+# The grid oracle scores a row of round(1/step) + 1 splits per lane (a chunk
+# of lanes is one row when the grid is longer than ``CHUNK_ELEMENTS``); at
+# 1e-6 that row is 10^6 + 1 doubles, 8 MB, and the rate arithmetic holds a few
+# such rows at once. The step must also be 1/n: power_allocation.parse_grid_step.
+_GRID_STEP = _number(float, 1e-6, 1e-2)
 
 
 def _parse_list(conv, count: int | None = None):
@@ -406,7 +410,25 @@ class LinkState(Validated, namedtuple("LinkState", "num_antennas separation g_ab
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return np.broadcast_shapes(*map(np.shape, self[1:]))
+        return np.broadcast(*self[1:]).shape
+
+
+def lane_rows(shape, values) -> np.ndarray:
+    """The values broadcast to ``shape``, each as one contiguous row of lanes."""
+    rows = np.empty((len(values), *shape))
+    for i, value in enumerate(values):
+        rows[i, ...] = value
+    return rows.reshape(len(values), -1)
+
+
+def lane_link(link, fields=None, shape=None) -> LinkState:
+    """A ``LinkState`` with ``link``'s antenna count and ``fields`` for the
+    others; by default, ``link``'s own, broadcast to ``shape`` (the link's own
+    by default) as contiguous 1-D lanes. The values are cut from a checked
+    link, so they are not checked again."""
+    if fields is None:
+        fields = lane_rows(link.shape if shape is None else shape, link[1 : len(LinkState._fields)])
+    return tuple.__new__(LinkState, (link.num_antennas, *fields))
 
 
 def link_state_at(

@@ -27,7 +27,8 @@ block where no lane was clamped (R_s = R_b - R_e bit for bit), the clamped
 flight sum max(0, sum(R_b - R_e)) of a row is max(0, sum(R_s)), one sum. The
 writers format each block's columns straight from those arrays; the values
 a sweep repeats are found from the rate identities (a column of one double,
-R_s = R_b where R_e = 0 on every lane), not from a sort. The float texts come
+R_s = R_b where R_e = 0 on every lane) and from equal lanes (an iteration or
+converged column of one value), not from a sort. The float texts come
 from ``uavsec.floattext`` as plain lists: the other lanes of a column are
 formatted together, by one %-format call or, for a long column, mostly from
 digit tables. A block's text is one flat list of pieces, filled by slice
@@ -55,7 +56,6 @@ from .geometry import (
     _SPLIT,
     ArrayConfig,
     ConfigError,
-    LinkState,
     ScenarioGeometry,
     Validated,
     _echo,
@@ -220,7 +220,8 @@ def parse_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentC
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        # The OS text quotes the path again, uncut: only its reason is kept.
+        raise ConfigError(f"cannot read config {_echo(str(path))}: {exc.strerror or exc}") from exc
     return parse_config_text(text, overrides)
 
 
@@ -264,9 +265,8 @@ class SweepResult(namedtuple("SweepResult", "powers_dbm n theta_b blocks")):
         return len(self.blocks) * len(self.powers_dbm) * len(self.n)
 
 
-def _score(link: LinkState, projected, beta):
-    """(R_b, R_e, R_s) at the split ``beta`` with these projected powers."""
-    rate_bob, rate_eve = split_rates(link, projected, beta)
+def _score(rate_bob, rate_eve):
+    """(R_b, R_e, R_s) from the rates at a split."""
     diff = rate_bob - rate_eve
     # R_s = max{0, R_b - R_e}, and 0 where the difference is NaN.
     return rate_bob, rate_eve, np.where(diff > 0.0, diff, 0.0)
@@ -309,15 +309,15 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     # An overflowing config shows as non-finite rates, checked below.
     with np.errstate(all="ignore"):
         # Every fixed split of an M in one call, along a leading axis.
-        stacks = [dict(zip(fixed, zip(*_score(link, leakage_pair(link, betas), betas)))) if fixed else {}
-                  for _, link in links]
+        stacks = [dict(zip(fixed, zip(*_score(*split_rates(link, leakage_pair(link, betas), betas)))))
+                  if fixed else {} for _, link in links]
         for strategy in strategies:
             for (m, link), stack in zip(links, stacks):
                 if strategy.kind == "fixed":
                     block = ResultBlock(strategy.name, m, strategy.fixed_beta, *stack[strategy])
                 else:
-                    projected, beta, trace = optimize_point(link, cfg.ais, pa_steps[strategy.kind])
-                    block = ResultBlock(strategy.name, m, beta, *_score(link, projected, beta),
+                    _, beta, trace = optimize_point(link, cfg.ais, pa_steps[strategy.kind])
+                    block = ResultBlock(strategy.name, m, beta, *_score(trace.rate_bob, trace.rate_eve),
                                         trace.iterations_used, trace.converged)
                 _check_finite(block, powers)
                 blocks.append(block)
@@ -368,6 +368,12 @@ _JSON_LAYOUT = (",\n", ["  {\n" + f'    "{_FIELDS[0]}": '] + [f',\n    "{key}": 
                 "\n  }")
 
 
+def _one_text(lanes: np.ndarray, text):
+    """The texts of an int or bool column: one str when every lane holds
+    one value (every lane of the default sweep stops after two cycles)."""
+    return text(lanes.item(0)) if (lanes == lanes[0]).all() else list(map(text, lanes.tolist()))
+
+
 def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
     """The text of each block's rows, straight from the columns. Every row
     starts with the row separator, except the file's first row.
@@ -399,8 +405,8 @@ def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
         if block.iterations is None:
             counts = flags = null
         else:
-            counts = list(map(str, block.iterations.ravel().tolist()))
-            flags = [("false", "true")[c] for c in block.converged.ravel().tolist()]
+            counts, flags = (_one_text(column.ravel(), text) for column, text in
+                             ((block.iterations, str), (block.converged, ("false", "true").__getitem__)))
         row = [row_sep + separators[0] + name + separators[1] + str(block.m) + separators[2], prefix,
                *chain.from_iterable(zip(separators[5:], (*columns, counts, flags))), end]
         pieces = [piece for is_text, run in groupby(row, lambda p: isinstance(p, str))
@@ -434,4 +440,4 @@ def write_results(result: SweepResult, fmt: str, path: str | Path):
             fh.writelines(_format_blocks(result, is_json))
             fh.write(tail)
     except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+        raise OSError(f"cannot write results to {_echo(str(path))}: {exc.strerror or exc}") from exc

@@ -33,12 +33,11 @@ that order.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _GRID_STEP, ConfigError, LinkState, _echo
+from .geometry import _GRID_STEP, ConfigError, LinkState, _echo, lane_link, lane_rows
 from . import rates
 from .rates import ProjectedPowers
 
@@ -48,8 +47,9 @@ _TIE_BITS = math.log2(1.0 + 1e-12)
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
-# The link fields ``rates.split_rates`` reads, all a chunk of lanes carries.
-_RATE_FIELDS = ("g_ab", "g_ae", "sigma2_b", "sigma2_e", "p_s")
+# The width, relative to h^2 + |qc|, within which a negative discriminant is
+# rounding: four ulps.
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 # Elements per (lanes x grid) array of the grid search: it takes its lanes in
 # chunks of this size, or one lane at a time when a grid is longer. 2^14
@@ -58,6 +58,7 @@ CHUNK_ELEMENTS = 1 << 14
 
 _LABELS = ("root1", "root2", "degenerate_root", "endpoint_1", "constant_function")
 _ROOT1, _ROOT2, _DEGENERATE, _ENDPOINT, _CONSTANT = range(len(_LABELS))
+_LABEL_NAMES = np.array(_LABELS)
 
 
 class PaSolution(NamedTuple):
@@ -72,9 +73,11 @@ class PaSolution(NamedTuple):
 def _factors(gain, p_s, u, w, sigma2):
     """(a, r_num, r_den) with 1 + SINR(beta) = (1 + r_num b) / (1 + r_den b)."""
     k = gain * p_s
-    den0 = k * w + sigma2
+    kw = k * w
+    den0 = kw + sigma2
     a = k * u / den0
-    r_den = -k * w / den0
+    # -(kw / den0) is (-k w) / den0 bit for bit: negation is exact.
+    r_den = -(kw / den0)
     return a, a + r_den, r_den
 
 
@@ -94,28 +97,72 @@ def _stationary_candidates(link: LinkState, powers: ProjectedPowers):
     h = np.asarray(0.5 * (a_b * (r3 + r4) - a_e * (r1 + r2)))
     c = np.asarray(a_b - a_e)
     constant = (h == 0.0) & (c == 0.0)
-    linear = ~constant & (q == 0.0) & (h != 0.0)
-    disc = h * h - q * c
+    linear = (q == 0.0) & (h != 0.0)
+    hh, qc = h * h, q * c
+    disc = hh - qc
     # A discriminant that is negative only by rounding (h^2 and qc agree to
     # a few ulps) is a double root, -h/q; dropping it can lose an optimum
-    # next to beta = 1.
-    rounding = 4.0 * np.finfo(float).eps * (h * h + abs(q * c))
-    disc = np.where((disc < 0.0) & (disc >= -rounding), 0.0, disc)
-    quadratic = ~constant & (q != 0.0) & (disc >= 0.0)
+    # next to beta = 1. The root below reads it as 0.
+    rounding = _ROUNDING * (hh + abs(qc))
+    quadratic = ~constant & (q != 0.0) & (disc >= -rounding)
+    hpos = h >= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # Form the larger-magnitude root from -h and -sign(h) sqrt(disc),
         # which add without cancelling, and the other from the product of
         # roots c/q.
         root = np.sqrt(np.maximum(disc, 0.0))
-        t = np.where(h >= 0.0, -(h + root), root - h)
+        t = np.where(hpos, -(h + root), root - h)
         far, near = t / q, c / t
-        root1 = np.where(h >= 0.0, near, far)
-        root2 = np.where(h >= 0.0, far, near)
+        root1 = np.where(hpos, near, far)
+        root2 = np.where(hpos, far, near)
         degenerate = -c / (2.0 * h)
     return constant, [
         (np.where(linear, degenerate, root1), np.where(linear, _DEGENERATE, _ROOT1), linear | quadratic),
         (root2, _ROOT2, quadratic),
     ]
+
+
+def _beats(new, old):
+    """Per lane, whether candidate row ``new`` (split, f, ...) beats ``old``:
+    a larger f, or an f within the tie width at a larger split."""
+    tie = abs(new[1] - old[1]) <= _TIE_BITS
+    return np.where(tie, new[0] > old[0], new[1] > old[1])
+
+
+def closed_form(link: LinkState, powers: ProjectedPowers):
+    """The closed-form Max-SR split per lane, as the rows (split, f, R_b,
+    R_e) of one array, and a function that names each lane's winning
+    candidate (``optimal_beta`` calls it; the alternating loop does not).
+    """
+    constant, stationary = _stationary_candidates(link, powers)
+    # Rows of (split, f, R_b, R_e) for root1 (or the degenerate root), root2
+    # and the endpoint 1. A root that rounded to 1.0 may be an interior
+    # optimum within one ulp of the endpoint, where (1-beta) Ps w still dwarfs
+    # the noise floor: it is scored one ulp below 1, and the tie rule still
+    # lets the endpoint win. An invalid root keeps the split 1. With no
+    # interior stationary point (including a negative discriminant, where phi
+    # is monotone) the endpoint is the sole survivor.
+    betas = np.ones((3, *constant.shape))
+    valid = [exists & (0.0 < beta) & (beta <= 1.0) for beta, _, exists in stationary]
+    for i, (beta, _, _) in enumerate(stationary):
+        # [i, ...] keeps a 0-d row a view that out= can write.
+        np.minimum(beta, _BELOW_ONE, out=betas[i, ...], where=valid[i])
+    # All candidates are scored in one call, along a leading axis.
+    r_b, r_e = rates.split_rates(link, powers, betas)
+    rows = np.stack((betas, r_b - r_e, r_b, r_e), axis=1)
+    # The fold in two steps. root2 replaces root1 where root1 is invalid, or
+    # where root2 is better, or tied at a larger beta (more confidential
+    # power); the endpoint then replaces that winner on the same rule, or
+    # where neither root is valid.
+    take_root2 = valid[1] & (~valid[0] | _beats(rows[1], rows[0]))
+    best = np.where(take_root2, rows[1], rows[0])
+    take_endpoint = ~(valid[0] | valid[1]) | _beats(rows[2], best)
+
+    def winner():
+        label = np.where(take_endpoint, _ENDPOINT, np.where(take_root2, _ROOT2, stationary[0][1]))
+        return _LABEL_NAMES[np.where(constant, _CONSTANT, label)]
+
+    return np.where(take_endpoint, rows[2], best), winner
 
 
 def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
@@ -128,31 +175,8 @@ def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
     matching what beta=0 would have given. Where phi is identically 1 any
     beta is optimal, 1 by convention.
     """
-    constant, stationary = _stationary_candidates(link, powers)
-    # A root that rounded to 1.0 may be an interior optimum within one ulp of
-    # the endpoint, where (1-beta) Ps w still dwarfs the noise floor: it is
-    # scored one ulp below 1, and the tie rule still lets the endpoint win.
-    # With no interior stationary point (including a negative discriminant,
-    # where phi is monotone) the endpoint is the sole survivor.
-    candidates = [
-        (np.minimum(beta, _BELOW_ONE), label, exists & (0.0 < beta) & (beta <= 1.0))
-        for beta, label, exists in stationary
-    ] + [(np.ones(constant.shape), _ENDPOINT, True)]
-    # All candidates are scored in one call, along a leading axis.
-    values = _signed_rate(link, powers, np.stack([np.where(v, b, 1.0) for b, _, v in candidates]))
-    # Fold the candidates in order: the first valid one is the best so far,
-    # and a later one replaces it when better, or when tied (preferring the
-    # larger beta, more confidential power).
-    have, best_beta, best_f, best_label = np.False_, np.nan, np.nan, _ENDPOINT
-    for (beta, label, valid), value in zip(candidates, values):
-        tie = abs(value - best_f) <= _TIE_BITS
-        take = valid & (~have | np.where(tie, beta > best_beta, value > best_f))
-        best_beta = np.where(take, beta, best_beta)
-        best_f = np.where(take, value, best_f)
-        best_label = np.where(take, label, best_label)
-        have = have | valid
-    best_label = np.where(constant, _CONSTANT, best_label)
-    return PaSolution(best_beta[()], best_f[()], np.asarray(_LABELS)[best_label])
+    (beta, f, _, _), winner = closed_form(link, powers)
+    return PaSolution(beta[()], f[()], winner())
 
 
 def _signed_rate(link: LinkState, powers: ProjectedPowers, beta):
@@ -161,16 +185,15 @@ def _signed_rate(link: LinkState, powers: ProjectedPowers, beta):
 
 
 def parse_grid_step(key: str, raw: str) -> float:
-    """The ``grid.step`` parser: a step in (0, 1e-2] that is 1/n for an
+    """The ``grid.step`` parser: a step in [1e-6, 1e-2] that is 1/n for an
     integer n, the grid's interval count, to within |n step - 1| <= 1e-9.
 
     1/n itself rounds by far less (n step is within 2^-52 of 1), and a 1/n
     written to 10 or more digits, such as 0.0033333333333, passes; 0.003
-    does not (333 steps of it end at 0.999). Every step up to 2e-9 is within
-    step/2 of some 1/n, so it needs no check (its 1/step may overflow).
+    does not (333 steps of it end at 0.999).
     """
     step = _GRID_STEP(key, raw)
-    if step > 2e-9 and abs(round(1.0 / step) * step - 1.0) > 1e-9:
+    if abs(round(1.0 / step) * step - 1.0) > 1e-9:
         raise ConfigError(f"{key}: {_echo(raw)} is not 1/n for an integer n")
     return step
 
@@ -189,16 +212,15 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-
     """
     n = round(1.0 / parse_grid_step("grid.step", str(step)))
     grid = np.linspace(0.0, 1.0, n + 1)
-    shape = np.broadcast_shapes(link.shape, *(np.shape(p) for p in powers))
+    shape = np.broadcast_shapes(link.shape, *map(np.shape, powers))
     # One row per lane, with the grid along the contiguous last axis.
-    lanes = [np.broadcast_to(v, shape).reshape(-1, 1)
-             for v in (*(getattr(link, name) for name in _RATE_FIELDS), *powers)]
-    best = np.empty(math.prod(shape), dtype=int)
+    lanes = lane_link(link, shape=shape)
+    columns = [v[:, None] for v in (*lanes[1:], *lane_rows(shape, powers))]
+    best = np.empty(lanes.p_s.size, dtype=int)
     rows = max(1, CHUNK_ELEMENTS // grid.size)
     for lo in range(0, best.size, rows):
-        part = [v[lo : lo + rows] for v in lanes]
-        chunk = SimpleNamespace(**dict(zip(_RATE_FIELDS, part)))
-        r_b, r_e = rates.split_rates(chunk, ProjectedPowers(*part[5:]), grid)
+        part = [v[lo : lo + rows] for v in columns]
+        r_b, r_e = rates.split_rates(lane_link(link, part[:6]), ProjectedPowers(*part[6:]), grid)
         best[lo : lo + rows] = (r_b - r_e).argmax(axis=1)
     # A maximum at beta=0 means no split gives positive secrecy.
     best[best == 0] = n

@@ -8,7 +8,7 @@ from uavsec.power_allocation import optimal_beta
 from uavsec.rates import split_rates
 
 import oracle
-from helpers import eve_silent_link, flight_links, random_link, symmetric_link
+from helpers import eve_silent_link, flight_links, random_link, stack_links, symmetric_link
 from oracle import f_value, rational_coefficients, stationary_points
 
 
@@ -128,3 +128,17 @@ class TestBaseline:
         cfg = AisConfig(beta_init=0.4, epsilon=1e-300, max_iterations=1)
         powers_ais, _, _ = optimize_point(link, cfg)
         assert leakage_pair(link, 0.4) == powers_ais
+
+
+def test_a_scalar_link_is_one_lane():
+    # The loop runs on flat 1-D lanes: a scalar link runs as one lane and
+    # comes back as scalars, equal to that lane of a batch.
+    link = random_link(np.random.default_rng(21), 8, 20.0)
+    powers, beta, trace = optimize_point(link)
+    powers_1, beta_1, trace_1 = optimize_point(stack_links([link]))
+    alone = (beta, *powers, trace.rate_bob, trace.rate_eve, trace.iterations_used, trace.converged,
+             *trace.iterations[-1])
+    assert all(np.ndim(value) == 0 for value in alone)
+    assert alone == (beta_1[0], *(p[0] for p in powers_1), trace_1.rate_bob[0], trace_1.rate_eve[0],
+                     trace_1.iterations_used[0], trace_1.converged[0], *(v[0] for v in trace_1.iterations[-1]))
+    assert (trace.rate_bob, trace.rate_eve) == split_rates(link, powers, beta)

@@ -274,14 +274,14 @@ class TestGridOracle:
     def test_step_rule_is_the_config_keys(self):
         # One rule for the step, with the grid.step parser's message.
         link, powers = random_instance(np.random.default_rng(9), 0, 4, 10.0)
-        with pytest.raises(ConfigError, match=r"^grid.step: 0.02 is outside \(0, 0.01\]$"):
+        with pytest.raises(ConfigError, match=r"^grid.step: 0.02 is outside \[1e-06, 0.01\]$"):
             beta_grid_oracle(link, powers, step=0.02)
 
     def test_step_is_one_over_an_integer(self):
         # The grid is {0, 1/n, ..., 1} with n = round(1/step): a step that is
         # not 1/n, such as 0.003 (n = 333, a 0.003003 grid), is rejected.
         link, powers = random_instance(np.random.default_rng(9), 0, 4, 10.0)
-        for step in (1e-2, 5e-3, 2.5e-3, 1e-3, 1e-4, 0.0033333333333, 5e-324):
+        for step in (1e-2, 5e-3, 2.5e-3, 1e-3, 1e-4, 0.0033333333333, 1e-6):
             assert parse_config_text(f"grid.step={step!r}").grid_step == step
             assert ExperimentConfig(grid_step=step).grid_step == step
         for step in (1e-2, 5e-3, 2.5e-3, 1e-3):

@@ -8,17 +8,20 @@ stays reproducible.
 """
 
 import math
-from functools import partial
+from functools import lru_cache, partial
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavsec.geometry import ArrayConfig, LinkState, array_separation
+from uavsec.geometry import ArrayConfig, LinkState, ScenarioGeometry, array_separation
+from uavsec.harness import dbm_to_mw
 from uavsec.ais import AisConfig, closed_form_step, optimize_point
 from uavsec.power_allocation import beta_grid_oracle, optimal_beta
 from uavsec.rates import split_rates
 
-from helpers import stack_links
+from helpers import flight_links, random_instance, stack_links
 
 CFG = AisConfig()
 GRID_STEP = 1e-3
@@ -169,3 +172,41 @@ def test_a_lane_in_a_batch_equals_the_lane_alone(lanes, cfg, step):
         powers_i, beta_i, trace_i = optimize_point(link, cfg, PA_STEPS[step])
         assert (beta[i], r_b[i], r_e[i]) == (beta_i, *split_rates(link, powers_i, beta_i))
         assert (trace.iterations_used[i], trace.converged[i]) == (trace_i.iterations_used, trace_i.converged)
+
+
+@lru_cache(maxsize=None)
+def _low_snr_flight(m, ps_dbm):
+    """The default flight's lanes at -60 dBm noise, where the loop can
+    alternate near beta = 1 until the cap."""
+    noise = dbm_to_mw(-60.0)
+    return tuple(flight_links(ScenarioGeometry(), ArrayConfig(m), noise, noise, dbm_to_mw(ps_dbm)))
+
+
+def low_snr_links(m):
+    return st.builds(lambda ps_dbm, n: _low_snr_flight(m, ps_dbm)[n], st.sampled_from((0.0, 10.0)),
+                     st.integers(0, 99))
+
+
+def instance_links(m):
+    """The links of ``helpers.random_instance``, from a drawn seed."""
+    return st.integers(0, 2**32 - 1).map(lambda seed: random_instance(np.random.default_rng(seed), 0, m, 20.0)[0])
+
+
+@st.composite
+def rate_batches(draw):
+    """Two to six random-instance, contested and low-SNR links on one array."""
+    m = draw(st.sampled_from((2, 4, 8)))
+    lanes = st.one_of(instance_links(m), contested_links(m), low_snr_links(m))
+    return draw(st.lists(lanes, min_size=2, max_size=6))
+
+
+@property_settings
+@given(lanes=rate_batches(), cfg=st.sampled_from(LANE_CONFIGS), step=st.sampled_from(sorted(PA_STEPS)))
+def test_loop_rates_are_the_rates_at_its_split(lanes, cfg, step):
+    # The loop hands back the rates its PA step scored at the split it chose,
+    # with no second scoring: they are split_rates there, bit for bit.
+    batch = stack_links(lanes)
+    powers, beta, trace = optimize_point(batch, cfg, PA_STEPS[step])
+    r_b, r_e = split_rates(batch, powers, beta)
+    assert trace.rate_bob.tobytes() == r_b.tobytes()
+    assert trace.rate_eve.tobytes() == r_e.tobytes()

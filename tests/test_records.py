@@ -384,7 +384,7 @@ _INTERVALS = {
     "ais.beta_init": (float, 0.0, 1.0, True, True),
     "ais.epsilon": (float, 0.0, _INF, True, True),
     "ais.max_iterations": (int, 1, _INF, False, True),
-    "grid.step": (float, 0.0, 1e-2, True, False),
+    "grid.step": (float, 1e-6, 1e-2, False, False),
 }
 _LINES = {"geometry.alice": "{},0,0", "geometry.eve": "{},0,0", "geometry.flight_start": "{},0,20",
           "geometry.flight_end": "{},0,20", "strategies": "fixed:{}"}
