@@ -26,8 +26,9 @@ scored at the largest float below 1. Both searches run elementwise over the
 lanes of a batched link: every candidate is scored on every lane, and
 ``np.where`` keeps the winner of each. The closed form scores its three
 candidates (root1 or the degenerate root, root2, and the endpoint 1) in one
-``split_rates`` call, stacked along a leading axis, then folds the rows in
-that order.
+``split_rates`` call, stacked along a leading axis, then folds them in two
+steps, root2 against root1 and the endpoint against that winner, keeping
+the winner's split, f, R_b and R_e together.
 """
 
 from __future__ import annotations

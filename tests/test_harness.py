@@ -102,7 +102,7 @@ def configs(draw):
                                           unique=True))),
         strategies=tuple(draw(st.lists(strategy, min_size=1, max_size=4, unique=True))),
         ais=AisConfig(draw(_SPLIT), draw(_POSITIVE), draw(st.integers(min_value=1))),
-        # 1/n for an integer n; every step up to 2e-9 is within step/2 of one.
+        # 1/n for an integer n, inside the key's interval [1e-6, 1e-2].
         grid_step=draw(st.integers(100, 10**6).map(lambda n: 1.0 / n)),
         output_path=draw(path),
         output_format=draw(st.sampled_from(("csv", "json"))),

@@ -69,6 +69,8 @@ CONFIGS = {
     "error-unknown-key": ("bogus.key=1\n", []),
     "error-no-equals": ("just words\n", []),
     "error-empty-output-path": ("", ["--set", "output.path="]),
+    "error-grid-step-tiny": ("strategies=grid_oracle\ngrid.step=5e-324\n", []),
+    "error-long-output-path": ("", ["--out", "o" * 300 + ".csv"]),
 }
 
 

@@ -17,7 +17,7 @@ records of each side.
 Usage::
 
     python tools/pairs.py --against DIR                       # flight_default, 10 pairs
-    python tools/pairs.py --against DIR --workload array_power_sweep --pairs 5 --seconds 5
+    python tools/pairs.py --against DIR --workload array_power_sweep --pairs 5 --seconds 5 --seed 3
 
 The exit code is 0 whenever every run wrote a result line: the numbers are
 a report, not a gate.
@@ -76,6 +76,7 @@ def main(argv=None) -> int:
                         "default flight_default)")
     parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload (default 10)")
     parser.add_argument("--seconds", type=int, help="passed to benchmarks/run.py (default: its own)")
+    parser.add_argument("--seed", type=int, help="passed to benchmarks/run.py (default: its own)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -85,7 +86,8 @@ def main(argv=None) -> int:
             parser.error(f"no benchmarks/run.py under {tree}")
         for part in ("src", "benchmarks"):
             compileall.compile_dir(tree / part, quiet=1)
-    extra = [] if args.seconds is None else ["--seconds", str(args.seconds)]
+    extra = [f"--{name}={value}" for name, value in (("seconds", args.seconds), ("seed", args.seed))
+             if value is not None]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
     for workload in args.workload or ["flight_default"]:
