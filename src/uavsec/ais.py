@@ -86,7 +86,7 @@ def optimize_point(
     ``converged=False`` so a flight sweep can keep going.
     """
     shape = link.shape
-    lanes = lane_link(link, shape=shape)
+    lanes = lane_link(link)
     beta = np.full(lanes.p_s.shape, cfg.beta_init)
     active = np.ones(beta.shape, dtype=bool)
     used = np.zeros(beta.shape, dtype=int)

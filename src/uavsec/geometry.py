@@ -413,21 +413,17 @@ class LinkState(Validated, namedtuple("LinkState", "num_antennas separation g_ab
         return np.broadcast(*self[1:]).shape
 
 
-def lane_rows(shape, values) -> np.ndarray:
-    """The values broadcast to ``shape``, each as one contiguous row of lanes."""
-    rows = np.empty((len(values), *shape))
-    for i, value in enumerate(values):
-        rows[i, ...] = value
-    return rows.reshape(len(values), -1)
-
-
-def lane_link(link, fields=None, shape=None) -> LinkState:
+def lane_link(link, fields=None) -> LinkState:
     """A ``LinkState`` with ``link``'s antenna count and ``fields`` for the
-    others; by default, ``link``'s own, broadcast to ``shape`` (the link's own
-    by default) as contiguous 1-D lanes. The values are cut from a checked
-    link, so they are not checked again."""
+    others; by default, ``link``'s own, each broadcast to its lane shape and
+    copied into one contiguous 1-D array of lanes. The values are cut from a
+    checked link, so they are not checked again."""
     if fields is None:
-        fields = lane_rows(link.shape if shape is None else shape, link[1 : len(LinkState._fields)])
+        values = link[1 : len(LinkState._fields)]
+        fields = np.empty((len(values), *link.shape))
+        for i, value in enumerate(values):
+            fields[i, ...] = value
+        fields = fields.reshape(len(values), -1)
     return tuple.__new__(LinkState, (link.num_antennas, *fields))
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _GRID_STEP, ConfigError, LinkState, _echo, lane_link, lane_rows
+from .geometry import _GRID_STEP, ConfigError, LinkState, _echo, lane_link
 from . import rates
 from .rates import ProjectedPowers
 
@@ -215,9 +215,8 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-
     grid = np.linspace(0.0, 1.0, n + 1)
     shape = np.broadcast_shapes(link.shape, *map(np.shape, powers))
     # One row per lane, with the grid along the contiguous last axis.
-    lanes = lane_link(link, shape=shape)
-    columns = [v[:, None] for v in (*lanes[1:], *lane_rows(shape, powers))]
-    best = np.empty(lanes.p_s.size, dtype=int)
+    columns = [np.broadcast_to(v, shape).reshape(-1, 1) for v in (*link[1 : len(LinkState._fields)], *powers)]
+    best = np.empty(math.prod(shape), dtype=int)
     rows = max(1, CHUNK_ELEMENTS // grid.size)
     for lo in range(0, best.size, rows):
         part = [v[lo : lo + rows] for v in columns]
