@@ -213,13 +213,13 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-
     """
     n = round(1.0 / parse_grid_step("grid.step", str(step)))
     grid = np.linspace(0.0, 1.0, n + 1)
-    shape = np.broadcast_shapes(link.shape, *map(np.shape, powers))
+    shape = np.broadcast_shapes(link.shape, *(np.shape(p) for p in powers))
     # One row per lane, with the grid along the contiguous last axis.
-    columns = [np.broadcast_to(v, shape).reshape(-1, 1) for v in (*link[1 : len(LinkState._fields)], *powers)]
+    lanes = [np.broadcast_to(v, shape).reshape(-1, 1) for v in (*link[1 : len(LinkState._fields)], *powers)]
     best = np.empty(math.prod(shape), dtype=int)
     rows = max(1, CHUNK_ELEMENTS // grid.size)
     for lo in range(0, best.size, rows):
-        part = [v[lo : lo + rows] for v in columns]
+        part = [v[lo : lo + rows] for v in lanes]
         r_b, r_e = rates.split_rates(lane_link(link, part[:6]), ProjectedPowers(*part[6:]), grid)
         best[lo : lo + rows] = (r_b - r_e).argmax(axis=1)
     # A maximum at beta=0 means no split gives positive secrecy.
