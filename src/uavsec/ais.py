@@ -13,9 +13,10 @@ contiguous 1-D array per field (``geometry.lane_link``). Each lane retires on
 its own stopping test and keeps its own iteration count and result, exactly
 as if it ran alone; the loop ends when the last lane stops. Until the first
 lane retires every lane takes each cycle's values, so the per-lane masks run
-only from then on. It returns each lane's split, the projected powers of its
-final vectors, and R_b and R_e there, which the closed-form step hands back
-from scoring its candidates; the harness builds its rows from those rates.
+only from then on. Every PA step returns the rows (split, f, R_b, R_e) per
+lane, so the loop scores no split after it ends: it returns each lane's
+split, the projected powers of its final vectors, and the R_b and R_e that
+its last PA step handed back, from which the harness builds its rows.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import power_allocation
 from .beamforming import leakage_pair
 from .geometry import _ITERATIONS, _POSITIVE, _SPLIT, LinkState, Validated, lane_link
+from .power_allocation import closed_form
 from .rates import ProjectedPowers, split_rates
 
 
@@ -64,23 +65,17 @@ class AisTrace(NamedTuple):
     rate_eve: float
 
 
-def closed_form_step(link: LinkState, powers: ProjectedPowers):
-    """The default PA step: the closed-form Max-SR split and f there, with
-    the rates that scoring its candidates gave."""
-    return tuple(power_allocation.closed_form(link, powers)[0])
-
-
 def optimize_point(
-    link: LinkState, cfg: AisConfig = AisConfig(), pa_step=closed_form_step
+    link: LinkState, cfg: AisConfig = AisConfig(), pa_step=closed_form
 ) -> tuple[ProjectedPowers, float, AisTrace]:
     """Run the alternating iteration at one sampling point, or at every lane
     of a batched link.
 
-    ``pa_step(link, powers)`` returns the best split for the projected powers
-    of the current vectors and the signed secrecy rate there, optionally
-    followed by R_b and R_e there; a step that gives only the two is scored
-    at the final splits once, after the loop. Returns the final vectors'
-    projected powers, the final split and the trace, each per lane. A lane
+    ``pa_step(lanes, powers)`` returns the rows (split, f, R_b, R_e): the
+    best split for the projected powers of the current vectors, and the
+    signed secrecy rate and Bob's and Eve's rates there. Returns the final
+    vectors' projected powers, the final split and the trace, whose rates
+    are those the last step handed back, each per lane. A lane
     stops once its PA step moves f by at most ``cfg.epsilon``. Hitting the
     iteration cap is a soft failure: the last iterate is returned with
     ``converged=False`` so a flight sweep can keep going.
@@ -109,6 +104,5 @@ def optimize_point(
         retired = (remaining := np.count_nonzero(active)) < active.size
         if not remaining:
             break
-    rates = state[6:] or split_rates(lanes, ProjectedPowers(*state[:4]), beta)
-    out = [v.reshape(shape)[()] for v in (*state[:5], ~active, used, *rates)]
+    out = [v.reshape(shape)[()] for v in (*state[:5], ~active, used, *state[6:])]
     return ProjectedPowers(*out[:4]), out[4], AisTrace(tuple(records), *out[5:])

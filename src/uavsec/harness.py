@@ -19,20 +19,20 @@ antenna count M, with P x N lanes over the P transmit powers and N sample
 points. The fixed splits of an M are scored together: one ``leakage_pair``
 and one ``split_rates`` call over a leading axis of splits, shaped
 (F, 1, 1), with each fixed block a view of that stack. An iterating
-strategy picks the split of all lanes of an M in one call and returns it
-with the projected powers of its leakage vectors; the rates there are one
-``split_rates`` call and one clamp. The results stay in those lane arrays,
-one block per (strategy, M), which ``summarize`` reads row by row: in a
-block where no lane was clamped (R_s = R_b - R_e bit for bit), the clamped
-flight sum max(0, sum(R_b - R_e)) of a row is max(0, sum(R_s)), one sum. The
-writers format each block's columns straight from those arrays; the values
-a sweep repeats are found from the rate identities (a column of one double,
-R_s = R_b where R_e = 0 on every lane) and from equal lanes (an iteration or
-converged column of one value), not from a sort. The float texts come
-from ``uavsec.floattext`` as plain lists: the other lanes of a column are
-formatted together, by one %-format call or, for a long column, mostly from
-digit tables. A block's text is one flat list of pieces, filled by slice
-assignment, and one join.
+strategy picks the split of all lanes of an M in one ``optimize_point``
+call, whose trace holds R_b and R_e there as its last PA step handed them
+back; the block's rates are those and one clamp. The results stay in those
+lane arrays, one block per (strategy, M), which ``summarize`` reads row by
+row: in a block where no lane was clamped (R_s = R_b - R_e bit for bit), the
+clamped flight sum max(0, sum(R_b - R_e)) of a row is max(0, sum(R_s)), one
+sum. The writers format each block's columns straight from those arrays; the
+values a sweep repeats are found from the rate identities (a column of one
+double, R_s = R_b where R_e = 0 on every lane) and from equal lanes (an
+iteration or converged column of one value), not from a sort. The float
+texts come from ``uavsec.floattext`` as plain lists: the other lanes of a
+column are formatted together, by one %-format call or, for a long column,
+mostly from digit tables. A block's text is one flat list of pieces, filled
+by slice assignment, and one join.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .ais import AisConfig, closed_form_step, optimize_point
+from .ais import AisConfig, optimize_point
 from .beamforming import leakage_pair
 from .geometry import (
     _ANTENNAS,
@@ -64,7 +64,7 @@ from .geometry import (
     link_state_at,
     sample_trajectory,
 )
-from .power_allocation import beta_grid_oracle, parse_grid_step
+from .power_allocation import beta_grid_oracle, closed_form, parse_grid_step
 from .rates import secrecy_sum_rate, split_rates
 
 CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
@@ -124,7 +124,7 @@ def _parse_format(key: str, raw: str) -> str:
 
 _EXPERIMENT_DEFAULTS = {
     "geometry": ScenarioGeometry(),
-    "array_spacing": 0.5,
+    "array_spacing": ArrayConfig._field_defaults["spacing"],
     # Noise floor consistent with ~1 MHz bandwidth and a small noise figure;
     # low enough that the whole flight stays in the high-SNR regime where the
     # antenna-sweep trends are visible.
@@ -183,12 +183,6 @@ _KEYS = {
 }
 
 
-def _key_values(cfg: ExperimentConfig):
-    """(key, value, parse, format) for every config key, in ``_KEYS`` order."""
-    for key, (section, field, parse, fmt) in _KEYS.items():
-        yield key, getattr(cfg if section is None else getattr(cfg, section), field), parse, fmt
-
-
 def parse_config_text(text: str, overrides: Iterable[str] = ()) -> ExperimentConfig:
     """Build a validated config from flat key=value text, then the
     ``overrides``, each one more line after the text's.
@@ -228,7 +222,8 @@ def parse_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentC
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit every key in the flat format parse_config_text accepts; the text
     parses back to an equal config, as ExperimentConfig checks key by key."""
-    return "".join(f"{key}={fmt(value)}\n" for key, value, _, fmt in _key_values(cfg))
+    return "".join(f"{key}={fmt(getattr(cfg if section is None else getattr(cfg, section), field))}\n"
+                   for key, (section, field, _, fmt) in _KEYS.items())
 
 
 class ResultBlock(NamedTuple):
@@ -304,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     strategies = sorted(cfg.strategies, key=attrgetter("name"))
     fixed = [s for s in strategies if s.kind == "fixed"]
     betas = np.array([s.fixed_beta for s in fixed])[:, None, None]
-    pa_steps = {"ais": closed_form_step, "grid_oracle": partial(beta_grid_oracle, step=cfg.grid_step)}
+    pa_steps = {"ais": closed_form, "grid_oracle": partial(beta_grid_oracle, step=cfg.grid_step)}
     blocks = []
     # An overflowing config shows as non-finite rates, checked below.
     with np.errstate(all="ignore"):

@@ -29,6 +29,12 @@ candidates (root1 or the degenerate root, root2, and the endpoint 1) in one
 ``split_rates`` call, stacked along a leading axis, then folds them in two
 steps, root2 against root1 and the endpoint against that winner, keeping
 the winner's split, f, R_b and R_e together.
+
+Both searches are power-allocation steps of the alternating loop: each
+returns the rows (split, f, R_b, R_e) per lane, the rates being those it
+scored the chosen split with. ``closed_form`` is the step itself and names
+no winner; ``optimal_beta`` runs the same fold and names each lane's winning
+candidate from its masks.
 """
 
 from __future__ import annotations
@@ -130,11 +136,10 @@ def _beats(new, old):
     return np.where(tie, new[0] > old[0], new[1] > old[1])
 
 
-def closed_form(link: LinkState, powers: ProjectedPowers):
-    """The closed-form Max-SR split per lane, as the rows (split, f, R_b,
-    R_e) of one array, and a function that names each lane's winning
-    candidate (``optimal_beta`` calls it; the alternating loop does not).
-    """
+def _fold(link: LinkState, powers: ProjectedPowers):
+    """The winning rows (split, f, R_b, R_e) per lane, and what names the
+    winners: the mask of constant lanes, root1's label, and the masks where
+    root2 and where the endpoint won."""
     constant, stationary = _stationary_candidates(link, powers)
     # Rows of (split, f, R_b, R_e) for root1 (or the degenerate root), root2
     # and the endpoint 1. A root that rounded to 1.0 may be an interior
@@ -158,12 +163,14 @@ def closed_form(link: LinkState, powers: ProjectedPowers):
     take_root2 = valid[1] & (~valid[0] | _beats(rows[1], rows[0]))
     best = np.where(take_root2, rows[1], rows[0])
     take_endpoint = ~(valid[0] | valid[1]) | _beats(rows[2], best)
+    return np.where(take_endpoint, rows[2], best), (constant, stationary[0][1], take_root2, take_endpoint)
 
-    def winner():
-        label = np.where(take_endpoint, _ENDPOINT, np.where(take_root2, _ROOT2, stationary[0][1]))
-        return _LABEL_NAMES[np.where(constant, _CONSTANT, label)]
 
-    return np.where(take_endpoint, rows[2], best), winner
+def closed_form(link: LinkState, powers: ProjectedPowers):
+    """The closed-form Max-SR split per lane, as the rows (split, f, R_b,
+    R_e) of one array: the alternating loop's default PA step. It names no
+    winner; ``optimal_beta`` does."""
+    return _fold(link, powers)[0]
 
 
 def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
@@ -176,13 +183,9 @@ def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
     matching what beta=0 would have given. Where phi is identically 1 any
     beta is optimal, 1 by convention.
     """
-    (beta, f, _, _), winner = closed_form(link, powers)
-    return PaSolution(beta[()], f[()], winner())
-
-
-def _signed_rate(link: LinkState, powers: ProjectedPowers, beta):
-    r_b, r_e = rates.split_rates(link, powers, beta)
-    return r_b - r_e
+    (beta, f, _, _), (constant, root1, take_root2, take_endpoint) = _fold(link, powers)
+    label = np.where(take_endpoint, _ENDPOINT, np.where(take_root2, _ROOT2, root1))
+    return PaSolution(beta[()], f[()], _LABEL_NAMES[np.where(constant, _CONSTANT, label)])
 
 
 def parse_grid_step(key: str, raw: str) -> float:
@@ -199,7 +202,7 @@ def parse_grid_step(key: str, raw: str) -> float:
     return step
 
 
-def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-4):
+def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float):
     """Exhaustive search over a uniform beta grid, straight from the rates.
 
     Independent of the stationary-point solve: evaluates the factored
@@ -208,8 +211,10 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-
     split beats beta=0, where the secrecy rate vanishes, it returns beta=1
     as optimal_beta does. The lanes are taken in chunks of
     rows so that no (lanes x grid) array holds more than ``CHUNK_ELEMENTS``
-    elements or one row; the rate at each lane's chosen split is then
+    elements or one row; R_b and R_e at each lane's chosen split are then
     evaluated over all lanes at once, with the same arithmetic as on the grid.
+    Returns (split, f, R_b, R_e) per lane, the alternating loop's PA step
+    contract.
     """
     n = round(1.0 / parse_grid_step("grid.step", str(step)))
     grid = np.linspace(0.0, 1.0, n + 1)
@@ -225,4 +230,5 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float = 1e-
     # A maximum at beta=0 means no split gives positive secrecy.
     best[best == 0] = n
     beta = grid[best].reshape(shape)
-    return beta[()], _signed_rate(link, powers, beta)[()]
+    r_b, r_e = rates.split_rates(link, powers, beta)
+    return beta[()], (r_b - r_e)[()], r_b[()], r_e[()]

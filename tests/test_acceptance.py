@@ -99,7 +99,7 @@ def test_acceptance_2_closed_form_matches_fine_grid():
             for i in range(112):
                 link, powers = random_instance(rng, i, m, ps_dbm)
                 sol = optimal_beta(link, powers)
-                _, f_grid = beta_grid_oracle(link, powers, 1e-4)
+                _, f_grid, _, _ = beta_grid_oracle(link, powers, 1e-4)
                 worst = max(
                     worst,
                     abs(max(0.0, sol.secrecy_rate_at_beta) - max(0.0, f_grid)),
@@ -179,7 +179,7 @@ def test_acceptance_7_identical_channels_leak_nothing():
     for beta in (0.5, 0.9):
         r_b, r_e = split_rates(link, leakage_pair(link, beta), beta)
         worst = max(worst, max(0.0, r_b - r_e))
-    _, f_grid = beta_grid_oracle(link, leakage_pair(link, 0.5), 1e-3)
+    _, f_grid, _, _ = beta_grid_oracle(link, leakage_pair(link, 0.5), 1e-3)
     worst = max(worst, max(0.0, f_grid))
     ok = worst <= 1e-12
     _report(7, "identical Bob/Eve channels give zero secrecy",

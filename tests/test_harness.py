@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavsec.ais import AisConfig, closed_form_step, optimize_point
+from uavsec.ais import AisConfig, optimize_point
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import (
     MAX_ABS_DBM,
@@ -23,7 +23,7 @@ from uavsec.geometry import (
     link_state_at,
     sample_trajectory,
 )
-from uavsec.power_allocation import beta_grid_oracle
+from uavsec.power_allocation import beta_grid_oracle, closed_form
 from uavsec.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -247,7 +247,7 @@ class TestRunExperiment:
             ("ais", 4), ("ais", 64), ("fixed:0.5", 4), ("fixed:0.5", 64), ("grid_oracle", 4), ("grid_oracle", 64)]
         traj = sample_trajectory(cfg.geometry)
         p_s = np.array([dbm_to_mw(ps) for ps in result.powers_dbm])[:, None]
-        steps = {"ais": closed_form_step, "grid_oracle": partial(beta_grid_oracle, step=cfg.grid_step)}
+        steps = {"ais": closed_form, "grid_oracle": partial(beta_grid_oracle, step=cfg.grid_step)}
 
         def bits(values):
             return np.asarray(values, dtype=float).view(np.int64)

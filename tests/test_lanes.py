@@ -51,9 +51,9 @@ def test_power_allocation_lanes_match_per_lane():
             alone.beta_star, alone.secrecy_rate_at_beta, alone.winning_candidate)
     # Several lanes per chunk on the coarser grid, one on the finer.
     for step in (1e-3, 1e-4):
-        beta_g, f_g = beta_grid_oracle(batch, batch_powers, step)
+        grid = beta_grid_oracle(batch, batch_powers, step)
         for i, (link, p) in enumerate(instances):
-            assert (beta_g[i], f_g[i]) == beta_grid_oracle(link, p, step)
+            assert tuple(v[i] for v in grid) == beta_grid_oracle(link, p, step)
 
 
 def test_range_checks_cover_every_lane():

@@ -68,14 +68,15 @@ def test_float_solution_matches_exact_oracle():
 
 def _fold_one_call_per_candidate(link, powers):
     """``optimal_beta`` as it was before its candidates were stacked: each
-    candidate scored by its own ``_signed_rate`` call, then the same fold."""
+    candidate scored by its own ``split_rates`` call, then the same fold."""
     pa = power_allocation
     constant, stationary = pa._stationary_candidates(link, powers)
     candidates = [(np.minimum(beta, pa._BELOW_ONE), label, exists & (0.0 < beta) & (beta <= 1.0))
                   for beta, label, exists in stationary] + [(1.0, pa._ENDPOINT, True)]
     have, best_beta, best_f, best_label = np.False_, np.nan, np.nan, pa._ENDPOINT
     for beta, label, valid in candidates:
-        value = pa._signed_rate(link, powers, np.where(valid, beta, 1.0))
+        r_b, r_e = split_rates(link, powers, np.where(valid, beta, 1.0))
+        value = r_b - r_e
         tie = abs(value - best_f) <= pa._TIE_BITS
         take = valid & (~have | np.where(tie, beta > best_beta, value > best_f))
         best_beta = np.where(take, beta, best_beta)
@@ -191,7 +192,7 @@ def test_closed_form_matches_grid_search():
     for i in range(60):
         link, powers = random_instance(rng, i, 8, 20.0)
         sol = optimal_beta(link, powers)
-        beta_g, f_g = beta_grid_oracle(link, powers, step)
+        beta_g, f_g, _, _ = beta_grid_oracle(link, powers, step)
         assert abs(max(0.0, sol.secrecy_rate_at_beta) - max(0.0, f_g)) <= 1e-6
         if sol.secrecy_rate_at_beta > 1e-6:
             assert abs(sol.beta_star - beta_g) <= step + 1e-12
@@ -228,7 +229,7 @@ def test_root_within_one_ulp_of_one_is_kept():
         link = random_link(rng, 64)._replace(p_s=1e30, sigma2_b=1e-30, sigma2_e=1e-30)
         bf = oracle.leakage_pair(link, rng.uniform(0.05, 0.95))
         powers = oracle.projected_powers(link, bf)
-        _, f_grid = beta_grid_oracle(link, powers, 1e-4)
+        _, f_grid, _, _ = beta_grid_oracle(link, powers, 1e-4)
         assert optimal_beta(link, powers).secrecy_rate_at_beta >= f_grid - 1e-9
 
 
@@ -242,7 +243,7 @@ def test_discriminant_negative_by_rounding_is_a_double_root():
     for _ in range(40):
         link = random_link(rng, 64)._replace(p_s=1e30, sigma2_b=1e-30, sigma2_e=1e-30)
         powers = oracle.projected_powers(link, random_pair(rng, 64))
-        _, f_grid = beta_grid_oracle(link, powers, 1e-4)
+        _, f_grid, _, _ = beta_grid_oracle(link, powers, 1e-4)
         assert optimal_beta(link, powers).secrecy_rate_at_beta >= f_grid - 1e-9
 
 
@@ -250,7 +251,7 @@ class TestGridOracle:
     def test_grid_beats_every_grid_point(self):
         rng = np.random.default_rng(7)
         link, powers = random_instance(rng, 0, 8, 20.0)
-        beta_g, f_g = beta_grid_oracle(link, powers, 1e-2)
+        beta_g, f_g, _, _ = beta_grid_oracle(link, powers, 1e-2)
         for beta in np.linspace(0.0, 1.0, 101):
             r_b, r_e = split_rates(link, powers, float(beta))
             assert f_g >= r_b - r_e - 1e-12
@@ -259,8 +260,8 @@ class TestGridOracle:
         rng = np.random.default_rng(8)
         for i in range(5):
             link, powers = random_instance(rng, i, 8, 20.0)
-            _, coarse = beta_grid_oracle(link, powers, 1e-2)
-            _, fine = beta_grid_oracle(link, powers, 1e-4)
+            _, coarse, _, _ = beta_grid_oracle(link, powers, 1e-2)
+            _, fine, _, _ = beta_grid_oracle(link, powers, 1e-4)
             assert fine >= coarse - 1e-12
 
     def test_step_validated(self):
@@ -285,7 +286,7 @@ class TestGridOracle:
             assert parse_config_text(f"grid.step={step!r}").grid_step == step
             assert ExperimentConfig(grid_step=step).grid_step == step
         for step in (1e-2, 5e-3, 2.5e-3, 1e-3):
-            beta, _ = beta_grid_oracle(link, powers, step=step)
+            beta, _, _, _ = beta_grid_oracle(link, powers, step=step)
             assert beta in np.linspace(0.0, 1.0, round(1 / step) + 1)
         for build in (lambda: parse_config_text("grid.step=0.003"), lambda: ExperimentConfig(grid_step=0.003),
                       lambda: beta_grid_oracle(link, powers, step=0.003)):
@@ -296,7 +297,7 @@ class TestGridOracle:
 
     def test_symmetric_links_zero_everywhere(self):
         link = symmetric_link()
-        _, f_g = beta_grid_oracle(link, leakage_pair(link, 0.3), 1e-3)
+        _, f_g, _, _ = beta_grid_oracle(link, leakage_pair(link, 0.3), 1e-3)
         assert abs(f_g) < 1e-12
 
     def test_no_positive_split_gives_beta_one(self):
@@ -305,7 +306,7 @@ class TestGridOracle:
         link = LinkState(num_antennas=8, separation=0.0, g_ab=1e-5, g_ae=1e-4,
                          sigma2_b=1e-9, sigma2_e=1e-9, p_s=10.0)
         powers = leakage_pair(link, 0.5)
-        beta_g, f_g = beta_grid_oracle(link, powers, 1e-3)
+        beta_g, f_g, _, _ = beta_grid_oracle(link, powers, 1e-3)
         sol = optimal_beta(link, powers)
         assert beta_g == sol.beta_star == 1.0
         assert f_g < 0.0

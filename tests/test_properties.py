@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 
 from uavsec.geometry import ArrayConfig, LinkState, ScenarioGeometry, array_separation
 from uavsec.harness import dbm_to_mw
-from uavsec.ais import AisConfig, closed_form_step, optimize_point
-from uavsec.power_allocation import beta_grid_oracle, optimal_beta
+from uavsec.ais import AisConfig, optimize_point
+from uavsec.beamforming import leakage_pair
+from uavsec.power_allocation import beta_grid_oracle, closed_form, optimal_beta
 from uavsec.rates import split_rates
 
 from helpers import flight_links, random_instance, stack_links
 
 CFG = AisConfig()
 GRID_STEP = 1e-3
-PA_STEPS = {"closed_form": closed_form_step, "grid": partial(beta_grid_oracle, step=GRID_STEP)}
+PA_STEPS = {"closed_form": closed_form, "grid": partial(beta_grid_oracle, step=GRID_STEP)}
 
 
 def secrecy(link, powers, beta):
@@ -70,7 +71,7 @@ def test_loop_output_is_a_valid_point(link, step):
 def test_closed_form_at_least_grid_at_same_vectors(link, step):
     powers, _, _ = optimize_point(link, CFG, PA_STEPS[step])
     closed = optimal_beta(link, powers).secrecy_rate_at_beta
-    _, grid = beta_grid_oracle(link, powers, GRID_STEP)
+    _, grid, _, _ = beta_grid_oracle(link, powers, GRID_STEP)
     assert closed >= grid - 1e-9
 
 
@@ -201,8 +202,9 @@ def rate_batches(draw):
 
 
 @property_settings
-@given(lanes=rate_batches(), cfg=st.sampled_from(LANE_CONFIGS), step=st.sampled_from(sorted(PA_STEPS)))
-def test_loop_rates_are_the_rates_at_its_split(lanes, cfg, step):
+@given(lanes=rate_batches(), cfg=st.sampled_from(LANE_CONFIGS), step=st.sampled_from(sorted(PA_STEPS)),
+       incoming=st.sampled_from((0.1, 0.5, 0.9189, 1.0)))
+def test_loop_rates_are_the_rates_at_its_split(lanes, cfg, step, incoming):
     # The loop hands back the rates its PA step scored at the split it chose,
     # with no second scoring: they are split_rates there, bit for bit.
     batch = stack_links(lanes)
@@ -210,3 +212,12 @@ def test_loop_rates_are_the_rates_at_its_split(lanes, cfg, step):
     r_b, r_e = split_rates(batch, powers, beta)
     assert trace.rate_bob.tobytes() == r_b.tobytes()
     assert trace.rate_eve.tobytes() == r_e.tobytes()
+    # The step's own contract, on the batch and on each lane alone, at the
+    # leakage vectors of an incoming split: rows (split, f, R_b, R_e) with
+    # R_b and R_e the rates at the split and f = R_b - R_e, bit for bit.
+    for link in (batch, *lanes):
+        powers = leakage_pair(link, incoming)
+        split, f, r_b, r_e = PA_STEPS[step](link, powers)
+        assert [np.asarray(v).tobytes() for v in (r_b, r_e)] == [
+            np.asarray(v).tobytes() for v in split_rates(link, powers, split)]
+        assert np.asarray(f).tobytes() == np.asarray(r_b - r_e).tobytes()
