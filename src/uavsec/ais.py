@@ -14,9 +14,9 @@ its own stopping test and keeps its own iteration count and result, exactly
 as if it ran alone; the loop ends when the last lane stops. Until the first
 lane retires every lane takes each cycle's values, so the per-lane masks run
 only from then on. Every PA step returns the rows (split, f, R_b, R_e) per
-lane, so the loop scores no split after it ends: it returns each lane's
-split, the projected powers of its final vectors, and the R_b and R_e that
-its last PA step handed back, from which the harness builds its rows.
+lane, so the loop scores no split after it ends and keeps no per-cycle
+history: per lane it returns the final split, the final vectors' projected
+powers, the stop flag, the cycle count and its last PA step's R_b and R_e.
 """
 
 from __future__ import annotations
@@ -42,23 +42,11 @@ class AisConfig(Validated, namedtuple("AisConfig", "beta_init epsilon max_iterat
                    "max_iterations": ("ais.max_iterations", _ITERATIONS, repr)}
 
 
-class AisIteration(NamedTuple):
-    """State after one beamform-then-reallocate cycle.
-
-    ``beta`` is the freshly optimized split; ``f_value`` is the signed
-    secrecy rate at that split with the vectors computed this cycle. Lanes
-    that already stopped keep their final values.
-    """
-
-    beta: float
-    f_value: float
-
-
 class AisTrace(NamedTuple):
-    """The per-cycle records, whether each lane stopped before the cap, its
-    cycle count, and Bob's and Eve's rates at its final split."""
+    """Per lane: whether it stopped before the iteration cap, its cycle
+    count, and Bob's and Eve's rates at its final split, as its last PA step
+    scored them."""
 
-    iterations: tuple[AisIteration, ...]
     converged: bool
     iterations_used: int
     rate_bob: float
@@ -85,7 +73,7 @@ def optimize_point(
     beta = np.full(lanes.p_s.shape, cfg.beta_init)
     active = np.ones(beta.shape, dtype=bool)
     used = np.zeros(beta.shape, dtype=int)
-    retired, records = False, []
+    retired = False
     for _ in range(cfg.max_iterations):
         powers = leakage_pair(lanes, beta)
         # Convergence compares f at the incoming and re-optimized splits
@@ -97,12 +85,11 @@ def optimize_point(
         # A lane that stopped keeps its final values; until one has, every
         # lane takes the new ones.
         state = [np.where(active, new, old) for new, old in zip(step, state)] if retired else step
-        beta, f = state[4:6]
+        beta = state[4]
         used += active
         active &= ~done
-        records.append(AisIteration(beta=beta.reshape(shape)[()], f_value=f.reshape(shape)[()]))
         retired = (remaining := np.count_nonzero(active)) < active.size
         if not remaining:
             break
     out = [v.reshape(shape)[()] for v in (*state[:5], ~active, used, *state[6:])]
-    return ProjectedPowers(*out[:4]), out[4], AisTrace(tuple(records), *out[5:])
+    return ProjectedPowers(*out[:4]), out[4], AisTrace(*out[5:])

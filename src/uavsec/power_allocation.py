@@ -20,27 +20,22 @@ layer's ``split_rates``, which forms a denominator as (1 - beta) k w + sigma2
 rather than as den0 (1 + r2 beta). All of it runs in float64; the
 exact-rational expansion is kept as the test oracle (``tests/oracle.py``).
 
-Candidates are the stationary points inside (0,1) and beta=1; beta=0 always
-gives zero secrecy and is excluded. A stationary point that rounds to 1 is
-scored at the largest float below 1. Both searches run elementwise over the
-lanes of a batched link: every candidate is scored on every lane, and
-``np.where`` keeps the winner of each. The closed form scores its three
-candidates (root1 or the degenerate root, root2, and the endpoint 1) in one
-``split_rates`` call, stacked along a leading axis, then folds them in two
-steps, root2 against root1 and the endpoint against that winner, keeping
-the winner's split, f, R_b and R_e together.
+Both searches run elementwise over the lanes of a batched link: every
+candidate is scored on every lane, and ``np.where`` keeps the winner of
+each. The closed form scores its three candidates (root1 or the degenerate
+root, root2, and the endpoint 1; a root that rounds to 1 is scored at the
+largest float below 1) in one ``split_rates`` call, stacked along a leading
+axis, then folds them in two steps, root2 against root1 and the endpoint
+against that winner, keeping the winner's split, f, R_b and R_e together.
 
-Both searches are power-allocation steps of the alternating loop: each
-returns the rows (split, f, R_b, R_e) per lane, the rates being those it
-scored the chosen split with. ``closed_form`` is the step itself and names
-no winner; ``optimal_beta`` runs the same fold and names each lane's winning
-candidate from its masks.
+Both searches are power-allocation steps of the alternating loop and return
+only the rows (split, f, R_b, R_e) per lane, the rates being those they
+scored the chosen split with.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,19 +58,6 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 # doubles stay in cache; larger chunks ran slower.
 CHUNK_ELEMENTS = 1 << 14
 
-_LABELS = ("root1", "root2", "degenerate_root", "endpoint_1", "constant_function")
-_ROOT1, _ROOT2, _DEGENERATE, _ENDPOINT, _CONSTANT = range(len(_LABELS))
-_LABEL_NAMES = np.array(_LABELS)
-
-
-class PaSolution(NamedTuple):
-    """The split, the signed secrecy rate there and the name of the winning
-    candidate (one of ``_LABELS``), per lane."""
-
-    beta_star: float
-    secrecy_rate_at_beta: float
-    winning_candidate: str
-
 
 def _factors(gain, p_s, u, w, sigma2):
     """(a, r_num, r_den) with 1 + SINR(beta) = (1 + r_num b) / (1 + r_den b)."""
@@ -91,9 +73,9 @@ def _factors(gain, p_s, u, w, sigma2):
 def _stationary_candidates(link: LinkState, powers: ProjectedPowers):
     """Stationary points of phi on the whole real line, per lane.
 
-    Returns the lanes where phi is constant and two (beta, label, exists)
-    slots: root1 (or degenerate_root where the quadratic is linear) and
-    root2. The stationary condition expands to q b^2 + 2h b + c = 0;
+    Returns two (beta, exists) slots: root1 (or the degenerate root where
+    the quadratic is linear) and root2; a lane where phi is constant has
+    neither. The stationary condition expands to q b^2 + 2h b + c = 0;
     ``root1`` is (-h + sqrt(h^2 - qc)) / q, the sign convention of the
     expanded rational form, whose derivative numerator is this quadratic
     times a positive constant.
@@ -123,10 +105,7 @@ def _stationary_candidates(link: LinkState, powers: ProjectedPowers):
         root1 = np.where(hpos, near, far)
         root2 = np.where(hpos, far, near)
         degenerate = -c / (2.0 * h)
-    return constant, [
-        (np.where(linear, degenerate, root1), np.where(linear, _DEGENERATE, _ROOT1), linear | quadratic),
-        (root2, _ROOT2, quadratic),
-    ]
+    return [(np.where(linear, degenerate, root1), linear | quadratic), (root2, quadratic)]
 
 
 def _beats(new, old):
@@ -136,21 +115,29 @@ def _beats(new, old):
     return np.where(tie, new[0] > old[0], new[1] > old[1])
 
 
-def _fold(link: LinkState, powers: ProjectedPowers):
-    """The winning rows (split, f, R_b, R_e) per lane, and what names the
-    winners: the mask of constant lanes, root1's label, and the masks where
-    root2 and where the endpoint won."""
-    constant, stationary = _stationary_candidates(link, powers)
+def closed_form(link: LinkState, powers: ProjectedPowers):
+    """The closed-form Max-SR split per lane, as the rows (split, f, R_b,
+    R_e) of one array: the alternating loop's default PA step.
+
+    Candidates are the stationary points of phi inside (0,1) plus the
+    endpoint 1; beta=0 is excluded since f(0)=0 identically. When phi is
+    monotonically decreasing the best remaining candidate is beta=1 with
+    f(1) <= 0, and the rate layer's clamp makes the achieved secrecy zero,
+    matching what beta=0 would have given. Where phi is identically 1 any
+    beta is optimal, 1 by convention.
+    """
+    stationary = _stationary_candidates(link, powers)
     # Rows of (split, f, R_b, R_e) for root1 (or the degenerate root), root2
-    # and the endpoint 1. A root that rounded to 1.0 may be an interior
-    # optimum within one ulp of the endpoint, where (1-beta) Ps w still dwarfs
-    # the noise floor: it is scored one ulp below 1, and the tie rule still
-    # lets the endpoint win. An invalid root keeps the split 1. With no
-    # interior stationary point (including a negative discriminant, where phi
-    # is monotone) the endpoint is the sole survivor.
-    betas = np.ones((3, *constant.shape))
-    valid = [exists & (0.0 < beta) & (beta <= 1.0) for beta, _, exists in stationary]
-    for i, (beta, _, _) in enumerate(stationary):
+    # and the endpoint 1, in the shape the link and powers broadcast to. A
+    # root that rounded to 1.0 may be an interior optimum within one ulp of
+    # the endpoint, where (1-beta) Ps w still dwarfs the noise floor: it is
+    # scored one ulp below 1, and the tie rule still lets the endpoint win.
+    # An invalid root keeps the split 1. With no interior stationary point
+    # (including a negative discriminant, where phi is monotone) the
+    # endpoint is the sole survivor.
+    betas = np.ones((3, *np.shape(stationary[0][0])))
+    valid = [exists & (0.0 < beta) & (beta <= 1.0) for beta, exists in stationary]
+    for i, (beta, _) in enumerate(stationary):
         # [i, ...] keeps a 0-d row a view that out= can write.
         np.minimum(beta, _BELOW_ONE, out=betas[i, ...], where=valid[i])
     # All candidates are scored in one call, along a leading axis.
@@ -163,29 +150,7 @@ def _fold(link: LinkState, powers: ProjectedPowers):
     take_root2 = valid[1] & (~valid[0] | _beats(rows[1], rows[0]))
     best = np.where(take_root2, rows[1], rows[0])
     take_endpoint = ~(valid[0] | valid[1]) | _beats(rows[2], best)
-    return np.where(take_endpoint, rows[2], best), (constant, stationary[0][1], take_root2, take_endpoint)
-
-
-def closed_form(link: LinkState, powers: ProjectedPowers):
-    """The closed-form Max-SR split per lane, as the rows (split, f, R_b,
-    R_e) of one array: the alternating loop's default PA step. It names no
-    winner; ``optimal_beta`` does."""
-    return _fold(link, powers)[0]
-
-
-def optimal_beta(link: LinkState, powers: ProjectedPowers) -> PaSolution:
-    """Closed-form Max-SR power split for fixed beamforming vectors.
-
-    Candidates are the stationary points of phi inside (0,1) plus the
-    endpoint 1; beta=0 is excluded since f(0)=0 identically. When phi is
-    monotonically decreasing the best remaining candidate is beta=1 with
-    f(1) <= 0, and the rate layer's clamp makes the achieved secrecy zero,
-    matching what beta=0 would have given. Where phi is identically 1 any
-    beta is optimal, 1 by convention.
-    """
-    (beta, f, _, _), (constant, root1, take_root2, take_endpoint) = _fold(link, powers)
-    label = np.where(take_endpoint, _ENDPOINT, np.where(take_root2, _ROOT2, root1))
-    return PaSolution(beta[()], f[()], _LABEL_NAMES[np.where(constant, _CONSTANT, label)])
+    return np.where(take_endpoint, rows[2], best)
 
 
 def parse_grid_step(key: str, raw: str) -> float:
@@ -209,7 +174,7 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float):
     R_b - R_e on the grid {0, 1/n, ..., 1}, n = round(1/step) (the step must
     pass ``parse_grid_step``), and keeps each lane's first maximum. When no
     split beats beta=0, where the secrecy rate vanishes, it returns beta=1
-    as optimal_beta does. The lanes are taken in chunks of
+    as closed_form does. The lanes are taken in chunks of
     rows so that no (lanes x grid) array holds more than ``CHUNK_ELEMENTS``
     elements or one row; R_b and R_e at each lane's chosen split are then
     evaluated over all lanes at once, with the same arithmetic as on the grid.

@@ -4,7 +4,7 @@ import pytest
 from uavsec.ais import AisConfig, optimize_point
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import ArrayConfig, ScenarioGeometry
-from uavsec.power_allocation import optimal_beta
+from uavsec.power_allocation import closed_form
 from uavsec.rates import split_rates
 
 import oracle
@@ -23,7 +23,7 @@ def test_symmetric_links_converge_immediately():
     _, _, trace = optimize_point(link)
     assert trace.converged
     assert trace.iterations_used == 1
-    assert trace.iterations[-1].f_value == 0.0
+    assert trace.rate_bob - trace.rate_eve == 0.0
 
 
 def test_default_scenario_converges_fast():
@@ -38,15 +38,18 @@ def test_trace_values_match_rate_layer():
     for _ in range(10):
         link = random_link(rng, 8)
         _, _, trace = optimize_point(link)
-        # Each cycle's vectors come from the split the previous cycle chose;
-        # here they are built as vectors and projected.
+        # The loop is deterministic, so a run capped at k cycles ends on
+        # cycle k's split and rates. Cycle k's vectors come from the split
+        # cycle k - 1 chose; here they are built as vectors and projected.
         previous = AisConfig().beta_init
-        for it in trace.iterations:
+        for k in range(1, trace.iterations_used + 1):
+            _, beta, run = optimize_point(link, AisConfig(max_iterations=k))
+            assert run.iterations_used == k
             powers = oracle.projected_powers(link, oracle.leakage_pair(link, previous))
-            r_b, r_e = split_rates(link, powers, it.beta)
+            r_b, r_e = split_rates(link, powers, beta)
             direct = r_b - r_e
-            assert abs(it.f_value - direct) <= 1e-9
-            previous = it.beta
+            assert abs((run.rate_bob - run.rate_eve) - direct) <= 1e-9
+            previous = beta
 
 
 def test_final_split_optimal_for_final_vectors():
@@ -55,10 +58,9 @@ def test_final_split_optimal_for_final_vectors():
         link = random_link(rng, 8)
         powers, beta, trace = optimize_point(link)
         assert trace.converged
-        pa = optimal_beta(link, powers)
-        assert pa.beta_star == beta
-        f_star = pa.secrecy_rate_at_beta
-        assert f_star == trace.iterations[-1].f_value
+        beta_star, f_star, _, _ = closed_form(link, powers)
+        assert beta_star == beta
+        assert f_star == trace.rate_bob - trace.rate_eve
         coeffs = rational_coefficients(link, powers)
         assert f_star >= f_value(coeffs, 1.0) - 1e-9
         sp = stationary_points(coeffs)
@@ -136,9 +138,7 @@ def test_a_scalar_link_is_one_lane():
     link = random_link(np.random.default_rng(21), 8, 20.0)
     powers, beta, trace = optimize_point(link)
     powers_1, beta_1, trace_1 = optimize_point(stack_links([link]))
-    alone = (beta, *powers, trace.rate_bob, trace.rate_eve, trace.iterations_used, trace.converged,
-             *trace.iterations[-1])
+    alone = (beta, *powers, *trace)
     assert all(np.ndim(value) == 0 for value in alone)
-    assert alone == (beta_1[0], *(p[0] for p in powers_1), trace_1.rate_bob[0], trace_1.rate_eve[0],
-                     trace_1.iterations_used[0], trace_1.converged[0], *(v[0] for v in trace_1.iterations[-1]))
+    assert alone == (beta_1[0], *(p[0] for p in powers_1), *(v[0] for v in trace_1))
     assert (trace.rate_bob, trace.rate_eve) == split_rates(link, powers, beta)

@@ -13,8 +13,9 @@ import pytest
 from uavsec import power_allocation
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import ArrayConfig, array_separation
-from uavsec.power_allocation import beta_grid_oracle, optimal_beta
+from uavsec.power_allocation import beta_grid_oracle, closed_form
 
+import oracle
 from helpers import eve_silent_link, random_instance, stack_links, stack_powers, symmetric_link
 
 
@@ -43,12 +44,10 @@ def test_power_allocation_lanes_match_per_lane():
     instances = [random_instance(rng, i, 8, 20.0) for i in range(40)]
     links, powers = zip(*instances)
     batch, batch_powers = stack_links(links), stack_powers(powers)
-    sol = optimal_beta(batch, batch_powers)
-    assert {"root1", "root2"} & set(sol.winning_candidate)
+    assert {"root1", "root2"} & {oracle.optimal_beta(link, p).winning_candidate for link, p in instances}
+    rows = closed_form(batch, batch_powers)
     for i, (link, p) in enumerate(instances):
-        alone = optimal_beta(link, p)
-        assert (sol.beta_star[i], sol.secrecy_rate_at_beta[i], sol.winning_candidate[i]) == (
-            alone.beta_star, alone.secrecy_rate_at_beta, alone.winning_candidate)
+        assert rows[:, i].tobytes() == closed_form(link, p).tobytes()
     # Several lanes per chunk on the coarser grid, one on the finer.
     for step in (1e-3, 1e-4):
         grid = beta_grid_oracle(batch, batch_powers, step)

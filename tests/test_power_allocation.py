@@ -6,7 +6,7 @@ import pytest
 from uavsec import power_allocation
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import ArrayConfig, ConfigError, LinkState, ScenarioGeometry, link_state_at, sample_trajectory
-from uavsec.power_allocation import beta_grid_oracle, optimal_beta
+from uavsec.power_allocation import beta_grid_oracle, closed_form
 from uavsec.harness import ExperimentConfig, dbm_to_mw, parse_config_text
 from uavsec.rates import ProjectedPowers, split_rates
 
@@ -48,12 +48,11 @@ def test_float_solution_matches_exact_oracle():
     smallest_factor = 1.0
     labels = set()
     for link, powers in _oracle_instances():
-        sol = optimal_beta(link, powers)
+        beta, f, _, _ = closed_form(link, powers)
         exact = oracle.optimal_beta(link, powers)
-        assert abs(sol.beta_star - exact.beta_star) <= 1e-12
-        assert abs(sol.secrecy_rate_at_beta - exact.secrecy_rate_at_beta) <= 1e-10
-        assert sol.winning_candidate == exact.winning_candidate
-        labels.add(str(sol.winning_candidate))
+        assert abs(beta - exact.beta_star) <= 1e-12
+        assert abs(f - exact.secrecy_rate_at_beta) <= 1e-10
+        labels.add(exact.winning_candidate)
         # 1 + r2 = sigma2_b / den_b0 and 1 + r4 = sigma2_e / den_e0, the
         # interference-plus-noise factors that cancel as beta -> 1.
         for gain, w, sigma2 in ((link.g_ab, powers.w_b, link.sigma2_b),
@@ -67,24 +66,24 @@ def test_float_solution_matches_exact_oracle():
 
 
 def _fold_one_call_per_candidate(link, powers):
-    """``optimal_beta`` as it was before its candidates were stacked: each
-    candidate scored by its own ``split_rates`` call, then the same fold."""
+    """``closed_form`` as it was before its candidates were stacked: each
+    candidate scored by its own ``split_rates`` call, then the same fold.
+    Also returns the winning slot per lane: 0 for root1 (or the degenerate
+    root), 1 for root2 and 2 for the endpoint."""
     pa = power_allocation
-    constant, stationary = pa._stationary_candidates(link, powers)
-    candidates = [(np.minimum(beta, pa._BELOW_ONE), label, exists & (0.0 < beta) & (beta <= 1.0))
-                  for beta, label, exists in stationary] + [(1.0, pa._ENDPOINT, True)]
-    have, best_beta, best_f, best_label = np.False_, np.nan, np.nan, pa._ENDPOINT
-    for beta, label, valid in candidates:
+    candidates = [(np.minimum(beta, pa._BELOW_ONE), exists & (0.0 < beta) & (beta <= 1.0))
+                  for beta, exists in pa._stationary_candidates(link, powers)] + [(1.0, True)]
+    have, best_beta, best_f, best_slot = np.False_, np.nan, np.nan, 2
+    for slot, (beta, valid) in enumerate(candidates):
         r_b, r_e = split_rates(link, powers, np.where(valid, beta, 1.0))
         value = r_b - r_e
         tie = abs(value - best_f) <= pa._TIE_BITS
         take = valid & (~have | np.where(tie, beta > best_beta, value > best_f))
         best_beta = np.where(take, beta, best_beta)
         best_f = np.where(take, value, best_f)
-        best_label = np.where(take, label, best_label)
+        best_slot = np.where(take, slot, best_slot)
         have = have | valid
-    best_label = np.where(constant, pa._CONSTANT, best_label)
-    return best_beta, best_f, np.asarray(pa._LABELS)[best_label]
+    return best_beta, best_f, best_slot
 
 
 def _stacked_instances():
@@ -106,23 +105,24 @@ def _stacked_instances():
 
 
 def test_stacked_candidates_equal_one_call_each():
-    labels = set()
+    slots = set()
     for link, powers in _stacked_instances():
-        sol = optimal_beta(link, powers)
-        beta, f, label = _fold_one_call_per_candidate(link, powers)
-        assert np.array_equal(np.asarray(sol.beta_star).view(np.int64), beta.view(np.int64))
-        assert np.array_equal(np.asarray(sol.secrecy_rate_at_beta).view(np.int64), f.view(np.int64))
-        assert np.array_equal(sol.winning_candidate, label)
-        labels.update(np.ravel(label).tolist())
-    assert {"root2", "endpoint_1"} <= labels
+        rows = closed_form(link, powers)
+        beta, f, slot = _fold_one_call_per_candidate(link, powers)
+        assert np.array_equal(rows[0].view(np.int64), beta.view(np.int64))
+        assert np.array_equal(rows[1].view(np.int64), f.view(np.int64))
+        slots.update(np.ravel(slot).tolist())
+    # root2 and the endpoint each win somewhere.
+    assert {1, 2} <= slots
 
 
 def test_symmetric_links_give_constant_ratio():
     link = symmetric_link()
-    sol = optimal_beta(link, leakage_pair(link, 0.5))
-    assert sol.winning_candidate == "constant_function"
-    assert sol.beta_star == 1.0
-    assert sol.secrecy_rate_at_beta == 0.0
+    powers = leakage_pair(link, 0.5)
+    assert oracle.optimal_beta(link, powers).winning_candidate == "constant_function"
+    beta, f, _, _ = closed_form(link, powers)
+    assert beta == 1.0
+    assert f == 0.0
 
 
 def test_ratio_is_one_at_beta_zero():
@@ -191,21 +191,21 @@ def test_closed_form_matches_grid_search():
     step = 1e-4
     for i in range(60):
         link, powers = random_instance(rng, i, 8, 20.0)
-        sol = optimal_beta(link, powers)
+        beta, f, _, _ = closed_form(link, powers)
         beta_g, f_g, _, _ = beta_grid_oracle(link, powers, step)
-        assert abs(max(0.0, sol.secrecy_rate_at_beta) - max(0.0, f_g)) <= 1e-6
-        if sol.secrecy_rate_at_beta > 1e-6:
-            assert abs(sol.beta_star - beta_g) <= step + 1e-12
+        assert abs(max(0.0, f) - max(0.0, f_g)) <= 1e-6
+        if f > 1e-6:
+            assert abs(beta - beta_g) <= step + 1e-12
 
 
 def test_solution_rate_matches_rate_layer():
     rng = np.random.default_rng(5)
     for i in range(20):
         link, powers = random_instance(rng, i, 8, 10.0)
-        sol = optimal_beta(link, powers)
-        r_b, r_e = split_rates(link, powers, sol.beta_star)
-        assert abs(sol.secrecy_rate_at_beta - (r_b - r_e)) <= 1e-9
-        assert 0.0 < sol.beta_star <= 1.0
+        beta, f, _, _ = closed_form(link, powers)
+        r_b, r_e = split_rates(link, powers, beta)
+        assert abs(f - (r_b - r_e)) <= 1e-9
+        assert 0.0 < beta <= 1.0
 
 
 def test_winning_candidate_labels_are_known():
@@ -213,7 +213,10 @@ def test_winning_candidate_labels_are_known():
     labels = set()
     for i in range(60):
         link, powers = random_instance(rng, i, 8, 20.0)
-        labels.add(optimal_beta(link, powers).winning_candidate)
+        label = oracle.optimal_beta(link, powers).winning_candidate
+        labels.add(label)
+        if label in ("root1", "root2"):
+            assert closed_form(link, powers)[0] < 1.0
     assert labels <= {"root1", "root2", "degenerate_root", "endpoint_1", "constant_function"}
     assert labels & {"root1", "root2"}  # interior optima do occur
 
@@ -230,7 +233,7 @@ def test_root_within_one_ulp_of_one_is_kept():
         bf = oracle.leakage_pair(link, rng.uniform(0.05, 0.95))
         powers = oracle.projected_powers(link, bf)
         _, f_grid, _, _ = beta_grid_oracle(link, powers, 1e-4)
-        assert optimal_beta(link, powers).secrecy_rate_at_beta >= f_grid - 1e-9
+        assert closed_form(link, powers)[1] >= f_grid - 1e-9
 
 
 def test_discriminant_negative_by_rounding_is_a_double_root():
@@ -244,7 +247,7 @@ def test_discriminant_negative_by_rounding_is_a_double_root():
         link = random_link(rng, 64)._replace(p_s=1e30, sigma2_b=1e-30, sigma2_e=1e-30)
         powers = oracle.projected_powers(link, random_pair(rng, 64))
         _, f_grid, _, _ = beta_grid_oracle(link, powers, 1e-4)
-        assert optimal_beta(link, powers).secrecy_rate_at_beta >= f_grid - 1e-9
+        assert closed_form(link, powers)[1] >= f_grid - 1e-9
 
 
 class TestGridOracle:
@@ -307,7 +310,7 @@ class TestGridOracle:
                          sigma2_b=1e-9, sigma2_e=1e-9, p_s=10.0)
         powers = leakage_pair(link, 0.5)
         beta_g, f_g, _, _ = beta_grid_oracle(link, powers, 1e-3)
-        sol = optimal_beta(link, powers)
-        assert beta_g == sol.beta_star == 1.0
+        beta, f, _, _ = closed_form(link, powers)
+        assert beta_g == beta == 1.0
         assert f_g < 0.0
-        assert abs(f_g - sol.secrecy_rate_at_beta) <= 1e-9
+        assert abs(f_g - f) <= 1e-9

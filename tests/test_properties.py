@@ -19,7 +19,7 @@ from uavsec.geometry import ArrayConfig, LinkState, ScenarioGeometry, array_sepa
 from uavsec.harness import dbm_to_mw
 from uavsec.ais import AisConfig, optimize_point
 from uavsec.beamforming import leakage_pair
-from uavsec.power_allocation import beta_grid_oracle, closed_form, optimal_beta
+from uavsec.power_allocation import beta_grid_oracle, closed_form
 from uavsec.rates import split_rates
 
 from helpers import flight_links, random_instance, stack_links
@@ -70,7 +70,7 @@ def test_loop_output_is_a_valid_point(link, step):
 @given(link=links(), step=st.sampled_from(sorted(PA_STEPS)))
 def test_closed_form_at_least_grid_at_same_vectors(link, step):
     powers, _, _ = optimize_point(link, CFG, PA_STEPS[step])
-    closed = optimal_beta(link, powers).secrecy_rate_at_beta
+    closed = closed_form(link, powers)[1]
     _, grid, _, _ = beta_grid_oracle(link, powers, GRID_STEP)
     assert closed >= grid - 1e-9
 

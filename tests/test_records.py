@@ -38,7 +38,6 @@ from uavsec.harness import (
     serialize_config,
 )
 from uavsec.cli import main
-from uavsec.power_allocation import optimal_beta
 
 _STARTUP = """
 import sys
@@ -81,11 +80,10 @@ def _records():
     cfg = parse_config_text("geometry.flight_end=40,0,20\nsweep.power_dbm=20\nsweep.antennas=4\n")
     traj = sample_trajectory(cfg.geometry)
     link = link_state_at(traj, cfg.geometry, ArrayConfig(4), 1e-11, 1e-11, 100.0)
-    powers, _, trace = optimize_point(link, cfg.ais)
+    _, _, trace = optimize_point(link, cfg.ais)
     result = run_experiment(cfg)
     return [ArrayConfig(4), cfg.geometry, cfg.ais, cfg, cfg.strategies[0], traj, link,
-            leakage_pair(link, 0.5), optimal_beta(link, powers), trace, trace.iterations[0],
-            result, result.blocks[0]]
+            leakage_pair(link, 0.5), trace, result, result.blocks[0]]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
