@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uavsec.ais import AisConfig, optimize_point
+from uavsec.ais import AisConfig, AisTrace, optimize_point
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import ArrayConfig, ScenarioGeometry
 from uavsec.power_allocation import closed_form
@@ -142,3 +142,17 @@ def test_a_scalar_link_is_one_lane():
     assert all(np.ndim(value) == 0 for value in alone)
     assert alone == (beta_1[0], *(p[0] for p in powers_1), *(v[0] for v in trace_1))
     assert (trace.rate_bob, trace.rate_eve) == split_rates(link, powers, beta)
+
+
+def test_trace_is_the_final_state_per_lane():
+    # The trace keeps no per-cycle history: per lane, the stop flag, the
+    # cycle count and the rates at the final split, equal to that lane's
+    # run alone.
+    assert AisTrace._fields == ("converged", "iterations_used", "rate_bob", "rate_eve")
+    rng = np.random.default_rng(23)
+    links = [random_link(rng, 8, p_s_dbm) for p_s_dbm in (0.0, 20.0, 40.0)]
+    _, _, batch = optimize_point(stack_links(links), AisConfig(max_iterations=3))
+    assert all(np.shape(field) == (3,) for field in batch)
+    for i, link in enumerate(links):
+        _, _, alone = optimize_point(link, AisConfig(max_iterations=3))
+        assert tuple(alone) == tuple(field[i] for field in batch)

@@ -116,6 +116,23 @@ def test_stacked_candidates_equal_one_call_each():
     assert {1, 2} <= slots
 
 
+def test_rows_take_the_shape_link_and_powers_broadcast_to():
+    # A one-lane link against three lanes of powers: the candidates
+    # broadcast to three lanes, so closed_form returns (4, 3) rows, and
+    # each lane is bit for bit the call on that lane's powers alone, with
+    # f exactly R_b - R_e.
+    rng = np.random.default_rng(22)
+    link = random_link(rng, 8, 20.0)
+    lanes = [leakage_pair(link, beta) for beta in (0.2, 0.6, 1.0)]
+    rows = closed_form(link, stack_powers(lanes))
+    assert rows.shape == (4, 3)
+    for i, powers in enumerate(lanes):
+        alone = closed_form(link, powers)
+        assert alone.shape == (4,)
+        assert np.array_equal(rows[:, i].view(np.int64), alone.view(np.int64))
+    assert np.array_equal(rows[1].view(np.int64), (rows[2] - rows[3]).view(np.int64))
+
+
 def test_symmetric_links_give_constant_ratio():
     link = symmetric_link()
     powers = leakage_pair(link, 0.5)
