@@ -27,8 +27,10 @@ key's parser: the value must be what its text parses back to. Every
 numeric key's parser comes from one factory, ``_number``, with its interval
 declared here once, and every message that quotes input quotes it through
 ``_echo``; every rejected field, whether the record was built in code or
-parsed, is one ``ConfigError`` that names the key. Every rule that reads
-only the scenario (the sample count, Eve off the array, the path gains) is
+parsed, is one ``ConfigError`` that names the key. A record built in code
+runs that round trip field by field; a parsed one holds what its parsers
+returned, so it runs only its cross-field rules. Every rule that reads only
+the scenario (the sample count, Eve off the array, the path gains) is
 ``ScenarioGeometry``'s, so a geometry built in code is checked as a parsed
 one is.
 """
@@ -143,6 +145,10 @@ class Validated:
     repr: the parser's checks, with its messages, and no value (an int where
     a float belongs, a list, a numpy number) that the text would not keep.
     ``_validate`` then runs the checks that span several fields.
+
+    ``_parsed`` builds a record from values that its keys' parsers just
+    returned, or from the fields of a checked record, which already are
+    what their text parses back to: it runs only ``_validate``.
     """
 
     __slots__ = ()
@@ -171,6 +177,12 @@ class Validated:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    @classmethod
+    def _parsed(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
 
 
 class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", defaults=(0.5,))):
@@ -364,7 +376,9 @@ def sample_trajectory(geom: ScenarioGeometry) -> Trajectory:
     """Equally spaced UAV positions with per-point angles and distances.
 
     N = floor((L/V)/dt) points, indexed 1..N; the eavesdropper angle and
-    distance are constant across the flight.
+    distance are constant across the flight. Eve is one more row of the
+    flight's direction pass: each row's angle and distance depend on that
+    row alone, so hers are those of a pass over her point alone.
     """
     alice = np.asarray(geom.alice, dtype=float)
     s = np.asarray(geom.flight_start, dtype=float)
@@ -372,9 +386,8 @@ def sample_trajectory(geom: ScenarioGeometry) -> Trajectory:
     unit = (d - s) / geom.flight_length
     n = np.arange(1, math.floor(geom.samples) + 1)
     pos = s + (n * geom.sample_interval * geom.speed)[:, None] * unit
-    theta_b, d_ab = _direction_angle(alice, pos)
-    theta_e, d_ae = _direction_angle(alice, np.asarray(geom.eve, dtype=float))
-    return Trajectory(n, theta_b, float(theta_e), d_ab, float(d_ae))
+    theta, dist = _direction_angle(alice, np.vstack((pos, geom.eve)))
+    return Trajectory(n, theta[:-1], float(theta[-1]), dist[:-1], float(dist[-1]))
 
 
 def path_loss(distance, geom: ScenarioGeometry):

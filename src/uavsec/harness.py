@@ -12,7 +12,10 @@ of the same repr. The parsers hold every per-key check and message, and each
 record declares its keys; the key table here joins them in the order of
 ``ExperimentConfig``'s fields. ``ExperimentConfig``'s own check is that its
 ``geometry`` and ``ais`` fields are exactly those records; whether the
-scenario can be evaluated is ``ScenarioGeometry``'s to decide.
+scenario can be evaluated is ``ScenarioGeometry``'s to decide. A config built
+in code runs every key's round trip; ``parse_config_text`` builds its records
+from the values the parsers just returned, which already parse back to
+themselves, so a parsed config runs only the records' cross-field rules.
 
 A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
@@ -190,7 +193,8 @@ def parse_config_text(text: str, overrides: Iterable[str] = ()) -> ExperimentCon
     Unknown keys and malformed values raise ConfigError naming the key; a
     line without '=' is named by its number, or as ``--set`` (the CLI option
     that passes overrides); a key given twice keeps its last value; an empty
-    document yields the all-defaults config.
+    document yields the all-defaults config. Each value is checked once, by
+    its key's parser; the records then run only their cross-field rules.
     """
     kwargs: dict = {section: {} for section in (*_SECTIONS, None)}
     numbered = [(f"line {n}", line) for n, line in enumerate(text.splitlines(), start=1)]
@@ -206,8 +210,8 @@ def parse_config_text(text: str, overrides: Iterable[str] = ()) -> ExperimentCon
             raise ConfigError(f"unknown config key {_echo(key, repr)}")
         section, field, parse, _ = _KEYS[key]
         kwargs[section][field] = parse(key, raw)
-    sections = {section: record(**kwargs[section]) for section, record in _SECTIONS.items()}
-    return ExperimentConfig(**sections, **kwargs[None])
+    sections = {section: record._parsed(**kwargs[section]) for section, record in _SECTIONS.items()}
+    return ExperimentConfig._parsed(**sections, **kwargs[None])
 
 
 def parse_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentConfig:
@@ -293,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     sigma2_b = dbm_to_mw(cfg.noise_dbm_bob)
     sigma2_e = dbm_to_mw(cfg.noise_dbm_eve)
     links = [
-        (m, link_state_at(traj, cfg.geometry, ArrayConfig(m, cfg.array_spacing), sigma2_b, sigma2_e, p_s))
+        (m, link_state_at(traj, cfg.geometry, ArrayConfig._parsed(m, cfg.array_spacing), sigma2_b, sigma2_e, p_s))
         for m in sorted(cfg.antenna_sweep)
     ]
     strategies = sorted(cfg.strategies, key=attrgetter("name"))

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uavsec import geometry
 from uavsec.geometry import (
     ArrayConfig,
     ConfigError,
     LinkState,
     ScenarioGeometry,
+    _direction_angle,
     array_separation,
     path_loss,
     sample_trajectory,
@@ -177,6 +179,37 @@ class TestTrajectory:
         traj = sample_trajectory(ScenarioGeometry())
         positions = [np.array([8.0 * n, 0.0, 20.0]) for n in traj.sample_index.tolist()]
         assert traj.d_ab.tolist() == [math.sqrt(float(p @ p)) for p in positions]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3),  # near the array
+        st.tuples(st.sampled_from([1e200, -1e200, 3e199]), st.sampled_from([0.0, 1e200, -5.0]), st.just(0.0)),
+        st.tuples(*[st.floats(-1e4, 0.0)] * 3),  # at negative coordinates
+        st.tuples(st.floats(0.0, 800.0) | st.sampled_from([8.0, 400.0, 800.0]), st.just(0.0), st.just(0.0)),
+    ))
+    def test_eve_is_one_more_row_of_the_flight_pass(self, eve):
+        # Eve's angle and distance are bit for bit those of a pass over her
+        # point alone, and the UAV rows those of a pass without her.
+        try:
+            geom = ScenarioGeometry(eve=eve)
+        except ConfigError:
+            assume(False)
+        targets = []
+
+        def spy(origin, target):
+            targets.append(target)
+            return _direction_angle(origin, target)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_direction_angle", spy)
+            traj = sample_trajectory(geom)
+        (target,) = targets
+        alice = np.asarray(geom.alice, dtype=float)
+        assert target[-1].tobytes() == np.asarray(eve, dtype=float).tobytes()
+        theta_e, d_ae = _direction_angle(alice, np.asarray(eve, dtype=float))
+        assert np.array([traj.theta_e, traj.d_ae]).tobytes() == np.array([theta_e, d_ae]).tobytes()
+        theta_b, d_ab = _direction_angle(alice, target[:-1])
+        assert traj.theta_b.tobytes() == theta_b.tobytes() and traj.d_ab.tobytes() == d_ab.tobytes()
 
     def test_overhead_point_is_perpendicular(self):
         geom = ScenarioGeometry(

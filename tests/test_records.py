@@ -1,18 +1,19 @@
 """The public records: how the package starts up, immutability, equality and
 hashing, validation on every way of building a config, the round trip of a
-config built in code through its text, and the writer's JSON form of a
-strategy name."""
+config built in code through its text, a parsed config that the full check
+rebuilds, and the writer's JSON form of a strategy name."""
 
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uavsec.ais import AisConfig, optimize_point
@@ -27,6 +28,7 @@ from uavsec.geometry import (
     sample_trajectory,
 )
 from uavsec.harness import (
+    _KEYS,
     ExperimentConfig,
     ResultBlock,
     Strategy,
@@ -357,6 +359,101 @@ def test_a_config_built_in_code_parses_back_from_its_text(fields):
         return
     again = parse_config_text(serialize_config(cfg))
     assert again == cfg and repr(again) == repr(cfg)
+
+
+def _spell(value):
+    """Texts that the parsers read as ``value``, an int or a float: its
+    ``repr``, with surrounding spaces, leading zeros, an underscore between
+    two digits or a '+'; for a float also an upper-case exponent, 17 digits,
+    and no zero before the point."""
+    text = repr(value)
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+    forms = [text, f" {text} ", f"{sign}00{digits}", sign + re.sub(r"(\d)(\d)", r"\1_\2", digits, count=1)]
+    if not sign:
+        forms.append("+" + text)
+    if isinstance(value, float):
+        forms += [text.upper(), f"{value:.17e}"]
+        if digits.startswith("0."):
+            forms.append(sign + digits[1:])
+    return st.sampled_from(forms)
+
+
+def _spelled(values):
+    """One of ``values`` in one of its spellings."""
+    return st.sampled_from(values).flatmap(_spell)
+
+
+def _spelled_list(values, size=None, spell=_spell):
+    """Comma-separated spellings of ``values``: a point of ``size``
+    coordinates, or a sweep of 1 to 3 distinct values with perhaps a trailing
+    comma; with or without spaces around the commas."""
+    if size is None:
+        drawn, tails = st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True), ["", ","]
+    else:
+        drawn, tails = st.tuples(*[st.sampled_from(values)] * size), [""]
+    items = drawn.flatmap(lambda vs: st.tuples(*map(spell, vs)))
+    return st.tuples(st.sampled_from([",", " , ", ", "]), items, st.sampled_from(tails)).map(
+        lambda parts: parts[0].join(parts[1]) + parts[2])
+
+
+_TINY, _BELOW_ONE = 5e-324, math.nextafter(1.0, 0.0)
+
+
+def _flight(xy):
+    return st.tuples(_spell(xy[0]), _spell(xy[1]), _spell(20.0)).map(", ".join)
+
+
+# Valid values of every config key, at its interval's edges too, each in
+# unusual spellings; a drawn config may still break a cross-field rule.
+_SPELLINGS = {
+    "geometry.alice": _spelled_list([0.0, -0.0, 1e-3], 3),
+    "geometry.eve": _spelled_list([0.0, -0.0, -150.0, 200.0, 1e200], 3),
+    "geometry.flight_start": st.sampled_from([(0.0, 0.0), (-0.0, -0.0), (-1e-3, 0.0)]).flatmap(_flight),
+    "geometry.flight_end": st.sampled_from([(400.0, 120.0), (800.0, 0.0)]).flatmap(_flight),
+    "geometry.speed": _spelled([8.0, 16.0, 4.0]),
+    "geometry.sample_interval": _spelled([1.0, 0.5, 2.5]),
+    "geometry.path_loss_exponent": _spelled([2.0, 3.5, _TINY]),
+    "geometry.reference_gain": _spelled([1.0, 1e-3, sys.float_info.max]),
+    "array.spacing": _spelled([0.5, 1e5, _TINY, 0.25]),
+    "noise.bob_dbm": _spelled([-110.0, -300.0, 300.0, -0.0]),
+    "noise.eve_dbm": _spelled([-110.0, 0.0, -300.0]),
+    "sweep.power_dbm": _spelled_list([10.0, 20.0, -300.0, 300.0, -0.0]),
+    "sweep.antennas": _spelled_list([2, 8, 64, 1_000_000]),
+    # A float is the split of a fixed strategy.
+    "strategies": _spelled_list(["ais", "grid_oracle", 0.5, 0.9, _TINY, _BELOW_ONE],
+                                spell=lambda v: st.just(f" {v} ") if isinstance(v, str) else
+                                _spell(v).map("fixed:".__add__)),
+    "ais.beta_init": _spelled([0.1, _TINY, _BELOW_ONE]),
+    "ais.epsilon": _spelled([1e-6, _TINY, sys.float_info.max]),
+    "ais.max_iterations": _spelled([1, 50, 10**20]),
+    "grid.step": _spelled([1e-3, 1e-6, 1e-2, 0.0033333333333]),
+    "output.path": st.sampled_from(["results.csv", "out dir/r.json", "a=b.csv", "résultats.csv"]),
+    "output.format": st.sampled_from(["csv", "json", " json "]),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.fixed_dictionaries({}, optional=_SPELLINGS))
+def test_a_parsed_config_is_what_the_full_check_rebuilds(lines):
+    # Parsing checks each value once, by its key's parser, and writes no
+    # field back to text; the records it builds are those that the
+    # constructor's field-by-field round trip rebuilds, down to their repr.
+    assert list(_SPELLINGS) == list(_KEYS)
+    formatted = []
+    with pytest.MonkeyPatch.context() as patch:
+        for record in (ScenarioGeometry, AisConfig, ExperimentConfig):
+            for field, (key, parse, fmt) in record._FIELD_KEYS.items():
+                patch.setitem(record._FIELD_KEYS, field,
+                              (key, parse, lambda value, key=key, fmt=fmt: formatted.append(key) or fmt(value)))
+        try:
+            cfg = parse_config_text("".join(f"{key}={raw}\n" for key, raw in lines.items()))
+        except ConfigError:
+            cfg = None
+    assert formatted == []
+    assume(cfg is not None)
+    for built, record in ((cfg, ExperimentConfig), (cfg.geometry, ScenarioGeometry), (cfg.ais, AisConfig)):
+        rebuilt = record._make(built)
+        assert rebuilt == built and repr(rebuilt) == repr(built)
 
 
 # Every numeric config key's interval as the README's config table states

@@ -8,8 +8,9 @@ likewise. The configs are the three benchmark workloads (read from
 ``benchmarks/run.py``) at seeds 0, 3 and 7, the golden default and stress
 configs, a low-SNR point and sweep, the mixed-strategy config, an SR-vs-M
 sweep, ``--set`` overrides, an eavesdropper 1e200 m away, a tight-epsilon config whose points hit the
-iteration cap, a config whose second power overflows, and configs that must
-end in one ``error:`` line.
+iteration cap, a config whose second power overflows, a config of valid
+values in unusual spellings (``+8``, ``0_64``, ``1E-6``, ``.5``, ``-0.0``,
+spaces around commas), and configs that must end in one ``error:`` line.
 
 Usage::
 
@@ -52,6 +53,9 @@ CONFIGS = {
     "eve-1e200": ("geometry.eve=1e200,0,0\n", []),
     "tight-epsilon-cap": ("ais.epsilon=1e-12\nsweep.power_dbm=0,10\nnoise.bob_dbm=-80\n", []),
     "overflow-second-power": ("geometry.reference_gain=1e290\nsweep.power_dbm=10,200\n", []),
+    # Valid values spelled as the parsers accept them but serialize_config never writes them.
+    "odd-spellings": ("sweep.antennas=+8,0_64\nais.epsilon=1E-6\nstrategies=fixed:.5, ais\n"
+                      "geometry.eve=2e2, 0 ,-0.0\nsweep.power_dbm=1_0,2e1\nais.max_iterations=0050\n", []),
     # Each of these ends in one error: line.
     "error-antennas": ("sweep.antennas=1\n", []),
     "error-speed": ("geometry.speed=0\n", []),
