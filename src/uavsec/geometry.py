@@ -311,15 +311,16 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
         d_ae = math.dist(self.eve, self.alice)
         if d_ae == 0:
             raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")
-        if not np.isfinite(path_loss(d_ae, self)):
+        # Every sample lies on the flight segment, no farther from the array
+        # than its farther end, so no sample's gain is smaller than that end's.
+        d_far = max(math.dist(self.flight_start, self.alice), math.dist(self.flight_end, self.alice))
+        g_ae, g_far = path_loss((d_ae, d_far), self)
+        if not np.isfinite(g_ae):
             raise ConfigError(
                 f"geometry.eve: at d = {d_ae:g} m from the array, the eavesdropper's path gain "
                 "geometry.reference_gain / d**geometry.path_loss_exponent overflows float64"
             )
-        # Every sample lies on the flight segment, no farther from the array
-        # than its farther end, so no sample's gain is smaller than this one.
-        d_far = max(math.dist(self.flight_start, self.alice), math.dist(self.flight_end, self.alice))
-        if path_loss(d_far, self) == 0:
+        if g_far == 0:
             raise ConfigError(
                 f"geometry.flight_start, geometry.flight_end: at d = {d_far:g} m from the array, the "
                 "UAV's path gain geometry.reference_gain / d**geometry.path_loss_exponent underflows to 0"

@@ -172,9 +172,10 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float):
 
     Independent of the stationary-point solve: evaluates the factored
     R_b - R_e on the grid {0, 1/n, ..., 1}, n = round(1/step) (the step must
-    pass ``parse_grid_step``), and keeps each lane's first maximum. When no
-    split beats beta=0, where the secrecy rate vanishes, it returns beta=1
-    as closed_form does. The lanes are taken in chunks of
+    pass ``parse_grid_step``; each call checks it again, as a step such as
+    1e-9 would build rows of 10^9 elements), and keeps each lane's first
+    maximum. When no split beats beta=0, where the secrecy rate vanishes, it
+    returns beta=1 as closed_form does. The lanes are taken in chunks of
     rows so that no (lanes x grid) array holds more than ``CHUNK_ELEMENTS``
     elements or one row; R_b and R_e at each lane's chosen split are then
     evaluated over all lanes at once, with the same arithmetic as on the grid.

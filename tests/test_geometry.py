@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -249,6 +250,19 @@ class TestPathLoss:
         d = np.linspace(1.0, 500.0, 200)
         g = [path_loss(x, geom) for x in d]
         assert all(b < a for a, b in zip(g, g[1:]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(*[st.floats(1e-300, 1e300)] * 2),
+           st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.0, 10.0, exclude_min=True)),
+           st.floats(1e-300, 1e300))
+    def test_a_pair_of_distances_gives_each_scalar_gain(self, distances, exponent, gain):
+        # ScenarioGeometry's check takes Eve's gain and the far end's in one
+        # call; each must be bit for bit the scalar call's, overflow and
+        # underflow included. path_loss reads only the gain and exponent.
+        geom = SimpleNamespace(reference_gain=gain, path_loss_exponent=exponent)
+        pair = path_loss(distances, geom)
+        alone = np.array([path_loss(d, geom) for d in distances])
+        assert np.array_equal(pair.view(np.int64), alone.view(np.int64))
 
 
 class TestLinkState:

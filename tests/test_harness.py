@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from functools import partial
@@ -52,6 +53,15 @@ sweep.power_dbm=20
 sweep.antennas=4
 strategies=fixed:0.5
 """
+# Columns of 2000 lanes (400 points x 5 powers), which take the digit tables.
+LANES_CONFIG = "geometry.sample_interval=0.25\nsweep.power_dbm=0,10,20,30,40\nsweep.antennas=64,1024\n"
+# Every strategy kind, each sweep given out of order, Eve off the axis.
+MIXED_CONFIG = ("strategies=grid_oracle,fixed:0.5,ais,fixed:0.25\nsweep.antennas=64,4\nsweep.power_dbm=30,-20,10\n"
+                "geometry.eve=-150,120,0\n")
+# Low SNR: some ais points hit the iteration cap, and 4 of the 24 (strategy,
+# M, Ps) rows hold clamped lanes (R_b < R_e).
+LOW_SNR_CONFIG = ("noise.bob_dbm=-60\nnoise.eve_dbm=-60\nsweep.power_dbm=0,10,20\nsweep.antennas=2,4,8,64\n"
+                  "strategies=ais,fixed:0.5\n")
 
 
 def _finite(**bounds):
@@ -129,7 +139,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("just words")
 
-    def test_round_trip_through_serializer(self):
+    def test_round_trip_through_serializer(self, tmp_path, capsys):
         cfg = parse_config_text(SHORT_CONFIG)
         assert parse_config_text(serialize_config(cfg)) == cfg
         default = ExperimentConfig()
@@ -139,6 +149,24 @@ class TestConfigParsing:
                      "strategies=ais,fixed:0.1234567"):
             cfg = parse_config_text(text)
             assert parse_config_text(serialize_config(cfg)) == cfg
+        # The default, and a config built in code that the default cannot
+        # reach, each sweep given out of order: run from its text, each
+        # writes the bytes that write_results writes in process.
+        code_built = ExperimentConfig(
+            geometry=ScenarioGeometry(eve=(-150.0, 120.0, 0.0), flight_end=(400.0, 0.0, 20.0)),
+            power_sweep_dbm=(30.0, -20.0, 10.0),
+            antenna_sweep=(64, 4),
+            strategies=(Strategy("grid_oracle"), Strategy("fixed", 0.25), Strategy("ais")),
+            ais=AisConfig(0.3, 1e-8, 20),
+        )
+        assert parse_config_text(serialize_config(code_built)) == code_built
+        for cfg in (default, code_built):
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text(serialize_config(cfg))
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cli.csv")]) == 0
+            assert capsys.readouterr().err == ""
+            write_results(run_experiment(cfg), "csv", tmp_path / "api.csv")
+            assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "api.csv").read_bytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(configs())
@@ -271,22 +299,28 @@ class TestRunExperiment:
     def test_stacked_fixed_splits_equal_each_split_alone(self):
         # The fixed splits of one M are scored in one stacked call; each
         # block is bit for bit the block of a sweep of that split alone, and
-        # the blocks keep their sorted order around the ais ones.
+        # the blocks keep their sorted order around the ais ones, and in
+        # MIXED_CONFIG around the grid_oracle ones too.
         text = ("geometry.flight_end=160,0,20\nsweep.power_dbm=40,-20,10\nsweep.antennas=64,4\n"
-                "geometry.eve=-150,120,0\n")
-        result = run_experiment(parse_config_text(text + "strategies=fixed:0.9,ais,fixed:0.25,fixed:0.5\n"))
+                "geometry.eve=-150,120,0\nstrategies=fixed:0.9,ais,fixed:0.25,fixed:0.5\n")
+        result = run_experiment(parse_config_text(text))
         assert [(block.strategy, block.m) for block in result.blocks] == [
             (name, m) for name in ("ais", "fixed:0.25", "fixed:0.5", "fixed:0.9") for m in (4, 64)]
+        mixed = run_experiment(parse_config_text(MIXED_CONFIG))
+        assert [(block.strategy, block.m) for block in mixed.blocks] == [
+            (name, m) for name in ("ais", "fixed:0.25", "fixed:0.5", "grid_oracle") for m in (4, 64)]
 
         def bits(values):
             return np.asarray(values, dtype=float).view(np.int64)
 
-        for block in result.blocks[2:]:
-            alone = run_experiment(parse_config_text(text + f"strategies={block.strategy}\n"))
-            (same,) = [b for b in alone.blocks if b.m == block.m]
-            assert block.beta == same.beta and block.iterations is same.iterations is None
-            for field in ("rate_bob", "rate_eve", "secrecy"):
-                assert np.array_equal(bits(getattr(block, field)), bits(getattr(same, field)))
+        for config, fixed in ((text, result.blocks[2:]), (MIXED_CONFIG, mixed.blocks[2:6])):
+            for block in fixed:
+                # The later strategies line wins.
+                alone = run_experiment(parse_config_text(config + f"strategies={block.strategy}\n"))
+                (same,) = [b for b in alone.blocks if b.m == block.m]
+                assert block.beta == same.beta and block.iterations is same.iterations is None
+                for field in ("rate_bob", "rate_eve", "secrecy"):
+                    assert np.array_equal(bits(getattr(block, field)), bits(getattr(same, field)))
 
     def test_deterministic_and_parallel_consistent(self):
         cfg = parse_config_text(SHORT_CONFIG)
@@ -309,18 +343,40 @@ class TestRunExperiment:
         "",
         "geometry.flight_end=200,0,20\ngeometry.eve=203,1.5,0\nsweep.power_dbm=50,-10,20\n"
         "sweep.antennas=64,4\nstrategies=grid_oracle,fixed:0.5,ais\nais.max_iterations=2\n",
-        # Low SNR: 4 of the 24 rows hold clamped lanes (R_b < R_e), so their
-        # blocks take the two-sum path.
-        "noise.bob_dbm=-60\nnoise.eve_dbm=-60\nsweep.power_dbm=0,10,20\nsweep.antennas=2,4,8,64\n"
-        "strategies=ais,fixed:0.5\n",
+        # The clamped rows' blocks take the two-sum path.
+        LOW_SNR_CONFIG,
+        LANES_CONFIG,
+        MIXED_CONFIG,
     ])
-    def test_summary_equals_record_reference(self, config):
-        result = run_experiment(parse_config_text(config))
-        assert summarize(result) == reference_summary(records_of(result))
+    def test_summary_equals_record_reference(self, tmp_path, capsys, config):
+        cfg = parse_config_text(config)
+        result = run_experiment(cfg)
+        want = reference_summary(records_of(result))
+        assert summarize(result) == want
+        # The CLI prints each row's sums to 6 decimals, and a warning for each
+        # row with capped points on stderr, whichever format it writes.
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config)
+        warned = "".join(
+            f"warning: strategy={row['strategy']} M={row['M']} Ps={row['Ps_dbm']:g}dBm: {row['nonconverged']} of "
+            f"{row['points']} points hit the iteration cap (ais.max_iterations={cfg.ais.max_iterations}) "
+            "without converging\n" for row in want if row["nonconverged"])
+        for fmt in ("csv", "json"):
+            argv = ["run", "--config", str(cfg_path), "--set", f"output.format={fmt}", "--out", str(tmp_path / "r")]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == warned
+            printed = re.findall(r"^strategy=(\S+) M=(\d+) Ps=(\S+)dBm mean_SR=(\S+) SSR=(\S+) SSR_sum_clamped=(\S+)$",
+                                 captured.out, re.M)
+            assert [(name, int(m), float(ps)) for name, m, ps, *_ in printed] == [
+                (row["strategy"], row["M"], row["Ps_dbm"]) for row in want]
+            for (*_, mean, ssr, clamped), row in zip(printed, want):
+                assert [float(mean), float(ssr), float(clamped)] == pytest.approx(
+                    [row["mean_secrecy_rate"], row["ssr_per_point_clamped"], row["ssr_sum_clamped"]], rel=0, abs=1e-6)
 
 
-def _reference_files(result):
-    """The JSON and CSV texts of a result from the standard encoders:
+def _assert_writers_match_reference(result, tmp_path):
+    """Both writers' texts of a result equal those of the standard encoders:
     ``json.dumps(rows, indent=2)`` and ``f"{v:.12g}"``."""
     def twelve_digits(v):
         return float(f"{v:.12g}")
@@ -337,7 +393,10 @@ def _reference_files(result):
                   "" if r.converged is None else str(r.converged).lower()])
         for r in records
     ]
-    return json.dumps(rows, indent=2) + "\n", "\n".join(lines) + "\n"
+    write_results(result, "json", tmp_path / "r.json")
+    write_results(result, "csv", tmp_path / "r.csv")
+    assert (tmp_path / "r.json").read_text() == json.dumps(rows, indent=2) + "\n"
+    assert (tmp_path / "r.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def _repeated_values_result():
@@ -456,28 +515,8 @@ class TestResultFiles:
         )
         result = SweepResult((-10.0, 0.0, 20.0, 50.0), np.arange(1, 5),
                              np.array([1.2, 1e-300, 3.14159265358979, 2.0]), blocks)
-        records = records_of(result)
-        assert len(records) == result.rows == 64
-
-        def twelve_digits(v):
-            return float(f"{v:.12g}")
-
-        rows = [
-            dict(zip(CSV_HEADER.split(","), (r.strategy, r.m, twelve_digits(r.ps_dbm), r.n,
-                                             *map(twelve_digits, r[4:9]), r.iterations, r.converged)))
-            for r in records
-        ]
-        write_results(result, "json", tmp_path / "r.json")
-        assert (tmp_path / "r.json").read_text() == json.dumps(rows, indent=2) + "\n"
-        lines = [CSV_HEADER] + [
-            ",".join([r.strategy, str(r.m), f"{r.ps_dbm:.12g}", str(r.n),
-                      *(f"{v:.12g}" for v in r[4:9]),
-                      "" if r.iterations is None else str(r.iterations),
-                      "" if r.converged is None else str(r.converged).lower()])
-            for r in records
-        ]
-        write_results(result, "csv", tmp_path / "r.csv")
-        assert (tmp_path / "r.csv").read_text() == "\n".join(lines) + "\n"
+        assert len(records_of(result)) == result.rows == 64
+        _assert_writers_match_reference(result, tmp_path)
 
     def test_repeated_values_match_reference_encoders(self, tmp_path):
         # The empty config repeats many doubles: ais splits of exactly 1 and
@@ -492,11 +531,7 @@ class TestResultFiles:
         assert all((block.rate_eve == 0).all() and (block.secrecy == block.rate_bob).all()
                    for block in nulled.blocks)
         for result in (default, nulled, _repeated_values_result()):
-            want_json, want_csv = _reference_files(result)
-            write_results(result, "json", tmp_path / "r.json")
-            write_results(result, "csv", tmp_path / "r.csv")
-            assert (tmp_path / "r.json").read_text() == want_json
-            assert (tmp_path / "r.csv").read_text() == want_csv
+            _assert_writers_match_reference(result, tmp_path)
 
     @pytest.mark.parametrize("config", [
         # A one-point flight with one power: one block of one row.
@@ -508,25 +543,20 @@ class TestResultFiles:
         "strategies=ais,fixed:0.5,grid_oracle",
         # Columns of 600 lanes, which take the digit tables.
         "strategies=fixed:0.5,fixed:0.9\nsweep.power_dbm=0,10,20,30,40,50\nsweep.antennas=8,64",
+        LANES_CONFIG,
+        MIXED_CONFIG,
+        LOW_SNR_CONFIG,
     ])
     def test_edge_shapes_match_reference_encoders(self, tmp_path, config):
         # The file's first row has no row separator before it.
         result = run_experiment(parse_config_text(config))
-        want_json, want_csv = _reference_files(result)
-        write_results(result, "json", tmp_path / "r.json")
-        write_results(result, "csv", tmp_path / "r.csv")
-        assert (tmp_path / "r.json").read_text() == want_json
-        assert (tmp_path / "r.csv").read_text() == want_csv
+        _assert_writers_match_reference(result, tmp_path)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(sweep_results())
     def test_synthetic_results_match_reference_encoders(self, tmp_path_factory, result):
         tmp_path = tmp_path_factory.mktemp("writer")
-        want_json, want_csv = _reference_files(result)
-        write_results(result, "json", tmp_path / "r.json")
-        write_results(result, "csv", tmp_path / "r.csv")
-        assert (tmp_path / "r.json").read_text() == want_json
-        assert (tmp_path / "r.csv").read_text() == want_csv
+        _assert_writers_match_reference(result, tmp_path)
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.floats(), max_size=8))
@@ -601,6 +631,19 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "wrote 10 records" in stdout
         assert "mean_SR=" in stdout
+        # The empty config, with the smallest array next to a 1024-element one
+        # and next to the largest the parser accepts, and as JSON, over a power
+        # list that starts with '-': no warning, nothing on stderr.
+        for sets, rows in (([], 900), (["sweep.antennas=2,1024"], 1800), (["sweep.antennas=2,1000000"], 1800),
+                           (["output.format=json"], 900), (["sweep.power_dbm=-10,50", "output.format=json"], 600)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                argv = ["run", "--config", os.devnull, "--out", str(out)]
+                assert main(argv + [arg for line in sets for arg in ("--set", line)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "" and f"wrote {rows} records" in captured.out
+            if "output.format=json" in sets:
+                assert len(json.loads(out.read_text())) == rows
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, "geometry.speed=0\n")
@@ -668,25 +711,32 @@ class TestCli:
         assert len(rows) == 20
 
     @pytest.mark.parametrize("line", ["sweep.power_dbm=-10,50", "sweep.antennas=2,4",
-                                      "geometry.eve=-150,120,0", "output.format=json"])
+                                      "geometry.eve=-150,120,0", "output.format=json",
+                                      "sweep.power_dbm=10,20", "sweep.antennas=4,64"])
     def test_set_is_a_config_line_after_the_file(self, tmp_path, capsys, line):
-        # The same line in the file, once through --set, and through --set
-        # after an earlier --set of the same key: one result file, one stdout.
+        # On the short config and on the empty one: the same line in the
+        # file, once through --set, through --set after an earlier --set of
+        # the same key, and through --set with the output path given as the
+        # config line output.path=O instead of --out O: one result file, one
+        # stdout.
         key = line.partition("=")[0]
         earlier = {"sweep.power_dbm": "1,2", "sweep.antennas": "16", "geometry.eve": "10,0,0",
                    "output.format": "csv"}[key]
-        cfg_path = self._write_config(tmp_path)
-        in_file = tmp_path / "in_file.cfg"
-        in_file.write_text(SHORT_CONFIG + line + "\n")
-        outputs = []
-        for config, sets in ((in_file, []), (cfg_path, ["--set", line]),
-                             (cfg_path, ["--set", f"{key}={earlier}", "--set", line])):
-            out = tmp_path / f"r{len(outputs)}"
-            assert main(["run", "--config", str(config), *sets, "--out", str(out)]) == 0
-            captured = capsys.readouterr()
-            assert captured.err == ""
-            outputs.append((out.read_bytes(), captured.out.replace(str(out), "OUT")))
-        assert outputs[0] == outputs[1] == outputs[2]
+        by_out, by_set = ("--out", "{}"), ("--set", "output.path={}")
+        for base in (SHORT_CONFIG, ""):
+            cfg_path = self._write_config(tmp_path, base)
+            in_file = tmp_path / "in_file.cfg"
+            in_file.write_text(base + line + "\n")
+            outputs = []
+            for config, sets, to in ((in_file, [], by_out), (cfg_path, ["--set", line], by_out),
+                                     (cfg_path, ["--set", f"{key}={earlier}", "--set", line], by_out),
+                                     (cfg_path, ["--set", line], by_set)):
+                out = tmp_path / f"r{len(outputs)}"
+                assert main(["run", "--config", str(config), *sets, *(arg.format(out) for arg in to)]) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                outputs.append((out.read_bytes(), captured.out.replace(str(out), "OUT")))
+            assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
     @pytest.mark.parametrize("argv, message", [
         (["run"], "the following arguments are required: --config"),
@@ -785,6 +835,13 @@ class TestCli:
         # A flight shorter than one sample interval has no point to evaluate.
         ("geometry.sample_interval=1e300", ["run"],
          "geometry.speed, geometry.sample_interval: the 800 m flight lasts 100.0 s, shorter than one"),
+        # 10^7 samples, just over MAX_SAMPLES.
+        ("geometry.sample_interval=1e-5", ["run"],
+         "geometry.sample_interval: the 800 m flight gives 1e+07 samples, more than 1000000\n"),
+        # An empty --out given with '=', and a 300-character one.
+        ("", ["run", "--out="], "error: output.path: empty path\n"),
+        ("", ["run", "--out", "o" * 300],
+         "error: cannot write results to " + "o" * 32 + "... (300 chars): File name too long\n"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):
