@@ -105,8 +105,22 @@ _DBM = _number(float, -MAX_ABS_DBM, MAX_ABS_DBM, unit=" dBm")
 # The grid oracle scores a row of round(1/step) + 1 splits per lane (a chunk
 # of lanes is one row when the grid is longer than ``CHUNK_ELEMENTS``); at
 # 1e-6 that row is 10^6 + 1 doubles, 8 MB, and the rate arithmetic holds a few
-# such rows at once. The step must also be 1/n: power_allocation.parse_grid_step.
+# such rows at once.
 _GRID_STEP = _number(float, 1e-6, 1e-2)
+
+
+def parse_grid_step(key: str, raw: str) -> float:
+    """The ``grid.step`` parser: a step in [1e-6, 1e-2] that is 1/n for an
+    integer n, the grid's interval count, to within |n step - 1| <= 1e-9.
+
+    1/n itself rounds by far less (n step is within 2^-52 of 1), and a 1/n
+    written to 10 or more digits, such as 0.0033333333333, passes; 0.003
+    does not (333 steps of it end at 0.999).
+    """
+    step = _GRID_STEP(key, raw)
+    if abs(round(1.0 / step) * step - 1.0) > 1e-9:
+        raise ConfigError(f"{key}: {_echo(raw)} is not 1/n for an integer n")
+    return step
 
 
 def _parse_list(conv, count: int | None = None):
@@ -201,13 +215,6 @@ class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", d
 # (M sin e - sin Me) / (Me)^3 in (Me)^2. Where |Me| < 1, term j is at most
 # 8/(2j+1)! of the sum, so the first term left out (j = 9) is below 2^-53 of it.
 _TAYLOR = [(-1) ** (j + 1) / math.factorial(2 * j + 1) for j in range(1, 9)]
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, each rounded exactly as ``np.dot``
-    rounds one pair of vectors (a matrix-vector product can sum in another
-    order, which also differs with the number of rows)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
 
 def array_separation(theta_b, theta_e, array: ArrayConfig):
     """D = M^2 - |h_e^H h_b|^2 for the steering vectors toward two directions.
@@ -361,7 +368,11 @@ def _direction_angle(origin: np.ndarray, target: np.ndarray):
     size = np.abs(delta)
     _, exponent = np.frexp(np.maximum(np.maximum(size[..., 0], size[..., 1]), size[..., 2]))
     scaled = np.ldexp(delta, -exponent[..., None])
-    norm = np.sqrt(_rowdot(scaled, scaled))
+    # Each squared norm is a stacked matmul, which rounds each row alone, as
+    # ``np.dot`` rounds one pair of vectors (a matrix-vector product can sum
+    # in another order, which also differs with the number of rows), so Eve's
+    # extra row leaves the UAV rows' bits unchanged.
+    norm = np.sqrt((scaled[..., None, :] @ scaled[..., :, None])[..., 0, 0])
     # The cosine comes from the scaled vector: a distance beyond float64
     # range is inf, and the angle keeps its bits.
     with np.errstate(over="ignore"):

@@ -65,10 +65,11 @@ from .geometry import (
     _join,
     _parse_list,
     link_state_at,
+    parse_grid_step,
     sample_trajectory,
 )
-from .power_allocation import beta_grid_oracle, closed_form, parse_grid_step
-from .rates import secrecy_sum_rate, split_rates
+from .power_allocation import beta_grid_oracle, closed_form
+from .rates import split_rates
 
 CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
 _FIELDS = CSV_HEADER.split(",")
@@ -328,9 +329,10 @@ def summarize(result: SweepResult) -> list[dict]:
     per-point-clamped sum, the whole-flight clamped sum, and the number of
     points that hit the iteration cap without converging.
 
-    The whole-flight sum takes a second ``math.fsum`` only in a block with a
-    clamped lane: where R_s equals R_b - R_e bit for bit on every lane (the
-    usual case), it is the per-point-clamped sum, clamped at 0."""
+    The whole-flight sum is max{0, sum_n (R_b,n - R_e,n)}, clamped on the
+    sum and not per point. It takes a second ``math.fsum`` only in a block
+    with a clamped lane: where R_s equals R_b - R_e bit for bit on every lane
+    (the usual case), it is the per-point-clamped sum, clamped at 0."""
     points = len(result.n)
     out = []
     for block in result.blocks:
@@ -352,7 +354,7 @@ def summarize(result: SweepResult) -> list[dict]:
                     "points": points,
                     "mean_secrecy_rate": total / points,
                     "ssr_per_point_clamped": total,
-                    "ssr_sum_clamped": max(0.0, total) if unclamped else secrecy_sum_rate(row_diffs),
+                    "ssr_sum_clamped": max(0.0, total if unclamped else math.fsum(row_diffs)),
                     "nonconverged": capped,
                 }
             )

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .geometry import _GRID_STEP, ConfigError, LinkState, _echo, lane_link
+from .geometry import LinkState, lane_link, parse_grid_step
 from . import rates
 from .rates import ProjectedPowers
 
@@ -153,34 +153,20 @@ def closed_form(link: LinkState, powers: ProjectedPowers):
     return np.where(take_endpoint, rows[2], best)
 
 
-def parse_grid_step(key: str, raw: str) -> float:
-    """The ``grid.step`` parser: a step in [1e-6, 1e-2] that is 1/n for an
-    integer n, the grid's interval count, to within |n step - 1| <= 1e-9.
-
-    1/n itself rounds by far less (n step is within 2^-52 of 1), and a 1/n
-    written to 10 or more digits, such as 0.0033333333333, passes; 0.003
-    does not (333 steps of it end at 0.999).
-    """
-    step = _GRID_STEP(key, raw)
-    if abs(round(1.0 / step) * step - 1.0) > 1e-9:
-        raise ConfigError(f"{key}: {_echo(raw)} is not 1/n for an integer n")
-    return step
-
-
 def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float):
     """Exhaustive search over a uniform beta grid, straight from the rates.
 
     Independent of the stationary-point solve: evaluates the factored
     R_b - R_e on the grid {0, 1/n, ..., 1}, n = round(1/step) (the step must
-    pass ``parse_grid_step``; each call checks it again, as a step such as
-    1e-9 would build rows of 10^9 elements), and keeps each lane's first
-    maximum. When no split beats beta=0, where the secrecy rate vanishes, it
-    returns beta=1 as closed_form does. The lanes are taken in chunks of
-    rows so that no (lanes x grid) array holds more than ``CHUNK_ELEMENTS``
-    elements or one row; R_b and R_e at each lane's chosen split are then
-    evaluated over all lanes at once, with the same arithmetic as on the grid.
-    Returns (split, f, R_b, R_e) per lane, the alternating loop's PA step
-    contract.
+    pass ``geometry.parse_grid_step``; each call checks it again, as a step
+    such as 1e-9 would build rows of 10^9 elements), and keeps each lane's
+    first maximum. When no split beats beta=0, where the secrecy rate
+    vanishes, it returns beta=1 as closed_form does. The lanes are taken in
+    chunks of rows so that no (lanes x grid) array holds more than
+    ``CHUNK_ELEMENTS`` elements or one row; R_b and R_e at each lane's chosen
+    split are then evaluated over all lanes at once, with the same arithmetic
+    as on the grid. Returns (split, f, R_b, R_e) per lane, the alternating
+    loop's PA step contract.
     """
     n = round(1.0 / parse_grid_step("grid.step", str(step)))
     grid = np.linspace(0.0, 1.0, n + 1)

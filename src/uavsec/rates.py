@@ -1,4 +1,4 @@
-"""Achievable rates at a power split, and the flight-level sum rate.
+"""Achievable rates at a power split.
 
 All rates are in bits/s/Hz (log base 2); all powers are linear mW. The rates,
 the power allocation and the alternating loop see the beamformers only
@@ -10,8 +10,7 @@ Every function is elementwise over the lanes of a batched ``LinkState``.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .geometry import LinkState
 
@@ -43,16 +42,3 @@ def split_rates(link: LinkState, powers: ProjectedPowers, beta):
         rate(link.g_ab, powers.u_b, powers.w_b, link.sigma2_b),
         rate(link.g_ae, powers.u_e, powers.w_e, link.sigma2_e),
     )
-
-
-def secrecy_sum_rate(rate_differences: Iterable[float]) -> float:
-    """Whole-flight sum rate max{0, sum_n (R_b,n - R_e,n)}.
-
-    Takes the signed per-point differences; clamping happens on the sum, not
-    per point. The per-point-clamped variant is just sum(max(0, .)) and is
-    reported separately by the harness.
-    """
-    values = list(rate_differences)
-    if not values:
-        raise ValueError("secrecy_sum_rate needs at least one sampling point")
-    return max(0.0, math.fsum(values))

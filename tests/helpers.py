@@ -14,7 +14,7 @@ import numpy as np
 from uavsec.geometry import ArrayConfig, LinkState, link_state_at, sample_trajectory
 from uavsec.harness import CSV_HEADER, ResultBlock, SweepResult
 from uavsec.beamforming import leakage_pair
-from uavsec.rates import ProjectedPowers, secrecy_sum_rate
+from uavsec.rates import ProjectedPowers
 
 from oracle import BeamformingPair, projected_powers, steered_link
 
@@ -190,7 +190,7 @@ def reference_summary(records):
                 "points": len(recs),
                 "mean_secrecy_rate": math.fsum(r.secrecy for r in recs) / len(recs),
                 "ssr_per_point_clamped": math.fsum(r.secrecy for r in recs),
-                "ssr_sum_clamped": secrecy_sum_rate([r.rate_bob - r.rate_eve for r in recs]),
+                "ssr_sum_clamped": max(0.0, math.fsum(r.rate_bob - r.rate_eve for r in recs)),
                 "nonconverged": sum(r.converged is False for r in recs),
             }
         )

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from uavsec import rates
-from uavsec.geometry import ArrayConfig, LinkState, Validated, _rowdot, array_separation
+from uavsec.geometry import ArrayConfig, LinkState, Validated, array_separation
 from uavsec.rates import ProjectedPowers
 
 # Relative tie width on phi when ranking candidates.
@@ -217,7 +217,8 @@ def summed_separation(theta_b, theta_e, array: ArrayConfig):
         0.5 * (theta_b - theta_e)
     )
     k = np.arange(1.0, m)
-    total = _rowdot(np.sin(np.reshape(y, -1)[:, None] * k) ** 2, m - k)
+    terms = np.sin(np.reshape(y, -1)[:, None] * k) ** 2
+    total = (terms[:, None, :] @ (m - k)[:, None])[:, 0, 0]
     return np.minimum(4.0 * total, float(m * m)).reshape(np.shape(y))[()]
 
 

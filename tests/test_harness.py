@@ -127,10 +127,6 @@ class TestConfigParsing:
         assert cfg.power_sweep_dbm == (10.0, 20.0, 30.0)
         assert [s.name for s in cfg.strategies] == ["ais", "fixed:0.5", "fixed:0.9"]
 
-    def test_invalid_speed_reported(self):
-        with pytest.raises(ConfigError, match=r"^geometry.speed: 0 is outside \(0, inf\)$"):
-            parse_config_text("geometry.speed=0")
-
     def test_unknown_key_reported(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text("geometry.velocity=8")
@@ -197,8 +193,8 @@ class TestConfigParsing:
         assert abs(dbm_to_mw(-110.0) - 1e-11) < 1e-22
 
     def test_overrides(self):
-        # The CLI's sweep overrides go through _replace, which validates
-        # the new config again.
+        # _replace validates the new config: a valid field is taken, and an
+        # invalid one raises the key's ConfigError.
         cfg = ExperimentConfig()
         out = cfg._replace(power_sweep_dbm=(5.0,), antenna_sweep=(4, 8))
         assert out.power_sweep_dbm == (5.0,)
@@ -322,7 +318,7 @@ class TestRunExperiment:
                 for field in ("rate_bob", "rate_eve", "secrecy"):
                     assert np.array_equal(bits(getattr(block, field)), bits(getattr(same, field)))
 
-    def test_deterministic_and_parallel_consistent(self):
+    def test_run_is_deterministic(self):
         cfg = parse_config_text(SHORT_CONFIG)
         serial_a = records_of(run_experiment(cfg))
         serial_b = records_of(run_experiment(cfg))
@@ -373,6 +369,28 @@ class TestRunExperiment:
             for (*_, mean, ssr, clamped), row in zip(printed, want):
                 assert [float(mean), float(ssr), float(clamped)] == pytest.approx(
                     [row["mean_secrecy_rate"], row["ssr_per_point_clamped"], row["ssr_sum_clamped"]], rel=0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "diffs, ssr, ssr_sum_clamped, one_sum",
+        [
+            ([0.0, 0.0, 0.0], 0.0, 0.0, True),
+            ([1.25], 1.25, 1.25, True),
+            ([0.5, 1.5, -0.25], 2.0, 1.75, False),
+            ([-1.0, 0.25], 0.25, 0.0, False),  # clamped on the sum
+        ],
+    )
+    def test_flight_sum_is_clamped_on_the_sum(self, diffs, ssr, ssr_sum_clamped, one_sum):
+        # The whole-flight sum max{0, sum_n (R_b,n - R_e,n)} of one block at one
+        # power whose R_b - R_e is exactly ``diffs``. The ``one_sum`` cases have
+        # R_s = R_b - R_e on every point; the others have a clamped point.
+        d = np.array([diffs])
+        rate_bob, rate_eve, secrecy = np.maximum(d, 0.0), np.maximum(-d, 0.0), np.maximum(d, 0.0)
+        assert np.array_equal(rate_bob - rate_eve, d)
+        assert np.array_equal(secrecy, d) == one_sum
+        block = ResultBlock("fixed:0.5", 8, 0.5, rate_bob, rate_eve, secrecy)
+        points = np.arange(1, len(diffs) + 1)
+        [row] = summarize(SweepResult((10.0,), points, np.zeros(len(diffs)), (block,)))
+        assert (row["ssr_per_point_clamped"], row["ssr_sum_clamped"]) == (ssr, ssr_sum_clamped)
 
 
 def _assert_writers_match_reference(result, tmp_path):
@@ -463,16 +481,6 @@ def sweep_results(draw):
 
 
 class TestResultFiles:
-    def test_csv_shape(self, tmp_path):
-        cfg = parse_config_text(SHORT_CONFIG)
-        one_row = result_of(records_of(run_experiment(cfg))[:1])
-        out = tmp_path / "r.csv"
-        write_results(one_row, "csv", out)
-        lines = out.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0] == CSV_HEADER
-        assert len(lines[1].split(",")) == 11
-
     def test_csv_round_trip_byte_identical(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
         result = run_experiment(cfg)
@@ -481,15 +489,6 @@ class TestResultFiles:
         write_results(result, "csv", first)
         write_results(result_of(read_results_csv(first)), "csv", second)
         assert first.read_bytes() == second.read_bytes()
-
-    def test_json_fields_match_header(self, tmp_path):
-        cfg = parse_config_text(SHORT_CONFIG)
-        result = run_experiment(cfg)
-        out = tmp_path / "r.json"
-        write_results(result, "json", out)
-        rows = json.loads(out.read_text())
-        assert len(rows) == result.rows == 10
-        assert list(rows[0].keys()) == CSV_HEADER.split(",")
 
     def test_writers_match_reference_encoders(self, tmp_path):
         # Every strategy name; negative, exponent-form, integral, subnormal
@@ -686,30 +685,6 @@ class TestCli:
         assert err.startswith(f"error: cannot write results to {_echo(str(tmp_path))}: ") and err.count("\n") == 1
         assert len(err) <= 121
 
-    def test_sweep_power_override(self, tmp_path):
-        cfg_path = self._write_config(tmp_path)
-        out = tmp_path / "p.csv"
-        code = main(
-            ["run", "--config", str(cfg_path), "--set", "sweep.power_dbm=0,30",
-             "--out", str(out)]
-        )
-        assert code == 0
-        records = read_results_csv(out)
-        assert sorted({r.ps_dbm for r in records}) == [0.0, 30.0]
-        assert len(records) == 20
-
-    def test_sweep_antennas_override(self, tmp_path):
-        cfg_path = self._write_config(tmp_path)
-        out = tmp_path / "m.json"
-        code = main(
-            ["run", "--config", str(cfg_path), "--set", "sweep.antennas=2,4",
-             "--out", str(out), "--set", "output.format=json"]
-        )
-        assert code == 0
-        rows = json.loads(out.read_text())
-        assert sorted({row["M"] for row in rows}) == [2, 4]
-        assert len(rows) == 20
-
     @pytest.mark.parametrize("line", ["sweep.power_dbm=-10,50", "sweep.antennas=2,4",
                                       "geometry.eve=-150,120,0", "output.format=json",
                                       "sweep.power_dbm=10,20", "sweep.antennas=4,64"])
@@ -737,6 +712,11 @@ class TestCli:
                 assert captured.err == ""
                 outputs.append((out.read_bytes(), captured.out.replace(str(out), "OUT")))
             assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+            if key.startswith("sweep."):
+                # The rows hold exactly the line's powers or antenna counts.
+                field, kind = {"sweep.power_dbm": ("ps_dbm", float), "sweep.antennas": ("m", int)}[key]
+                values = {getattr(r, field) for r in read_results_csv(tmp_path / "r0")}
+                assert values == {kind(v) for v in line.partition("=")[2].split(",")}
 
     @pytest.mark.parametrize("argv, message", [
         (["run"], "the following arguments are required: --config"),

@@ -4,9 +4,8 @@ the vector reference (``oracle.projected_powers``) supplies."""
 import math
 
 import numpy as np
-import pytest
 
-from uavsec.rates import secrecy_sum_rate, split_rates
+from uavsec.rates import split_rates
 
 from helpers import random_link, random_pair, random_unit, symmetric_link
 from oracle import BeamformingPair, projected_powers
@@ -106,15 +105,6 @@ def test_secrecy_rate_composition():
         assert abs(rs - expected) < 1e-12
         assert rs >= 0.0
     assert secrecy_rate(link, bf, 0.0) == 0.0
-
-
-def test_secrecy_sum_rate():
-    assert secrecy_sum_rate([0.0, 0.0, 0.0]) == 0.0
-    assert secrecy_sum_rate([1.25]) == 1.25
-    assert abs(secrecy_sum_rate([0.5, 1.5, -0.25]) - 1.75) < 1e-15
-    assert secrecy_sum_rate([-1.0, 0.25]) == 0.0  # clamped on the sum
-    with pytest.raises(ValueError):
-        secrecy_sum_rate([])
 
 
 def test_rate_bob_nondecreasing_in_beta():
