@@ -318,11 +318,23 @@ class TestRunExperiment:
                 for field in ("rate_bob", "rate_eve", "secrecy"):
                     assert np.array_equal(bits(getattr(block, field)), bits(getattr(same, field)))
 
-    def test_run_is_deterministic(self):
-        cfg = parse_config_text(SHORT_CONFIG)
+    @pytest.mark.parametrize("config", [
+        SHORT_CONFIG,
+        SHORT_CONFIG + "strategies=ais\n",
+        SHORT_CONFIG + "strategies=grid_oracle\n",
+        LOW_SNR_CONFIG,
+    ], ids=["fixed", "ais", "grid_oracle", "LOW_SNR_CONFIG"])
+    def test_run_is_deterministic(self, config):
+        # Each strategy kind: the closed-form pass, the alternating loop (with
+        # its iteration counts and, at low SNR, the capped lanes) and the grid
+        # search give the same records bit for bit on a second run.
+        cfg = parse_config_text(config)
         serial_a = records_of(run_experiment(cfg))
         serial_b = records_of(run_experiment(cfg))
-        assert serial_a == serial_b
+        assert serial_a == serial_b and serial_a
+        # Bit for bit: == would let 0.0 and -0.0 pass.
+        rates = [np.array([r[5:9] for r in serial], dtype=float).view(np.int64) for serial in (serial_a, serial_b)]
+        assert np.array_equal(*rates)
 
     def test_summary_mean_matches_records(self):
         cfg = parse_config_text(SHORT_CONFIG)
