@@ -1,4 +1,8 @@
-"""Command-line entry point for the flight-sweep simulator."""
+"""Command-line entry point for the flight-sweep simulator.
+
+The parser is built once, at import; ``main`` keeps no state between calls,
+so it is safe to call repeatedly in one process.
+"""
 
 from __future__ import annotations
 
@@ -15,16 +19,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+_PARSER = _Parser(prog="uavsec", description="Secrecy-rate sweeps for a UAV directional-modulation link")
+_PARSER.add_argument("command", choices=("run",), help="run the sweep defined by the config")
+_PARSER.add_argument("--config", required=True, help="path to a key=value config file")
+# argparse copies an append destination's list before it appends, so the
+# shared default=[] stays empty from call to call.
+_PARSER.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", dest="overrides",
+                     help="a config line read after the file's (repeatable; the last value of a key wins)")
+_PARSER.add_argument("--out", action="append", type="output.path={}".format, metavar="O", dest="overrides",
+                     help="output file: the config line output.path=O, in argv order with --set")
+
+
 def main(argv=None) -> int:
-    parser = _Parser(prog="uavsec", description="Secrecy-rate sweeps for a UAV directional-modulation link")
-    parser.add_argument("command", choices=("run",), help="run the sweep defined by the config")
-    parser.add_argument("--config", required=True, help="path to a key=value config file")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", dest="overrides",
-                        help="a config line read after the file's (repeatable; the last value of a key wins)")
-    parser.add_argument("--out", action="append", type="output.path={}".format, metavar="O", dest="overrides",
-                        help="output file: the config line output.path=O, in argv order with --set")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         cfg = parse_config(args.config, args.overrides)
         result = run_experiment(cfg)
         write_results(result, cfg.output_format, cfg.output_path)

@@ -39,7 +39,7 @@ from uavsec.harness import (
     summarize,
     write_results,
 )
-from uavsec.cli import main
+from uavsec.cli import _PARSER, main
 from uavsec.floattext import _TABLE_CHUNK, _TABLE_MIN, column_texts, twelve_digits
 from uavsec.rates import split_rates
 
@@ -745,6 +745,30 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
+
+    def test_main_keeps_no_state_between_calls(self, tmp_path, capsys):
+        # The parser is shared by every call: neither a --set nor a usage
+        # error may reach a later run.
+        cfg_path = self._write_config(tmp_path)
+        a, b = tmp_path / "A.csv", tmp_path / "B.csv"
+        assert main(["run", "--config", str(cfg_path), "--set", "sweep.power_dbm=1,2", "--out", str(a)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--set"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["run", "--config", str(cfg_path), "--out", str(b)]) == 0
+        reference = tmp_path / "reference.csv"
+        write_results(run_experiment(parse_config_text(SHORT_CONFIG)), "csv", reference)
+        assert b.read_bytes() == reference.read_bytes()
+        assert _PARSER.get_default("overrides") == []
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: uavsec")
 
 
 @pytest.mark.parametrize(

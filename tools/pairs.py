@@ -14,10 +14,20 @@ pairs the change's value is better, with "better" as ``BENCHMARK.json``
 states it (lower where a metric is not listed there), and the failed
 records of each side.
 
+``--json PATH`` also writes the same figures as JSON (each side's median,
+q1, q3 and n per metric, the pairs the change wins, the failed records),
+with a ``meta`` block: each tree's ``git rev-parse HEAD`` ("unknown" for a
+tree that is not a git checkout, with ``-dirty`` appended when its ``src``
+or ``benchmarks`` has uncommitted changes) and ``src`` code and physical
+lines, the Python and numpy versions, the usable CPU count, and the seed
+and seconds passed through (null where the benchmark's own default
+applies).
+
 Usage::
 
     python tools/pairs.py --against DIR                       # flight_default, 10 pairs
     python tools/pairs.py --against DIR --workload array_power_sweep --pairs 5 --seconds 5 --seed 3
+    python tools/pairs.py --against DIR --seed 0 --json pairs.json
 
 The exit code is 0 whenever every run wrote a result line: the numbers are
 a report, not a gate.
@@ -29,10 +39,14 @@ import argparse
 import compileall
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
+
+from code_lines import count
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,28 +59,64 @@ def run_benchmark(tree: Path, workload: str, extra: list[str]) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def spread(values: list[float]) -> str:
-    """``median [q1, q3]``, the quartiles as the benchmark computes them."""
+def quartiles(values: list[float]) -> dict:
+    """Median, quartiles and count, the quartiles as the benchmark computes them."""
     if len(values) < 2:
-        return f"{values[0]:.6g}"
+        return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{med:.6g} [{q1:.6g}, {q3:.6g}]"
+    return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def report(workload: str, runs: dict, better: dict) -> list[str]:
-    """The lines for one workload: per metric, each side's spread and the
-    pairs the change wins."""
+def spread(stats: dict) -> str:
+    """``median [q1, q3]``, or the one value of a single run."""
+    if stats["n"] < 2:
+        return f"{stats['median']:.6g}"
+    return f"{stats['median']:.6g} [{stats['q1']:.6g}, {stats['q3']:.6g}]"
+
+
+def summarize(runs: dict, better: dict) -> dict:
+    """One workload's figures: the failed records of each side, and per
+    metric each side's quartiles and the pairs the change wins."""
     parent, change = runs["parent"], runs["change"]
-    lines = [f"{workload}: {len(change)} pairs; failed records: parent "
-             f"{sum(r['failed'] for r in parent)}, change {sum(r['failed'] for r in change)}"]
+    metrics = {}
     for name, metric in change[0]["metrics"].items():
         ours = [r["metrics"][name]["value"] for r in change]
         theirs = [r["metrics"][name]["value"] for r in parent]
         lower = better.get(name, "lower") == "lower"
         wins = sum((b < a) if lower else (b > a) for a, b in zip(theirs, ours))
-        lines.append(f"  {name} ({metric['unit']}, {'lower' if lower else 'higher'} is better): "
-                     f"parent {spread(theirs)}, change {spread(ours)}; change better in {wins}/{len(ours)}")
+        metrics[name] = {"unit": metric["unit"], "better": "lower" if lower else "higher",
+                         "parent": quartiles(theirs), "change": quartiles(ours), "change_better": wins}
+    return {"pairs": len(change),
+            "failed": {side: sum(r["failed"] for r in runs[side]) for side in ("parent", "change")},
+            "metrics": metrics}
+
+
+def report(workload: str, summary: dict) -> list[str]:
+    """The printed lines for one workload's figures."""
+    failed, n = summary["failed"], summary["pairs"]
+    lines = [f"{workload}: {n} pairs; failed records: parent {failed['parent']}, change {failed['change']}"]
+    for name, m in summary["metrics"].items():
+        lines.append(f"  {name} ({m['unit']}, {m['better']} is better): parent {spread(m['parent'])}, "
+                     f"change {spread(m['change'])}; change better in {m['change_better']}/{n}")
     return lines
+
+
+def tree_meta(tree: Path) -> dict:
+    """A tree's commit and its ``src`` code and physical lines. The commit is
+    ``"unknown"`` outside a git checkout of the tree, and ends ``-dirty``
+    when ``src`` or ``benchmarks`` differ from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
+
+    head = git("rev-parse", "--show-toplevel", "HEAD")
+    top, _, rev = head.stdout.strip().partition("\n")
+    if head.returncode or Path(top).resolve() != tree:
+        rev = "unknown"
+    elif git("status", "--porcelain", "--", "src", "benchmarks").stdout:
+        rev += "-dirty"
+    counts = [count(path) for path in sorted((tree / "src").rglob("*.py"))]
+    return {"rev": rev, "src_code_lines": sum(c for c, _ in counts),
+            "src_physical_lines": sum(p for _, p in counts)}
 
 
 def main(argv=None) -> int:
@@ -77,6 +127,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload (default 10)")
     parser.add_argument("--seconds", type=int, help="passed to benchmarks/run.py (default: its own)")
     parser.add_argument("--seed", type=int, help="passed to benchmarks/run.py (default: its own)")
+    parser.add_argument("--json", metavar="PATH", help="also write the figures and run metadata here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -90,12 +141,19 @@ def main(argv=None) -> int:
              if value is not None]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    results = {}
     for workload in args.workload or ["flight_default"]:
         runs = {"change": [], "parent": []}
         for i in range(args.pairs):
             for side in ("change", "parent") if i % 2 else ("parent", "change"):
                 runs[side].append(run_benchmark(trees[side], workload, extra))
-        print("\n".join(report(workload, runs, better)), flush=True)
+        results[workload] = summarize(runs, better)
+        print("\n".join(report(workload, results[workload])), flush=True)
+    if args.json:
+        meta = {**{side: tree_meta(tree) for side, tree in trees.items()},
+                "python": platform.python_version(), "numpy": metadata.version("numpy"),
+                "nproc": len(os.sched_getaffinity(0)), "seed": args.seed, "seconds": args.seconds}
+        Path(args.json).write_text(json.dumps({"meta": meta, "workloads": results}, indent=2) + "\n")
     return 0
 
 
