@@ -22,7 +22,6 @@ powers, the stop flag, the cycle count and its last PA step's R_b and R_e.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,15 +41,12 @@ class AisConfig(Validated, namedtuple("AisConfig", "beta_init epsilon max_iterat
                    "max_iterations": ("ais.max_iterations", _ITERATIONS, repr)}
 
 
-class AisTrace(NamedTuple):
-    """Per lane: whether it stopped before the iteration cap, its cycle
-    count, and Bob's and Eve's rates at its final split, as its last PA step
-    scored them."""
+class AisTrace(namedtuple("AisTrace", "converged iterations_used rate_bob rate_eve")):
+    """Per lane: whether it stopped before the iteration cap (bool), its
+    cycle count (int), and Bob's and Eve's rates at its final split (float),
+    as its last PA step scored them."""
 
-    converged: bool
-    iterations_used: int
-    rate_bob: float
-    rate_eve: float
+    __slots__ = ()
 
 
 def optimize_point(

@@ -16,11 +16,9 @@ everything downstream takes arrays (or scalars) elementwise, so one call
 covers every sample point and transmit power of a sweep.
 
 The package's records compile no code when it is imported, which keeps its
-start-up short. They are of two kinds. A config, a ``LinkState``, a
-``Trajectory`` and the harness's ``SweepResult`` are ``collections.namedtuple``
-subclasses; those with checks (the configs and ``LinkState``) sit behind the
-``Validated`` mixin, which runs them however the record is built. The other
-records are ``typing.NamedTuple``s.
+start-up short. Every record is a ``collections.namedtuple`` subclass; those
+with checks (the configs and ``LinkState``) sit behind the ``Validated``
+mixin, which runs them however the record is built.
 
 Every field of a config record has a config key, and its one rule is that
 key's parser: the value must be what its text parses back to. Every

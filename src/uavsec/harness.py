@@ -46,7 +46,7 @@ from functools import partial
 from itertools import chain, groupby, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -81,16 +81,16 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-class Strategy(NamedTuple):
+class Strategy(namedtuple("Strategy", "kind fixed_beta", defaults=(None,))):
     """One of the sweepable per-point optimizers.
 
     kind: 'ais' (alternating closed-form loop), 'fixed' (leakage beamformers
     at a fixed split, no iteration), or 'grid_oracle' (the same alternating
-    loop with exhaustive-search power allocation).
+    loop with exhaustive-search power allocation). fixed_beta: the split of
+    a 'fixed' strategy (a float), None for the others.
     """
 
-    kind: str
-    fixed_beta: Optional[float] = None
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -231,23 +231,16 @@ def serialize_config(cfg: ExperimentConfig) -> str:
                    for key, (section, field, _, fmt) in _KEYS.items())
 
 
-class ResultBlock(NamedTuple):
-    """One (strategy, M) run over every (Ps, n) lane.
-
-    ``beta`` and the rates are (P x N) arrays, rows in the order of
-    ``SweepResult.powers_dbm``, or one scalar for the whole block (a fixed
-    split). ``iterations`` and ``converged`` are None for a strategy that
-    does not iterate.
+class ResultBlock(namedtuple("ResultBlock", "strategy m beta rate_bob rate_eve secrecy iterations converged",
+                             defaults=(None, None))):
+    """One (strategy, M) run over every (Ps, n) lane: the strategy's name,
+    the antenna count, then ``beta`` and the rates as (P x N) arrays, rows in
+    the order of ``SweepResult.powers_dbm``, with ``beta`` one float for the
+    whole block (a fixed split). ``iterations`` and ``converged`` are (P x N)
+    arrays, or None for a strategy that does not iterate.
     """
 
-    strategy: str
-    m: int
-    beta: np.ndarray | float
-    rate_bob: np.ndarray
-    rate_eve: np.ndarray
-    secrecy: np.ndarray
-    iterations: Optional[np.ndarray] = None
-    converged: Optional[np.ndarray] = None
+    __slots__ = ()
 
 
 class SweepResult(namedtuple("SweepResult", "powers_dbm n theta_b blocks")):

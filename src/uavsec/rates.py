@@ -10,20 +10,20 @@ Every function is elementwise over the lanes of a batched ``LinkState``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .geometry import LinkState
 
 import numpy as np
 
 
-class ProjectedPowers(NamedTuple):
-    """|h^H v|^2 for the four steering-vector / beamformer pairs."""
+class ProjectedPowers(namedtuple("ProjectedPowers", "u_b w_b u_e w_e")):
+    """|h^H v|^2 for the four steering-vector / beamformer pairs: the
+    confidential stream at Bob, u_b = |h_b^H v_b|^2, and the artificial noise
+    there, w_b = |h_b^H v_an|^2; at Eve, u_e = |h_e^H v_b|^2 and
+    w_e = |h_e^H v_an|^2."""
 
-    u_b: float  # confidential stream at Bob, |h_b^H v_b|^2
-    w_b: float  # artificial noise at Bob, |h_b^H v_an|^2
-    u_e: float  # confidential stream at Eve, |h_e^H v_b|^2
-    w_e: float  # artificial noise at Eve, |h_e^H v_an|^2
+    __slots__ = ()
 
 
 def split_rates(link: LinkState, powers: ProjectedPowers, beta):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavsec.ais import AisConfig, optimize_point
+from uavsec.ais import AisConfig, AisTrace, optimize_point
 from uavsec.beamforming import leakage_pair
 from uavsec.floattext import _TABLE_MIN
 from uavsec.geometry import (
@@ -27,6 +27,7 @@ from uavsec.geometry import (
     link_state_at,
     sample_trajectory,
 )
+from uavsec.rates import ProjectedPowers
 from uavsec.harness import (
     _KEYS,
     ExperimentConfig,
@@ -97,6 +98,30 @@ def test_records_are_immutable(record):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert getattr(record, field) is value
+
+
+@pytest.mark.parametrize("record, fields, defaults, example, text", [
+    (Strategy, ("kind", "fixed_beta"), {"fixed_beta": None}, ("fixed", 0.5),
+     "Strategy(kind='fixed', fixed_beta=0.5)"),
+    (ResultBlock, ("strategy", "m", "beta", "rate_bob", "rate_eve", "secrecy", "iterations", "converged"),
+     {"iterations": None, "converged": None}, ("ais", 8, 0.5, 1.0, 0.5, 0.5),
+     "ResultBlock(strategy='ais', m=8, beta=0.5, rate_bob=1.0, rate_eve=0.5, secrecy=0.5, iterations=None, "
+     "converged=None)"),
+    (AisTrace, ("converged", "iterations_used", "rate_bob", "rate_eve"), {}, (True, 3, 1.0, 0.5),
+     "AisTrace(converged=True, iterations_used=3, rate_bob=1.0, rate_eve=0.5)"),
+    (ProjectedPowers, ("u_b", "w_b", "u_e", "w_e"), {}, (1.0, 2.0, 3.0, 4.0),
+     "ProjectedPowers(u_b=1.0, w_b=2.0, u_e=3.0, w_e=4.0)"),
+], ids=["Strategy", "ResultBlock", "AisTrace", "ProjectedPowers"])
+def test_record_layout(record, fields, defaults, example, text):
+    # Each record's fields, their order and defaults, its repr, and equality
+    # and hashing as the tuple of its fields.
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    built = record(*example)
+    assert repr(built) == text
+    assert built == record._make(built) == tuple(built)
+    assert hash(built) == hash(tuple(built))
+    assert not hasattr(built, "__dict__")
 
 
 def test_strategy_is_hashable_and_equal_by_value():
