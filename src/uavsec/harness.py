@@ -117,6 +117,8 @@ def _parse_path(key: str, raw: str) -> str:
         raise ConfigError(f"{key}: empty path")
     if raw != raw.strip() or len(raw.splitlines()) > 1:
         raise ConfigError(f"{key}: {_echo(raw, repr)} holds a line break or surrounding whitespace")
+    if "\0" in raw:
+        raise ConfigError(f"{key}: {_echo(raw, repr)} holds a NUL byte")
     return raw
 
 
@@ -217,10 +219,12 @@ def parse_config_text(text: str, overrides: Iterable[str] = ()) -> ExperimentCon
 
 def parse_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         # The OS text quotes the path again, uncut: only its reason is kept.
         raise ConfigError(f"cannot read config {_echo(str(path))}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {_echo(str(path))}: not UTF-8 at byte {exc.start}") from exc
     return parse_config_text(text, overrides)
 
 

@@ -2,15 +2,18 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import uavsec
 from uavsec.ais import AisConfig, optimize_point
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import (
@@ -101,7 +104,7 @@ def configs(draw):
         assume(False)
     strategy = st.one_of(st.just(Strategy("ais")), st.just(Strategy("grid_oracle")),
                          _SPLIT.map(lambda beta: Strategy("fixed", beta)))
-    path = st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) == 1)
+    path = st.text().filter(lambda text: text == text.strip() and len(text.splitlines()) == 1 and "\0" not in text)
     return ExperimentConfig(
         geometry=geometry,
         array_spacing=draw(_finite(min_value=0.0, max_value=MAX_SPACING, exclude_min=True)),
@@ -858,6 +861,9 @@ class TestCli:
         ("", ["run", "--out="], "error: output.path: empty path\n"),
         ("", ["run", "--out", "o" * 300],
          "error: cannot write results to " + "o" * 32 + "... (300 chars): File name too long\n"),
+        # A NUL byte cannot be in a file name: rejected before the sweep runs.
+        ("", ["run", "--out", "a\x00b.csv"], "error: output.path: 'a\\x00b.csv' holds a NUL byte\n"),
+        ("", ["run", "--set", "output.path=a\x00b.csv"], "error: output.path: 'a\\x00b.csv' holds a NUL byte\n"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):
@@ -873,6 +879,32 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def test_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_bytes(b"\xff\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read config {_echo(str(cfg_path))}: not UTF-8 at byte 0\n"
+    assert not out.exists()
+
+
+def test_config_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale, with neither UTF-8 mode nor locale coercion, the
+    # locale's encoding is ASCII; a config's non-ASCII comment still reads.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_bytes("# débit\nsweep.power_dbm=10\n".encode())
+    out = tmp_path / "r.csv"
+    src = str(Path(uavsec.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "uavsec.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    # Three strategies at one power over the 100 points of the default flight.
+    assert len(read_results_csv(out)) == 300
 
 
 def test_eavesdropper_whose_gain_underflows_hears_nothing(tmp_path, capsys):

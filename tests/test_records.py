@@ -317,6 +317,8 @@ def test_holders_compare_field_by_field():
     (lambda: ExperimentConfig(ais=(0.1, 1e-6, 50)), ConfigError, r"^ais: \(0.1, 1e-06, 50\) is not of type AisConfig$"),
     (lambda: ExperimentConfig(geometry=ScenarioGeometry()._asdict()), ConfigError,
      "^geometry: .* is not of type ScenarioGeometry$"),
+    # A NUL byte cannot be in a file name.
+    (lambda: ExperimentConfig(output_path="a\x00b"), ConfigError, r"^output.path: 'a\\x00b' holds a NUL byte$"),
 ])
 def test_every_way_of_building_a_config_validates(build, error, message):
     with pytest.raises(error, match=message):
