@@ -219,7 +219,7 @@ def parse_config_text(text: str, overrides: Iterable[str] = ()) -> ExperimentCon
 
 def parse_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         # The OS text quotes the path again, uncut: only its reason is kept.
         raise ConfigError(f"cannot read config {_echo(str(path))}: {exc.strerror or exc}") from exc

@@ -22,11 +22,11 @@ exact-rational expansion is kept as the test oracle (``tests/oracle.py``).
 
 Both searches run elementwise over the lanes of a batched link: every
 candidate is scored on every lane, and ``np.where`` keeps the winner of
-each. The closed form scores its three candidates (root1 or the degenerate
-root, root2, and the endpoint 1; a root that rounds to 1 is scored at the
-largest float below 1) in one ``split_rates`` call, stacked along a leading
-axis, then folds them in two steps, root2 against root1 and the endpoint
-against that winner, keeping the winner's split, f, R_b and R_e together.
+each. The closed form scores its three candidates (the two roots and the
+endpoint 1; a root that rounds to 1 is scored at the largest float below
+1) in one ``split_rates`` call, stacked along a leading axis, then folds
+them in two steps, root2 against root1 and the endpoint against that
+winner, keeping the winner's split, f, R_b and R_e together.
 
 Both searches are power-allocation steps of the alternating loop and return
 only the rows (split, f, R_b, R_e) per lane, the rates being those they
@@ -73,27 +73,31 @@ def _factors(gain, p_s, u, w, sigma2):
 def _stationary_candidates(link: LinkState, powers: ProjectedPowers):
     """Stationary points of phi on the whole real line, per lane.
 
-    Returns two (beta, exists) slots: root1 (or the degenerate root where
-    the quadratic is linear) and root2; a lane where phi is constant has
-    neither. The stationary condition expands to q b^2 + 2h b + c = 0;
-    ``root1`` is (-h + sqrt(h^2 - qc)) / q, the sign convention of the
-    expanded rational form, whose derivative numerator is this quadratic
-    times a positive constant.
+    The stationary condition expands to q b^2 + 2h b + c = 0. Returns its
+    roots as one (2, *lanes) array, root1 = (-h + sqrt(h^2 - qc)) / q first
+    (the sign convention of the expanded rational form, whose derivative
+    numerator is this quadratic times a positive constant), and ``real``,
+    where the discriminant is not negative. With t = -h - sign(h) sqrt(disc)
+    the formula needs no special cases: where h = c = 0 (phi is constant)
+    t = -0.0 and the roots are +-0 and NaN; where q = 0 != h (the equation
+    is linear) sqrt(fl(h^2)) = |h| in binary64, so t = -2h and c/t is
+    -c/(2h) bit for bit, with +-inf beside it; where q = h = 0 != c (Eve's
+    gain underflowed to 0) they are NaN and +-inf. None of +-0, NaN and +-inf
+    lies in (0, 1]. The linear root is exact for 2^-511 <= |h| < 2^512,
+    where h^2 is normal, as every quadratic lane needs; below, it is
+    perturbed, and above, lost.
     """
     a_b, r1, r2 = _factors(link.g_ab, link.p_s, powers.u_b, powers.w_b, link.sigma2_b)
     a_e, r3, r4 = _factors(link.g_ae, link.p_s, powers.u_e, powers.w_e, link.sigma2_e)
-    q = np.asarray(a_b * r3 * r4 - a_e * r1 * r2)
-    h = np.asarray(0.5 * (a_b * (r3 + r4) - a_e * (r1 + r2)))
-    c = np.asarray(a_b - a_e)
-    constant = (h == 0.0) & (c == 0.0)
-    linear = (q == 0.0) & (h != 0.0)
+    q = a_b * r3 * r4 - a_e * r1 * r2
+    h = 0.5 * (a_b * (r3 + r4) - a_e * (r1 + r2))
+    c = a_b - a_e
     hh, qc = h * h, q * c
     disc = hh - qc
     # A discriminant that is negative only by rounding (h^2 and qc agree to
     # a few ulps) is a double root, -h/q; dropping it can lose an optimum
     # next to beta = 1. The root below reads it as 0.
-    rounding = _ROUNDING * (hh + abs(qc))
-    quadratic = ~constant & (q != 0.0) & (disc >= -rounding)
+    real = disc >= -_ROUNDING * (hh + abs(qc))
     hpos = h >= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # Form the larger-magnitude root from -h and -sign(h) sqrt(disc),
@@ -102,10 +106,7 @@ def _stationary_candidates(link: LinkState, powers: ProjectedPowers):
         root = np.sqrt(np.maximum(disc, 0.0))
         t = np.where(hpos, -(h + root), root - h)
         far, near = t / q, c / t
-        root1 = np.where(hpos, near, far)
-        root2 = np.where(hpos, far, near)
-        degenerate = -c / (2.0 * h)
-    return [(np.where(linear, degenerate, root1), linear | quadratic), (root2, quadratic)]
+    return np.where(hpos, (near, far), (far, near)), real
 
 
 def _beats(new, old):
@@ -126,20 +127,17 @@ def closed_form(link: LinkState, powers: ProjectedPowers):
     matching what beta=0 would have given. Where phi is identically 1 any
     beta is optimal, 1 by convention.
     """
-    stationary = _stationary_candidates(link, powers)
-    # Rows of (split, f, R_b, R_e) for root1 (or the degenerate root), root2
-    # and the endpoint 1, in the shape the link and powers broadcast to. A
-    # root that rounded to 1.0 may be an interior optimum within one ulp of
-    # the endpoint, where (1-beta) Ps w still dwarfs the noise floor: it is
-    # scored one ulp below 1, and the tie rule still lets the endpoint win.
-    # An invalid root keeps the split 1. With no interior stationary point
-    # (including a negative discriminant, where phi is monotone) the
-    # endpoint is the sole survivor.
-    betas = np.ones((3, *np.shape(stationary[0][0])))
-    valid = [exists & (0.0 < beta) & (beta <= 1.0) for beta, exists in stationary]
-    for i, (beta, _) in enumerate(stationary):
-        # [i, ...] keeps a 0-d row a view that out= can write.
-        np.minimum(beta, _BELOW_ONE, out=betas[i, ...], where=valid[i])
+    roots, real = _stationary_candidates(link, powers)
+    # Rows of (split, f, R_b, R_e) for the two roots and the endpoint 1, in
+    # the shape the link and powers broadcast to. A root that rounded to 1.0
+    # may be an interior optimum within one ulp of the endpoint, where
+    # (1-beta) Ps w still dwarfs the noise floor: it is scored one ulp below
+    # 1, and the tie rule still lets the endpoint win. An invalid root keeps
+    # the split 1. With no interior stationary point (including a negative
+    # discriminant, where phi is monotone) the endpoint is the sole survivor.
+    valid = real & (0.0 < roots) & (roots <= 1.0)
+    betas = np.ones((3, *roots.shape[1:]))
+    np.minimum(roots, _BELOW_ONE, out=betas[:2], where=valid)
     # All candidates are scored in one call, along a leading axis.
     r_b, r_e = rates.split_rates(link, powers, betas)
     rows = np.stack((betas, r_b - r_e, r_b, r_e), axis=1)

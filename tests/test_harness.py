@@ -891,6 +891,27 @@ def test_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_not_utf8_after_a_byte_order_mark_counts_the_mark(tmp_path, capsys):
+    # The offset is the file's: the three bytes of the mark, then "ab".
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_bytes(b"\xef\xbb\xbfab\xff")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == f"error: cannot read config {_echo(str(cfg_path))}: not UTF-8 at byte 5\n"
+
+
+def test_config_that_starts_with_a_byte_order_mark_reads(tmp_path, capsys):
+    # Windows Notepad writes a UTF-8 byte-order mark before the text; it is
+    # not part of the first key.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_bytes(b"\xef\xbb\xbfsweep.power_dbm=10\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_results_csv(out)
+    assert len(rows) == 300
+    assert {row.ps_dbm for row in rows} == {10.0}
+
+
 def test_config_is_read_as_utf8_whatever_the_locale(tmp_path):
     # Under the C locale, with neither UTF-8 mode nor locale coercion, the
     # locale's encoding is ASCII; a config's non-ASCII comment still reads.

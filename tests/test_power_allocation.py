@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavsec import power_allocation
 from uavsec.beamforming import leakage_pair
-from uavsec.geometry import ArrayConfig, ConfigError, LinkState, ScenarioGeometry, link_state_at, sample_trajectory
+from uavsec.geometry import (ArrayConfig, ConfigError, LinkState, ScenarioGeometry, array_separation, link_state_at,
+                             sample_trajectory)
 from uavsec.power_allocation import beta_grid_oracle, closed_form
 from uavsec.harness import ExperimentConfig, dbm_to_mw, parse_config_text
 from uavsec.rates import ProjectedPowers, split_rates
@@ -68,11 +71,12 @@ def test_float_solution_matches_exact_oracle():
 def _fold_one_call_per_candidate(link, powers):
     """``closed_form`` as it was before its candidates were stacked: each
     candidate scored by its own ``split_rates`` call, then the same fold.
-    Also returns the winning slot per lane: 0 for root1 (or the degenerate
-    root), 1 for root2 and 2 for the endpoint."""
+    Also returns the winning slot per lane: 0 and 1 for the two roots and 2
+    for the endpoint."""
     pa = power_allocation
-    candidates = [(np.minimum(beta, pa._BELOW_ONE), exists & (0.0 < beta) & (beta <= 1.0))
-                  for beta, exists in pa._stationary_candidates(link, powers)] + [(1.0, True)]
+    roots, real = pa._stationary_candidates(link, powers)
+    candidates = [(np.minimum(beta, pa._BELOW_ONE), real & (0.0 < beta) & (beta <= 1.0))
+                  for beta in roots] + [(1.0, True)]
     have, best_beta, best_f, best_slot = np.False_, np.nan, np.nan, 2
     for slot, (beta, valid) in enumerate(candidates):
         r_b, r_e = split_rates(link, powers, np.where(valid, beta, 1.0))
@@ -131,6 +135,58 @@ def test_rows_take_the_shape_link_and_powers_broadcast_to():
         assert alone.shape == (4,)
         assert np.array_equal(rows[:, i].view(np.int64), alone.view(np.int64))
     assert np.array_equal(rows[1].view(np.int64), (rows[2] - rows[3]).view(np.int64))
+
+
+# The lanes whose stationary equation is not a quadratic with real roots,
+# with the oracle's label for each, then random lanes (label None).
+LANE_KINDS = ("linear", "symmetric", "eve_gain_zero", "random")
+
+
+@st.composite
+def lanes(draw, m):
+    """One (link, powers, kind) lane on an m-element array, drawn the way
+    ``helpers.random_link`` draws links."""
+    kind = draw(st.sampled_from(LANE_KINDS))
+    p_s = 10.0 ** (draw(st.floats(0.0, 30.0)) / 10.0)
+    theta_b, theta_e = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, np.pi))
+    g_ab, g_ae = (10.0 ** draw(st.floats(-5.0, -3.0)) for _ in range(2))
+    inv_snr_b, inv_snr_e = (10.0 ** draw(st.floats(-3.0, -1.0)) for _ in range(2))
+    link = LinkState(m, array_separation(theta_b, theta_e, ArrayConfig(m)), g_ab, g_ae,
+                     g_ab * p_s * m * inv_snr_b, g_ae * p_s * m * inv_snr_e, p_s)
+    powers = leakage_pair(link, draw(st.floats(0.0, 1.0)))
+    if kind == "linear":
+        # w_b = 0 and u_e = w_e give q = 0 exactly, and h = -a_b a_e with
+        # a_b = u_b / (m inv_snr_b) and a_e = w_e / (w_e + m inv_snr_e), so
+        # 1e-10 < |h| < 1e6, well inside [2^-511, 2^512).
+        u_b, w_e = (draw(st.floats(0.01, float(m))) for _ in range(2))
+        powers = ProjectedPowers(u_b=u_b, w_b=0.0, u_e=w_e, w_e=w_e)
+    elif kind == "symmetric":
+        # Eve's link and powers are Bob's: h = c = 0.
+        link = link._replace(g_ae=g_ab, sigma2_e=link.sigma2_b)
+        powers = powers._replace(u_e=powers.u_b, w_e=powers.w_b)
+    elif kind == "eve_gain_zero":
+        # Eve's path gain underflowed: q = h = 0 while c != 0.
+        link = link._replace(g_ae=0.0)
+    return link, powers, kind
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 8, 64)).flatmap(lambda m: st.lists(lanes(m), min_size=1, max_size=6)))
+def test_special_lanes_match_the_oracle(drawn):
+    links, powers, kinds = zip(*drawn)
+    rows = closed_form(stack_links(links), stack_powers(powers))
+    for i, (link, lane_powers, kind) in enumerate(drawn):
+        exact = oracle.optimal_beta(link, lane_powers)
+        alone = closed_form(link, lane_powers)
+        assert np.array_equal(rows[:, i].view(np.int64), alone.view(np.int64))
+        assert abs(alone[0] - exact.beta_star) <= 1e-12
+        assert abs(alone[1] - exact.secrecy_rate_at_beta) <= 1e-10
+        if kind == "linear":
+            assert stationary_points(exact.coefficients).beta3 is not None
+        elif kind == "symmetric":
+            assert exact.winning_candidate == "constant_function"
+        elif kind == "eve_gain_zero":
+            assert exact.winning_candidate == "endpoint_1"
 
 
 def test_symmetric_links_give_constant_ratio():
