@@ -3,7 +3,9 @@
 Everything here is deterministic and unit-agnostic: distances in meters,
 powers in linear mW, angles in radians measured from the +x array axis.
 
-The uniform linear array enters the model only through
+The uniform linear array is two numbers, its element count M and spacing
+d/lambda, which the functions here take as they are (a config checks them, as
+``sweep.antennas`` and ``array.spacing``). It enters the model only through
 D = M^2 - |h_e^H h_b|^2, where h is the steering vector with entries
 exp(-j 2 pi (m - (M+1)/2) (d/lambda) cos(theta)): how far apart the array sees
 the UAV and the eavesdropper. ``array_separation`` computes D in closed form
@@ -197,25 +199,14 @@ class Validated:
         return self
 
 
-class ArrayConfig(Validated, namedtuple("ArrayConfig", "num_antennas spacing", defaults=(0.5,))):
-    """Uniform linear array at the transmitter: one antenna count of
-    ``sweep.antennas``.
-
-    ``spacing`` is the element spacing over the carrier wavelength (d/lambda).
-    """
-
-    __slots__ = ()
-    _FIELD_KEYS = {"num_antennas": ("sweep.antennas", _ANTENNAS, repr),
-                   "spacing": ("array.spacing", _SPACING, repr)}
-
-
 # (-1)^(j+1) / (2j+1)!, j = 1..8: times 1 - M^-2j, the Taylor coefficients of
 # (M sin e - sin Me) / (Me)^3 in (Me)^2. Where |Me| < 1, term j is at most
 # 8/(2j+1)! of the sum, so the first term left out (j = 9) is below 2^-53 of it.
 _TAYLOR = [(-1) ** (j + 1) / math.factorial(2 * j + 1) for j in range(1, 9)]
 
-def array_separation(theta_b, theta_e, array: ArrayConfig):
-    """D = M^2 - |h_e^H h_b|^2 for the steering vectors toward two directions.
+def array_separation(theta_b, theta_e, num_antennas: int, spacing: float):
+    """D = M^2 - |h_e^H h_b|^2 for the steering vectors toward two directions
+    of an M = ``num_antennas`` element array with spacing d/lambda = ``spacing``.
 
     The ULA's Dirichlet kernel gives |h_e^H h_b| = |r|, r = sin(My)/sin(y),
     y = pi z, z = (d/lambda)(cos theta_b - cos theta_e), so D = (M - r)(M + r)
@@ -233,8 +224,8 @@ def array_separation(theta_b, theta_e, array: ArrayConfig):
     The angles may be arrays (one D per element of their broadcast shape),
     and each point's D depends on that point alone.
     """
-    m = array.num_antennas
-    z = -2.0 * array.spacing * np.sin(0.5 * (theta_b + theta_e)) * np.sin(0.5 * (theta_b - theta_e))
+    m = num_antennas
+    z = -2.0 * spacing * np.sin(0.5 * (theta_b + theta_e)) * np.sin(0.5 * (theta_b - theta_e))
     flat = z.reshape(-1)
     e = math.pi * (flat - np.rint(flat))
     u = m * e
@@ -453,17 +444,19 @@ def lane_link(link, fields=None) -> LinkState:
 def link_state_at(
     traj: Trajectory,
     geom: ScenarioGeometry,
-    array: ArrayConfig,
+    num_antennas: int,
+    spacing: float,
     sigma2_b,
     sigma2_e,
     p_s,
 ) -> LinkState:
-    """Assemble the link state of every trajectory point from geometry and
-    array config; the powers and noise floors broadcast against the points
+    """Assemble the link state of every trajectory point from the geometry
+    and the array, M = ``num_antennas`` elements at spacing d/lambda =
+    ``spacing``; the powers and noise floors broadcast against the points
     (``p_s`` of shape (P, 1) gives P x N lanes)."""
     return LinkState(
-        num_antennas=array.num_antennas,
-        separation=array_separation(traj.theta_b, traj.theta_e, array),
+        num_antennas=num_antennas,
+        separation=array_separation(traj.theta_b, traj.theta_e, num_antennas, spacing),
         g_ab=path_loss(traj.d_ab, geom),
         g_ae=path_loss(traj.d_ae, geom),
         sigma2_b=sigma2_b,

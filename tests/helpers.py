@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from uavsec.geometry import ArrayConfig, LinkState, link_state_at, sample_trajectory
+from uavsec.geometry import LinkState, link_state_at, sample_trajectory
 from uavsec.harness import CSV_HEADER, ResultBlock, SweepResult
 from uavsec.beamforming import leakage_pair
 from uavsec.rates import ProjectedPowers
@@ -30,7 +30,8 @@ def random_link(rng, m=8, p_s_dbm=10.0):
     return steered_link(
         theta_b,
         theta_e,
-        ArrayConfig(m),
+        m,
+        0.5,
         g_ab=g_ab,
         g_ae=g_ae,
         sigma2_b=g_ab * ps * m * 10.0 ** rng.uniform(-3, -1),
@@ -63,7 +64,7 @@ def random_instance(rng, i, m, p_s_dbm):
 def symmetric_link(m=8, p_s=10.0):
     """Bob and Eve see identical channels: secrecy must be exactly zero."""
     return steered_link(
-        1.0, 1.0, ArrayConfig(m), g_ab=1e-4, g_ae=1e-4,
+        1.0, 1.0, m, 0.5, g_ab=1e-4, g_ae=1e-4,
         sigma2_b=1e-7, sigma2_e=1e-7, p_s=p_s,
     )
 
@@ -71,16 +72,16 @@ def symmetric_link(m=8, p_s=10.0):
 def eve_silent_link(m=8, p_s=10.0):
     """Eve's path gain is negligibly small; secrecy reduces to Bob's rate."""
     return steered_link(
-        1.2, 2.1, ArrayConfig(m),
+        1.2, 2.1, m, 0.5,
         g_ab=1e-4, g_ae=1e-30,
         sigma2_b=1e-7, sigma2_e=1e-7, p_s=p_s,
     )
 
 
-def flight_links(geom, array, sigma2_b, sigma2_e, p_s):
+def flight_links(geom, m, spacing, sigma2_b, sigma2_e, p_s):
     """One scalar ``LinkState`` (not a steered link) per sample point of the
     flight: the lanes of the batched link ``link_state_at`` builds for it."""
-    link = link_state_at(sample_trajectory(geom), geom, array, sigma2_b, sigma2_e, p_s)
+    link = link_state_at(sample_trajectory(geom), geom, m, spacing, sigma2_b, sigma2_e, p_s)
     return [link._replace(separation=float(d), g_ab=float(g))
             for d, g in zip(link.separation, link.g_ab)]
 

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from uavsec import rates
-from uavsec.geometry import ArrayConfig, LinkState, Validated, array_separation
+from uavsec.geometry import LinkState, Validated, array_separation
 from uavsec.rates import ProjectedPowers
 
 # Relative tie width on phi when ranking candidates.
@@ -208,12 +208,11 @@ def _solution(
 # ------------------------------------------------------------- beamforming
 
 
-def summed_separation(theta_b, theta_e, array: ArrayConfig):
+def summed_separation(theta_b, theta_e, m: int, spacing: float):
     """D = M^2 - |h_e^H h_b|^2 as the sum 4 sum_{k=1}^{M-1} (M-k) sin^2(k y)
     of nonnegative terms, y = pi (d/lambda)(cos theta_b - cos theta_e) formed
     as a product of sines; capped at M^2 like the closed form."""
-    m = array.num_antennas
-    y = -2.0 * math.pi * array.spacing * np.sin(0.5 * (theta_b + theta_e)) * np.sin(
+    y = -2.0 * math.pi * spacing * np.sin(0.5 * (theta_b + theta_e)) * np.sin(
         0.5 * (theta_b - theta_e)
     )
     k = np.arange(1.0, m)
@@ -222,8 +221,9 @@ def summed_separation(theta_b, theta_e, array: ArrayConfig):
     return np.minimum(4.0 * total, float(m * m)).reshape(np.shape(y))[()]
 
 
-def steering_vector(theta: float, array: ArrayConfig) -> np.ndarray:
-    """Unit-modulus array response toward direction ``theta``.
+def steering_vector(theta: float, m: int, spacing: float) -> np.ndarray:
+    """Unit-modulus response of an ``m``-element array at spacing d/lambda =
+    ``spacing`` toward direction ``theta``.
 
     Entry m (1-based) is exp(-j*2*pi*(m-(M+1)/2)*(d/lambda)*cos(theta)), so
     the phase profile is antisymmetric about the array center and the vector
@@ -231,8 +231,8 @@ def steering_vector(theta: float, array: ArrayConfig) -> np.ndarray:
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    m = np.arange(1, array.num_antennas + 1)
-    phase = -(m - (array.num_antennas + 1) / 2.0) * array.spacing * math.cos(theta)
+    k = np.arange(1, m + 1)
+    phase = -(k - (m + 1) / 2.0) * spacing * math.cos(theta)
     return np.exp(2j * math.pi * phase)
 
 
@@ -250,13 +250,14 @@ class SteeredLink(Validated, namedtuple("SteeredLink", (*LinkState._fields, "h_b
         return LinkState(*self[: len(LinkState._fields)]).shape
 
 
-def steered_link(theta_b: float, theta_e: float, array: ArrayConfig, **fields) -> SteeredLink:
-    """Link state toward two directions, with its separation and vectors."""
+def steered_link(theta_b: float, theta_e: float, m: int, spacing: float, **fields) -> SteeredLink:
+    """Link state of an ``m``-element array at spacing ``spacing`` toward two
+    directions, with its separation and vectors."""
     return SteeredLink(
-        num_antennas=array.num_antennas,
-        separation=array_separation(theta_b, theta_e, array),
-        h_b=steering_vector(theta_b, array),
-        h_e=steering_vector(theta_e, array),
+        num_antennas=m,
+        separation=array_separation(theta_b, theta_e, m, spacing),
+        h_b=steering_vector(theta_b, m, spacing),
+        h_e=steering_vector(theta_e, m, spacing),
         **fields,
     )
 

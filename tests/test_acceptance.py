@@ -12,7 +12,7 @@ import numpy as np
 
 from uavsec.ais import AisConfig, optimize_point
 from uavsec.beamforming import leakage_pair
-from uavsec.geometry import ArrayConfig, ScenarioGeometry
+from uavsec.geometry import ScenarioGeometry
 from uavsec.power_allocation import beta_grid_oracle, closed_form
 from uavsec.harness import dbm_to_mw, parse_config_text, run_experiment, write_results
 from oracle import anlnr_beamformer, f_value, rational_coefficients, slnr_beamformer
@@ -38,10 +38,9 @@ def _dominant(matrix):
 
 def _default_links(m, ps_dbm):
     geom = ScenarioGeometry()
-    arr = ArrayConfig(m)
     noise = dbm_to_mw(-110.0)
     ps = dbm_to_mw(ps_dbm)
-    return flight_links(geom, arr, sigma2_b=noise, sigma2_e=noise, p_s=ps)
+    return flight_links(geom, m, 0.5, sigma2_b=noise, sigma2_e=noise, p_s=ps)
 
 
 _MEAN_SR_CACHE: dict = {}

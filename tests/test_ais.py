@@ -3,7 +3,7 @@ import pytest
 
 from uavsec.ais import AisConfig, AisTrace, optimize_point
 from uavsec.beamforming import leakage_pair
-from uavsec.geometry import ArrayConfig, ScenarioGeometry
+from uavsec.geometry import ScenarioGeometry
 from uavsec.power_allocation import closed_form
 from uavsec.rates import split_rates
 
@@ -14,8 +14,7 @@ from oracle import f_value, rational_coefficients, stationary_points
 
 def default_scenario_links(p_s=100.0, m=8, noise=1e-11):
     geom = ScenarioGeometry()
-    arr = ArrayConfig(m)
-    return flight_links(geom, arr, sigma2_b=noise, sigma2_e=noise, p_s=p_s)
+    return flight_links(geom, m, 0.5, sigma2_b=noise, sigma2_e=noise, p_s=p_s)
 
 
 def test_symmetric_links_converge_immediately():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from uavsec.beamforming import leakage_pair
-from uavsec.geometry import ArrayConfig
 from uavsec.rates import split_rates
 
 from helpers import random_link, random_unit, symmetric_link
@@ -25,7 +24,7 @@ import oracle
 
 def orthogonal_steering_link(p_s=10.0):
     """M=4 half-wavelength ULA: broadside and arccos(1/2) are orthogonal."""
-    link = steered_link(math.pi / 2, math.acos(0.5), ArrayConfig(4), g_ab=1e-4, g_ae=1e-4,
+    link = steered_link(math.pi / 2, math.acos(0.5), 4, 0.5, g_ab=1e-4, g_ae=1e-4,
                         sigma2_b=1e-5, sigma2_e=1e-5, p_s=p_s)
     assert abs(np.vdot(link.h_b, link.h_e)) < 1e-12
     return link
@@ -202,14 +201,13 @@ def test_parallel_channels_at_high_power_stay_finite():
 @pytest.mark.parametrize("m", [2, 4, 8, 64, 256, 1024])
 def test_closed_form_matches_vector_projections(m):
     rng = np.random.default_rng(m)
-    arr = ArrayConfig(m)
     worst = 0.0
     for _ in range(60):
         theta_b, theta_e = rng.uniform(0.0, math.pi, size=2)
         if abs(theta_b - theta_e) < 0.05:
             continue
         p_s, sigma2_e = 10.0 ** rng.uniform(-4, 19), 10.0 ** rng.uniform(-1, 1)
-        link = steered_link(theta_b, theta_e, arr, g_ab=1.0, g_ae=1.0, sigma2_b=1.0,
+        link = steered_link(theta_b, theta_e, m, 0.5, g_ab=1.0, g_ae=1.0, sigma2_b=1.0,
                             sigma2_e=sigma2_e, p_s=p_s)
         for beta in (0.0, rng.uniform(0.0, 1.0), 1.0):
             closed = leakage_pair(link, beta)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from uavsec import geometry
 from uavsec.geometry import (
-    ArrayConfig,
     ConfigError,
     LinkState,
     ScenarioGeometry,
@@ -25,41 +24,35 @@ EPS = 2.0**-52
 
 class TestSteeringVector:
     def test_broadside_all_ones(self):
-        h = steering_vector(math.pi / 2, ArrayConfig(4))
+        h = steering_vector(math.pi / 2, 4, 0.5)
         assert np.allclose(h, np.ones(4), atol=1e-12)
 
     def test_norm_is_sqrt_m(self):
         for theta in (0.0, 0.3, 1.1, 2.9, math.pi):
-            h = steering_vector(theta, ArrayConfig(8))
+            h = steering_vector(theta, 8, 0.5)
             assert abs(np.linalg.norm(h) - math.sqrt(8)) < 1e-12
 
     def test_unit_modulus_entries(self):
-        h = steering_vector(0.7, ArrayConfig(16))
+        h = steering_vector(0.7, 16, 0.5)
         assert np.allclose(np.abs(h), 1.0, atol=1e-12)
 
     def test_two_element_closed_form(self):
         # theta=pi/3, M=2, d/lambda=0.5: phases are +/- pi/4
-        h = steering_vector(math.pi / 3, ArrayConfig(2, 0.5))
+        h = steering_vector(math.pi / 3, 2, 0.5)
         expected = np.array([np.exp(1j * math.pi / 4), np.exp(-1j * math.pi / 4)])
         assert np.allclose(h, expected, atol=1e-12)
 
     def test_out_of_range_theta_rejected(self):
         with pytest.raises(ValueError):
-            steering_vector(-0.1, ArrayConfig(4))
+            steering_vector(-0.1, 4, 0.5)
         with pytest.raises(ValueError):
-            steering_vector(math.pi + 0.1, ArrayConfig(4))
+            steering_vector(math.pi + 0.1, 4, 0.5)
 
     def test_conjugate_symmetry_about_center(self):
         rng = np.random.default_rng(7)
         for theta in rng.uniform(0, math.pi, size=20):
-            h = steering_vector(theta, ArrayConfig(9))
+            h = steering_vector(theta, 9, 0.5)
             assert np.allclose(h, np.conj(h[::-1]), atol=1e-12)
-
-    def test_array_config_validation(self):
-        with pytest.raises(ConfigError):
-            ArrayConfig(1)
-        with pytest.raises(ConfigError):
-            ArrayConfig(4, spacing=0.0)
 
 
 def separation_tolerance(m, spacing, theta_b, theta_e, d):
@@ -101,48 +94,47 @@ class TestArraySeparation:
     def test_matches_steering_vectors(self):
         rng = np.random.default_rng(3)
         for m in (2, 3, 8, 64, 1024):
-            arr = ArrayConfig(m, spacing=rng.uniform(0.1, 1.0))
+            spacing = rng.uniform(0.1, 1.0)
             for theta_b, theta_e in rng.uniform(0, math.pi, size=(20, 2)):
-                h_b, h_e = steering_vector(theta_b, arr), steering_vector(theta_e, arr)
+                h_b, h_e = steering_vector(theta_b, m, spacing), steering_vector(theta_e, m, spacing)
                 d = m * m - abs(np.vdot(h_e, h_b)) ** 2
-                assert abs(array_separation(theta_b, theta_e, arr) - d) <= 1e-12 * m * m
+                assert abs(array_separation(theta_b, theta_e, m, spacing) - d) <= 1e-12 * m * m
 
     def test_near_parallel_limit(self):
         # D -> M^2 (M^2 - 1) y^2 / 3 as y -> 0, where M^2 - |h_e^H h_b|^2
         # from the vectors is all rounding error.
         rng = np.random.default_rng(4)
         for m in (2, 4, 64, 1024):
-            arr = ArrayConfig(m)
             for theta_b in rng.uniform(0.1, math.pi - 0.1, size=10):
                 theta_e = theta_b + 10.0 ** rng.uniform(-14, -9)
-                y = 2.0 * math.pi * arr.spacing * math.sin(0.5 * (theta_b + theta_e)) \
+                y = 2.0 * math.pi * 0.5 * math.sin(0.5 * (theta_b + theta_e)) \
                     * math.sin(0.5 * (theta_e - theta_b))
                 assert (m * y) ** 2 <= 1e-13
                 limit = m * m * (m * m - 1) * y * y / 3.0
-                d = array_separation(theta_b, theta_e, arr)
+                d = array_separation(theta_b, theta_e, m, 0.5)
                 assert abs(d - limit) <= 1e-12 * limit
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(case=separation_cases())
     def test_matches_summed_oracle(self, case):
         m, spacing, theta_b, theta_e = case
-        arr = ArrayConfig(m, spacing)
-        closed, summed = array_separation(theta_b, theta_e, arr), summed_separation(theta_b, theta_e, arr)
+        closed = array_separation(theta_b, theta_e, m, spacing)
+        summed = summed_separation(theta_b, theta_e, m, spacing)
         assert abs(closed - summed) <= separation_tolerance(m, spacing, theta_b, theta_e, summed)
 
     def test_million_elements_match_summed_oracle(self):
         # A generic pair, a near-parallel one (|My| ~ 0.01) and one at the
         # series' edge (|My| ~ 0.8).
-        arr = ArrayConfig(1_000_000)
+        m = 1_000_000
         for theta_e in (2.0, 1.0 + 1e-8, 1.0 + 6e-7):
-            summed = summed_separation(1.0, theta_e, arr)
-            closed = array_separation(1.0, theta_e, arr)
-            assert abs(closed - summed) <= separation_tolerance(arr.num_antennas, arr.spacing, 1.0, theta_e, summed)
+            summed = summed_separation(1.0, theta_e, m, 0.5)
+            closed = array_separation(1.0, theta_e, m, 0.5)
+            assert abs(closed - summed) <= separation_tolerance(m, 0.5, 1.0, theta_e, summed)
 
     def test_identical_and_orthogonal_directions(self):
-        assert array_separation(1.0, 1.0, ArrayConfig(8)) == 0.0
+        assert array_separation(1.0, 1.0, 8, 0.5) == 0.0
         # Broadside and arccos(1/2) are orthogonal on a half-wavelength M=4 ULA.
-        assert array_separation(math.pi / 2, math.acos(0.5), ArrayConfig(4)) == pytest.approx(16.0)
+        assert array_separation(math.pi / 2, math.acos(0.5), 4, 0.5) == pytest.approx(16.0)
 
 
 class TestTrajectory:

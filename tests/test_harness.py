@@ -20,7 +20,6 @@ from uavsec.geometry import (
     MAX_ABS_DBM,
     MAX_ANTENNAS,
     MAX_SPACING,
-    ArrayConfig,
     ConfigError,
     ScenarioGeometry,
     _echo,
@@ -263,13 +262,20 @@ class TestRunExperiment:
             assert abs(ais[n].secrecy - grid[n].secrecy) <= 1e-3
             assert ais[n].converged and grid[n].converged
 
-    def test_blocks_are_the_rates_at_each_strategy_split(self):
+    @pytest.mark.parametrize("spacing", [0.5, 1.7])
+    def test_blocks_are_the_rates_at_each_strategy_split(self, spacing):
         # Every block holds split_rates at its strategy's split and the
-        # projected powers of the vectors there, bit for bit, clamped once.
-        # Eve at (30, 0, 15) out-hears Bob at some points of every block.
-        cfg = parse_config_text(SHORT_CONFIG + "strategies=ais,fixed:0.5,grid_oracle\n"
-                                "sweep.antennas=4,64\nsweep.power_dbm=30,0\ngeometry.eve=30,0,15\n")
+        # projected powers of the vectors there, bit for bit, clamped once,
+        # on the array of the config's array.spacing: at 1.7 the rows are not
+        # the half-wavelength ones. Eve at (30, 0, 15) out-hears Bob at some
+        # points of every block.
+        text = (SHORT_CONFIG + "strategies=ais,fixed:0.5,grid_oracle\n"
+                "sweep.antennas=4,64\nsweep.power_dbm=30,0\ngeometry.eve=30,0,15\n")
+        cfg = parse_config_text(text + f"array.spacing={spacing!r}\n")
         result = run_experiment(cfg)
+        if spacing != 0.5:
+            half = run_experiment(parse_config_text(text))
+            assert any((block.rate_bob != other.rate_bob).any() for block, other in zip(result.blocks, half.blocks))
         assert [(block.strategy, block.m) for block in result.blocks] == [
             ("ais", 4), ("ais", 64), ("fixed:0.5", 4), ("fixed:0.5", 64), ("grid_oracle", 4), ("grid_oracle", 64)]
         traj = sample_trajectory(cfg.geometry)
@@ -280,7 +286,7 @@ class TestRunExperiment:
             return np.asarray(values, dtype=float).view(np.int64)
 
         for block in result.blocks:
-            link = link_state_at(traj, cfg.geometry, ArrayConfig(block.m, cfg.array_spacing),
+            link = link_state_at(traj, cfg.geometry, block.m, cfg.array_spacing,
                                  dbm_to_mw(cfg.noise_dbm_bob), dbm_to_mw(cfg.noise_dbm_eve), p_s)
             if block.strategy in steps:
                 powers, beta, _ = optimize_point(link, cfg.ais, steps[block.strategy])

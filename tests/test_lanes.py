@@ -12,7 +12,7 @@ import pytest
 
 from uavsec import power_allocation
 from uavsec.beamforming import leakage_pair
-from uavsec.geometry import ArrayConfig, array_separation
+from uavsec.geometry import array_separation
 from uavsec.power_allocation import beta_grid_oracle, closed_form
 
 import oracle
@@ -21,10 +21,9 @@ from helpers import eve_silent_link, random_instance, stack_links, stack_powers,
 
 def test_batched_separation_equals_per_point():
     rng = np.random.default_rng(12)
-    arr = ArrayConfig(1025)
     theta_b = rng.uniform(0.0, math.pi, 200)
-    batch = array_separation(theta_b, 1.2, arr)
-    assert [array_separation(t, 1.2, arr) for t in theta_b] == batch.tolist()
+    batch = array_separation(theta_b, 1.2, 1025, 0.5)
+    assert [array_separation(t, 1.2, 1025, 0.5) for t in theta_b] == batch.tolist()
 
 
 def test_chunked_grid_oracle_equals_one_chunk(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from uavsec import power_allocation
 from uavsec.beamforming import leakage_pair
-from uavsec.geometry import (ArrayConfig, ConfigError, LinkState, ScenarioGeometry, array_separation, link_state_at,
+from uavsec.geometry import (ConfigError, LinkState, ScenarioGeometry, array_separation, link_state_at,
                              sample_trajectory)
 from uavsec.power_allocation import beta_grid_oracle, closed_form
 from uavsec.harness import ExperimentConfig, dbm_to_mw, parse_config_text
@@ -28,9 +28,8 @@ def _oracle_instances():
     geom = ScenarioGeometry()
     noise = dbm_to_mw(-110.0)
     for m in (4, 8, 16, 32, 64, 128):
-        arr = ArrayConfig(m)
         for ps_dbm in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
-            for link in flight_links(geom, arr, noise, noise, dbm_to_mw(ps_dbm))[::10]:
+            for link in flight_links(geom, m, 0.5, noise, noise, dbm_to_mw(ps_dbm))[::10]:
                 for beta in (0.1, 0.5, 1.0):
                     yield link, leakage_pair(link, beta)
     rng = np.random.default_rng(10)
@@ -103,7 +102,7 @@ def _stacked_instances():
     for noise_dbm, m, powers_dbm in ((-110.0, 8, (10.0, 20.0, 30.0)), (-60.0, 2, (0.0, 10.0))):
         noise = dbm_to_mw(noise_dbm)
         p_s = np.array([dbm_to_mw(ps) for ps in powers_dbm])[:, None]
-        link = link_state_at(traj, geom, ArrayConfig(m), noise, noise, p_s)
+        link = link_state_at(traj, geom, m, 0.5, noise, noise, p_s)
         for beta in (0.1, 0.5, 0.9189, 1.0):
             yield link, leakage_pair(link, beta)
 
@@ -151,7 +150,7 @@ def lanes(draw, m):
     theta_b, theta_e = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, np.pi))
     g_ab, g_ae = (10.0 ** draw(st.floats(-5.0, -3.0)) for _ in range(2))
     inv_snr_b, inv_snr_e = (10.0 ** draw(st.floats(-3.0, -1.0)) for _ in range(2))
-    link = LinkState(m, array_separation(theta_b, theta_e, ArrayConfig(m)), g_ab, g_ae,
+    link = LinkState(m, array_separation(theta_b, theta_e, m, 0.5), g_ab, g_ae,
                      g_ab * p_s * m * inv_snr_b, g_ae * p_s * m * inv_snr_e, p_s)
     powers = leakage_pair(link, draw(st.floats(0.0, 1.0)))
     if kind == "linear":

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavsec.geometry import ArrayConfig, LinkState, ScenarioGeometry, array_separation
+from uavsec.geometry import LinkState, ScenarioGeometry, array_separation
 from uavsec.harness import dbm_to_mw
 from uavsec.ais import AisConfig, optimize_point
 from uavsec.beamforming import leakage_pair
@@ -44,7 +44,7 @@ def links(draw, antennas=st.sampled_from((4, 8, 16))):
     inv_snr_b, inv_snr_e = (10.0 ** draw(st.floats(-3.0, -1.0)) for _ in range(2))
     return LinkState(
         num_antennas=m,
-        separation=array_separation(theta_b, theta_e, ArrayConfig(m)),
+        separation=array_separation(theta_b, theta_e, m, 0.5),
         g_ab=g_ab,
         g_ae=g_ae,
         sigma2_b=g_ab * p_s * m * inv_snr_b,
@@ -110,7 +110,7 @@ def extreme_links(draw):
     g_ab, g_ae = (draw(st.floats(20.0, 1000.0)) ** -2.0 for _ in range(2))
     return LinkState(
         num_antennas=m,
-        separation=array_separation(theta_b, theta_e, ArrayConfig(m)),
+        separation=array_separation(theta_b, theta_e, m, 0.5),
         g_ab=g_ab,
         g_ae=g_ae,
         sigma2_b=1e-11,
@@ -142,7 +142,7 @@ def contested_links(draw, m):
     snr_b, snr_e = 10.0 ** draw(st.floats(-2.0, 3.0)), 10.0 ** draw(st.floats(3.0, 9.0))
     return LinkState(
         num_antennas=m,
-        separation=array_separation(theta_b, theta_e, ArrayConfig(m)),
+        separation=array_separation(theta_b, theta_e, m, 0.5),
         g_ab=g_ab,
         g_ae=g_ae,
         sigma2_b=g_ab * p_s * m / snr_b,
@@ -180,7 +180,7 @@ def _low_snr_flight(m, ps_dbm):
     """The default flight's lanes at -60 dBm noise, where the loop can
     alternate near beta = 1 until the cap."""
     noise = dbm_to_mw(-60.0)
-    return tuple(flight_links(ScenarioGeometry(), ArrayConfig(m), noise, noise, dbm_to_mw(ps_dbm)))
+    return tuple(flight_links(ScenarioGeometry(), m, 0.5, noise, noise, dbm_to_mw(ps_dbm)))
 
 
 def low_snr_links(m):

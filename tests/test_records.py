@@ -20,10 +20,10 @@ from uavsec.ais import AisConfig, AisTrace, optimize_point
 from uavsec.beamforming import leakage_pair
 from uavsec.floattext import _TABLE_MIN
 from uavsec.geometry import (
-    ArrayConfig,
     ConfigError,
     LinkState,
     ScenarioGeometry,
+    Validated,
     link_state_at,
     sample_trajectory,
 )
@@ -82,10 +82,10 @@ def _records():
     """One instance of every public record type."""
     cfg = parse_config_text("geometry.flight_end=40,0,20\nsweep.power_dbm=20\nsweep.antennas=4\n")
     traj = sample_trajectory(cfg.geometry)
-    link = link_state_at(traj, cfg.geometry, ArrayConfig(4), 1e-11, 1e-11, 100.0)
+    link = link_state_at(traj, cfg.geometry, 4, 0.5, 1e-11, 1e-11, 100.0)
     _, _, trace = optimize_point(link, cfg.ais)
     result = run_experiment(cfg)
-    return [ArrayConfig(4), cfg.geometry, cfg.ais, cfg, cfg.strategies[0], traj, link,
+    return [cfg.geometry, cfg.ais, cfg, cfg.strategies[0], traj, link,
             leakage_pair(link, 0.5), trace, result, result.blocks[0]]
 
 
@@ -146,7 +146,7 @@ def test_configs_are_equal_by_value_and_round_trip():
 def test_holders_compare_field_by_field():
     cfg = ExperimentConfig()
     traj = sample_trajectory(cfg.geometry)
-    link = link_state_at(traj, cfg.geometry, ArrayConfig(8), 1e-11, 1e-11, 10.0)
+    link = link_state_at(traj, cfg.geometry, 8, 0.5, 1e-11, 1e-11, 10.0)
     assert link == link._replace() and link._replace(p_s=20.0) != link
     assert traj == traj._replace() and traj._replace(d_ae=1.0) != traj
     assert link._replace(p_s=np.array([[1.0], [2.0]])).shape == (2, len(traj))
@@ -155,12 +155,14 @@ def test_holders_compare_field_by_field():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: ArrayConfig(8)._replace(num_antennas=1), ConfigError,
+    (lambda: ExperimentConfig()._replace(antenna_sweep=(1,)), ConfigError,
      r"^sweep.antennas: 1 is outside \[2, 1000000\] antennas$"),
-    (lambda: ArrayConfig._make((8, 0.0)), ConfigError, r"^array.spacing: 0.0 is outside \(0, 100000\]$"),
-    (lambda: ArrayConfig(8, float("nan")), ConfigError, "^array.spacing: expected a finite number, got 'nan'$"),
+    (lambda: ExperimentConfig._make((ScenarioGeometry(), 0.0, *ExperimentConfig()[2:])), ConfigError,
+     r"^array.spacing: 0.0 is outside \(0, 100000\]$"),
+    (lambda: ExperimentConfig(array_spacing=float("nan")), ConfigError,
+     "^array.spacing: expected a finite number, got 'nan'$"),
     # Far above MAX_SPACING the array phase keeps no fractional bits.
-    (lambda: ArrayConfig(8, 1e20), ConfigError, r"^array.spacing: 1e\+20 is outside \(0, 100000\]$"),
+    (lambda: ExperimentConfig(array_spacing=1e20), ConfigError, r"^array.spacing: 1e\+20 is outside \(0, 100000\]$"),
     (lambda: ScenarioGeometry()._replace(speed=0.0), ConfigError, r"^geometry.speed: 0.0 is outside \(0, inf\)$"),
     # NaN fails every "positive" field's parser, whichever field holds it.
     (lambda: ScenarioGeometry(speed=float("nan")), ConfigError, "^geometry.speed: expected a finite number, got 'nan'$"),
@@ -290,15 +292,16 @@ def test_holders_compare_field_by_field():
      "^ais.max_iterations: an integer too long to write as text$"),
     (lambda: ExperimentConfig(antenna_sweep=(8, 10**5000)), ConfigError,
      "^sweep.antennas: an integer too long to write as text$"),
-    # The direct API: an int too large for a float or for its text, a str
-    # antenna count, and values beyond the parser's ranges.
+    # An int too large for a float or for its text, a str antenna count,
+    # and values beyond the parser's ranges.
     (lambda: sample_trajectory(ScenarioGeometry(speed=10**400)), ConfigError,
      r"^geometry.speed: expected a finite number, got '10{30}\.\.\. \(401 chars\)$"),
     (lambda: ScenarioGeometry(eve=[10**5000, 0, 0]), ConfigError, "^geometry.eve: an integer too long to write as text$"),
-    (lambda: ArrayConfig("8"), ConfigError, "^sweep.antennas: expected an integer, got \"'8'\"$"),
-    (lambda: ArrayConfig(10**400, 0.5), ConfigError,
+    (lambda: ExperimentConfig(antenna_sweep=("8",)), ConfigError,
+     "^sweep.antennas: expected an integer, got \"'8'\"$"),
+    (lambda: ExperimentConfig(antenna_sweep=(10**400,)), ConfigError,
      r"^sweep.antennas: 10{31}\.\.\. \(401 chars\) is outside \[2, 1000000\] antennas$"),
-    (lambda: ArrayConfig(8, 10**400), ConfigError,
+    (lambda: ExperimentConfig(array_spacing=10**400), ConfigError,
      r"^array.spacing: expected a finite number, got '10{30}\.\.\. \(401 chars\)$"),
     # The parser's types hold in the direct API as in an ExperimentConfig.
     (lambda: ScenarioGeometry(flight_end=(400, 0, 20)), ConfigError,
@@ -483,6 +486,24 @@ def test_a_parsed_config_is_what_the_full_check_rebuilds(lines):
         assert rebuilt == built and repr(rebuilt) == repr(built)
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_config_key_is_declared_by_two_records():
+    # A key's parser and formatter are declared once, by the one record
+    # whose field holds its value; the package's records declare every key.
+    declared = {}
+    for record in _subclasses(Validated):
+        if record.__module__.startswith("uavsec."):
+            for key, _, _ in record._FIELD_KEYS.values():
+                declared.setdefault(key, []).append(record.__name__)
+    assert {key: names for key, names in declared.items() if len(names) > 1} == {}
+    assert sorted(declared) == sorted(_KEYS)
+
+
 # Every numeric config key's interval as the README's config table states
 # it: (kind, low, high, low end open, high end open). An infinite end admits
 # every finite value. Each key's config line puts the value in its text, and
@@ -519,11 +540,11 @@ _BUILDS = {
     "geometry.sample_interval": lambda v: ScenarioGeometry(sample_interval=v),
     "geometry.path_loss_exponent": lambda v: ScenarioGeometry(path_loss_exponent=v),
     "geometry.reference_gain": lambda v: ScenarioGeometry(reference_gain=v),
-    "array.spacing": lambda v: ArrayConfig(8, v),
+    "array.spacing": lambda v: ExperimentConfig(array_spacing=v),
     "noise.bob_dbm": lambda v: ExperimentConfig(noise_dbm_bob=v),
     "noise.eve_dbm": lambda v: ExperimentConfig(noise_dbm_eve=v),
     "sweep.power_dbm": lambda v: ExperimentConfig(power_sweep_dbm=(v,)),
-    "sweep.antennas": lambda v: ArrayConfig(v),
+    "sweep.antennas": lambda v: ExperimentConfig(antenna_sweep=(v,)),
     "strategies": lambda v: ExperimentConfig(strategies=(Strategy("fixed", v),)),
     "ais.beta_init": lambda v: AisConfig(beta_init=v),
     "ais.epsilon": lambda v: AisConfig(epsilon=v),

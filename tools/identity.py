@@ -6,8 +6,9 @@ exit code and the sha256 of the result file ("-" when none is written), of
 stdout with the temporary directory written as ``<tmp>``, and of stderr
 likewise. The configs are the three benchmark workloads (read from
 ``benchmarks/run.py``) at seeds 0, 3 and 7, the golden default and stress
-configs, a low-SNR point and sweep, the mixed-strategy config, an SR-vs-M
-sweep, ``--set`` overrides, an eavesdropper 1e200 m away, a tight-epsilon config whose points hit the
+configs, a low-SNR point and sweep, the mixed-strategy config, a spacing of
+1.7 wavelengths (grating lobes), an SR-vs-M sweep, ``--set`` overrides, an
+eavesdropper 1e200 m away, a tight-epsilon config whose points hit the
 iteration cap, a config whose second power overflows, a config of valid
 values in unusual spellings (``+8``, ``0_64``, ``1E-6``, ``.5``, ``-0.0``,
 spaces around commas), and configs that must end in one ``error:`` line.
@@ -48,6 +49,7 @@ CONFIGS = {
     "low-snr-sweep": (LOW_SNR + "sweep.power_dbm=0,10,20\nsweep.antennas=2,4,8,64\nstrategies=ais,fixed:0.5\n", []),
     "mixed": ("strategies=grid_oracle,fixed:0.5,ais,fixed:0.25\nsweep.antennas=64,4\nsweep.power_dbm=30,-20,10\n"
               "geometry.eve=-150,120,0\n", []),
+    "grating": ("array.spacing=1.7\nsweep.antennas=4,64\nstrategies=ais,fixed:0.5\ngeometry.eve=-150,120,0\n", []),
     "sr-vs-m": ("sweep.antennas=2,4,8,16,32,64,128,256,512,1024\n", []),
     "set-overrides": ("sweep.power_dbm=10,20\n", ["--set", "sweep.antennas=4,64", "--set", "sweep.power_dbm=-10,50"]),
     "eve-1e200": ("geometry.eve=1e200,0,0\n", []),
