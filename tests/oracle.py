@@ -225,7 +225,7 @@ def steering_vector(theta: float, m: int, spacing: float) -> np.ndarray:
     """Unit-modulus response of an ``m``-element array at spacing d/lambda =
     ``spacing`` toward direction ``theta``.
 
-    Entry m (1-based) is exp(-j*2*pi*(m-(M+1)/2)*(d/lambda)*cos(theta)), so
+    Entry k (1-based) is exp(-j*2*pi*(k-(M+1)/2)*(d/lambda)*cos(theta)), so
     the phase profile is antisymmetric about the array center and the vector
     has Euclidean norm sqrt(M).
     """

@@ -11,12 +11,12 @@ R_lim = log2(1 + g_ab Ps M / sigma_b^2) by log2((sigma_b^2 + g_ab Ps M) /
 
     0 <= R_lim - R_s <= r^2 / ((M^2 - r^2) ln 2),
 
-Eve's rate, of order g_ae sigma_e^2 r^2 / (Ps M^3), being far below the
-bound. The secrecy rate grows by one bit per doubling of M: the model has no
-ceiling. On Bob's bearing (D = 0) every projected power is M, and the
-secrecy rate at beta = 1 is max(0, log2((sigma^2 + g_ab Ps M) /
-(sigma^2 + g_ae Ps M))): 0 only where Eve hears Bob's signal at least as
-strongly as Bob does.
+as long as Eve's rate, about g_ae sigma_b^4 r^2 / (sigma_e^2 Ps M^3 ln 2), is
+far below the bound (it rounds to 0 on every lane here). The secrecy rate
+grows by one bit per doubling of M: the model has no ceiling. On Bob's
+bearing (D = 0) every projected power is M, and the secrecy rate at beta = 1
+is max(0, log2((sigma^2 + g_ab Ps M) / (sigma^2 + g_ae Ps M))): 0 only where
+Eve hears Bob's signal at least as strongly as Bob does.
 """
 
 import math
