@@ -26,19 +26,21 @@ from collections import namedtuple
 import numpy as np
 
 from .beamforming import leakage_pair
-from .geometry import _ITERATIONS, _POSITIVE, _SPLIT, LinkState, Validated, lane_link
+from .geometry import _ITERATIONS, _POSITIVE, _SPLIT, LinkState, Validated, _record, lane_link
 from .power_allocation import closed_form
 from .rates import ProjectedPowers, split_rates
 
 
-class AisConfig(Validated, namedtuple("AisConfig", "beta_init epsilon max_iterations",
-                                      defaults=(0.1, 1e-6, 50))):
+_AIS_ROWS = {"beta_init": ("ais.beta_init", _SPLIT, repr, 0.1),
+             "epsilon": ("ais.epsilon", _POSITIVE, repr, 1e-6),
+             "max_iterations": ("ais.max_iterations", _ITERATIONS, repr, 50)}
+
+
+class AisConfig(Validated, _record("AisConfig", _AIS_ROWS)):
     """The initial split, the stopping tolerance on f and the iteration cap."""
 
     __slots__ = ()
-    _FIELD_KEYS = {"beta_init": ("ais.beta_init", _SPLIT, repr),
-                   "epsilon": ("ais.epsilon", _POSITIVE, repr),
-                   "max_iterations": ("ais.max_iterations", _ITERATIONS, repr)}
+    _FIELD_KEYS = _AIS_ROWS
 
 
 class AisTrace(namedtuple("AisTrace", "converged iterations_used rate_bob rate_eve")):

@@ -22,7 +22,11 @@ start-up short. Every record is a ``collections.namedtuple`` subclass; those
 with checks (the configs and ``LinkState``) sit behind the ``Validated``
 mixin, which runs them however the record is built.
 
-Every field of a config record has a config key, and its one rule is that
+Each field of a config record is one row of its table, (key, parser,
+formatter, default), declared once; the record's namedtuple base takes its
+field order and defaults from the rows (``_record``). A section, a field
+that holds a record with keys of its own, is a row whose parser is that
+record type and whose formatter is None. Every other field's one rule is its
 key's parser: the value must be what its text parses back to. Every
 numeric key's parser comes from one factory, ``_number``, with its interval
 declared here once, and every message that quotes input quotes it through
@@ -153,12 +157,16 @@ class Validated:
     ``_make`` and ``_replace`` all build the record through ``__new__``,
     which checks it.
 
-    ``_FIELD_KEYS`` maps a field to its config key, that key's parser and
-    its formatter. A field is valid when its value, written by the formatter
-    as ``serialize_config`` writes it, parses back to a value of the same
-    repr: the parser's checks, with its messages, and no value (an int where
-    a float belongs, a list, a numpy number) that the text would not keep.
-    ``_validate`` then runs the checks that span several fields.
+    ``_FIELD_KEYS`` is the record's one row per field, field -> (key,
+    parser, formatter, default), in field order; ``_record`` builds the
+    namedtuple base from it. A field is valid when its value, written by the
+    formatter as ``serialize_config`` writes it, parses back to a value of
+    the same repr: the parser's checks, with its messages, and no value (an
+    int where a float belongs, a list, a numpy number) that the text would
+    not keep. A section, a field that is a record with keys of its own, has
+    that record type as its parser and no formatter: its value must be
+    exactly that type, which checked itself when it was built. ``_validate``
+    then runs the checks that span several fields.
 
     ``_parsed`` builds a record from values that its keys' parsers just
     returned, or from the fields of a checked record, which already are
@@ -170,8 +178,12 @@ class Validated:
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for field, (key, parse, fmt) in cls._FIELD_KEYS.items():
+        for field, (key, parse, fmt, _) in cls._FIELD_KEYS.items():
             value = getattr(self, field)
+            if fmt is None:
+                if type(value) is not parse:
+                    raise ConfigError(f"{key}: {_echo(repr(value))} is not of type {parse.__name__}")
+                continue
             try:
                 text = fmt(value)
             except (TypeError, AttributeError):  # a scalar where a tuple belongs, a str strategy
@@ -197,6 +209,12 @@ class Validated:
         self = super().__new__(cls, *args, **kwargs)
         self._validate()
         return self
+
+
+def _record(name: str, rows: dict):
+    """The namedtuple base of a config record whose ``_FIELD_KEYS`` is
+    ``rows``: its fields and their defaults, in the rows' order."""
+    return namedtuple(name, rows, defaults=[default for *_, default in rows.values()])
 
 
 # (-1)^(j+1) / (2j+1)!, j = 1..8: times 1 - M^-2j, the Taylor coefficients of
@@ -246,20 +264,17 @@ def array_separation(theta_b, theta_e, num_antennas: int, spacing: float):
 # Upper bound on the trajectory samples one sweep combination may evaluate.
 MAX_SAMPLES = 1_000_000
 
-_GEOMETRY_DEFAULTS = {
-    "alice": (0.0, 0.0, 0.0),
-    "eve": (200.0, 0.0, 0.0),
-    "flight_start": (0.0, 0.0, 20.0),
-    "flight_end": (800.0, 0.0, 20.0),
-    "speed": 8.0,
-    "sample_interval": 1.0,
-    "path_loss_exponent": 2.0,
-    "reference_gain": 1.0,
+# ScenarioGeometry's rows: field -> (key, parser, formatter, default).
+_GEOMETRY_ROWS = {
+    **{name: (f"geometry.{name}", _parse_list(_COORDINATE, 3), _join, point) for name, point in [
+        ("alice", (0.0, 0.0, 0.0)), ("eve", (200.0, 0.0, 0.0)),
+        ("flight_start", (0.0, 0.0, 20.0)), ("flight_end", (800.0, 0.0, 20.0))]},
+    **{name: (f"geometry.{name}", _POSITIVE, repr, value) for name, value in [
+        ("speed", 8.0), ("sample_interval", 1.0), ("path_loss_exponent", 2.0), ("reference_gain", 1.0)]},
 }
 
 
-class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAULTS,
-                                             defaults=_GEOMETRY_DEFAULTS.values())):
+class ScenarioGeometry(Validated, _record("ScenarioGeometry", _GEOMETRY_ROWS)):
     """Fixed ground nodes plus the UAV's straight flight segment.
 
     Points are (x, y, z) tuples of floats, in meters. Default layout: Alice
@@ -275,13 +290,7 @@ class ScenarioGeometry(Validated, namedtuple("ScenarioGeometry", _GEOMETRY_DEFAU
     """
 
     __slots__ = ()
-
-    _FIELD_KEYS = {
-        **{name: (f"geometry.{name}", _parse_list(_COORDINATE, 3), _join)
-           for name in ("alice", "eve", "flight_start", "flight_end")},
-        **{name: (f"geometry.{name}", _POSITIVE, repr)
-           for name in ("speed", "sample_interval", "path_loss_exponent", "reference_gain")},
-    }
+    _FIELD_KEYS = _GEOMETRY_ROWS
 
     def _validate(self):
         length = self.flight_length

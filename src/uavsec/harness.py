@@ -9,13 +9,15 @@ config is an ``ExperimentConfig``, a validated named tuple holding a
 its text parses back to it: each key's value, written as
 ``serialize_config`` writes it, must parse with that key's parser to a value
 of the same repr. The parsers hold every per-key check and message, and each
-record declares its keys; the key table here joins them in the order of
-``ExperimentConfig``'s fields. ``ExperimentConfig``'s own check is that its
-``geometry`` and ``ais`` fields are exactly those records; whether the
-scenario can be evaluated is ``ScenarioGeometry``'s to decide. A config built
-in code runs every key's round trip; ``parse_config_text`` builds its records
-from the values the parsers just returned, which already parse back to
-themselves, so a parsed config runs only the records' cross-field rules.
+record declares its fields once, one row per field (key, parser, formatter,
+default); the key table here joins them in the order of
+``ExperimentConfig``'s rows, whose ``geometry`` and ``ais`` sections are
+rows too, with the record type as parser and no formatter: the value must
+be exactly that record. Whether the scenario can be evaluated is
+``ScenarioGeometry``'s to decide. A config built in code runs every key's
+round trip; ``parse_config_text`` builds its records from the values the
+parsers just returned, which already parse back to themselves, so a parsed
+config runs only the records' cross-field rules.
 
 A run samples the trajectory once and builds one batched link state per
 antenna count M, with P x N lanes over the P transmit powers and N sample
@@ -63,6 +65,7 @@ from .geometry import (
     _echo,
     _join,
     _parse_list,
+    _record,
     link_state_at,
     parse_grid_step,
     sample_trajectory,
@@ -127,64 +130,50 @@ def _parse_format(key: str, raw: str) -> str:
     return raw
 
 
-_EXPERIMENT_DEFAULTS = {
-    "geometry": ScenarioGeometry(),
-    "array_spacing": 0.5,
+# ExperimentConfig's rows: field -> (key, parser, formatter, default). Its
+# sections, the geometry and ais records, are rows whose parser is the record
+# type and whose formatter is None.
+_EXPERIMENT_ROWS = {
+    "geometry": ("geometry", ScenarioGeometry, None, ScenarioGeometry()),
+    "array_spacing": ("array.spacing", _SPACING, repr, 0.5),
     # Noise floor consistent with ~1 MHz bandwidth and a small noise figure;
     # low enough that the whole flight stays in the high-SNR regime where the
     # antenna-sweep trends are visible.
-    "noise_dbm_bob": -110.0,
-    "noise_dbm_eve": -110.0,
-    "power_sweep_dbm": (10.0, 20.0, 30.0),
-    "antenna_sweep": (8,),
-    "strategies": (Strategy("ais"), Strategy("fixed", 0.5), Strategy("fixed", 0.9)),
-    "ais": AisConfig(),
-    "grid_step": 1e-3,
-    "output_path": "results.csv",
-    "output_format": "csv",
+    "noise_dbm_bob": ("noise.bob_dbm", _DBM, repr, -110.0),
+    "noise_dbm_eve": ("noise.eve_dbm", _DBM, repr, -110.0),
+    "power_sweep_dbm": ("sweep.power_dbm", _parse_list(_DBM), _join, (10.0, 20.0, 30.0)),
+    "antenna_sweep": ("sweep.antennas", _parse_list(_ANTENNAS), _join, (8,)),
+    "strategies": ("strategies", _parse_list(lambda key, token: parse_strategy(token)),
+                   lambda strategies: ",".join(s.name for s in strategies),
+                   (Strategy("ais"), Strategy("fixed", 0.5), Strategy("fixed", 0.9))),
+    "ais": ("ais", AisConfig, None, AisConfig()),
+    "grid_step": ("grid.step", parse_grid_step, repr, 1e-3),
+    "output_path": ("output.path", _parse_path, str, "results.csv"),
+    "output_format": ("output.format", _parse_format, str, "csv"),
 }
 
 
-# The fields of an ExperimentConfig that are records with keys of their own.
-_SECTIONS = {"geometry": ScenarioGeometry, "ais": AisConfig}
-
-
-class ExperimentConfig(Validated, namedtuple("ExperimentConfig", _EXPERIMENT_DEFAULTS,
-                                             defaults=_EXPERIMENT_DEFAULTS.values())):
+class ExperimentConfig(Validated, _record("ExperimentConfig", _EXPERIMENT_ROWS)):
     """A whole sweep: the scenario, the swept powers (dBm), antenna counts and
     strategies, the loop settings and the output file."""
 
     __slots__ = ()
-    _FIELD_KEYS = {
-        "array_spacing": ("array.spacing", _SPACING, repr),
-        "noise_dbm_bob": ("noise.bob_dbm", _DBM, repr),
-        "noise_dbm_eve": ("noise.eve_dbm", _DBM, repr),
-        "power_sweep_dbm": ("sweep.power_dbm", _parse_list(_DBM), _join),
-        "antenna_sweep": ("sweep.antennas", _parse_list(_ANTENNAS), _join),
-        "strategies": ("strategies", _parse_list(lambda key, token: parse_strategy(token)),
-                       lambda strategies: ",".join(s.name for s in strategies)),
-        "grid_step": ("grid.step", parse_grid_step, repr),
-        "output_path": ("output.path", _parse_path, str),
-        "output_format": ("output.format", _parse_format, str),
-    }
+    _FIELD_KEYS = _EXPERIMENT_ROWS
 
-    def _validate(self):
-        for section, record in _SECTIONS.items():
-            if type(getattr(self, section)) is not record:
-                raise ConfigError(f"{section}: {_echo(repr(getattr(self, section)))} is not of type {record.__name__}")
 
+# The sections of an ExperimentConfig: field -> record.
+_SECTIONS = {field: record for field, (_, record, fmt, _) in _EXPERIMENT_ROWS.items() if fmt is None}
 
 # Every config key: key -> (section, field, parse, format), in the order of
-# ExperimentConfig's fields, with the geometry and ais records' keys in their
-# places. The value is ``cfg.<section>.<field>``, or ``cfg.<field>`` when
-# section is None; ``format`` writes text that ``parse(key, text)`` reads back
-# exactly (as repr does floats).
+# ExperimentConfig's rows, with each section's keys in its place. The value
+# is ``cfg.<section>.<field>``, or ``cfg.<field>`` when section is None;
+# ``format`` writes text that ``parse(key, text)`` reads back exactly (as
+# repr does floats).
 _KEYS = {
     key: (section, field, parse, fmt)
-    for name in ExperimentConfig._fields
-    for section, table in [(name, _SECTIONS[name]._FIELD_KEYS) if name in _SECTIONS
-                           else (None, {name: ExperimentConfig._FIELD_KEYS[name]})]
-    for field, (key, parse, fmt) in table.items()
+    for name, row in _EXPERIMENT_ROWS.items()
+    for section, rows in [(name, _SECTIONS[name]._FIELD_KEYS) if name in _SECTIONS else (None, {name: row})]
+    for field, (key, parse, fmt, _) in rows.items()
 }
 
 

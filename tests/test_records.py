@@ -472,9 +472,9 @@ def test_a_parsed_config_is_what_the_full_check_rebuilds(lines):
     formatted = []
     with pytest.MonkeyPatch.context() as patch:
         for record in (ScenarioGeometry, AisConfig, ExperimentConfig):
-            for field, (key, parse, fmt) in record._FIELD_KEYS.items():
-                patch.setitem(record._FIELD_KEYS, field,
-                              (key, parse, lambda value, key=key, fmt=fmt: formatted.append(key) or fmt(value)))
+            for field, (key, parse, fmt, default) in record._FIELD_KEYS.items():
+                patch.setitem(record._FIELD_KEYS, field, (key, parse, fmt and (
+                    lambda value, key=key, fmt=fmt: formatted.append(key) or fmt(value)), default))
         try:
             cfg = parse_config_text("".join(f"{key}={raw}\n" for key, raw in lines.items()))
         except ConfigError:
@@ -498,8 +498,9 @@ def test_no_config_key_is_declared_by_two_records():
     declared = {}
     for record in _subclasses(Validated):
         if record.__module__.startswith("uavsec."):
-            for key, _, _ in record._FIELD_KEYS.values():
-                declared.setdefault(key, []).append(record.__name__)
+            for key, _, fmt, _ in record._FIELD_KEYS.values():
+                if fmt is not None:  # a section's row declares no key
+                    declared.setdefault(key, []).append(record.__name__)
     assert {key: names for key, names in declared.items() if len(names) > 1} == {}
     assert sorted(declared) == sorted(_KEYS)
 
