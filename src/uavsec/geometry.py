@@ -4,8 +4,9 @@ Everything here is deterministic and unit-agnostic: distances in meters,
 powers in linear mW, angles in radians measured from the +x array axis.
 
 The uniform linear array is two numbers, its element count M and spacing
-d/lambda, which the functions here take as they are (a config checks them, as
-``sweep.antennas`` and ``array.spacing``). It enters the model only through
+d/lambda, which ``array_separation`` checks through the parsers of
+``sweep.antennas`` and ``array.spacing``, the keys a config holds them as. It
+enters the model only through
 D = M^2 - |h_e^H h_b|^2, where h is the steering vector with entries
 exp(-j 2 pi (m - (M+1)/2) (d/lambda) cos(theta)): how far apart the array sees
 the UAV and the eavesdropper. ``array_separation`` computes D in closed form
@@ -152,6 +153,21 @@ def _join(values) -> str:
     return ",".join(map(repr, values))
 
 
+def _round_trip(key: str, parse, fmt, value):
+    """Raise ``key``'s ``ConfigError`` unless ``value``, written by ``fmt``,
+    parses back to a value of the same repr."""
+    try:
+        text = fmt(value)
+    except (TypeError, AttributeError):  # a scalar where a tuple belongs, a str strategy
+        text = None
+    except ValueError:  # an int past sys.get_int_max_str_digits(), which repr refuses
+        raise ConfigError(f"{key}: an integer too long to write as text") from None
+    back = "nothing" if text is None else repr(parse(key, text))
+    if back != repr(value):
+        raise ConfigError(f"{key}: {_echo(repr(value))} does not parse back from its text "
+                          f"(it reads as {_echo(back)})")
+
+
 class Validated:
     """Mixin in front of a ``collections.namedtuple`` base: the constructor,
     ``_make`` and ``_replace`` all build the record through ``__new__``,
@@ -180,20 +196,10 @@ class Validated:
         self = super().__new__(cls, *args, **kwargs)
         for field, (key, parse, fmt, _) in cls._FIELD_KEYS.items():
             value = getattr(self, field)
-            if fmt is None:
-                if type(value) is not parse:
-                    raise ConfigError(f"{key}: {_echo(repr(value))} is not of type {parse.__name__}")
-                continue
-            try:
-                text = fmt(value)
-            except (TypeError, AttributeError):  # a scalar where a tuple belongs, a str strategy
-                text = None
-            except ValueError:  # an int past sys.get_int_max_str_digits(), which repr refuses
-                raise ConfigError(f"{key}: an integer too long to write as text") from None
-            back = "nothing" if text is None else repr(parse(key, text))
-            if back != repr(value):
-                raise ConfigError(f"{key}: {_echo(repr(value))} does not parse back from its text "
-                                  f"(it reads as {_echo(back)})")
+            if fmt is not None:
+                _round_trip(key, parse, fmt, value)
+            elif type(value) is not parse:
+                raise ConfigError(f"{key}: {_echo(repr(value))} is not of type {parse.__name__}")
         self._validate()
         return self
 
@@ -240,8 +246,13 @@ def array_separation(theta_b, theta_e, num_antennas: int, spacing: float):
     D = 0 where sin e = 0 (identical directions), and 0 <= D <= M^2.
 
     The angles may be arrays (one D per element of their broadcast shape),
-    and each point's D depends on that point alone.
+    and each point's D depends on that point alone. M and d/lambda must be
+    what a config's ``sweep.antennas`` and ``array.spacing`` parsers would
+    give (their ``repr`` parses back to them), or this raises that key's
+    ``ConfigError``.
     """
+    for key, parse, value in (("sweep.antennas", _ANTENNAS, num_antennas), ("array.spacing", _SPACING, spacing)):
+        _round_trip(key, parse, repr, value)
     m = num_antennas
     z = -2.0 * spacing * np.sin(0.5 * (theta_b + theta_e)) * np.sin(0.5 * (theta_b - theta_e))
     flat = z.reshape(-1)
@@ -461,8 +472,9 @@ def link_state_at(
 ) -> LinkState:
     """Assemble the link state of every trajectory point from the geometry
     and the array, M = ``num_antennas`` elements at spacing d/lambda =
-    ``spacing``; the powers and noise floors broadcast against the points
-    (``p_s`` of shape (P, 1) gives P x N lanes)."""
+    ``spacing`` (checked by ``array_separation``); the powers and noise
+    floors broadcast against the points (``p_s`` of shape (P, 1) gives
+    P x N lanes)."""
     return LinkState(
         num_antennas=num_antennas,
         separation=array_separation(traj.theta_b, traj.theta_e, num_antennas, spacing),

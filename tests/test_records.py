@@ -24,6 +24,7 @@ from uavsec.geometry import (
     LinkState,
     ScenarioGeometry,
     Validated,
+    array_separation,
     link_state_at,
     sample_trajectory,
 )
@@ -322,6 +323,15 @@ def test_holders_compare_field_by_field():
      "^geometry: .* is not of type ScenarioGeometry$"),
     # A NUL byte cannot be in a file name.
     (lambda: ExperimentConfig(output_path="a\x00b"), ConfigError, r"^output.path: 'a\\x00b' holds a NUL byte$"),
+    # The array API checks M and d/lambda with their keys' parsers: no D = 0
+    # on every lane from a spacing past its bound, no M of 8.5 or True.
+    (lambda: array_separation(np.array([0.3, 1.0]), 1.2, 8, 1e20), ConfigError,
+     r"^array.spacing: 1e\+20 is outside \(0, 100000\]$"),
+    (lambda: array_separation(0.3, 1.2, 8, -0.5), ConfigError, r"^array.spacing: -0.5 is outside \(0, 100000\]$"),
+    (lambda: array_separation(0.3, 1.2, 8.5, 0.5), ConfigError, "^sweep.antennas: expected an integer, got '8.5'$"),
+    (lambda: array_separation(0.3, 1.2, True, 0.5), ConfigError, "^sweep.antennas: expected an integer, got 'True'$"),
+    (lambda: link_state_at(sample_trajectory(ScenarioGeometry()), ScenarioGeometry(), 0, 0.5, 1.0, 1.0, 1.0),
+     ConfigError, r"^sweep.antennas: 0 is outside \[2, 1000000\] antennas$"),
 ])
 def test_every_way_of_building_a_config_validates(build, error, message):
     with pytest.raises(error, match=message):

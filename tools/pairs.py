@@ -19,9 +19,10 @@ q1, q3 and n per metric, the pairs the change wins, the failed records),
 with a ``meta`` block: each tree's ``git rev-parse HEAD`` ("unknown" for a
 tree that is not a git checkout, with ``-dirty`` appended when its ``src``
 or ``benchmarks`` has uncommitted changes) and ``src`` code and physical
-lines, the Python and numpy versions, the usable CPU count, and the seed
-and seconds passed through (null where the benchmark's own default
-applies).
+lines, the Python and numpy versions, the usable CPU count, the run length
+in seconds passed to every run (``--seconds``, by default
+``BENCHMARK.json``'s ``run_seconds``), and the seed that the runs' own
+``meta`` lines report (a list of the seeds where they differ).
 
 Usage::
 
@@ -51,12 +52,14 @@ from code_lines import count
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_benchmark(tree: Path, workload: str, extra: list[str]) -> dict:
-    """The result line (the last line of output) of one benchmark run in ``tree``."""
+def run_benchmark(tree: Path, workload: str, extra: list[str]) -> tuple[dict, dict]:
+    """The result line (the last line of output) of one benchmark run in
+    ``tree``, and its ``meta`` line (the one before it, after ``meta``)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     out = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload, "--trace", "0", *extra],
                          cwd=tree, env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    *_, meta, result = out.strip().splitlines()
+    return json.loads(result), json.loads(meta.removeprefix("meta "))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -125,7 +128,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", help="a benchmark workload (repeatable; "
                         "default flight_default)")
     parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload (default 10)")
-    parser.add_argument("--seconds", type=int, help="passed to benchmarks/run.py (default: its own)")
+    parser.add_argument("--seconds", type=int, help="passed to benchmarks/run.py (default: "
+                        "BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, help="passed to benchmarks/run.py (default: its own)")
     parser.add_argument("--json", metavar="PATH", help="also write the figures and run metadata here")
     args = parser.parse_args(argv)
@@ -137,22 +141,26 @@ def main(argv=None) -> int:
             parser.error(f"no benchmarks/run.py under {tree}")
         for part in ("src", "benchmarks"):
             compileall.compile_dir(tree / part, quiet=1)
-    extra = [f"--{name}={value}" for name, value in (("seconds", args.seconds), ("seed", args.seed))
-             if value is not None]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.seconds is None:
+        args.seconds = spec["run_seconds"]
+    extra = [f"--seconds={args.seconds}"] + ([] if args.seed is None else [f"--seed={args.seed}"])
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
-    results = {}
+    results, seeds = {}, set()
     for workload in args.workload or ["flight_default"]:
         runs = {"change": [], "parent": []}
         for i in range(args.pairs):
             for side in ("change", "parent") if i % 2 else ("parent", "change"):
-                runs[side].append(run_benchmark(trees[side], workload, extra))
+                result, run_meta = run_benchmark(trees[side], workload, extra)
+                runs[side].append(result)
+                seeds.add(run_meta["seed"])
         results[workload] = summarize(runs, better)
         print("\n".join(report(workload, results[workload])), flush=True)
     if args.json:
         meta = {**{side: tree_meta(tree) for side, tree in trees.items()},
                 "python": platform.python_version(), "numpy": metadata.version("numpy"),
-                "nproc": len(os.sched_getaffinity(0)), "seed": args.seed, "seconds": args.seconds}
+                "nproc": len(os.sched_getaffinity(0)), "seconds": args.seconds,
+                "seed": seeds.pop() if len(seeds) == 1 else sorted(seeds)}
         Path(args.json).write_text(json.dumps({"meta": meta, "workloads": results}, indent=2) + "\n")
     return 0
 
