@@ -4,14 +4,14 @@ Everything here is deterministic and unit-agnostic: distances in meters,
 powers in linear mW, angles in radians measured from the +x array axis.
 
 The uniform linear array is two numbers, its element count M and spacing
-d/lambda, which ``array_separation`` checks through the parsers of
-``sweep.antennas`` and ``array.spacing``, the keys a config holds them as. It
-enters the model only through
-D = M^2 - |h_e^H h_b|^2, where h is the steering vector with entries
-exp(-j 2 pi (m - (M+1)/2) (d/lambda) cos(theta)): how far apart the array sees
-the UAV and the eavesdropper. ``array_separation`` computes D in closed form
-from the Dirichlet kernel, in O(1) per point, without forming either vector;
-the vectors and the sum of M - 1 terms it replaced are kept as test oracles.
+d/lambda, which ``array_separation`` checks with the parsers of the config
+keys that hold them, ``sweep.antennas`` and ``array.spacing``. It enters the
+model only through D = M^2 - |h_e^H h_b|^2, where h is the steering vector
+with entries exp(-j 2 pi (m - (M+1)/2) (d/lambda) cos(theta)): how far apart
+the array sees the UAV and the eavesdropper. ``array_separation`` computes D
+in closed form from the Dirichlet kernel, in O(1) per point, without forming
+either vector; the vectors and the sum of M - 1 terms it replaced are kept as
+test oracles.
 
 The sweep works on lanes: ``sample_trajectory`` returns the whole flight as
 arrays, ``link_state_at`` builds the link of every point at once, and

@@ -123,13 +123,14 @@ def tree_meta(tree: Path) -> dict:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="DIR", required=True, help="the parent's checkout")
     parser.add_argument("--workload", action="append", help="a benchmark workload (repeatable; "
                         "default flight_default)")
     parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload (default 10)")
-    parser.add_argument("--seconds", type=int, help="passed to benchmarks/run.py (default: "
-                        "BENCHMARK.json's run_seconds)")
+    parser.add_argument("--seconds", type=int, default=spec["run_seconds"],
+                        help="passed to benchmarks/run.py (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, help="passed to benchmarks/run.py (default: its own)")
     parser.add_argument("--json", metavar="PATH", help="also write the figures and run metadata here")
     args = parser.parse_args(argv)
@@ -141,10 +142,8 @@ def main(argv=None) -> int:
             parser.error(f"no benchmarks/run.py under {tree}")
         for part in ("src", "benchmarks"):
             compileall.compile_dir(tree / part, quiet=1)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = spec["run_seconds"]
-    extra = [f"--seconds={args.seconds}"] + ([] if args.seed is None else [f"--seed={args.seed}"])
+    extra = [f"--{name}={value}" for name, value in (("seconds", args.seconds), ("seed", args.seed))
+             if value is not None]
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
     results, seeds = {}, set()
     for workload in args.workload or ["flight_default"]:
