@@ -19,7 +19,7 @@ q1, q3 and n per metric, the pairs the change wins, the failed records),
 with a ``meta`` block: each tree's ``git rev-parse HEAD`` ("unknown" for a
 tree that is not a git checkout, with ``-dirty`` appended when its ``src``
 or ``benchmarks`` has uncommitted changes) and ``src`` code and physical
-lines, the Python and numpy versions, the usable CPU count, the run length
+lines, as they were before the first run, the Python and numpy versions, the usable CPU count, the run length
 in seconds passed to every run (``--seconds``, by default
 ``BENCHMARK.json``'s ``run_seconds``), and the seed that the runs' own
 ``meta`` lines report (a list of the seeds where they differ).
@@ -142,6 +142,9 @@ def main(argv=None) -> int:
             parser.error(f"no benchmarks/run.py under {tree}")
         for part in ("src", "benchmarks"):
             compileall.compile_dir(tree / part, quiet=1)
+    # Read before the runs, so that an edit made while they run cannot pass
+    # for the code that ran.
+    tree_metas = {side: tree_meta(tree) for side, tree in trees.items()}
     extra = [f"--{name}={value}" for name, value in (("seconds", args.seconds), ("seed", args.seed))
              if value is not None]
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
@@ -156,7 +159,7 @@ def main(argv=None) -> int:
         results[workload] = summarize(runs, better)
         print("\n".join(report(workload, results[workload])), flush=True)
     if args.json:
-        meta = {**{side: tree_meta(tree) for side, tree in trees.items()},
+        meta = {**tree_metas,
                 "python": platform.python_version(), "numpy": metadata.version("numpy"),
                 "nproc": len(os.sched_getaffinity(0)), "seconds": args.seconds,
                 "seed": seeds.pop() if len(seeds) == 1 else sorted(seeds)}
