@@ -25,10 +25,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .beamforming import leakage_pair
+from .beamforming import ProjectedPowers, leakage_pair, split_rates
 from .geometry import _ITERATIONS, _POSITIVE, _SPLIT, LinkState, Validated, _record, lane_link
 from .power_allocation import closed_form
-from .rates import ProjectedPowers, split_rates
 
 
 _AIS_ROWS = {"beta_init": ("ais.beta_init", _SPLIT, repr, 0.1),

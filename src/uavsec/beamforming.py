@@ -1,6 +1,7 @@
-"""Leakage-based transmit beamformers, reduced to their four projected powers.
+"""Leakage-based transmit beamformers, reduced to their four projected powers,
+and the achievable rates at a power split over them.
 
-The confidential-message vector v_b maximizes the signal-to-leakage-and-noise
+All rates are in bits/s/Hz (log base 2); all powers are linear mW. The confidential-message vector v_b maximizes the signal-to-leakage-and-noise
 ratio (SLNR) toward the UAV: it is (beta Ps h_e h_e^H + sigma_b^2 I)^{-1} h_b,
 normalized. The artificial-noise vector v_an maximizes the
 AN-and-leakage-to-noise ratio (ANLNR) toward the eavesdropper:
@@ -21,16 +22,28 @@ directions (D -> 0) keep full relative precision; rho^2 cancels only for
 near-orthogonal ones, where it leaves u_e and w_b an absolute error of order
 eps * M. The steering vectors, the Sherman-Morrison solve and both
 beamformers are kept in the tests as the reference (``tests/oracle.py``).
-All of it is arithmetic, so it runs elementwise over the lanes of a batched
-link and split.
+The rates, the power allocation and the alternating loop see the beamformers
+only through these four numbers, a ``ProjectedPowers``; no steering or
+beamforming vector is ever formed. All of it is arithmetic, so it runs
+elementwise over the lanes of a batched link and split.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .geometry import LinkState
-from .rates import ProjectedPowers
+
+
+class ProjectedPowers(namedtuple("ProjectedPowers", "u_b w_b u_e w_e")):
+    """|h^H v|^2 for the four steering-vector / beamformer pairs: the
+    confidential stream at Bob, u_b = |h_b^H v_b|^2, and the artificial noise
+    there, w_b = |h_b^H v_an|^2; at Eve, u_e = |h_e^H v_b|^2 and
+    w_e = |h_e^H v_an|^2."""
+
+    __slots__ = ()
 
 
 def _toward_and_away(m: int, d, rho2, t):
@@ -64,3 +77,21 @@ def leakage_pair(link: LinkState, beta) -> ProjectedPowers:
     u_b, u_e = _toward_and_away(m, d, rho2, t_b)
     w_e, w_b = _toward_and_away(m, d, rho2, t_e)
     return ProjectedPowers(u_b=u_b, w_b=w_b, u_e=u_e, w_e=w_e)
+
+
+def split_rates(link: LinkState, powers: ProjectedPowers, beta):
+    """(R_b, R_e) at power split ``beta``, broadcast against the lanes.
+
+    Each receiver sees the confidential share beta*Ps through u and the
+    artificial-noise share (1-beta)*Ps through w, on top of its noise floor.
+    Of ``link`` only g_ab, g_ae, sigma2_b, sigma2_e and p_s are read.
+    """
+
+    def rate(gain, u, w, sigma2):
+        signal = gain * beta * link.p_s * u
+        return np.log2(1.0 + signal / (gain * (1.0 - beta) * link.p_s * w + sigma2))
+
+    return (
+        rate(link.g_ab, powers.u_b, powers.w_b, link.sigma2_b),
+        rate(link.g_ae, powers.u_e, powers.w_e, link.sigma2_e),
+    )

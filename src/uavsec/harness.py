@@ -53,7 +53,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .ais import AisConfig, optimize_point
-from .beamforming import leakage_pair
+from .beamforming import leakage_pair, split_rates
 from .geometry import (
     _ANTENNAS,
     _DBM,
@@ -71,7 +71,6 @@ from .geometry import (
     sample_trajectory,
 )
 from .power_allocation import beta_grid_oracle, closed_form
-from .rates import split_rates
 
 CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
 _FIELDS = CSV_HEADER.split(",")

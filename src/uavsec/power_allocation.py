@@ -16,9 +16,10 @@ tiny, and near beta = 1 the quadratics are small differences of coefficients
 12+ orders of magnitude larger. The factored form never builds those
 coefficients. The stationary quadratic's roots come from the
 cancellation-free formula, and each candidate is scored with the rate
-layer's ``split_rates``, which forms a denominator as (1 - beta) k w + sigma2
-rather than as den0 (1 + r2 beta). All of it runs in float64; the
-exact-rational expansion is kept as the test oracle (``tests/oracle.py``).
+formula ``beamforming.split_rates``, which forms a denominator as
+(1 - beta) k w + sigma2 rather than as den0 (1 + r2 beta). All of it runs in
+float64; the exact-rational expansion is kept as the test oracle
+(``tests/oracle.py``).
 
 Both searches run elementwise over the lanes of a batched link: every
 candidate is scored on every lane, and ``np.where`` keeps the winner of
@@ -39,9 +40,8 @@ import math
 
 import numpy as np
 
+from .beamforming import ProjectedPowers, split_rates
 from .geometry import LinkState, lane_link, parse_grid_step
-from . import rates
-from .rates import ProjectedPowers
 
 # Candidates whose phi values agree to a relative 1e-12 tie; the larger beta
 # wins. On f = log2(phi) that width is log2(1 + 1e-12).
@@ -139,7 +139,7 @@ def closed_form(link: LinkState, powers: ProjectedPowers):
     betas = np.ones((3, *roots.shape[1:]))
     np.minimum(roots, _BELOW_ONE, out=betas[:2], where=valid)
     # All candidates are scored in one call, along a leading axis.
-    r_b, r_e = rates.split_rates(link, powers, betas)
+    r_b, r_e = split_rates(link, powers, betas)
     rows = np.stack((betas, r_b - r_e, r_b, r_e), axis=1)
     # The fold in two steps. root2 replaces root1 where root1 is invalid, or
     # where root2 is better, or tied at a larger beta (more confidential
@@ -175,10 +175,10 @@ def beta_grid_oracle(link: LinkState, powers: ProjectedPowers, step: float):
     rows = max(1, CHUNK_ELEMENTS // grid.size)
     for lo in range(0, best.size, rows):
         part = [v[lo : lo + rows] for v in lanes]
-        r_b, r_e = rates.split_rates(lane_link(link, part[:6]), ProjectedPowers(*part[6:]), grid)
+        r_b, r_e = split_rates(lane_link(link, part[:6]), ProjectedPowers(*part[6:]), grid)
         best[lo : lo + rows] = (r_b - r_e).argmax(axis=1)
     # A maximum at beta=0 means no split gives positive secrecy.
     best[best == 0] = n
     beta = grid[best].reshape(shape)
-    r_b, r_e = rates.split_rates(link, powers, beta)
+    r_b, r_e = split_rates(link, powers, beta)
     return beta[()], (r_b - r_e)[()], r_b[()], r_e[()]

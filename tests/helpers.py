@@ -13,8 +13,7 @@ import numpy as np
 
 from uavsec.geometry import LinkState, link_state_at, sample_trajectory
 from uavsec.harness import CSV_HEADER, ResultBlock, SweepResult
-from uavsec.beamforming import leakage_pair
-from uavsec.rates import ProjectedPowers
+from uavsec.beamforming import ProjectedPowers, leakage_pair
 
 from oracle import BeamformingPair, projected_powers, steered_link
 

@@ -35,9 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from uavsec import rates
+from uavsec.beamforming import ProjectedPowers, split_rates
 from uavsec.geometry import LinkState, Validated, array_separation
-from uavsec.rates import ProjectedPowers
 
 # Relative tie width on phi when ranking candidates.
 _TIE_RTOL = Fraction(1, 10**12)
@@ -123,7 +122,7 @@ def rational_coefficients(link: LinkState, powers: ProjectedPowers) -> RationalC
     """
     coeffs = _coefficients_raw(link, powers)
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        r_b, r_e = rates.split_rates(link, powers, beta)
+        r_b, r_e = split_rates(link, powers, beta)
         direct = r_b - r_e
         if abs(f_value(coeffs, beta) - direct) > 1e-9:
             raise CoefficientConsistencyError(

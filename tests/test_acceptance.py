@@ -11,12 +11,11 @@ import time
 import numpy as np
 
 from uavsec.ais import AisConfig, optimize_point
-from uavsec.beamforming import leakage_pair
+from uavsec.beamforming import leakage_pair, split_rates
 from uavsec.geometry import ScenarioGeometry
 from uavsec.power_allocation import beta_grid_oracle, closed_form
 from uavsec.harness import dbm_to_mw, parse_config_text, run_experiment, write_results
 from oracle import anlnr_beamformer, f_value, rational_coefficients, slnr_beamformer
-from uavsec.rates import split_rates
 
 from helpers import flight_links, random_instance, random_link, symmetric_link
 

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from uavsec.beamforming import leakage_pair
-from uavsec.rates import split_rates
+from uavsec.beamforming import leakage_pair, split_rates
 
 from helpers import random_link, random_unit, symmetric_link
 from oracle import (

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import uavsec
 from uavsec.ais import AisConfig, optimize_point
-from uavsec.beamforming import leakage_pair
+from uavsec.beamforming import leakage_pair, split_rates
 from uavsec.geometry import (
     MAX_ABS_DBM,
     MAX_ANTENNAS,
@@ -43,7 +43,6 @@ from uavsec.harness import (
 )
 from uavsec.cli import _PARSER, main
 from uavsec.floattext import _TABLE_CHUNK, _TABLE_MIN, column_texts, twelve_digits
-from uavsec.rates import split_rates
 
 from helpers import read_results_csv, records_of, reference_summary, result_of
 

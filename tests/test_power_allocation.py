@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsec import power_allocation
-from uavsec.beamforming import leakage_pair
+from uavsec.beamforming import ProjectedPowers, leakage_pair, split_rates
 from uavsec.geometry import (ConfigError, LinkState, ScenarioGeometry, array_separation, link_state_at,
                              sample_trajectory)
 from uavsec.power_allocation import beta_grid_oracle, closed_form
 from uavsec.harness import ExperimentConfig, dbm_to_mw, parse_config_text
-from uavsec.rates import ProjectedPowers, split_rates
 
 import oracle
 from helpers import (flight_links, random_instance, random_link, random_pair, stack_links, stack_powers,

@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 from uavsec.geometry import LinkState, ScenarioGeometry, array_separation
 from uavsec.harness import dbm_to_mw
 from uavsec.ais import AisConfig, optimize_point
-from uavsec.beamforming import leakage_pair
+from uavsec.beamforming import leakage_pair, split_rates
 from uavsec.power_allocation import beta_grid_oracle, closed_form
-from uavsec.rates import split_rates
 
 from helpers import flight_links, random_instance, stack_links
 

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uavsec.ais import AisConfig, AisTrace, optimize_point
-from uavsec.beamforming import leakage_pair
+from uavsec.beamforming import ProjectedPowers, leakage_pair
 from uavsec.floattext import _TABLE_MIN
 from uavsec.geometry import (
     ConfigError,
@@ -28,7 +28,6 @@ from uavsec.geometry import (
     link_state_at,
     sample_trajectory,
 )
-from uavsec.rates import ProjectedPowers
 from uavsec.harness import (
     _KEYS,
     ExperimentConfig,
