@@ -430,12 +430,17 @@ class LinkState(Validated, namedtuple("LinkState", "num_antennas separation g_ab
     or an array; their broadcast shape, ``shape``, is the lane shape of the
     batch, and every computation on the link is elementwise over it. The
     eavesdropper's gain may be 0 (its path gain underflowed), which makes
-    its rate exactly 0; every other gain, power and noise is positive.
+    its rate exactly 0; every other gain, power and noise is positive. M is
+    what the ``sweep.antennas`` parser would give (or this raises that key's
+    ``ConfigError``), and 0 <= D <= M^2 on every lane.
     """
 
     __slots__ = ()
 
     def _validate(self):
+        _round_trip("sweep.antennas", _ANTENNAS, repr, self.num_antennas)
+        if not np.all((0 <= self.separation) & (self.separation <= self.num_antennas**2)):
+            raise ValueError("separation must lie in [0, num_antennas^2]")
         if not np.greater_equal(self.g_ae, 0).all():
             raise ValueError("g_ae must be nonnegative")
         for name in ("g_ab", "sigma2_b", "sigma2_e", "p_s"):

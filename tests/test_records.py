@@ -331,6 +331,23 @@ def test_holders_compare_field_by_field():
     (lambda: array_separation(0.3, 1.2, True, 0.5), ConfigError, "^sweep.antennas: expected an integer, got 'True'$"),
     (lambda: link_state_at(sample_trajectory(ScenarioGeometry()), ScenarioGeometry(), 0, 0.5, 1.0, 1.0, 1.0),
      ConfigError, r"^sweep.antennas: 0 is outside \[2, 1000000\] antennas$"),
+    # A link built directly holds such an M and a D = M^2 - |h_e^H h_b|^2 in
+    # [0, M^2] on every lane: no NaN rates from M = 0 or D = NaN, no negative
+    # Eve rate from D < 0, no Bob rate past M^2 from D = 100 on 8 antennas.
+    (lambda: LinkState(8.5, 10.0, 1.0, 1.0, 1.0, 1.0, 1.0), ConfigError,
+     "^sweep.antennas: expected an integer, got '8.5'$"),
+    (lambda: LinkState(True, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0), ConfigError,
+     "^sweep.antennas: expected an integer, got 'True'$"),
+    (lambda: LinkState(0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0), ConfigError,
+     r"^sweep.antennas: 0 is outside \[2, 1000000\] antennas$"),
+    (lambda: LinkState(8, -5.0, 1.0, 1.0, 1.0, 1.0, 1.0), ValueError, r"^separation must lie in \[0, num_antennas\^2\]$"),
+    (lambda: LinkState(8, 100.0, 1.0, 1.0, 1.0, 1.0, 1.0), ValueError, r"^separation must lie in \[0, num_antennas\^2\]$"),
+    (lambda: LinkState(8, math.nan, 1.0, 1.0, 1.0, 1.0, 1.0), ValueError,
+     r"^separation must lie in \[0, num_antennas\^2\]$"),
+    (lambda: LinkState(8, np.array([0.0, 64.0, 65.0]), 1.0, 1.0, 1.0, 1.0, 1.0), ValueError,
+     r"^separation must lie in \[0, num_antennas\^2\]$"),
+    (lambda: LinkState(8, 10.0, 1.0, 1.0, 1.0, 1.0, 1.0)._replace(num_antennas=2), ValueError,
+     r"^separation must lie in \[0, num_antennas\^2\]$"),
 ])
 def test_every_way_of_building_a_config_validates(build, error, message):
     with pytest.raises(error, match=message):
