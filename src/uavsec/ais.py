@@ -19,8 +19,6 @@ history: per lane it returns the final split, the final vectors' projected
 powers, the stop flag, the cycle count and its last PA step's R_b and R_e.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 import numpy as np

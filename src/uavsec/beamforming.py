@@ -28,8 +28,6 @@ beamforming vector is ever formed. All of it is arithmetic, so it runs
 elementwise over the lanes of a batched link and split.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 import numpy as np

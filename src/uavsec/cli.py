@@ -4,8 +4,6 @@ The parser is built once, at import; ``main`` keeps no state between calls,
 so it is safe to call repeatedly in one process.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

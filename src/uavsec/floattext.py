@@ -15,8 +15,6 @@ load this module on their first call, so importing the package does not
 compile it.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 import numpy as np

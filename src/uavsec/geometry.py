@@ -40,8 +40,6 @@ the scenario (the sample count, Eve off the array, the path gains) is
 one is.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import reduce

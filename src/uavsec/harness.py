@@ -40,8 +40,6 @@ mostly from digit tables. A block's text is one flat list of pieces, filled
 by slice assignment, and one join.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import partial

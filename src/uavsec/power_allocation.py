@@ -34,8 +34,6 @@ only the rows (split, f, R_b, R_e) per lane, the rates being those they
 scored the chosen split with.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
