@@ -1,12 +1,14 @@
 """Leakage-based transmit beamformers, reduced to their four projected powers,
 and the achievable rates at a power split over them.
 
-All rates are in bits/s/Hz (log base 2); all powers are linear mW. The confidential-message vector v_b maximizes the signal-to-leakage-and-noise
+The confidential-message vector v_b maximizes the signal-to-leakage-and-noise
 ratio (SLNR) toward the UAV: it is (beta Ps h_e h_e^H + sigma_b^2 I)^{-1} h_b,
 normalized. The artificial-noise vector v_an maximizes the
 AN-and-leakage-to-noise ratio (ANLNR) toward the eavesdropper:
 ((1-beta) Ps h_b h_b^H + sigma_e^2 I)^{-1} h_e, normalized. Everything
-downstream sees them only through |h^H v|^2, and with a rank-one whitening
+downstream (the rates, the power allocation and the alternating loop) sees
+them only through |h^H v|^2, the four numbers of ``ProjectedPowers``, so no
+steering or beamforming vector is ever formed. With a rank-one whitening
 term those four numbers are closed forms in M and the array separation
 D = M^2 - |h_e^H h_b|^2 (the leakage precoder of Sadek, Tarighat and Sayed,
 IEEE TWC 2007). With rho^2 = M^2 - D and the noise shares
@@ -22,10 +24,9 @@ directions (D -> 0) keep full relative precision; rho^2 cancels only for
 near-orthogonal ones, where it leaves u_e and w_b an absolute error of order
 eps * M. The steering vectors, the Sherman-Morrison solve and both
 beamformers are kept in the tests as the reference (``tests/oracle.py``).
-The rates, the power allocation and the alternating loop see the beamformers
-only through these four numbers, a ``ProjectedPowers``; no steering or
-beamforming vector is ever formed. All of it is arithmetic, so it runs
-elementwise over the lanes of a batched link and split.
+``split_rates`` gives Bob's and Eve's rates from the four numbers, in
+bits/s/Hz (log base 2); all powers are linear mW. All of it is arithmetic,
+so it runs elementwise over the lanes of a batched link and split.
 """
 
 from collections import namedtuple
