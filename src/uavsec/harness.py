@@ -50,7 +50,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ais import AisConfig, optimize_point
+from .ais import AisConfig, beta_grid_oracle, closed_form, optimize_point
 from .beamforming import leakage_pair, split_rates
 from .geometry import (
     _ANTENNAS,
@@ -68,7 +68,6 @@ from .geometry import (
     parse_grid_step,
     sample_trajectory,
 )
-from .power_allocation import beta_grid_oracle, closed_form
 
 CSV_HEADER = "strategy,M,Ps_dbm,n,theta_b,beta,Rb,Re,Rs,iterations,converged"
 _FIELDS = CSV_HEADER.split(",")

@@ -20,7 +20,7 @@ against the beta=1 endpoint. Expanded
 in floats, the quadratics cancel by 12+ orders of magnitude when the leakage
 beamformers drive both interference terms down to the noise floor; exactness
 sidesteps that and makes the degeneracy tests (AE-BD = 0, A = D) true sign
-tests. ``uavsec.power_allocation.closed_form`` solves the same problem in
+tests. ``uavsec.ais.closed_form`` solves the same problem in
 float64 from the factored form and is checked against ``optimal_beta`` here,
 whose answer also names the winning candidate.
 """

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from uavsec.ais import AisConfig, AisTrace, optimize_point
+from uavsec.ais import AisConfig, AisTrace, closed_form, optimize_point
 from uavsec.beamforming import leakage_pair, split_rates
 from uavsec.geometry import ScenarioGeometry
-from uavsec.power_allocation import closed_form
 
 import oracle
 from helpers import eve_silent_link, flight_links, random_link, stack_links, symmetric_link

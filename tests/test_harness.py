@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import uavsec
-from uavsec.ais import AisConfig, optimize_point
+from uavsec.ais import AisConfig, beta_grid_oracle, closed_form, optimize_point
 from uavsec.beamforming import leakage_pair, split_rates
 from uavsec.geometry import (
     MAX_ABS_DBM,
@@ -26,7 +26,6 @@ from uavsec.geometry import (
     link_state_at,
     sample_trajectory,
 )
-from uavsec.power_allocation import beta_grid_oracle, closed_form
 from uavsec.harness import (
     CSV_HEADER,
     ExperimentConfig,

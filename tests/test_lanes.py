@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from uavsec import power_allocation
+from uavsec import ais
 from uavsec.beamforming import leakage_pair
 from uavsec.geometry import array_separation
-from uavsec.power_allocation import beta_grid_oracle, closed_form
+from uavsec.ais import beta_grid_oracle, closed_form
 
 import oracle
 from helpers import eve_silent_link, random_instance, stack_links, stack_powers, symmetric_link
@@ -31,9 +31,9 @@ def test_chunked_grid_oracle_equals_one_chunk(monkeypatch):
     links, powers = zip(*(random_instance(rng, i, 8, 20.0) for i in range(40)))
     batch, batch_powers = stack_links(links), stack_powers(powers)
     # 1001 grid points per lane: the 40 lanes span at least three chunks.
-    assert power_allocation.CHUNK_ELEMENTS // 1001 < 20
+    assert ais.CHUNK_ELEMENTS // 1001 < 20
     chunked = beta_grid_oracle(batch, batch_powers, 1e-3)
-    monkeypatch.setattr(power_allocation, "CHUNK_ELEMENTS", 1 << 30)
+    monkeypatch.setattr(ais, "CHUNK_ELEMENTS", 1 << 30)
     one_chunk = beta_grid_oracle(batch, batch_powers, 1e-3)
     assert [a.tobytes() for a in chunked] == [a.tobytes() for a in one_chunk]
 

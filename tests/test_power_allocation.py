@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavsec import power_allocation
+from uavsec import ais
 from uavsec.beamforming import ProjectedPowers, leakage_pair, split_rates
 from uavsec.geometry import (ConfigError, LinkState, ScenarioGeometry, array_separation, link_state_at,
                              sample_trajectory)
-from uavsec.power_allocation import beta_grid_oracle, closed_form
+from uavsec.ais import beta_grid_oracle, closed_form
 from uavsec.harness import ExperimentConfig, dbm_to_mw, parse_config_text
 
 import oracle
@@ -71,7 +71,7 @@ def _fold_one_call_per_candidate(link, powers):
     candidate scored by its own ``split_rates`` call, then the same fold.
     Also returns the winning slot per lane: 0 and 1 for the two roots and 2
     for the endpoint."""
-    pa = power_allocation
+    pa = ais
     roots, real = pa._stationary_candidates(link, powers)
     candidates = [(np.minimum(beta, pa._BELOW_ONE), real & (0.0 < beta) & (beta <= 1.0))
                   for beta in roots] + [(1.0, True)]
