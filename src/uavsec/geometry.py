@@ -428,9 +428,10 @@ class LinkState(Validated, namedtuple("LinkState", "num_antennas separation g_ab
     or an array; their broadcast shape, ``shape``, is the lane shape of the
     batch, and every computation on the link is elementwise over it. The
     eavesdropper's gain may be 0 (its path gain underflowed), which makes
-    its rate exactly 0; every other gain, power and noise is positive. M is
-    what the ``sweep.antennas`` parser would give (or this raises that key's
-    ``ConfigError``), and 0 <= D <= M^2 on every lane.
+    its rate exactly 0; every other gain, power and noise is positive, and
+    all of them are finite. M is what the ``sweep.antennas`` parser would
+    give (or this raises that key's ``ConfigError``), 0 <= D <= M^2 on every
+    lane, and the fields broadcast together.
     """
 
     __slots__ = ()
@@ -439,11 +440,13 @@ class LinkState(Validated, namedtuple("LinkState", "num_antennas separation g_ab
         _round_trip("sweep.antennas", _ANTENNAS, repr, self.num_antennas)
         if not np.all((0 <= self.separation) & (self.separation <= self.num_antennas**2)):
             raise ValueError("separation must lie in [0, num_antennas^2]")
-        if not np.greater_equal(self.g_ae, 0).all():
-            raise ValueError("g_ae must be nonnegative")
-        for name in ("g_ab", "sigma2_b", "sigma2_e", "p_s"):
-            if not np.greater(getattr(self, name), 0).all():
-                raise ValueError(f"{name} must be strictly positive")
+        # Every lane lies above its field's floor and below inf. Eve's gain
+        # may be 0: its floor is the largest float below 0.
+        for name, value, floor in zip(self._fields[2:], self[2:], (0.0, -math.ulp(0.0), 0.0, 0.0, 0.0)):
+            if not np.all((floor < value) & (value < math.inf)):
+                raise ValueError(f"{name} must be {'nonnegative' if floor else 'strictly positive'} and finite")
+        # Raises numpy's ValueError where the lanes do not broadcast together.
+        np.broadcast(*self[1:])
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -299,6 +299,15 @@ def test_holders_compare_field_by_field():
      "g_ab must be strictly positive"),
     (lambda: LinkState(8, 1.0, 1e-4, 1e-4, 1e-11, 1e-11, 10.0)._replace(g_ab=np.array([1e-4, -1e-4])),
      ValueError, "g_ab must be strictly positive"),
+    # A gain, noise floor or power must be finite, and the lanes must
+    # broadcast together.
+    (lambda: LinkState(8, 10.0, np.array([1.0, np.inf]), 1.0, 1.0, 1.0, 1.0), ValueError,
+     "^g_ab must be strictly positive and finite$"),
+    (lambda: LinkState(8, 10.0, 1.0, 1.0, 1.0, 1.0, np.inf), ValueError, "^p_s must be strictly positive and finite$"),
+    (lambda: LinkState(8, 10.0, 1.0, 1.0, 1.0, np.inf, 1.0), ValueError,
+     "^sigma2_e must be strictly positive and finite$"),
+    (lambda: LinkState(8, np.zeros(3) + 10, np.ones(4), 1.0, 1.0, 1.0, 1.0), ValueError,
+     "^shape mismatch: objects cannot be broadcast to a single shape"),
     # A point must be finite: NaN would give NaN angles and distances, and an
     # infinite or out-of-range coordinate an infinite or NaN flight length.
     (lambda: ScenarioGeometry(eve=(math.nan, 0.0, 0.0)), ConfigError, "geometry.eve: expected a finite number"),

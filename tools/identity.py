@@ -17,10 +17,18 @@ Usage::
 
     python tools/identity.py                 # the matrix on this tree's src
     python tools/identity.py --against DIR   # also on DIR/src; list what differs
+    python tools/identity.py --dispatch      # also with AVX-512 off; list what differs
 
 ``--against`` runs the matrix on ``DIR/src`` in a subprocess and prints the
-pairs of lines that differ, then how many. Differences are a report: the
-exit code is 0 whenever both matrices ran.
+pairs of lines that differ, then how many. ``--dispatch`` runs it again on
+this tree's src in a subprocess whose ``NPY_DISABLE_CPU_FEATURES`` switches
+off numpy's AVX-512 kernels (every AVX-512 target in numpy's
+``__cpu_dispatch__``, with ``X86_V4`` where numpy has it: ``AVX512F`` alone
+leaves ``np.arccos`` on its AVX-512 path in numpy 2.4), and lists the lines
+that differ by dispatch alone, so a change's own differences can be told
+from the host's. On a host without AVX-512 both runs take the same kernels
+and that list is empty. Differences are a report: the exit code is 0
+whenever the matrices ran.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import argparse
 import hashlib
 import importlib.util
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -115,9 +124,33 @@ def matrix(main) -> list[str]:
     return lines
 
 
+def _avx512_targets() -> list[str]:
+    """numpy's AVX-512 dispatch targets that this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__
+            if (t == "X86_V4" or t.startswith("AVX512")) and umath.__cpu_features__.get(t)]
+
+
+def _subprocess_matrix(src, env=None) -> list[str]:
+    return subprocess.run([sys.executable, __file__, "--src", str(src)], check=True, capture_output=True,
+                          text=True, env=env).stdout.splitlines()
+
+
+def _report(theirs: list[str], ours: list[str], what: str):
+    differ = [(a, b) for a, b in zip(theirs, ours) if a != b]
+    for a, b in differ:
+        print(f"- {a}\n+ {b}")
+    print(f"{len(differ)} of {len(ours)} lines differ {what}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="DIR", help="a checkout whose src to compare with")
+    parser.add_argument("--dispatch", action="store_true",
+                        help="compare with this tree's src run with numpy's AVX-512 kernels off")
     parser.add_argument("--src", default=str(ROOT / "src"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
@@ -126,15 +159,15 @@ def main(argv=None) -> int:
     if Path(uavsec.cli.__file__).resolve().parents[1] != Path(args.src).resolve():
         raise SystemExit(f"error: imported uavsec from {uavsec.cli.__file__}, not {args.src}")
     ours = matrix(uavsec.cli.main)
-    if args.against is None:
+    if args.against is None and not args.dispatch:
         print("\n".join(ours))
         return 0
-    theirs = subprocess.run([sys.executable, __file__, "--src", str(Path(args.against) / "src")],
-                            check=True, capture_output=True, text=True).stdout.splitlines()
-    differ = [(a, b) for a, b in zip(theirs, ours) if a != b]
-    for a, b in differ:
-        print(f"- {a}\n+ {b}")
-    print(f"{len(differ)} of {len(ours)} lines differ from {args.against}")
+    if args.against is not None:
+        _report(_subprocess_matrix(Path(args.against) / "src"), ours, f"from {args.against}")
+    if args.dispatch:
+        off = " ".join(_avx512_targets())
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": off}
+        _report(_subprocess_matrix(args.src, env), ours, f"by dispatch alone (NPY_DISABLE_CPU_FEATURES={off!r})")
     return 0
 
 
