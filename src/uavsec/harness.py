@@ -50,8 +50,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ais import AisConfig, beta_grid_oracle, closed_form, optimize_point
-from .beamforming import leakage_pair, split_rates
+from .ais import AisConfig, beta_grid_oracle, closed_form, leakage_pair, optimize_point, split_rates
 from .geometry import (
     _ANTENNAS,
     _DBM,

@@ -13,7 +13,7 @@ import numpy as np
 
 from uavsec.geometry import LinkState, link_state_at, sample_trajectory
 from uavsec.harness import CSV_HEADER, ResultBlock, SweepResult
-from uavsec.beamforming import ProjectedPowers, leakage_pair
+from uavsec.ais import ProjectedPowers, leakage_pair
 
 from oracle import BeamformingPair, projected_powers, steered_link
 

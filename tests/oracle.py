@@ -2,7 +2,7 @@
 
 Beamforming. The library reduces the Max-SLNR and Max-ANLNR beamformers to
 their four projected powers in closed form over the array separation
-(``uavsec.beamforming.leakage_pair``). The vector path it replaced lives here
+(``uavsec.ais.leakage_pair``). The vector path it replaced lives here
 unchanged: steering vectors, the Sherman-Morrison solve of the rank-one
 whitening matrix, both normalized beamformers with their SLNR/ANLNR values,
 and the projection ``projected_powers``. ``SteeredLink`` has the fields and
@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from uavsec.beamforming import ProjectedPowers, split_rates
+from uavsec.ais import ProjectedPowers, split_rates
 from uavsec.geometry import LinkState, Validated, array_separation
 
 # Relative tie width on phi when ranking candidates.

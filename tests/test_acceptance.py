@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from uavsec.ais import AisConfig, beta_grid_oracle, closed_form, optimize_point
-from uavsec.beamforming import leakage_pair, split_rates
+from uavsec.ais import AisConfig, beta_grid_oracle, closed_form, leakage_pair, optimize_point, split_rates
 from uavsec.geometry import ScenarioGeometry
 from uavsec.harness import dbm_to_mw, parse_config_text, run_experiment, write_results
 from oracle import anlnr_beamformer, f_value, rational_coefficients, slnr_beamformer

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from uavsec.ais import AisConfig, AisTrace, closed_form, optimize_point
-from uavsec.beamforming import leakage_pair, split_rates
+from uavsec.ais import AisConfig, AisTrace, closed_form, leakage_pair, optimize_point, split_rates
 from uavsec.geometry import ScenarioGeometry
 
 import oracle

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from uavsec.beamforming import leakage_pair, split_rates
+from uavsec.ais import leakage_pair, split_rates
 
 from helpers import random_link, random_unit, symmetric_link
 from oracle import (

@@ -14,8 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import uavsec
-from uavsec.ais import AisConfig, beta_grid_oracle, closed_form, optimize_point
-from uavsec.beamforming import leakage_pair, split_rates
+from uavsec.ais import AisConfig, beta_grid_oracle, closed_form, leakage_pair, optimize_point, split_rates
 from uavsec.geometry import (
     MAX_ABS_DBM,
     MAX_ANTENNAS,

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from uavsec import ais
-from uavsec.beamforming import leakage_pair
 from uavsec.geometry import array_separation
-from uavsec.ais import beta_grid_oracle, closed_form
+from uavsec.ais import beta_grid_oracle, closed_form, leakage_pair
 
 import oracle
 from helpers import eve_silent_link, random_instance, stack_links, stack_powers, symmetric_link

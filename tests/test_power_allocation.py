@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsec import ais
-from uavsec.beamforming import ProjectedPowers, leakage_pair, split_rates
 from uavsec.geometry import (ConfigError, LinkState, ScenarioGeometry, array_separation, link_state_at,
                              sample_trajectory)
-from uavsec.ais import beta_grid_oracle, closed_form
+from uavsec.ais import ProjectedPowers, beta_grid_oracle, closed_form, leakage_pair, split_rates
 from uavsec.harness import ExperimentConfig, dbm_to_mw, parse_config_text
 
 import oracle

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from uavsec.geometry import LinkState, ScenarioGeometry, array_separation
 from uavsec.harness import dbm_to_mw
-from uavsec.ais import AisConfig, beta_grid_oracle, closed_form, optimize_point
-from uavsec.beamforming import leakage_pair, split_rates
+from uavsec.ais import AisConfig, beta_grid_oracle, closed_form, leakage_pair, optimize_point, split_rates
 
 from helpers import flight_links, random_instance, stack_links
 

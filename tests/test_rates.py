@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from uavsec.beamforming import split_rates
+from uavsec.ais import split_rates
 
 from helpers import random_link, random_pair, random_unit, symmetric_link
 from oracle import BeamformingPair, projected_powers

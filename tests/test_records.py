@@ -18,8 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavsec.ais import AisConfig, AisTrace, optimize_point
-from uavsec.beamforming import ProjectedPowers, leakage_pair
+from uavsec.ais import AisConfig, AisTrace, ProjectedPowers, leakage_pair, optimize_point
 from uavsec.floattext import _TABLE_MIN
 from uavsec.geometry import (
     ConfigError,
