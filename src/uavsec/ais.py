@@ -134,6 +134,12 @@ def split_rates(link: LinkState, powers: ProjectedPowers, beta):
     Each receiver sees the confidential share beta*Ps through u and the
     artificial-noise share (1-beta)*Ps through w, on top of its noise floor.
     Of ``link`` only g_ab, g_ae, sigma2_b, sigma2_e and p_s are read.
+
+    The rates are accurate in absolute terms, not relative ones: log2 reads
+    1 + SINR rounded to a double, which costs up to about 1.6e-16 bits
+    whatever the rate. So a rate below about 1e-4 bits keeps fewer correct
+    digits than the 12 a result file prints, and an SINR below eps/2 gives
+    exactly 0.
     """
 
     def rate(gain, u, w, sigma2):

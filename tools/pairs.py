@@ -12,10 +12,18 @@ For each workload it prints, per metric of the result line, the median and
 quartiles [q1, q3] of each side's values over its runs, and in how many
 pairs the change's value is better, with "better" as ``BENCHMARK.json``
 states it (lower where a metric is not listed there), and the failed
-records of each side.
+records of each side. Then it prints each side's work on the workload,
+counted from one in-process run of the workload's config at the runs' seed
+with that tree's ``src`` (in a subprocess, through the hidden ``--src``
+flag): the lane-cycles the iterating blocks need (every lane's cycle count,
+summed), the lane-cycles they execute (a block runs all its lanes until its
+last one stops: its largest count times its lanes), and the grid points of
+the ``grid_oracle`` blocks (their executed lane-cycles times the round(1/step)
++ 1 points of the grid). Timings vary from host to host; these counts do not.
 
 ``--json PATH`` also writes the same figures as JSON (each side's median,
-q1, q3 and n per metric, the pairs the change wins, the failed records),
+q1, q3 and n per metric, the pairs the change wins, the failed records, the
+``work`` counts),
 with a ``meta`` block: each tree's ``git rev-parse HEAD`` ("unknown" for a
 tree that is not a git checkout, with ``-dirty`` appended when its ``src``
 or ``benchmarks`` has uncommitted changes) and ``src`` code and physical
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import importlib.util
 import json
 import os
 import platform
@@ -101,7 +110,50 @@ def report(workload: str, summary: dict) -> list[str]:
     for name, m in summary["metrics"].items():
         lines.append(f"  {name} ({m['unit']}, {m['better']} is better): parent {spread(m['parent'])}, "
                      f"change {spread(m['change'])}; change better in {m['change_better']}/{n}")
+    for side in ("parent", "change"):
+        work = summary["work"][side]
+        lines.append(f"  work ({side}): lane-cycles needed {work['lane_cycles_needed']}, "
+                     f"executed {work['lane_cycles_executed']}; grid points {work['grid_points']}")
     return lines
+
+
+def work_counts(blocks, grid_step: float) -> dict:
+    """Lane-cycles needed and executed by a sweep's iterating blocks, and the
+    grid points that its ``grid_oracle`` blocks score (see the module text).
+    Blocks that do not iterate (fixed splits) count nothing."""
+    needed = executed = grid_points = 0
+    for block in blocks:
+        if block.iterations is None:
+            continue
+        cycles = int(block.iterations.max()) * block.iterations.size
+        needed += int(block.iterations.sum())
+        executed += cycles
+        if block.strategy == "grid_oracle":
+            grid_points += cycles * (round(1.0 / grid_step) + 1)
+    return {"lane_cycles_needed": needed, "lane_cycles_executed": executed, "grid_points": grid_points}
+
+
+def src_work(src: Path, workload: str, seed: int) -> dict:
+    """``work_counts`` of one run, in this process, of ``workload``'s config
+    at ``seed`` on the package under ``src``; the config comes from the
+    ``benchmarks/run.py`` next to ``src``."""
+    sys.path.insert(0, str(src))
+    from uavsec.harness import parse_config_text, run_experiment
+
+    if Path(run_experiment.__code__.co_filename).resolve().parents[1] != src:
+        raise SystemExit(f"error: imported uavsec from {run_experiment.__code__.co_filename}, not {src}")
+    spec = importlib.util.spec_from_file_location("benchmark_run", src.parent / "benchmarks" / "run.py")
+    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
+    spec.loader.exec_module(bench)
+    cfg = parse_config_text(bench.config_text(bench.WORKLOADS[workload], bench.eve_position(seed)))
+    return work_counts(run_experiment(cfg).blocks, cfg.grid_step)
+
+
+def tree_work(tree: Path, workload: str, seed: int) -> dict:
+    """``src_work`` on ``tree``'s ``src``, in a fresh process."""
+    out = subprocess.run([sys.executable, __file__, "--src", str(tree / "src"), "--workload", workload,
+                          "--seed", str(seed)], check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
 
 
 def tree_meta(tree: Path) -> dict:
@@ -125,7 +177,7 @@ def tree_meta(tree: Path) -> dict:
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", metavar="DIR", required=True, help="the parent's checkout")
+    parser.add_argument("--against", metavar="DIR", help="the parent's checkout (required)")
     parser.add_argument("--workload", action="append", help="a benchmark workload (repeatable; "
                         "default flight_default)")
     parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload (default 10)")
@@ -133,7 +185,14 @@ def main(argv=None) -> int:
                         help="passed to benchmarks/run.py (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, help="passed to benchmarks/run.py (default: its own)")
     parser.add_argument("--json", metavar="PATH", help="also write the figures and run metadata here")
+    parser.add_argument("--src", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.src is not None:
+        seed = 0 if args.seed is None else args.seed
+        print(json.dumps(src_work(args.src.resolve(), (args.workload or ["flight_default"])[0], seed)))
+        return 0
+    if args.against is None:
+        parser.error("the following arguments are required: --against")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = {"change": ROOT, "parent": Path(args.against).resolve()}
@@ -156,7 +215,8 @@ def main(argv=None) -> int:
                 result, run_meta = run_benchmark(trees[side], workload, extra)
                 runs[side].append(result)
                 seeds.add(run_meta["seed"])
-        results[workload] = summarize(runs, better)
+        work = {side: tree_work(trees[side], workload, run_meta["seed"]) for side in ("parent", "change")}
+        results[workload] = {**summarize(runs, better), "work": work}
         print("\n".join(report(workload, results[workload])), flush=True)
     if args.json:
         meta = {**tree_metas,
