@@ -368,27 +368,22 @@ class Trajectory(namedtuple("Trajectory", "sample_index theta_b theta_e d_ab d_a
 
 
 def _direction_angle(origin: np.ndarray, target: np.ndarray):
-    """Angle from the +x array axis to each origin->target line, and distance."""
-    delta = target - origin
-    # Each delta over a power of two near its largest component: the squares
-    # neither underflow nor overflow, and every other distance keeps its bits.
-    size = np.abs(delta)
-    _, exponent = np.frexp(np.maximum(np.maximum(size[..., 0], size[..., 1]), size[..., 2]))
-    scaled = np.ldexp(delta, -exponent[..., None])
-    # Each squared norm is a stacked matmul, which rounds each row alone, as
-    # ``np.dot`` rounds one pair of vectors (a matrix-vector product can sum
-    # in another order, which also differs with the number of rows), so Eve's
-    # extra row leaves the UAV rows' bits unchanged.
-    norm = np.sqrt((scaled[..., None, :] @ scaled[..., :, None])[..., 0, 0])
-    # The cosine comes from the scaled vector: a distance beyond float64
-    # range is inf, and the angle keeps its bits.
+    """Angle in [0, pi] from the +x array axis to each origin->target line,
+    and its length, each row from that row alone.
+
+    ``hypot`` neither underflows nor overflows on the way, and ``arctan2``
+    stays accurate near the axis: the angle is within 2 eps relative and the
+    distance within 2 ulp of the exact values for the float offsets. A
+    distance beyond float64 range is inf, and its angle keeps its bits."""
+    dx, dy, dz = (target - origin).T
+    across = np.hypot(dy, dz)
     with np.errstate(over="ignore"):
-        dist = np.ldexp(norm, exponent)
+        dist = np.hypot(dx, across)
     # A valid geometry keeps Eve off the array, so only a sample point can sit there.
     if np.any(dist == 0):
         raise ConfigError("geometry.alice, geometry.flight_start, geometry.flight_end: a sample point of the "
                           "flight sits at the array")
-    return np.arccos(np.clip(scaled[..., 0] / norm, -1.0, 1.0)), dist
+    return np.arctan2(across, dx), dist
 
 
 def sample_trajectory(geom: ScenarioGeometry) -> Trajectory:
