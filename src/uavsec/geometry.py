@@ -294,7 +294,9 @@ class ScenarioGeometry(Validated, _record("ScenarioGeometry", _GEOMETRY_ROWS)):
 
     A geometry that builds can be evaluated: its flight has 1 to
     ``MAX_SAMPLES`` sample points, Eve is off the array with a finite path
-    gain, and the UAV's path gain is nonzero at every point. Only a sample
+    gain, her offset along the array axis and her distance from it are
+    finite (her distance from the array may overflow to inf), and the UAV's
+    path gain is nonzero at every point. Only a sample
     point on the array is left to ``sample_trajectory``, which computes them.
     """
 
@@ -322,6 +324,10 @@ class ScenarioGeometry(Validated, _record("ScenarioGeometry", _GEOMETRY_ROWS)):
                 f"lasts {length / self.speed!r} s, shorter than one sample "
                 f"interval ({self.sample_interval!r} s); no points to evaluate"
             )
+        dx, dy, dz = (e - a for e, a in zip(self.eve, self.alice))
+        if not (math.isfinite(dx) and math.isfinite(math.hypot(dy, dz))):
+            raise ConfigError("geometry.eve, geometry.alice: the eavesdropper's offset from the array, along or "
+                              "across its axis, overflows float64")
         d_ae = math.dist(self.eve, self.alice)
         if d_ae == 0:
             raise ConfigError("geometry.eve, geometry.alice: the eavesdropper must not sit at the array")

@@ -867,6 +867,13 @@ class TestCli:
         # A NUL byte cannot be in a file name: rejected before the sweep runs.
         ("", ["run", "--out", "a\x00b.csv"], "error: output.path: 'a\\x00b.csv' holds a NUL byte\n"),
         ("", ["run", "--set", "output.path=a\x00b.csv"], "error: output.path: 'a\\x00b.csv' holds a NUL byte\n"),
+        # Eve's offset from Alice overflows along the array axis, then across
+        # it: no bearing to steer by, and no numpy warning on the way.
+        ("geometry.alice=-1e308,0,0\ngeometry.eve=1e308,0,0\ngeometry.flight_start=-1e308,0,20\n"
+         "geometry.flight_end=-1e308,800,20", ["run"],
+         "error: geometry.eve, geometry.alice: the eavesdropper's offset from the array, along or across its axis, "
+         "overflows float64\n"),
+        ("geometry.eve=1e308,1.5e308,1.5e308", ["run"], "error: geometry.eve, geometry.alice: the eavesdropper's"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, config, command, message):
