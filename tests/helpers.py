@@ -5,7 +5,9 @@ test run is reproducible; seeds are given at the call sites. Links are
 ``oracle.SteeredLink``s, so the vector reference can run on them too.
 """
 
+import importlib.util
 import math
+import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -16,6 +18,21 @@ from uavsec.harness import CSV_HEADER, ResultBlock, SweepResult
 from uavsec.ais import ProjectedPowers, leakage_pair
 
 from oracle import BeamformingPair, projected_powers, steered_link
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name: str):
+    """``tools/<name>.py``, loaded as a module without running it; the tools
+    import each other, so ``tools/`` is on ``sys.path`` while it loads."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    return module
 
 
 def random_link(rng, m=8, p_s_dbm=10.0):

@@ -2,32 +2,14 @@
 blocks need and execute, and the grid points of its ``grid_oracle`` blocks,
 pinned on the golden configs, a low-SNR sweep and the benchmark workloads."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from uavsec.harness import parse_config_text, run_experiment
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, load_tool
 
-
-def _tool(name: str):
-    """``tools/<name>.py``, loaded as a module without running it; the tools
-    import each other, so ``tools/`` is on ``sys.path`` while it loads."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(ROOT / "tools"))
-    return module
-
-
-pairs = _tool("pairs")
-identity = _tool("identity")
+pairs = load_tool("pairs")
+identity = load_tool("identity")
 
 
 def _work(config: str, m=None) -> tuple[int, int, int]:

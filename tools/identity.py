@@ -11,7 +11,9 @@ configs, a low-SNR point and sweep, the mixed-strategy config, a spacing of
 eavesdropper 1e200 m away, a tight-epsilon config whose points hit the
 iteration cap, a config whose second power overflows, a config of valid
 values in unusual spellings (``+8``, ``0_64``, ``1E-6``, ``.5``, ``-0.0``,
-spaces around commas), and configs that must end in one ``error:`` line.
+spaces around commas), a flight 10^9 m down the array axis whose bearings
+are about 2e-8 rad, and configs that must end in one ``error:`` line, among
+them an eavesdropper whose offset from the array overflows float64.
 
 Usage::
 
@@ -24,9 +26,9 @@ pairs of lines that differ, then how many. ``--dispatch`` runs it again on
 this tree's src in a subprocess whose ``NPY_DISABLE_CPU_FEATURES`` switches
 off numpy's AVX-512 kernels (every AVX-512 target in numpy's
 ``__cpu_dispatch__``, with ``X86_V4`` where numpy has it: ``AVX512F`` alone
-leaves ``np.arccos`` on its AVX-512 path in numpy 2.4), and lists the lines
-that differ by dispatch alone, so a change's own differences can be told
-from the host's. On a host without AVX-512 both runs take the same kernels
+leaves some kernels, ``np.arccos`` among them, on their AVX-512 path in
+numpy 2.4), and lists the lines that differ by dispatch alone, so a
+change's own differences can be told from the host's. On a host without AVX-512 both runs take the same kernels
 and that list is empty. Differences are a report: the exit code is 0
 whenever the matrices ran.
 """
@@ -67,6 +69,9 @@ CONFIGS = {
     # Valid values spelled as the parsers accept them but serialize_config never writes them.
     "odd-spellings": ("sweep.antennas=+8,0_64\nais.epsilon=1E-6\nstrategies=fixed:.5, ais\n"
                       "geometry.eve=2e2, 0 ,-0.0\nsweep.power_dbm=1_0,2e1\nais.max_iterations=0050\n", []),
+    # A flight 10^9 m down the array axis: bearings of about 2e-8 rad.
+    "near-axis": ("geometry.flight_start=1e9,0,20\ngeometry.flight_end=1000000800,0,20\ngeometry.eve=200,0.5,0\n"
+                  "sweep.power_dbm=60\nnoise.bob_dbm=-150\nnoise.eve_dbm=-150\nstrategies=ais\n", []),
     # Each of these ends in one error: line.
     "error-antennas": ("sweep.antennas=1\n", []),
     "error-speed": ("geometry.speed=0\n", []),
@@ -86,6 +91,8 @@ CONFIGS = {
     "error-empty-output-path": ("", ["--set", "output.path="]),
     "error-grid-step-tiny": ("strategies=grid_oracle\ngrid.step=5e-324\n", []),
     "error-long-output-path": ("", ["--out", "o" * 300 + ".csv"]),
+    "error-eve-offset-overflow": ("geometry.alice=-1e308,0,0\ngeometry.eve=1e308,0,0\n"
+                                  "geometry.flight_start=-1e308,0,20\ngeometry.flight_end=-1e308,800,20\n", []),
 }
 
 
