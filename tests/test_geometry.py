@@ -168,7 +168,7 @@ class TestTrajectory:
         assert (near.theta_e, near.d_ae) == (0.0, 1e-200)
         far = sample_trajectory(ScenarioGeometry(eve=(1e200, 1e200, 0.0)))
         assert far.theta_e == pytest.approx(math.pi / 4) and far.d_ae == pytest.approx(math.sqrt(2) * 1e200)
-        # In the normal range the scaling changes no bit of any distance.
+        # In the normal range each distance is the rounded root of its rounded squared norm.
         traj = sample_trajectory(ScenarioGeometry())
         positions = [np.array([8.0 * n, 0.0, 20.0]) for n in traj.sample_index.tolist()]
         assert traj.d_ab.tolist() == [math.sqrt(float(p @ p)) for p in positions]
