@@ -296,8 +296,8 @@ class ScenarioGeometry(Validated, _record("ScenarioGeometry", _GEOMETRY_ROWS)):
     ``MAX_SAMPLES`` sample points, Eve is off the array with a finite path
     gain, her offset along the array axis and her distance from it are
     finite (her distance from the array may overflow to inf), and the UAV's
-    path gain is nonzero at every point. Only a sample
-    point on the array is left to ``sample_trajectory``, which computes them.
+    path gain is nonzero at every point. Only a sample point on the array is
+    left to ``sample_trajectory``, which computes them.
     """
 
     __slots__ = ()

@@ -28,9 +28,9 @@ off numpy's AVX-512 kernels (every AVX-512 target in numpy's
 ``__cpu_dispatch__``, with ``X86_V4`` where numpy has it: ``AVX512F`` alone
 leaves some kernels, ``np.arccos`` among them, on their AVX-512 path in
 numpy 2.4), and lists the lines that differ by dispatch alone, so a
-change's own differences can be told from the host's. On a host without AVX-512 both runs take the same kernels
-and that list is empty. Differences are a report: the exit code is 0
-whenever the matrices ran.
+change's own differences can be told from the host's. On a host without
+AVX-512 both runs take the same kernels and that list is empty.
+Differences are a report: the exit code is 0 whenever the matrices ran.
 """
 
 from __future__ import annotations
