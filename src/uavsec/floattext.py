@@ -6,16 +6,19 @@ An array of fewer than ``_TABLE_MIN`` values goes through one %-format call.
 A longer array builds the texts of its plain lanes with numpy arithmetic from
 digit tables, which are built on first use. A plain lane is positive and
 prints with a point and no exponent, so its text is also its JSON form. The
-other lanes of a longer array go through the %-format call. The texts are
-plain lists: ``column_texts`` gives a column of one double as one str, that
-double formatted alone with ``%.12g`` (and, for JSON, ``_json_number``) and
-no array pass; any other column as an earlier column's list, when it holds
-that column's values, or else as the ``twelve_digits`` list. The writers
-load this module on their first call, so importing the package does not
-compile it.
+other lanes of a longer array are formatted as placeholders there and then
+replaced, by index, from one %-format call. The texts are plain lists:
+``group_texts`` gives a column of one double as one str, that double
+formatted alone with ``%.12g`` (and, for JSON, ``_json_number``) and no array
+pass; a column whose lanes equal an earlier column's of its group as that
+column's list; and any other column as its slice of one ``twelve_digits``
+pass over the lanes of consecutive groups. The writers load this module on
+their first call, so importing the package does not compile it.
 """
 
 from functools import cache
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -60,6 +63,10 @@ _TABLE_MIN = 512
 # Longer arrays take the digit tables this many lanes at a time, so that the
 # temporaries of one pass stay in cache.
 _TABLE_CHUNK = 4096
+# ``group_texts`` formats the lanes of consecutive groups in one pass up to
+# this many lanes, so that a writer holds the texts of at most about this many
+# lanes at once; a longer group is a pass of its own.
+_PASS_LANES = 1 << 16
 
 # A plain lane's text is written into seven 4-byte words, NUL where a digit
 # is dropped: 11 integer digits, the point, 15 fraction digits, a newline.
@@ -126,13 +133,13 @@ def _table_texts(values: np.ndarray, is_json: bool) -> list[str]:
         whole = np.floor(m / scale)
         fraction = m - whole * scale
         plain = (s >= 1e11) & (m < 1e12) & (np.abs(s - m) < 0.5 - 2.0**-13) & (fraction != 0)
-    every = plain.all()
-    if not every:
-        whole, fraction, k = whole[plain], fraction[plain], k[plain]
+    # Placeholder digits on the other lanes: their texts are replaced below.
+    other = np.flatnonzero(~plain)
+    whole[other] = fraction[other] = 0.0
     digits = fraction * _POW10[k]
     # Every quotient and product below is an exact integer under 2^53. Row
     # i + 1 of ``q`` is the q[i] of word i, and row 0 is 0.
-    q = np.zeros((8, whole.size))
+    q = np.zeros((8, values.size))
     np.divide(whole, _WORD_DIVISOR[:3], out=q[1:4])
     np.divide(digits, _WORD_DIVISOR[3:], out=q[4:])
     np.floor(q, out=q)
@@ -142,16 +149,13 @@ def _table_texts(values: np.ndarray, is_json: bool) -> list[str]:
     np.add(index[3:6], _TRAIL - _FULL, out=index[3:6], where=q[4:7] * _WORD_DIVISOR[3:6] == digits)
     # Words 0 and 1 are NUL in every lane whose integer part is below 10^7 and
     # 10^3: leave out the words that are NUL in all lanes.
-    top = whole.max(initial=0.0)
+    top = whole.max()
     first = 2 if top < 1e3 else 1 if top < 1e7 else 0
     rows = _digit_tables()[index[first:].astype(np.intp)].T.tobytes()
     texts = rows.translate(None, b"\0").decode().split("\n")[:-1]
-    if every:
-        return texts
-    merged = np.empty(values.size, dtype=object)
-    merged[plain] = texts
-    merged[~plain] = _percent_texts(values[~plain], is_json)
-    return merged.tolist()
+    for i, text in zip(other.tolist(), _percent_texts(values[other], is_json)):
+        texts[i] = text
+    return texts
 
 
 def twelve_digits(values: np.ndarray, is_json: bool) -> list[str]:
@@ -163,24 +167,54 @@ def twelve_digits(values: np.ndarray, is_json: bool) -> list[str]:
     """
     if values.size < _TABLE_MIN:
         return _percent_texts(values, is_json)
-    texts = _table_texts(values[:_TABLE_CHUNK], is_json)
-    for start in range(_TABLE_CHUNK, values.size, _TABLE_CHUNK):
-        texts += _table_texts(values[start:start + _TABLE_CHUNK], is_json)
-    return texts
+    return list(chain.from_iterable(_table_texts(values[start:start + _TABLE_CHUNK], is_json)
+                                    for start in range(0, values.size, _TABLE_CHUNK)))
 
 
-def column_texts(values, is_json: bool, alias=None):
-    """The texts of a float column: one str when every lane holds one
-    double (formatted alone, with no array pass); the texts of ``alias``
-    (an earlier column's values and texts) when every lane equals its lane
-    there; else the ``twelve_digits`` list of the lanes, in C order.
+def _pass_texts(batch: list, lanes: list, is_json: bool) -> Iterator[list]:
+    """The texts of the groups of one ``group_texts`` pass. ``batch`` holds
+    each group's columns as texts or as int64 lanes to format (a column equal
+    to an earlier one as that column's array), and ``lanes`` each array once."""
+    values = np.concatenate([np.empty(0, np.int64), *lanes]).view(float)
+    # The tables are taken by the longest column, as a column alone takes
+    # them: a sweep of short columns only builds none.
+    texts = (twelve_digits if max(map(len, lanes), default=0) >= _TABLE_MIN else _percent_texts)(values, is_json)
+    lists, end = {}, 0
+    for flat in lanes:
+        lists[id(flat)], end = texts[end:end + flat.size], end + flat.size
+    for columns in batch:
+        yield [lists[id(column)] if isinstance(column, np.ndarray) else column for column in columns]
 
-    Lanes are compared by bit pattern, so -0.0 stays apart from 0.0.
+
+def group_texts(groups: Iterable[tuple], is_json: bool) -> Iterator[list]:
+    """The texts of each group of float columns, one entry per column: one
+    str when every lane holds one double (formatted alone, with no array
+    pass); an earlier column's list when every lane equals its lane there;
+    else the ``twelve_digits`` list of the lanes, in C order.
+
+    Lanes are compared by bit pattern, so -0.0 stays apart from 0.0. The
+    lanes to format of consecutive groups, up to ``_PASS_LANES``, are
+    formatted in one pass: one ``twelve_digits`` call over them all, which
+    takes the digit tables when the pass's longest column holds at least
+    ``_TABLE_MIN`` lanes. A group's texts are yielded once its pass is done.
     """
-    flat = np.asarray(values, dtype=float).view(np.int64).ravel()
-    if (flat == flat[0]).all():
-        text = "%.12g" % flat[:1].view(float)[0]
-        return _json_number(text) if is_json else text
-    if alias is not None and (flat == np.asarray(alias[0], dtype=float).view(np.int64).ravel()).all():
-        return alias[1]
-    return twelve_digits(flat.view(float), is_json)
+    batch, lanes, size = [], [], 0
+    for group in groups:
+        columns, own = [], []
+        for values in group:
+            flat = np.asarray(values, dtype=float).view(np.int64).ravel()
+            # A few lanes are compared alone first: most columns differ there.
+            if flat[0] == flat[-1] and (flat == flat[0]).all():
+                columns.append((_json_number if is_json else str)("%.12g" % flat[:1].view(float)[0]))
+                continue
+            same = [column for column in own if column.size == flat.size and column[0] == flat[0]
+                    and (column == flat).all()]
+            columns.append(same[0] if same else flat)
+            own += [] if same else [flat]
+        if batch and size + sum(map(len, own)) > _PASS_LANES:
+            yield from _pass_texts(batch, lanes, is_json)
+            batch, lanes, size = [], [], 0
+        batch.append(columns)
+        lanes += own
+        size += sum(map(len, own))
+    yield from _pass_texts(batch, lanes, is_json)

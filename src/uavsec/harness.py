@@ -357,30 +357,32 @@ def _format_blocks(result: SweepResult, is_json: bool) -> Iterator[str]:
     """The text of each block's rows, straight from the columns. Every row
     starts with the row separator, except the file's first row.
 
-    Each float column goes through ``floattext.column_texts``; the secrecy
-    rate reuses the Bob rate's texts where R_e = 0 on every lane, since
-    R_s = max(0, R_b - R_e) is then exactly R_b. The Ps, ``n`` and
-    ``theta_b`` texts of each lane are joined once, as one list shared by
-    every block. A row is a run of pieces: a str shared by every row (runs
-    of them merged, such as a fixed split's), that lane prefix, or a lane
-    column. Each piece fills every k-th slot of one flat list by slice
-    assignment, and the block is one join over it.
+    The float columns go through ``floattext.group_texts``: the ``theta_b``
+    and Ps columns as one group, then each block's split and rates as one
+    group, so that a sweep's floats are formatted in passes of many blocks
+    before their rows are built. The secrecy rate reuses the Bob rate's
+    texts where R_e = 0 on every lane, since R_s = max(0, R_b - R_e) is then
+    exactly R_b. The Ps, ``n`` and ``theta_b`` texts of each lane are joined
+    once, as one list shared by every block. A row is a run of pieces: a str
+    shared by every row (runs of them merged, such as a fixed split's), that
+    lane prefix, or a lane column. Each piece fills every k-th slot of one
+    flat list by slice assignment, and the block is one join over it.
     """
     # Loaded here, not at import: parsing a config never needs it.
-    from .floattext import column_texts, twelve_digits
+    from .floattext import group_texts
 
     (row_sep, separators, end), null = (_JSON_LAYOUT, "null") if is_json else (_CSV_LAYOUT, "")
-    point_texts = [f"{separators[3]}{n}{separators[4]}{theta}" for n, theta in
-                   zip(result.n.tolist(), twelve_digits(result.theta_b, is_json))]
-    prefix = [ps + point for ps in twelve_digits(np.array(result.powers_dbm, dtype=float), is_json)
-              for point in point_texts]
-    for k, block in enumerate(result.blocks):
+    # Fields 2-5 of a block are its split and rates.
+    groups = group_texts(chain([(result.theta_b, result.powers_dbm)], (b[2:6] for b in result.blocks)), is_json)
+    # A column of one double is one str: one text for each of its lanes.
+    thetas, powers = ([texts] * size if isinstance(texts, str) else texts
+                      for texts, size in zip(next(groups), (len(result.n), len(result.powers_dbm))))
+    point_texts = [f"{separators[3]}{n}{separators[4]}{theta}" for n, theta in zip(result.n.tolist(), thetas)]
+    prefix = [ps + point for ps in powers for point in point_texts]
+    for k, (block, columns) in enumerate(zip(result.blocks, groups)):
         # A name is "ais", "grid_oracle" or "fixed:" and a float's repr: no
         # character JSON escapes.
         name = f'"{block.strategy}"' if is_json else block.strategy
-        bob = column_texts(block.rate_bob, is_json)
-        columns = (column_texts(block.beta, is_json), bob, column_texts(block.rate_eve, is_json),
-                   column_texts(block.secrecy, is_json, (block.rate_bob, bob)))
         if block.iterations is None:
             counts = flags = null
         else:

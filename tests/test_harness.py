@@ -40,7 +40,8 @@ from uavsec.harness import (
     write_results,
 )
 from uavsec.cli import _PARSER, main
-from uavsec.floattext import _TABLE_CHUNK, _TABLE_MIN, column_texts, twelve_digits
+from uavsec import floattext
+from uavsec.floattext import _TABLE_CHUNK, _TABLE_MIN, group_texts, twelve_digits
 
 from helpers import read_results_csv, records_of, reference_summary, result_of
 
@@ -498,6 +499,39 @@ def sweep_results(draw):
     return SweepResult(powers, np.arange(1, shape[1] + 1), column()[0], tuple(blocks))
 
 
+@st.composite
+def column_groups(draw):
+    """Groups of float columns as the writer hands them to ``group_texts``:
+    columns of one double, copies of an earlier column of the group (some
+    with one lane's sign flipped), and columns that mix plain lanes with
+    negative, integral, exponent-form, subnormal, signed-zero, non-finite
+    and near-tie values, some of at least ``_TABLE_MIN`` lanes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = np.array(_TABLE_EDGES + _WRITER_EDGES + [-v for v in _WRITER_EDGES] + [1e-7, 3e13, 1e-310]
+                       + [float(f"{m}5e{e}") for m, e in zip(rng.integers(10**11, 10**12, 16).tolist(),
+                                                             rng.integers(-16, -1, 16).tolist())])
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        group = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["one double", "copy", "mixed"] if group else ["one double", "mixed"]))
+            size = draw(st.sampled_from([1, 2, 300, _TABLE_MIN - 1, _TABLE_MIN, 1500]))
+            if kind == "one double":
+                column = np.full(size, draw(_WRITER_VALUES))
+            elif kind == "copy":
+                column = draw(st.sampled_from(group)).copy()
+                if draw(st.booleans()):
+                    lane = draw(st.integers(0, column.size - 1))
+                    column[lane] = -column[lane]
+            else:
+                column = 10.0 ** rng.uniform(-5, 12, size)
+                odd = rng.random(size) < draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+                column[odd] = rng.choice(special, odd.sum())
+            group.append(column)
+        groups.append(group)
+    return groups
+
+
 class TestResultFiles:
     def test_csv_round_trip_byte_identical(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)
@@ -600,24 +634,94 @@ class TestResultFiles:
         assert twelve_digits(values, is_json=True) == [json.dumps(float(f"{v:.12g}")) for v in values.tolist()]
 
     @pytest.mark.parametrize("is_json", [False, True])
-    def test_column_texts_match_per_lane_texts(self, is_json):
-        # A column with no zero or alias lane, one whose lanes all alias an
-        # earlier column, and one that mixes zeros (and a -0.0), alias lanes
-        # and lanes of its own.
+    def test_group_texts_match_per_lane_texts(self, is_json):
+        # A column with no zero or repeated lane, one whose lanes all equal an
+        # earlier column's, one that mixes zeros (and a -0.0), lanes of an
+        # earlier column and lanes of its own, and a column of one double.
+        # -0.0 stays apart from 0.0: a column of zeros with one -0.0 is not
+        # one double, and a column equal to another but for one zero's sign
+        # does not take that column's texts.
         def want(values):
             texts = [f"{v:.12g}" for v in values.ravel().tolist()]
             return [json.dumps(float(text)) for text in texts] if is_json else texts
 
         rng = np.random.default_rng(16)
         bob = rng.uniform(0.5, 40.0, (3, 7))
-        bob_texts = column_texts(bob, is_json)
-        assert bob_texts == want(bob)
-        assert column_texts(bob.copy(), is_json, (bob, bob_texts)) == bob_texts
         mixed = np.where(rng.random(bob.shape) < 0.5, bob, rng.uniform(0.5, 40.0, bob.shape))
         mixed[0, :3] = 0.0
         mixed[1, 1] = -0.0
-        assert column_texts(mixed, is_json, (bob, bob_texts)) == want(mixed)
-        assert column_texts(np.full((2, 2), 0.25), is_json) == want(np.array([0.25]))[0]
+        signed = mixed.copy()
+        signed[0, 1] = -0.0
+        zeros = np.zeros(5)
+        zeros[3] = -0.0
+        (texts,) = group_texts([(bob, bob.copy(), mixed, signed, np.full((2, 2), 0.25), zeros)], is_json)
+        assert texts[0] == want(bob)
+        assert texts[1] == texts[0]
+        assert texts[2] == want(mixed)
+        assert texts[3] == want(signed) != texts[2]
+        assert texts[4] == want(np.array([0.25]))[0]
+        assert texts[5] == want(zeros)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(column_groups(), st.sampled_from([1, 700, 1 << 16]), st.booleans())
+    def test_group_texts_match_each_column_alone(self, groups, budget, is_json):
+        # Every column's texts are its lanes' own, one str exactly when every
+        # lane holds one double, and what the column gets when it is
+        # formatted alone, whether the groups share one pass or not.
+        def want(values):
+            texts = [f"{v:.12g}" for v in values.tolist()]
+            return [json.dumps(float(text)) for text in texts] if is_json else texts
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(floattext, "_PASS_LANES", budget)
+            got = list(group_texts(groups, is_json))
+        assert len(got) == len(groups)
+        for group, texts in zip(groups, got):
+            assert len(texts) == len(group)
+            for column, text in zip(group, texts):
+                bits = column.view(np.int64)
+                assert isinstance(text, str) == (bits == bits[0]).all()
+                assert ([text] * column.size if isinstance(text, str) else text) == want(column)
+                assert list(group_texts([(column,)], is_json)) == [[text]]
+
+    def test_short_columns_build_no_digit_table(self, tmp_path, monkeypatch):
+        # 9 blocks of 300-lane columns: a pass of 2 700 Rb lanes and more,
+        # whose longest column is still shorter than _TABLE_MIN.
+        def tables():
+            raise AssertionError("digit tables built")
+
+        monkeypatch.setattr(floattext, "_digit_tables", tables)
+        result = run_experiment(parse_config_text("sweep.antennas=8,16,32"))
+        assert len(result.blocks) == 9 and sum(block.rate_bob.size for block in result.blocks) == 2700
+        for fmt in ("csv", "json"):
+            write_results(result, fmt, tmp_path / f"r.{fmt}")
+
+    def test_small_lane_budget_splits_passes_with_the_same_bytes(self, tmp_path, monkeypatch):
+        # With the default budget a sweep of 2000-lane columns is one pass.
+        # With a budget of 4000 lanes it is five: the 405 Ps and theta_b
+        # lanes, the first ais block's 6000 lanes alone, then two passes of
+        # two blocks of 2000 and one of the last block. With a budget of 1
+        # each of the 7 groups is a pass. Every pass formats each lane of
+        # its columns once, 16 405 in all, and the files are the same.
+        result = run_experiment(parse_config_text(LANES_CONFIG))
+        passes = []
+        one_pass = floattext._pass_texts
+
+        def counted(batch, lanes, is_json):
+            passes.append(sum(map(len, lanes)))
+            return one_pass(batch, lanes, is_json)
+
+        monkeypatch.setattr(floattext, "_pass_texts", counted)
+        assert floattext._PASS_LANES == 1 << 16
+        for fmt in ("csv", "json"):
+            files = []
+            for budget in (1 << 16, 4000, 1):
+                monkeypatch.setattr(floattext, "_PASS_LANES", budget)
+                passes.clear()
+                write_results(result, fmt, tmp_path / f"{budget}.{fmt}")
+                files.append((tmp_path / f"{budget}.{fmt}").read_bytes())
+                assert len(passes) == {1 << 16: 1, 4000: 5, 1: 7}[budget] and sum(passes) == 16_405
+            assert files[1] == files[0] and files[2] == files[0]
 
     def test_empty_and_bad_format_rejected(self, tmp_path):
         cfg = parse_config_text(SHORT_CONFIG)

@@ -1,6 +1,9 @@
 """``tools/pairs.py``'s work counts: the lane-cycles that a sweep's iterating
 blocks need and execute, and the grid points of its ``grid_oracle`` blocks,
-pinned on the golden configs, a low-SNR sweep and the benchmark workloads."""
+pinned on the golden configs, a low-SNR sweep and the benchmark workloads;
+and the commit its ``meta`` block names for a tree that is not a checkout."""
+
+import shutil
 
 import pytest
 
@@ -41,3 +44,12 @@ def test_the_benchmark_workloads_at_seed_0(workload, counts):
     # Through the hidden --src flag, in a fresh process, as the paired runs count.
     work = pairs.tree_work(ROOT, workload, 0)
     assert (work["lane_cycles_needed"], work["lane_cycles_executed"], work["grid_points"]) == counts
+
+
+def test_meta_names_the_given_rev_of_a_tree_outside_git(tmp_path):
+    # A copy of src outside any git checkout, as ``git archive`` unpacks it:
+    # git cannot name its commit, so --parent-rev does.
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    unknown = pairs.tree_meta(tmp_path)
+    assert unknown["rev"] == "unknown" and unknown["src_code_lines"] > 0
+    assert pairs.tree_meta(tmp_path, "7ae3356") == {**unknown, "rev": "7ae3356"}

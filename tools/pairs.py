@@ -23,12 +23,13 @@ the ``grid_oracle`` blocks (their executed lane-cycles times the round(1/step)
 
 ``--json PATH`` also writes the same figures as JSON (each side's median,
 q1, q3 and n per metric, the pairs the change wins, the failed records, the
-``work`` counts),
-with a ``meta`` block: each tree's ``git rev-parse HEAD`` ("unknown" for a
-tree that is not a git checkout, with ``-dirty`` appended when its ``src``
-or ``benchmarks`` has uncommitted changes) and ``src`` code and physical
-lines, as they were before the first run, the Python and numpy versions, the usable CPU count, the run length
-in seconds passed to every run (``--seconds``, by default
+``work`` counts), with a ``meta`` block: each tree's ``git rev-parse HEAD``
+("unknown" for a tree that is not a git checkout, with ``-dirty`` appended
+when its ``src`` or ``benchmarks`` has uncommitted changes; for the
+``--against`` tree, the ``--parent-rev`` given, as for a ``git archive`` of
+that commit) and ``src`` code and physical lines, as they were before the
+first run, the Python and numpy versions, the usable CPU count, the run
+length in seconds passed to every run (``--seconds``, by default
 ``BENCHMARK.json``'s ``run_seconds``), and the seed that the runs' own
 ``meta`` lines report (a list of the seeds where they differ).
 
@@ -36,7 +37,7 @@ Usage::
 
     python tools/pairs.py --against DIR                       # flight_default, 10 pairs
     python tools/pairs.py --against DIR --workload array_power_sweep --pairs 5 --seconds 5 --seed 3
-    python tools/pairs.py --against DIR --seed 0 --json pairs.json
+    python tools/pairs.py --against DIR --seed 0 --json pairs.json --parent-rev REV
 
 The exit code is 0 whenever every run wrote a result line: the numbers are
 a report, not a gate.
@@ -156,19 +157,21 @@ def tree_work(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(out)
 
 
-def tree_meta(tree: Path) -> dict:
+def tree_meta(tree: Path, rev: str | None = None) -> dict:
     """A tree's commit and its ``src`` code and physical lines. The commit is
-    ``"unknown"`` outside a git checkout of the tree, and ends ``-dirty``
-    when ``src`` or ``benchmarks`` differ from it."""
+    ``rev`` when one is given; else ``"unknown"`` outside a git checkout of
+    the tree, and it ends ``-dirty`` when ``src`` or ``benchmarks`` differ
+    from it."""
     def git(*args):
         return subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
 
-    head = git("rev-parse", "--show-toplevel", "HEAD")
-    top, _, rev = head.stdout.strip().partition("\n")
-    if head.returncode or Path(top).resolve() != tree:
-        rev = "unknown"
-    elif git("status", "--porcelain", "--", "src", "benchmarks").stdout:
-        rev += "-dirty"
+    if rev is None:
+        head = git("rev-parse", "--show-toplevel", "HEAD")
+        top, _, rev = head.stdout.strip().partition("\n")
+        if head.returncode or Path(top).resolve() != tree:
+            rev = "unknown"
+        elif git("status", "--porcelain", "--", "src", "benchmarks").stdout:
+            rev += "-dirty"
     counts = [count(path) for path in sorted((tree / "src").rglob("*.py"))]
     return {"rev": rev, "src_code_lines": sum(c for c, _ in counts),
             "src_physical_lines": sum(p for _, p in counts)}
@@ -185,6 +188,8 @@ def main(argv=None) -> int:
                         help="passed to benchmarks/run.py (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, help="passed to benchmarks/run.py (default: its own)")
     parser.add_argument("--json", metavar="PATH", help="also write the figures and run metadata here")
+    parser.add_argument("--parent-rev", metavar="REV", help="the commit the --against tree holds, recorded "
+                        "as meta.parent.rev in place of git's answer (for a git archive directory)")
     parser.add_argument("--src", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.src is not None:
@@ -203,7 +208,7 @@ def main(argv=None) -> int:
             compileall.compile_dir(tree / part, quiet=1)
     # Read before the runs, so that an edit made while they run cannot pass
     # for the code that ran.
-    tree_metas = {side: tree_meta(tree) for side, tree in trees.items()}
+    tree_metas = {"change": tree_meta(ROOT), "parent": tree_meta(trees["parent"], args.parent_rev)}
     extra = [f"--{name}={value}" for name, value in (("seconds", args.seconds), ("seed", args.seed))
              if value is not None]
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
