@@ -83,7 +83,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .geometry import _ITERATIONS, _POSITIVE, _SPLIT, LinkState, Validated, _record, lane_link, parse_grid_step
+from .geometry import _ITERATIONS, _POSITIVE, _SPLIT, LinkState, _record, lane_link, parse_grid_step
 
 
 class ProjectedPowers(namedtuple("ProjectedPowers", "u_b w_b u_e w_e")):
@@ -298,11 +298,10 @@ _AIS_ROWS = {"beta_init": ("ais.beta_init", _SPLIT, repr, 0.1),
              "max_iterations": ("ais.max_iterations", _ITERATIONS, repr, 50)}
 
 
-class AisConfig(Validated, _record("AisConfig", _AIS_ROWS)):
+class AisConfig(_record("AisConfig", _AIS_ROWS)):
     """The initial split, the stopping tolerance on f and the iteration cap."""
 
     __slots__ = ()
-    _FIELD_KEYS = _AIS_ROWS
 
 
 class AisTrace(namedtuple("AisTrace", "converged iterations_used rate_bob rate_eve")):

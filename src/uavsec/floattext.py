@@ -2,11 +2,12 @@
 ``%.12g`` writes it, or for JSON as ``json.dumps`` writes the double that
 text parses to.
 
-An array of fewer than ``_TABLE_MIN`` values goes through one %-format call.
-A longer array builds the texts of its plain lanes with numpy arithmetic from
-digit tables, which are built on first use. A plain lane is positive and
-prints with a point and no exponent, so its text is also its JSON form. The
-other lanes of a longer array are formatted as placeholders there and then
+``_pass_texts`` alone picks the path of a pass. One whose longest column
+holds fewer than ``_TABLE_MIN`` lanes goes through one %-format call. Any
+other goes through ``twelve_digits``, which builds the texts of its plain
+lanes with numpy arithmetic from digit tables, built on first use. A plain
+lane is positive and prints with a point and no exponent, so its text is also
+its JSON form. The other lanes are formatted as placeholders there and then
 replaced, by index, from one %-format call. The texts are plain lists:
 ``group_texts`` gives a column of one double as one str, that double
 formatted alone with ``%.12g`` (and, for JSON, ``_json_number``) and no array
@@ -56,12 +57,12 @@ def _percent_texts(values: np.ndarray, is_json: bool) -> list[str]:
     return texts
 
 
-# Arrays of fewer values take one %-format call. The tables win a call from
-# about 200 lanes on (README), but below 512 lanes they save too little to be
-# worth their one-time build in a run whose columns are all that short.
+# A pass whose longest column is shorter takes one %-format call. The tables
+# win a call from about 200 lanes on (README), but below 512 they save too
+# little to be worth their one-time build in a run of columns that short.
 _TABLE_MIN = 512
-# Longer arrays take the digit tables this many lanes at a time, so that the
-# temporaries of one pass stay in cache.
+# ``twelve_digits`` takes the digit tables this many lanes at a time, so that
+# the temporaries of one pass stay in cache.
 _TABLE_CHUNK = 4096
 # ``group_texts`` formats the lanes of consecutive groups in one pass up to
 # this many lanes, so that a writer holds the texts of at most about this many
@@ -162,11 +163,9 @@ def twelve_digits(values: np.ndarray, is_json: bool) -> list[str]:
     """Each of the 1-D float64 ``values`` at 12 significant digits; for JSON,
     as ``json.dumps`` writes the float that text parses to.
 
-    Fewer than ``_TABLE_MIN`` values take one %-format call. Longer arrays
-    take ``_table_texts``, ``_TABLE_CHUNK`` values at a time.
+    Any number of values take ``_table_texts``, ``_TABLE_CHUNK`` at a time;
+    ``_pass_texts`` alone decides where that pays.
     """
-    if values.size < _TABLE_MIN:
-        return _percent_texts(values, is_json)
     return list(chain.from_iterable(_table_texts(values[start:start + _TABLE_CHUNK], is_json)
                                     for start in range(0, values.size, _TABLE_CHUNK)))
 

@@ -24,10 +24,10 @@ with checks (the configs and ``LinkState``) sit behind the ``Validated``
 mixin, which runs them however the record is built.
 
 Each field of a config record is one row of its table, (key, parser,
-formatter, default), declared once; the record's namedtuple base takes its
-field order and defaults from the rows (``_record``). A section, a field
-that holds a record with keys of its own, is a row whose parser is that
-record type and whose formatter is None. Every other field's one rule is its
+formatter, default), declared once; one ``_record`` call turns the table into
+the record's checked base, with the rows' fields, order and defaults. A
+section, a field that holds a record with keys of its own, is a row whose
+parser is that record type and whose formatter is None. Every other field's one rule is its
 key's parser: the value must be what its text parses back to. Every
 numeric key's parser comes from one factory, ``_number``, with its interval
 declared here once, and every message that quotes input quotes it through
@@ -42,7 +42,6 @@ one is.
 
 import math
 from collections import namedtuple
-from functools import reduce
 
 import numpy as np
 
@@ -171,9 +170,10 @@ class Validated:
     ``_make`` and ``_replace`` all build the record through ``__new__``,
     which checks it.
 
-    ``_FIELD_KEYS`` is the record's one row per field, field -> (key,
-    parser, formatter, default), in field order; ``_record`` builds the
-    namedtuple base from it. A field is valid when its value, written by the
+    ``_FIELD_KEYS`` is a config record's one row per field, field -> (key,
+    parser, formatter, default), in field order; ``_record`` sets it with the
+    namedtuple it builds from it, and a record without rows (``LinkState``)
+    keeps it empty. A field is valid when its value, written by the
     formatter as ``serialize_config`` writes it, parses back to a value of
     the same repr: the parser's checks, with its messages, and no value (an
     int where a float belongs, a list, a numpy number) that the text would
@@ -216,9 +216,11 @@ class Validated:
 
 
 def _record(name: str, rows: dict):
-    """The namedtuple base of a config record whose ``_FIELD_KEYS`` is
-    ``rows``: its fields and their defaults, in the rows' order."""
-    return namedtuple(name, rows, defaults=[default for *_, default in rows.values()])
+    """The checked base of the config record ``name`` whose ``_FIELD_KEYS``
+    is ``rows``: ``Validated`` in front of the namedtuple of the rows' fields
+    and defaults, in their order."""
+    base = namedtuple(name, rows, defaults=[default for *_, default in rows.values()])
+    return type(name, (Validated, base), {"__slots__": (), "_FIELD_KEYS": rows})
 
 
 # (-1)^(j+1) / (2j+1)!, j = 1..8: times 1 - M^-2j, the Taylor coefficients of
@@ -266,7 +268,7 @@ def array_separation(theta_b, theta_e, num_antennas: int, spacing: float):
         # The series over (Me)^3, in t = (Me)^2 by Horner's scheme.
         t = un * un
         coefficients = [c * (1.0 - float(m) ** (-2 * j)) for j, c in enumerate(_TAYLOR, start=1)]
-        gap[near] = un / s[near] * t * reduce(lambda p, c: p * t + c, reversed(coefficients))
+        gap[near] = un / s[near] * t * np.polyval(coefficients[::-1], t)
     # M + r = 2M - (M - r); both factors are positive, so D >= 0.
     return np.minimum(gap * (2 * m - gap), float(m * m)).reshape(z.shape)[()]
 
@@ -283,7 +285,7 @@ _GEOMETRY_ROWS = {
 }
 
 
-class ScenarioGeometry(Validated, _record("ScenarioGeometry", _GEOMETRY_ROWS)):
+class ScenarioGeometry(_record("ScenarioGeometry", _GEOMETRY_ROWS)):
     """Fixed ground nodes plus the UAV's straight flight segment.
 
     Points are (x, y, z) tuples of floats, in meters. Default layout: Alice
@@ -301,7 +303,6 @@ class ScenarioGeometry(Validated, _record("ScenarioGeometry", _GEOMETRY_ROWS)):
     """
 
     __slots__ = ()
-    _FIELD_KEYS = _GEOMETRY_ROWS
 
     def _validate(self):
         length = self.flight_length
@@ -427,7 +428,8 @@ class LinkState(Validated, namedtuple("LinkState", "num_antennas separation g_ab
     directions on a ``num_antennas``-element array; gains are linear, powers
     and noise variances in mW. Each field after ``num_antennas`` is a scalar
     or an array; their broadcast shape, ``shape``, is the lane shape of the
-    batch, and every computation on the link is elementwise over it. The
+    batch, and every computation on the link is elementwise over it; fields
+    a subclass appends (the tests' ``SteeredLink``) are not lanes. The
     eavesdropper's gain may be 0 (its path gain underflowed), which makes
     its rate exactly 0; every other gain, power and noise is positive, and
     all of them are finite. M is what the ``sweep.antennas`` parser would
@@ -447,11 +449,11 @@ class LinkState(Validated, namedtuple("LinkState", "num_antennas separation g_ab
             if not np.all((floor < value) & (value < math.inf)):
                 raise ValueError(f"{name} must be {'nonnegative' if floor else 'strictly positive'} and finite")
         # Raises numpy's ValueError where the lanes do not broadcast together.
-        np.broadcast(*self[1:])
+        self.shape
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return np.broadcast(*self[1:]).shape
+        return np.broadcast(*self[1 : len(LinkState._fields)]).shape
 
 
 def lane_link(link, fields=None) -> LinkState:

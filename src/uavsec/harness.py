@@ -58,7 +58,6 @@ from .geometry import (
     _SPLIT,
     ConfigError,
     ScenarioGeometry,
-    Validated,
     _echo,
     _join,
     _parse_list,
@@ -148,12 +147,11 @@ _EXPERIMENT_ROWS = {
 }
 
 
-class ExperimentConfig(Validated, _record("ExperimentConfig", _EXPERIMENT_ROWS)):
+class ExperimentConfig(_record("ExperimentConfig", _EXPERIMENT_ROWS)):
     """A whole sweep: the scenario, the swept powers (dBm), antenna counts and
     strategies, the loop settings and the output file."""
 
     __slots__ = ()
-    _FIELD_KEYS = _EXPERIMENT_ROWS
 
 
 # The sections of an ExperimentConfig: field -> record.

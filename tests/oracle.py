@@ -243,10 +243,7 @@ class SteeredLink(Validated, namedtuple("SteeredLink", (*LinkState._fields, "h_b
 
     __slots__ = ()
     _validate = LinkState._validate
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return LinkState(*self[: len(LinkState._fields)]).shape
+    shape = LinkState.shape
 
 
 def steered_link(theta_b: float, theta_e: float, m: int, spacing: float, **fields) -> SteeredLink:

@@ -2,15 +2,12 @@
 top-level definitions and the rest, add up to the module's count."""
 
 import ast
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+from helpers import ROOT, load_tool
+
+code_lines = load_tool("code_lines")
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "uavsec").glob("*.py")), ids=lambda path: path.name)

@@ -11,8 +11,6 @@ failed records are its correctness verdict.
 """
 
 import gzip
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,32 +18,15 @@ import pytest
 from uavsec.cli import main
 from uavsec.harness import parse_config_text, run_experiment
 
-from helpers import read_results_csv, records_of
+from helpers import ROOT, load_tool, read_results_csv, records_of
 
 GOLDEN = Path(__file__).parent / "golden"
 TOL = 1e-9
 
 
-def _benchmark():
-    """``benchmarks/run.py``, loaded as a module without running it."""
-    spec = importlib.util.spec_from_file_location("benchmark_run", Path(__file__).parents[1] / "benchmarks" / "run.py")
-    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
-    spec.loader.exec_module(bench)
-    return bench
-
-
-BENCH = _benchmark()
-
-CONFIGS = {
-    "default": "",
-    "stress": (
-        "strategies=ais,grid_oracle,fixed:0.5\n"
-        "sweep.antennas=4,64,256\n"
-        "sweep.power_dbm=-10,20,50\n"
-        "geometry.flight_end=200,0,20\n"
-        "geometry.eve=203,1.5,0\n"
-    ),
-}
+identity = load_tool("identity")
+BENCH = identity.load_benchmark(ROOT)
+CONFIGS = {name: identity.CONFIGS[f"golden-{name}"][0] for name in ("default", "stress")}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -59,3 +59,11 @@ def test_range_checks_cover_every_lane():
         link._replace(g_ab=np.array([1e-4, 0.0]))
     with pytest.raises(ValueError):
         leakage_pair(link, np.array([0.5, 1.5]))
+
+
+def test_steered_link_lanes_leave_out_its_vectors():
+    # A SteeredLink's lane shape is its LinkState fields' alone, so 3 lanes
+    # build at M = 8, whose two steering vectors hold 8 entries each.
+    link = oracle.steered_link(math.pi / 2, 1.2, 8, 0.5, g_ab=np.full(3, 1e-4), g_ae=1e-4,
+                               sigma2_b=1e-11, sigma2_e=1e-11, p_s=1.0)
+    assert link.shape == (3,)

@@ -548,9 +548,11 @@ def _subclasses(cls):
 def test_no_config_key_is_declared_by_two_records():
     # A key's parser and formatter are declared once, by the one record
     # whose field holds its value; the package's records declare every key.
+    # A class declares the rows its own namespace holds (``_record``'s base
+    # of each record), not those it inherits.
     declared = {}
     for record in _subclasses(Validated):
-        if record.__module__.startswith("uavsec."):
+        if record.__module__.startswith("uavsec.") and "_FIELD_KEYS" in vars(record):
             for key, _, fmt, _ in record._FIELD_KEYS.values():
                 if fmt is not None:  # a section's row declares no key
                     declared.setdefault(key, []).append(record.__name__)

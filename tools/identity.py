@@ -56,7 +56,7 @@ LOW_SNR = "noise.bob_dbm=-60\nnoise.eve_dbm=-60\n"
 # name -> (config text, extra CLI arguments after --out).
 CONFIGS = {
     "golden-default": ("", []),
-    # The stress config of tests/test_golden.py.
+    # The golden stress config; tests/test_golden.py reads both golden configs here.
     "golden-stress": ("strategies=ais,grid_oracle,fixed:0.5\nsweep.antennas=4,64,256\nsweep.power_dbm=-10,20,50\n"
                       "geometry.flight_end=200,0,20\ngeometry.eve=203,1.5,0\n", []),
     "low-snr-point": (LOW_SNR + "sweep.power_dbm=0\nsweep.antennas=2\nstrategies=ais\n", []),
@@ -102,11 +102,17 @@ CONFIGS = {
 }
 
 
-def _benchmark_configs() -> dict:
-    """The benchmark workloads' configs at seeds 0, 3 and 7."""
-    spec = importlib.util.spec_from_file_location("benchmark_run", ROOT / "benchmarks" / "run.py")
+def load_benchmark(root: Path):
+    """``root``'s ``benchmarks/run.py``, loaded as a module without running it."""
+    spec = importlib.util.spec_from_file_location("benchmark_run", root / "benchmarks" / "run.py")
     bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
     spec.loader.exec_module(bench)
+    return bench
+
+
+def _benchmark_configs() -> dict:
+    """The benchmark workloads' configs at seeds 0, 3 and 7."""
+    bench = load_benchmark(ROOT)
     return {f"{name}-seed{seed}": (bench.config_text(workload, bench.eve_position(seed)), [])
             for name, workload in bench.WORKLOADS.items() for seed in (0, 3, 7)}
 

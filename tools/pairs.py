@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import compileall
-import importlib.util
 import json
 import os
 import platform
@@ -58,6 +57,7 @@ from importlib import metadata
 from pathlib import Path
 
 from code_lines import count
+from identity import load_benchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -143,9 +143,7 @@ def src_work(src: Path, workload: str, seed: int) -> dict:
 
     if Path(run_experiment.__code__.co_filename).resolve().parents[1] != src:
         raise SystemExit(f"error: imported uavsec from {run_experiment.__code__.co_filename}, not {src}")
-    spec = importlib.util.spec_from_file_location("benchmark_run", src.parent / "benchmarks" / "run.py")
-    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
-    spec.loader.exec_module(bench)
+    bench = load_benchmark(src.parent)
     cfg = parse_config_text(bench.config_text(bench.WORKLOADS[workload], bench.eve_position(seed)))
     return work_counts(run_experiment(cfg).blocks, cfg.grid_step)
 
